@@ -26,11 +26,11 @@ from .logic import (
 )
 from .products import (
     canonical_embedding,
+    filter_from_members,
     induced_system,
     parse_ideal_file,
     reduced_product,
     upper_cone_filter,
-    validate_filter,
     validate_ideal,
 )
 from .prober import (
@@ -219,16 +219,17 @@ def _cmd_translate(args, out) -> int:
 
 def _cmd_product(args, out) -> int:
     sig, structures = _load_structures(args.structures)
-    ideal, filt, _members = parse_ideal_file(_read_file(args.ideal))
+    ideal, listed, _members = parse_ideal_file(_read_file(args.ideal))
     problems = validate_ideal(ideal)
     if problems:
         raise _InputError(f"{args.ideal}: {problems[0]}")
-    if args.cone_filter or filt is None:
+    if args.cone_filter or listed is None:
         filt = upper_cone_filter(ideal)
     else:
-        filter_problems = validate_filter(filt)
-        if filter_problems:
-            raise _InputError(f"{args.ideal}: {filter_problems[0]}")
+        try:
+            filt = filter_from_members(ideal.sets, listed)
+        except ValueError as exc:
+            raise _InputError(f"{args.ideal}: {exc}") from exc
     parent_name = args.parent or next(iter(structures))
     if parent_name not in structures:
         raise _InputError(f"no structure named {parent_name} in {args.structures}")

@@ -637,13 +637,20 @@ class _Parser:
         return Var(name)
 
 
-def parse_formula(text: str, sig: Signature) -> Formula:
-    """Parse ``text`` against ``sig``; errors carry line and column."""
-    parser = _Parser(_tokenize(text), sig)
-    formula = parser.parse_formula()
+def _parse_all(parser: _Parser) -> Formula:
+    try:
+        formula = parser.parse_formula()
+    except RecursionError:
+        # the parser recurses once per nesting level
+        parser.error("nested too deeply")
     if parser.peek().kind != "eof":
         parser.error(f"trailing input {parser.peek().text!r}")
     return formula
+
+
+def parse_formula(text: str, sig: Signature) -> Formula:
+    """Parse ``text`` against ``sig``; errors carry line and column."""
+    return _parse_all(_Parser(_tokenize(text), sig))
 
 
 def parse_with_inference(text: str) -> tuple[Formula, Signature]:
@@ -653,10 +660,7 @@ def parse_with_inference(text: str) -> tuple[Formula, Signature]:
     applied names become predicates unless bound by existsSet.
     """
     parser = _Parser(_tokenize(text), None)
-    formula = parser.parse_formula()
-    if parser.peek().kind != "eof":
-        parser.error(f"trailing input {parser.peek().text!r}")
-    return formula, parser.inferred.signature()
+    return _parse_all(parser), parser.inferred.signature()
 
 
 # --- printer ----------------------------------------------------------------

@@ -1,15 +1,17 @@
 """Ideals, filters, reduced products, and coherent-system embeddings.
 
-Filters are stored extensionally as families of subsets of the index
-family; this stays tractable because index families here have at most a
-few dozen members.  Reduced products materialize choice functions and
-quotient them by union-find over the filter-agreement relation.
+A filter F on a finite index family is closed under finite intersection,
+so its least member K = ∩F belongs to it and F = {S : K ⊆ S}: every filter
+is principal.  ``IndexFilter`` therefore stores only that kernel K.  Two
+choice functions agree modulo F exactly when they agree on K, so the
+reduced product is the direct product of the components indexed by K,
+and a choice function's class is its projection onto those coordinates.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .structures import (
@@ -39,6 +41,10 @@ def _powerset(items) -> Iterable[frozenset]:
             yield frozenset(combo)
 
 
+def _index_sets(sets) -> frozenset:
+    return frozenset(frozenset(int(x) for x in s) for s in sets)
+
+
 @dataclass(frozen=True)
 class IndexIdeal:
     """An ideal of subsets of a base universe, covering it."""
@@ -48,28 +54,22 @@ class IndexIdeal:
 
     def __post_init__(self):
         object.__setattr__(self, "universe", frozenset(int(x) for x in self.universe))
-        object.__setattr__(
-            self, "sets", frozenset(frozenset(int(x) for x in s) for s in self.sets)
-        )
+        object.__setattr__(self, "sets", _index_sets(self.sets))
 
 
 @dataclass(frozen=True)
 class IndexFilter:
-    """A filter over an index family, stored as an explicit family of subsets."""
+    """The filter {S ⊆ family : kernel ⊆ S} over a finite index family."""
 
     family: frozenset
-    sets: frozenset
+    kernel: frozenset
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "family", frozenset(frozenset(int(x) for x in s) for s in self.family)
-        )
-        object.__setattr__(
-            self,
-            "sets",
-            frozenset(frozenset(frozenset(int(x) for x in s) for s in member)
-                      for member in self.sets),
-        )
+        object.__setattr__(self, "family", _index_sets(self.family))
+        object.__setattr__(self, "kernel", _index_sets(self.kernel))
+
+    def __contains__(self, member) -> bool:
+        return self.kernel <= frozenset(member)
 
 
 def powerset_ideal(universe: Iterable[int]) -> IndexIdeal:
@@ -103,84 +103,60 @@ def validate_ideal(ideal: IndexIdeal) -> list[str]:
 
 
 def validate_filter(filt: IndexFilter) -> list[str]:
-    """Violations of: nonemptiness, upward closure, intersection closure, properness."""
-    violations = []
-    members = filt.sets
-    if not members:
-        violations.append("filter is empty")
-        return violations
-    family = filt.family
-    for member in members:
-        if not member <= family:
-            violations.append("filter member contains sets outside the index family")
-    if frozenset() in members:
-        violations.append("filter contains the empty set (not proper)")
-    member_list = sorted(members, key=lambda m: (len(m), sorted(map(sorted, m))))
-    for member in member_list:
-        for extra in family - member:
-            if member | {extra} not in members:
-                violations.append(
-                    f"not upward closed: adding {_set_label(extra)} to a member "
-                    "leaves the filter"
-                )
-    for a, b in itertools.combinations(member_list, 2):
-        if a & b not in members:
-            violations.append("not closed under pairwise intersection")
-    return violations
+    """Violations of: a kernel inside the index family, properness."""
+    if not filt.kernel <= filt.family:
+        return ["filter is empty: its kernel has sets outside the index family"]
+    if not filt.kernel:
+        return ["filter contains the empty set (not proper)"]
+    return []
 
 
 def upper_cone_filter(ideal_or_family) -> IndexFilter:
     """The filter over the index family generated by upper cones of (I, subset).
 
-    Members are exactly the subsets of I containing some cone
-    {j in I : j >= i}; defined whenever I is directed, which valid ideals
-    always are.
+    It is defined whenever I is directed, which valid ideals always are.  A
+    finite family is directed exactly when its union is a member; every
+    cone {j in I : j >= i} contains that top, so the filter is the
+    principal ultrafilter at the top.
     """
     if isinstance(ideal_or_family, IndexIdeal):
-        family = frozenset(ideal_or_family.sets)
+        family = ideal_or_family.sets
     else:
-        family = frozenset(frozenset(s) for s in ideal_or_family)
-    ordered = _family_order(family)
-    for a, b in itertools.combinations(ordered, 2):
-        if not any(a | b <= c for c in family):
-            raise ValueError(
-                f"index family is not directed: no upper bound for "
-                f"{_set_label(a)} and {_set_label(b)}"
-            )
-    cones = [frozenset(j for j in family if i <= j) for i in ordered]
-    members = frozenset(
-        member for member in _powerset(family) if any(c <= member for c in cones)
-    )
-    return IndexFilter(family, members)
+        family = _index_sets(ideal_or_family)
+    top = frozenset().union(*family)
+    if top not in family:
+        raise ValueError(
+            f"index family is not directed: its union {_set_label(top)} is not a member"
+        )
+    return IndexFilter(family, {top})
 
 
 def principal_filter(family: Iterable[frozenset], at: frozenset) -> IndexFilter:
     """The principal ultrafilter {S : at in S} over the family."""
-    family = frozenset(frozenset(s) for s in family)
-    at = frozenset(at)
-    if at not in family:
+    family = _index_sets(family)
+    if frozenset(at) not in family:
         raise ValueError("principal element must belong to the index family")
-    members = frozenset(m for m in _powerset(family) if at in m)
-    return IndexFilter(family, members)
+    return IndexFilter(family, {at})
 
 
 def extend_filter(filt: IndexFilter, extra) -> Optional[IndexFilter]:
     """The filter generated by the given filter and one extra set, or None if improper."""
-    extra = frozenset(frozenset(s) for s in extra)
+    extra = _index_sets(extra)
     if not extra <= filt.family:
         raise ValueError("extension set must be a subset of the index family")
-    generated = {m & extra for m in filt.sets} | set(filt.sets)
-    if frozenset() in generated:
-        return None
-    members = set()
-    for base in generated:
-        for member in _powerset(filt.family):
-            if base <= member:
-                members.add(member)
-    return IndexFilter(filt.family, frozenset(members))
+    kernel = filt.kernel & extra
+    return IndexFilter(filt.family, kernel) if kernel else None
 
 
 # --- reduced products --------------------------------------------------------
+
+
+def _rank(coords, sizes) -> int:
+    """Mixed-radix rank: the position of ``coords`` in itertools.product order."""
+    rank = 0
+    for x, size in zip(coords, sizes):
+        rank = rank * size + x
+    return rank
 
 
 @dataclass
@@ -188,20 +164,20 @@ class ReducedProduct:
     """Quotient of a direct product of structures by filter agreement.
 
     ``index_family`` fixes the coordinate order; ``choice_functions`` are
-    all elements of the direct product; ``classes`` groups their indices;
-    ``structure`` is the quotient with universe {0..#classes-1}.
+    all elements of the direct product.  ``structure`` is the quotient,
+    whose element r is the class of the choice functions whose projection
+    onto the filter's kernel has mixed-radix rank r.
     """
 
     index_family: tuple
     components: tuple
     filter: IndexFilter
     structure: Structure
-    classes: tuple
     choice_functions: tuple
-    _class_of: dict = field(repr=False, default_factory=dict)
 
     def class_of_function(self, cf: tuple) -> int:
-        return self._class_of[tuple(cf)]
+        at_kernel = [k for k, i in enumerate(self.index_family) if i in self.filter.kernel]
+        return _rank([cf[k] for k in at_kernel], [self.components[k].size for k in at_kernel])
 
 
 def reduced_product(
@@ -212,8 +188,10 @@ def reduced_product(
     """Construct the reduced product of ``components`` modulo ``filt``.
 
     Components are indexed by the filter's family; all components must
-    share a signature.  Predicates hold on classes iff the agreement set
-    of componentwise truth belongs to the filter.
+    share a signature.  Choice functions agree modulo the filter iff they
+    agree on its kernel, so the quotient is the direct product of the
+    components at the kernel: a predicate holds on classes iff it holds
+    at every kernel coordinate.
     """
     components = {frozenset(k): v for k, v in components.items()}
     if frozenset(components) != filt.family:
@@ -232,107 +210,41 @@ def reduced_product(
             raise CapExceededError(total, cap)
     if total == 0:
         raise ValueError("components must be nonempty")
+    problems = validate_filter(filt)
+    if problems:
+        raise ValueError(problems[0])
 
-    cfs = list(itertools.product(*[range(c.size) for c in comps]))
-    m = len(cfs)
-    parent = list(range(m))
+    at_kernel = [c for i, c in zip(order, comps) if i in filt.kernel]
+    sizes = [c.size for c in at_kernel]
+    # class id -> its coordinates at the kernel
+    elements = list(itertools.product(*(range(s) for s in sizes)))
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    filter_sets = filt.sets
-    for a in range(m):
-        for b in range(a + 1, m):
-            if find(a) == find(b):
-                continue
-            agreement = frozenset(
-                order[k] for k in range(len(order)) if cfs[a][k] == cfs[b][k]
-            )
-            if agreement in filter_sets:
-                parent[find(b)] = find(a)
-
-    groups: dict[int, list[int]] = {}
-    for idx in range(m):
-        groups.setdefault(find(idx), []).append(idx)
-    classes = tuple(tuple(groups[root]) for root in sorted(groups, key=lambda r: min(groups[r])))
-    class_of = {}
-    for cid, members in enumerate(classes):
-        for idx in members:
-            class_of[cfs[idx]] = cid
-
-    size = len(classes)
-    reps = [cfs[members[0]] for members in classes]
-
-    preds = {}
-    for name, arity in sig.predicates:
-        holds = set()
-        for args in itertools.product(range(size), repeat=arity):
-            agreement = frozenset(
-                order[k]
-                for k in range(len(order))
-                if tuple(reps[a][k] for a in args) in comps[k].predicates[name]
-            )
-            if agreement in filter_sets:
-                holds.add(args)
-        preds[name] = frozenset(holds)
+    # a predicate tuple of the quotient picks one tuple of the relation at
+    # each kernel coordinate; zip regroups those coordinates by argument
+    preds = {
+        name: frozenset(
+            tuple(_rank(coords, sizes) for coords in zip(*per_coordinate))
+            for per_coordinate in itertools.product(*(c.predicates[name] for c in at_kernel))
+        )
+        for name, _arity in sig.predicates
+    }
 
     funcs = {}
     for name, arity in sig.functions:
         table = {}
-        for args in itertools.product(range(size), repeat=arity):
-            image = tuple(
-                comps[k].functions[name][tuple(reps[a][k] for a in args)]
-                for k in range(len(order))
-            )
-            table[args] = class_of[image]
+        for args in itertools.product(range(len(elements)), repeat=arity):
+            columns = zip(*(elements[a] for a in args))
+            image = [c.functions[name][col] for c, col in zip(at_kernel, columns)]
+            table[args] = _rank(image, sizes)
         funcs[name] = table
 
-    consts = {}
-    for name in sig.constants:
-        image = tuple(c.constants[name] for c in comps)
-        consts[name] = class_of[image]
+    consts = {
+        name: _rank([c.constants[name] for c in at_kernel], sizes) for name in sig.constants
+    }
 
-    structure = Structure(sig, size, preds, funcs, consts)
-    return ReducedProduct(
-        tuple(order), tuple(comps), filt, structure, classes, tuple(cfs), class_of
-    )
-
-
-def check_product_well_definedness(rp: ReducedProduct, swaps: int, rng) -> list[str]:
-    """Predicate truth must not depend on class representatives.
-
-    Performs random representative swaps and recomputes the agreement-set
-    test; any deviation from the product's tables is reported.
-    """
-    violations = []
-    sig = rp.structure.signature
-    order = rp.index_family
-    size = rp.structure.size
-    if not sig.predicates:
-        return violations
-    for _ in range(swaps):
-        name, arity = sig.predicates[rng.randrange(len(sig.predicates))]
-        args = tuple(rng.randrange(size) for _ in range(arity))
-        picks = [
-            rp.choice_functions[rp.classes[a][rng.randrange(len(rp.classes[a]))]]
-            for a in args
-        ]
-        agreement = frozenset(
-            order[k]
-            for k in range(len(order))
-            if tuple(p[k] for p in picks) in rp.components[k].predicates[name]
-        )
-        recomputed = agreement in rp.filter.sets
-        stored = args in rp.structure.predicates[name]
-        if recomputed != stored:
-            violations.append(
-                f"{name}{args}: representative swap flips truth "
-                f"({stored} -> {recomputed})"
-            )
-    return violations
+    structure = Structure(sig, len(elements), preds, funcs, consts)
+    choice_functions = tuple(itertools.product(*(range(c.size) for c in comps)))
+    return ReducedProduct(tuple(order), tuple(comps), filt, structure, choice_functions)
 
 
 # --- coherent systems --------------------------------------------------------
@@ -492,8 +404,7 @@ def canonical_embedding(
     for i in _family_order(family):
         if system.components[i].size < 1:
             raise ValueError(f"component at {_set_label(i)} is empty")
-    cone = upper_cone_filter(family)
-    if not cone.sets <= filt.sets:
+    if not filt.kernel <= upper_cone_filter(family).kernel:
         raise ValueError("filter does not extend the upper-cone filter")
 
     fallback = {frozenset(k): int(v) for k, v in (b or {}).items()}
@@ -554,11 +465,44 @@ def canonical_embedding(
 # "ideal" block: one member per line as whitespace-separated integers, the
 # keyword "empty" for the empty set, terminated by "end".  "filter" block:
 # one member of the filter per line, given as indices into the ideal block's
-# members (0-based, in file order), terminated by "end".
+# members (0-based, in file order), terminated by "end".  The block must list
+# a whole proper filter; ``filter_from_members`` reduces it to its kernel.
 
 
-def parse_ideal_file(text: str) -> tuple[IndexIdeal, Optional[IndexFilter], list]:
-    """Parse an ideal and optional filter; returns the ideal's member order too."""
+def filter_from_members(family: Iterable[frozenset], members) -> IndexFilter:
+    """The filter whose members are listed extensionally, stored as its kernel.
+
+    The members must be exactly the subsets of ``family`` that contain their
+    intersection, and that intersection must be nonempty; otherwise
+    ValueError names the first closure property that fails.
+    """
+    family = _index_sets(family)
+    members = frozenset(_index_sets(m) for m in members)
+    if not members:
+        raise ValueError("filter is empty")
+    for member in sorted(members, key=lambda m: (len(m), sorted(map(sorted, m)))):
+        for extra in _family_order(family - member):
+            if member | {extra} not in members:
+                raise ValueError(
+                    f"not upward closed: adding {_set_label(extra)} to a member "
+                    "leaves the filter"
+                )
+    kernel = frozenset.intersection(*members)
+    if kernel not in members:
+        raise ValueError(
+            "not closed under pairwise intersection"
+            + ("" if kernel else ": the members meet in the empty set (not proper)")
+        )
+    return IndexFilter(family, kernel)
+
+
+def parse_ideal_file(text: str) -> tuple[IndexIdeal, Optional[frozenset], list]:
+    """Parse an ideal and an optional filter block.
+
+    Returns the ideal, the filter block's members as listed (None without a
+    block; ``filter_from_members`` validates them) and the ideal's member
+    order.
+    """
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -585,7 +529,7 @@ def parse_ideal_file(text: str) -> tuple[IndexIdeal, Optional[IndexFilter], list
     universe = frozenset().union(*members) if members else frozenset()
     ideal = IndexIdeal(universe, frozenset(members))
 
-    filt = None
+    listed = None
     if pos < len(lines):
         lineno, toks = lines[pos]
         if toks != ["filter"]:
@@ -607,10 +551,10 @@ def parse_ideal_file(text: str) -> tuple[IndexIdeal, Optional[IndexFilter], list
         if pos >= len(lines):
             raise StructureFormatError("filter block not terminated by 'end'", lines[-1][0])
         pos += 1
-        filt = IndexFilter(frozenset(members), frozenset(filter_members))
+        listed = frozenset(filter_members)
     if pos < len(lines):
         raise StructureFormatError("trailing content after blocks", lines[pos][0])
-    return ideal, filt, members
+    return ideal, listed, members
 
 
 def render_ideal_file(ideal: IndexIdeal, filt: Optional[IndexFilter] = None) -> str:
@@ -621,8 +565,9 @@ def render_ideal_file(ideal: IndexIdeal, filt: Optional[IndexFilter] = None) -> 
     out.append("end")
     if filt is not None:
         index = {m: i for i, m in enumerate(members)}
+        listed = (filt.kernel | extra for extra in _powerset(filt.family - filt.kernel))
         out.append("filter")
-        for member in sorted(filt.sets, key=lambda m: sorted(index[s] for s in m)):
+        for member in sorted(listed, key=lambda m: sorted(index[s] for s in m)):
             out.append(" ".join(str(index[s]) for s in sorted(member, key=lambda s: index[s])))
         out.append("end")
     return "\n".join(out) + "\n"

@@ -1,4 +1,5 @@
 import io
+import itertools
 
 import pytest
 
@@ -258,3 +259,146 @@ def test_inline_formula_wins_over_file(k2, tmp_path):
     )
     assert code == 0
     assert text.splitlines()[1] == "true"
+
+
+# --- custom filter blocks ---------------------------------------------------------
+
+DIGRAPH2_FILE = """\
+signature
+predicate R 2
+end
+structure d2
+universe 2
+R 0 1
+R 1 1
+end
+"""
+
+POWERSET2_IDEAL = """\
+ideal
+empty
+0
+1
+0 1
+end
+"""
+
+# the filter of all families containing {1} and {0,1}: not the cone filter
+CUSTOM_FILTER = """\
+filter
+2 3
+0 2 3
+1 2 3
+0 1 2 3
+end
+"""
+
+CUSTOM_PRODUCT_REPORT = """\
+# manifest command=product version=0.1.0 cone-filter=False ideal=i.id seed=0 \
+structures=s.st verify-embedding=False
+index family: 4 sets
+choice functions: 2
+classes: 2
+signature
+predicate R 2
+end
+structure product
+universe 2
+R 0 1
+R 1 1
+end
+"""
+
+
+def run_product_with_filter(tmp_path, monkeypatch, filter_block, *extra):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.st").write_text(DIGRAPH2_FILE)
+    (tmp_path / "i.id").write_text(POWERSET2_IDEAL + filter_block)
+    err = io.StringIO()
+    monkeypatch.setattr("sys.stderr", err)
+    code, text = run(["product", "--structures", "s.st", "--ideal", "i.id", *extra])
+    return code, text, err.getvalue()
+
+
+def test_product_with_custom_filter(tmp_path, monkeypatch):
+    code, text, _ = run_product_with_filter(tmp_path, monkeypatch, CUSTOM_FILTER)
+    assert code == 0
+    assert text == CUSTOM_PRODUCT_REPORT
+
+
+def test_product_custom_filter_must_extend_cone_to_embed(tmp_path, monkeypatch):
+    code, _, err = run_product_with_filter(
+        tmp_path, monkeypatch, CUSTOM_FILTER, "--verify-embedding"
+    )
+    assert code == 2
+    assert "does not extend the upper-cone filter" in err
+
+
+def test_product_filter_not_upward_closed(tmp_path, monkeypatch):
+    code, _, err = run_product_with_filter(tmp_path, monkeypatch, "filter\n2 3\nend\n")
+    assert code == 2
+    assert "not upward closed" in err
+
+
+def test_product_filter_members_with_empty_intersection(tmp_path, monkeypatch):
+    # every nonempty subfamily: upward closed, but {0} and {1} meet in the
+    # empty set, so the filter the block generates is not proper
+    lines = [" ".join(map(str, combo))
+             for k in range(1, 5) for combo in itertools.combinations(range(4), k)]
+    block = "filter\n" + "\n".join(lines) + "\nend\n"
+    code, _, err = run_product_with_filter(tmp_path, monkeypatch, block)
+    assert code == 2
+    assert "not closed under pairwise intersection" in err
+
+
+def test_product_filter_empty_block(tmp_path, monkeypatch):
+    code, _, err = run_product_with_filter(tmp_path, monkeypatch, "filter\nend\n")
+    assert code == 2
+    assert "filter is empty" in err
+
+
+def test_product_cone_filter_ignores_filter_block(tmp_path, monkeypatch):
+    for block in ("filter\n2 3\nend\n", "filter\nend\n"):
+        code, text, _ = run_product_with_filter(
+            tmp_path, monkeypatch, block, "--cone-filter", "--verify-embedding"
+        )
+        assert code == 0
+        assert text.rstrip().endswith("-> PASS")
+
+
+def powerset_ideal_text(n):
+    lines = ["ideal"]
+    for k in range(n + 1):
+        for combo in itertools.combinations(range(n), k):
+            lines.append(" ".join(map(str, combo)) if combo else "empty")
+    return "\n".join(lines + ["end"]) + "\n"
+
+
+def path_structure_text(n):
+    edges = "".join(f"R {i} {i + 1}\n" for i in range(n - 1))
+    return f"signature\npredicate R 2\nend\nstructure path\nuniverse {n}\n{edges}end\n"
+
+
+def test_product_cone_filter_on_four_and_five_points(tmp_path):
+    # 4 points: 1 * 1^4 * 2^6 * 3^4 * 4 = 20736 choice functions;
+    # 5 points: about 3.1e11, beyond the cap
+    for n, expected in ((4, 0), (5, 3)):
+        structures = tmp_path / f"path{n}.st"
+        structures.write_text(path_structure_text(n))
+        ideal = tmp_path / f"powerset{n}.id"
+        ideal.write_text(powerset_ideal_text(n))
+        code, text = run(
+            ["product", "--structures", str(structures), "--ideal", str(ideal),
+             "--cone-filter", "--verify-embedding"]
+        )
+        assert code == expected
+        if n == 4:
+            assert "choice functions: 20736" in text
+            assert text.rstrip().endswith("-> PASS")
+
+
+@pytest.mark.parametrize("formula", ["!" * 3000 + "R(x,x)", "(" * 1200 + "true" + ")" * 1200])
+def test_deeply_nested_formula_is_an_input_error(k2, formula, capsys):
+    code, _ = run(["eval", "--structure", k2, "--formula", formula])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: formula ")

@@ -84,6 +84,14 @@ def test_parse_syntax_error_position():
     assert exc.value.col > 1
 
 
+def test_parse_too_deep_nesting_is_a_syntax_error():
+    for text in ("!" * 3000 + "R(x,x)", "(" * 1200 + "true" + ")" * 1200):
+        with pytest.raises(FormulaSyntaxError, match="nested too deeply"):
+            parse_formula(text, BINARY)
+        with pytest.raises(FormulaSyntaxError, match="nested too deeply"):
+            parse_with_inference(text)
+
+
 def test_parse_multi_variable_quantifier_desugars():
     assert parse_formula("forall x y. R(x,y)", BINARY) == parse_formula(
         "forall x. forall y. R(x,y)", BINARY

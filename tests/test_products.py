@@ -9,9 +9,9 @@ from subsat.products import (
     IndexFilter,
     IndexIdeal,
     canonical_embedding,
-    check_product_well_definedness,
     coherence_check,
     extend_filter,
+    filter_from_members,
     induced_system,
     parse_ideal_file,
     powerset_ideal,
@@ -36,6 +36,22 @@ def fs(*xs):
     return frozenset(xs)
 
 
+def _all_subfamilies(family):
+    members = sorted(family, key=lambda s: (len(s), sorted(s)))
+    for k in range(len(members) + 1):
+        for combo in itertools.combinations(members, k):
+            yield frozenset(combo)
+
+
+def members_of(filt):
+    # the filter enumerated from its kernel: every superset of the kernel
+    return {filt.kernel | extra for extra in _all_subfamilies(filt.family - filt.kernel)}
+
+
+def chain_family(k):
+    return frozenset(frozenset(range(j)) for j in range(k + 1))
+
+
 # --- ideals and filters -------------------------------------------------------
 
 
@@ -57,8 +73,10 @@ def test_validate_ideal_union_closure_and_cover():
 
 def test_validate_filter_properness():
     family = fs(fs(0), fs(0, 1))
-    filt = IndexFilter(family, {fs(), family})
+    filt = IndexFilter(family, frozenset())  # every subfamily, the empty one too
     assert any("empty set" in v for v in validate_filter(filt))
+    outside = IndexFilter(family, {fs(1)})  # no subfamily contains {1}
+    assert any("filter is empty" in v for v in validate_filter(outside))
 
 
 def test_upper_cone_filter_powerset_of_two():
@@ -66,20 +84,21 @@ def test_upper_cone_filter_powerset_of_two():
     filt = upper_cone_filter(ideal)
     assert validate_filter(filt) == []
     top = fs(0, 1)
-    # every member contains a cone; every cone-containing family is a member
-    for member in filt.sets:
-        assert any(
+    # members are exactly the subfamilies that contain some cone
+    for member in _all_subfamilies(ideal.sets):
+        assert (member in filt) == any(
             frozenset(j for j in ideal.sets if i <= j) <= member for i in ideal.sets
         )
-    assert frozenset(ideal.sets) in filt.sets
-    assert fs(top) in filt.sets  # the cone at the top itself
+    assert frozenset(ideal.sets) in filt
+    assert fs(top) in filt  # the cone at the top itself
 
 
 def test_upper_cone_filter_two_element_chain():
     ideal = IndexIdeal({0}, {fs(), fs(0)})
     filt = upper_cone_filter(ideal)
     whole = fs(fs(), fs(0))
-    assert filt.sets == fs(whole, fs(fs(0)))
+    assert filt.kernel == fs(fs(0))
+    assert members_of(filt) == {whole, fs(fs(0))}
 
 
 def test_ultrafilter_extension_passes_validation():
@@ -87,7 +106,7 @@ def test_ultrafilter_extension_passes_validation():
     filt = upper_cone_filter(ideal)
     ultra = principal_filter(ideal.sets, fs(0, 1))
     assert validate_filter(ultra) == []
-    assert filt.sets <= ultra.sets
+    assert members_of(filt) <= members_of(ultra)
 
 
 def test_extend_filter_stays_proper_or_none():
@@ -97,10 +116,26 @@ def test_extend_filter_stays_proper_or_none():
     extended = extend_filter(filt, extra)
     assert extended is not None
     assert validate_filter(extended) == []
-    assert filt.sets <= extended.sets
+    assert members_of(filt) <= members_of(extended)
     # extending by a set disjoint from the top cone is improper
     hopeless = frozenset({fs()})
     assert extend_filter(filt, hopeless) is None
+
+
+def test_cone_filter_is_the_top_ultrafilter():
+    families = [frozenset(powerset_ideal(range(n)).sets) for n in range(4)]
+    families += [chain_family(k) for k in range(7)]
+    for family in families:
+        top = frozenset().union(*family)
+        cone = upper_cone_filter(family)
+        assert cone == principal_filter(family, top)
+        for extra in _all_subfamilies(family):
+            assert extend_filter(cone, extra) == (cone if top in extra else None)
+
+
+def test_upper_cone_filter_rejects_undirected_family():
+    with pytest.raises(ValueError, match="not directed"):
+        upper_cone_filter([fs(0), fs(1)])
 
 
 # --- reduced products ----------------------------------------------------------
@@ -118,7 +153,7 @@ def test_reduced_product_principal_ultrafilter_collapse():
 def test_reduced_product_trivial_filter_counts_pairs():
     family = [fs(0), fs(1)]
     components = {fs(0): digraph(2, []), fs(1): digraph(3, [])}
-    filt = IndexFilter(frozenset(family), {frozenset(family)})
+    filt = IndexFilter(frozenset(family), frozenset(family))  # the filter {family}
     rp = reduced_product(components, filt)
     assert rp.structure.size == 6
 
@@ -137,13 +172,112 @@ def test_reduced_product_diagonal_embedding():
         )
 
 
-def test_reduced_product_well_definedness_random_swaps():
-    parent = digraph(3, [(0, 1), (1, 2), (2, 0), (0, 0)])
-    system = induced_system(parent, powerset_ideal({0, 1, 2}).sets)
-    filt = upper_cone_filter(powerset_ideal({0, 1, 2}))
-    rp = reduced_product(system.components, filt)
-    rng = random.Random(7)
-    assert check_product_well_definedness(rp, 150, rng) == []
+def textbook_reduced_product(components, filt):
+    """The quotient by the definition: choice functions f ~ g iff the set
+    of indices where they agree lies in the filter, with the filter listed
+    member by member; classes are numbered in order of first member."""
+    order = sorted(filt.family, key=lambda s: (len(s), sorted(s)))
+    comps = [components[i] for i in order]
+    members = members_of(filt)
+
+    def agreement(holds):
+        return frozenset(i for k, i in enumerate(order) if holds(k))
+
+    reps, class_of = [], {}
+    for cf in itertools.product(*(range(c.size) for c in comps)):
+        related = [
+            cid for cid, r in enumerate(reps)
+            if agreement(lambda k: cf[k] == r[k]) in members
+        ]
+        assert len(related) <= 1
+        if not related:
+            related = [len(reps)]
+            reps.append(cf)
+        class_of[cf] = related[0]
+
+    sig = comps[0].signature
+    size = len(reps)
+    preds = {
+        name: {
+            args for args in itertools.product(range(size), repeat=arity)
+            if agreement(
+                lambda k: tuple(reps[a][k] for a in args) in comps[k].predicates[name]
+            ) in members
+        }
+        for name, arity in sig.predicates
+    }
+    funcs = {
+        name: {
+            args: class_of[tuple(
+                c.functions[name][tuple(reps[a][k] for a in args)]
+                for k, c in enumerate(comps)
+            )]
+            for args in itertools.product(range(size), repeat=arity)
+        }
+        for name, arity in sig.functions
+    }
+    consts = {
+        name: class_of[tuple(c.constants[name] for c in comps)] for name in sig.constants
+    }
+    return Structure(sig, size, preds, funcs, consts), class_of
+
+
+def generated_filters(family, rng):
+    """The cone, every principal filter, and four seeded extensions of the
+    filter {family} (kernels that are random subfamilies)."""
+    filters = [upper_cone_filter(family)]
+    filters += [principal_filter(family, j) for j in family]
+    whole = IndexFilter(family, family)
+    candidates = list(_all_subfamilies(family))
+    while len(filters) < len(family) + 5:
+        extended = extend_filter(whole, candidates[rng.randrange(len(candidates))])
+        if extended is not None:
+            filters.append(extended)
+    return filters
+
+
+def assert_matches_textbook(components, filt):
+    rp = reduced_product(components, filt)
+    structure, class_of = textbook_reduced_product(components, filt)
+    assert rp.structure == structure
+    assert len(rp.choice_functions) == len(class_of)
+    for cf, cid in class_of.items():
+        assert rp.class_of_function(cf) == cid
+
+
+def test_reduced_product_matches_textbook_definition():
+    rng = random.Random(20261018)
+    families = [frozenset(powerset_ideal(range(n)).sets) for n in (1, 2, 3)]
+    families += [chain_family(k) for k in range(1, 6)]
+    checked = 0
+    for family in families:
+        n = len(frozenset().union(*family))
+        for _ in range(2):
+            edges = [t for t in itertools.product(range(n), repeat=2) if rng.random() < 0.4]
+            system = induced_system(digraph(n, edges), family)
+            for filt in generated_filters(family, rng):
+                assert_matches_textbook(system.components, filt)
+                checked += 1
+    assert checked >= 100
+
+
+def test_reduced_product_matches_textbook_with_functions_and_constants():
+    sig = Signature(functions=(("F", 1), ("G", 2)), constants=("c",))
+    family = frozenset(powerset_ideal({0, 1}).sets)
+    components = {}
+    for i in family:
+        m = len(i) + 1  # the cyclic group Z_m with a shifted constant
+        components[i] = Structure(
+            sig, m,
+            functions={
+                "F": {(x,): (x + 1) % m for x in range(m)},
+                "G": {(x, y): (x + y) % m for x in range(m) for y in range(m)},
+            },
+            constants={"c": len(i) % m},
+        )
+    for kernel in _all_subfamilies(family):
+        if kernel:
+            assert_matches_textbook(components, IndexFilter(family, kernel))
 
 
 # --- coherent systems -----------------------------------------------------------
@@ -252,7 +386,7 @@ def test_embedding_random_sweep_with_filter_extensions():
     ideal = powerset_ideal({0, 1, 2})
     cone = upper_cone_filter(ideal)
     candidates = sorted(
-        ( frozenset(m) for m in _all_subfamilies(ideal.sets) if frozenset(m) not in cone.sets ),
+        ( frozenset(m) for m in _all_subfamilies(ideal.sets) if frozenset(m) not in cone ),
         key=lambda m: (len(m), sorted(sorted(x) for x in m)),
     )
     checked = 0
@@ -278,13 +412,6 @@ def test_embedding_random_sweep_with_filter_extensions():
             assert report.passed
             checked += 1
     assert checked >= 25
-
-
-def _all_subfamilies(family):
-    members = sorted(family, key=lambda s: (len(s), sorted(s)))
-    for k in range(len(members) + 1):
-        for combo in itertools.combinations(members, k):
-            yield combo
 
 
 def test_embedding_not_elementary():
@@ -323,15 +450,35 @@ filter
 end
 """
 
+# the whole cone filter: every subfamily containing the top {0,1}
+CONE_TEXT = IDEAL_TEXT.replace("2 3\nend", "2 3\n0 3\n0 1 3\n0 2 3\n1 2 3\nend")
+
 
 def test_parse_ideal_file_roundtrip():
-    ideal, filt, members = parse_ideal_file(IDEAL_TEXT)
+    ideal, listed, members = parse_ideal_file(CONE_TEXT)
     assert validate_ideal(ideal) == []
-    assert filt is not None
-    assert fs(fs(0, 1)) in filt.sets
+    assert listed is not None and len(listed) == 8
+    filt = filter_from_members(ideal.sets, listed)
+    assert filt == upper_cone_filter(ideal)
+    assert fs(fs(0, 1)) in filt
     text = render_ideal_file(ideal, filt)
-    ideal2, filt2, _ = parse_ideal_file(text)
-    assert ideal2 == ideal and filt2 == filt
+    ideal2, listed2, _ = parse_ideal_file(text)
+    assert ideal2 == ideal and listed2 == listed
+    assert filter_from_members(ideal2.sets, listed2) == filt
+
+
+def test_filter_from_members_needs_a_whole_proper_filter():
+    ideal, listed, members = parse_ideal_file(IDEAL_TEXT)
+    assert len(listed) == 4  # only part of the cone filter
+    with pytest.raises(ValueError, match="not upward closed"):
+        filter_from_members(ideal.sets, listed)
+    with pytest.raises(ValueError, match="filter is empty"):
+        filter_from_members(ideal.sets, [])
+    nonempty = [m for m in _all_subfamilies(ideal.sets) if m]
+    with pytest.raises(ValueError, match="not proper"):
+        filter_from_members(ideal.sets, nonempty)
+    principal = [m for m in _all_subfamilies(ideal.sets) if fs(0) in m]
+    assert filter_from_members(ideal.sets, principal) == principal_filter(ideal.sets, fs(0))
 
 
 def test_parse_ideal_file_errors():
