@@ -238,7 +238,6 @@ def _cmd_product(args, out) -> int:
         "product", args,
         ["structures", "ideal", "cone-filter", "verify-embedding", "parent", "seed"],
     )
-    out(manifest.line())
     system = induced_system(parent, ideal.sets)
     if args.verify_embedding:
         report = canonical_embedding(system, filt)
@@ -246,6 +245,7 @@ def _cmd_product(args, out) -> int:
     else:
         rp = reduced_product(system.components, filt)
         report = None
+    out(manifest.line())
     out(f"index family: {len(rp.index_family)} sets")
     out(f"choice functions: {len(rp.choice_functions)}")
     out(f"classes: {rp.structure.size}")

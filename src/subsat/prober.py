@@ -44,6 +44,7 @@ from .structures import (
     induced_substructure,
     labelled_structure_count,
     render_structures,
+    _canonical_masks,
     _labelled_structures,
     _structure_from_indices,
 )
@@ -260,22 +261,7 @@ def _mask_truth_table(phi: Formula, sig: Signature, k: int):
     """
     import numpy as np
 
-    arity = sig.predicates[0][1]
-    m = k**arity
-    tuples = list(itertools.product(range(k), repeat=arity))
-    rank = {t: r for r, t in enumerate(tuples)}
-    masks = np.arange(2**m, dtype=np.int64)
-    canon = masks.copy()
-    for perm in itertools.permutations(range(k)):
-        inverse = [0] * k
-        for i, p in enumerate(perm):
-            inverse[p] = i
-        permuted = np.zeros_like(masks)
-        for dst, t in enumerate(tuples):
-            src = rank[tuple(inverse[x] for x in t)]
-            permuted |= (masks >> src & 1) << dst
-        np.minimum(canon, permuted, out=canon)
-    reps, inverse_idx = np.unique(canon, return_inverse=True)
+    reps, inverse_idx = np.unique(_canonical_masks(sig, k), return_inverse=True)
     rep_truth = np.fromiter(
         (
             evaluate_fo(_structure_from_indices(sig, k, (int(mask),)), phi)

@@ -11,6 +11,7 @@ and a choice function's class is its projection onto those coordinates.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -203,11 +204,9 @@ def reduced_product(
     sig = comps[0].signature
     if any(c.signature != sig for c in comps):
         raise ValueError("components must share one signature")
-    total = 1
-    for c in comps:
-        total *= c.size
-        if total > cap:
-            raise CapExceededError(total, cap)
+    total = math.prod(c.size for c in comps)
+    if total > cap:
+        raise CapExceededError(total, cap, "choice functions")
     if total == 0:
         raise ValueError("components must be nonempty")
     problems = validate_filter(filt)

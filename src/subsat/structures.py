@@ -9,6 +9,7 @@ distinguish "fixed point inside" from "value leaves the carrier".
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Union
@@ -19,10 +20,8 @@ DEFAULT_ENUMERATION_CAP = 5_000_000
 class CapExceededError(RuntimeError):
     """Raised when an enumeration would exceed its configured cap."""
 
-    def __init__(self, count: int, cap: int):
-        super().__init__(
-            f"enumeration of {count} labelled structures exceeds the cap of {cap}"
-        )
+    def __init__(self, count: int, cap: int, what: str = "labelled structures"):
+        super().__init__(f"enumeration of {count} {what} exceeds the cap of {cap}")
         self.count = count
         self.cap = cap
 
@@ -497,43 +496,139 @@ def _labelled_structures(sig: Signature, n: int) -> Iterator[Structure]:
         yield _structure_from_indices(sig, n, combo)
 
 
-def _encode_permuted(s: Structure, perm: tuple[int, ...]):
-    """Encoding of the relabelling of ``s`` along ``perm`` (element i -> perm[i])."""
-    n = s.size
+@functools.lru_cache(maxsize=256)
+def _tuple_space(n: int, arity: int) -> tuple[tuple[int, ...], ...]:
+    """All argument tuples over {0..n-1}, in rank order."""
+    return tuple(itertools.product(range(n), repeat=arity))
+
+
+@functools.lru_cache(maxsize=4096)
+def _relabel_table(n: int, arity: int, perm: tuple[int, ...]) -> tuple[int, ...]:
+    """Relabelling of flat tuple tables along ``perm`` (element i -> perm[i]).
+
+    Entry ``dst`` is the rank of the source tuple that lands on the tuple of
+    rank ``dst``; ranks follow ``itertools.product(range(n), repeat=arity)``.
+    """
     inverse = [0] * n
     for i, p in enumerate(perm):
         inverse[p] = i
-    parts = []
-    for name, arity in s.signature.predicates:
-        rel = s.predicates[name]
-        mask = 0
-        for rank, t in enumerate(itertools.product(range(n), repeat=arity)):
-            if tuple(inverse[x] for x in t) in rel:
-                mask |= 1 << rank
-        parts.append(mask)
-    for name, arity in s.signature.functions:
-        table = s.functions[name]
-        values = tuple(
-            perm[table[tuple(inverse[x] for x in t)]]
-            for t in itertools.product(range(n), repeat=arity)
+    table = inverse
+    for _ in range(arity - 1):
+        table = [r * n + i for r in table for i in inverse]
+    return tuple(table)
+
+
+def _ranked(values: list) -> list[int]:
+    """Replace each value by its rank among the distinct values."""
+    rank = {v: r for r, v in enumerate(sorted(set(values)))}
+    return [rank[v] for v in values]
+
+
+def _refined_cells(s: Structure) -> tuple[tuple[int, ...], ...]:
+    """Isomorphism-invariant ordered partition of the universe of ``s``.
+
+    Colour refinement: elements start coloured by the constants naming
+    them and are recoloured by the multiset of (symbol, position, argument
+    colours, value colour) over the predicate tuples and function entries
+    they occur in, until the number of colours stops growing.  Colours are
+    ranks of sorted invariants, so isomorphic structures get cells in the
+    same order.
+    """
+    sig = s.signature
+    facts = [
+        (sym, t, -1)
+        for sym, (name, _) in enumerate(sig.predicates)
+        for t in s.predicates[name]
+    ]
+    facts += [
+        (sym, t, v)
+        for sym, (name, _) in enumerate(sig.functions, start=len(sig.predicates))
+        for t, v in s.functions[name].items()
+    ]
+    colour = _ranked(
+        [tuple(k for k, c in enumerate(sig.constants) if s.constants[c] == x)
+         for x in range(s.size)]
+    )
+    count = len(set(colour))
+    while count < s.size:
+        incidences = [[] for _ in range(s.size)]
+        for sym, t, v in facts:
+            fact = (sym, tuple(map(colour.__getitem__, t)), -1 if v < 0 else colour[v])
+            for pos, x in enumerate(t):
+                incidences[x].append((pos, fact))
+            if v >= 0:
+                incidences[v].append((-1, fact))
+        refined = _ranked(
+            [(colour[x], tuple(sorted(incidences[x]))) for x in range(s.size)]
         )
-        parts.append(values)
-    for name in s.signature.constants:
-        parts.append(perm[s.constants[name]])
-    return tuple(parts)
+        refined_count = len(set(refined))
+        if refined_count == count:
+            break
+        colour, count = refined, refined_count
+    cells = [[] for _ in range(count)]
+    for x, c in enumerate(colour):
+        cells[c].append(x)
+    return tuple(map(tuple, cells))
+
+
+@functools.lru_cache(maxsize=1024)
+def _cell_relabellings(n: int, arities: tuple[int, ...], cells) -> tuple:
+    """(perm, relabel tables per arity) for every permutation of the universe
+    sending each cell onto its block of positions, blocks in cell order."""
+    blocks = []
+    start = 0
+    for cell in cells:
+        blocks.append(itertools.permutations(range(start, start + len(cell))))
+        start += len(cell)
+    out = []
+    for images in itertools.product(*blocks):
+        perm = [0] * n
+        for cell, image in zip(cells, images):
+            for x, p in zip(cell, image):
+                perm[x] = p
+        perm = tuple(perm)
+        out.append((perm, tuple(_relabel_table(n, a, perm) for a in arities)))
+    return tuple(out)
+
+
+# Below this universe size refinement costs more than the n! <= 6
+# relabellings it could save.
+_REFINE_FROM_SIZE = 4
 
 
 def canonical_key(s: Structure):
-    """Minimal encoding of ``s`` over all permutations of its universe.
+    """Minimal encoding of ``s`` over relabellings of its universe.
 
-    Two structures are isomorphic iff their canonical keys coincide.
+    Two structures are isomorphic iff their canonical keys coincide.  The
+    minimum runs over the relabellings that respect an invariant ordered
+    partition of the universe (colour refinement, from size
+    ``_REFINE_FROM_SIZE`` on; a single cell below it), so it is the same
+    for isomorphic structures.
     """
+    n = s.size
+    sig = s.signature
+    cells = _refined_cells(s) if n >= _REFINE_FROM_SIZE else (tuple(range(n)),)
+    arities = tuple(a for _, a in sig.predicates) + tuple(a for _, a in sig.functions)
+    flat_predicates = [
+        [1 if t in s.predicates[name] else 0 for t in _tuple_space(n, arity)]
+        for name, arity in sig.predicates
+    ]
+    flat_functions = [
+        [s.functions[name][t] for t in _tuple_space(n, arity)]
+        for name, arity in sig.functions
+    ]
+    constants = [s.constants[name] for name in sig.constants]
     best = None
-    for perm in itertools.permutations(range(s.size)):
-        enc = _encode_permuted(s, perm)
+    for perm, tables in _cell_relabellings(n, arities, cells):
+        enc = [tuple([bits[r] for r in table]) for bits, table in zip(flat_predicates, tables)]
+        enc += [
+            tuple([perm[values[r]] for r in table])
+            for values, table in zip(flat_functions, tables[len(flat_predicates):])
+        ]
+        enc += [perm[c] for c in constants]
         if best is None or enc < best:
             best = enc
-    return (s.size, best)
+    return (n, tuple(best))
 
 
 def _predicate_only_bit_layout(sig: Signature, n: int):
@@ -552,36 +647,37 @@ def _predicate_only_bit_layout(sig: Signature, n: int):
     return widths, offsets, below
 
 
-def _predicate_only_iso_masks(sig: Signature, n: int):
-    """Representative packed bitmasks, one per isomorphism class.
+def _canonical_masks(sig: Signature, n: int):
+    """Canonical mask of every packed predicate-only mask, as a numpy array.
 
-    Predicate-only signatures with at most 25 total tuple bits.  Takes the
-    minimum of each mask over all universe permutations with numpy;
-    representatives are the first labelled structure of each class, in
-    ascending mask order (identical to the generic path).
+    Entry ``m`` is the least mask over all relabellings of the structure
+    packed as ``m``, so two masks share a canonical mask iff their
+    structures are isomorphic.  Intended for at most 25 tuple bits: the
+    array has 2**bits int64 entries.
     """
     import numpy as np
 
     widths, offsets, total_bits = _predicate_only_bit_layout(sig, n)
     masks = np.arange(2**total_bits, dtype=np.int64)
     canon = masks.copy()
-    tuple_spaces = [
-        list(itertools.product(range(n), repeat=arity)) for _, arity in sig.predicates
-    ]
-    ranks = [{t: r for r, t in enumerate(space)} for space in tuple_spaces]
     for perm in itertools.permutations(range(n)):
-        inverse = [0] * n
-        for i, p in enumerate(perm):
-            inverse[p] = i
         permuted = np.zeros_like(masks)
-        for sym, space in enumerate(tuple_spaces):
-            offset = offsets[sym]
-            rank = ranks[sym]
-            for dst, t in enumerate(space):
-                src = offset + rank[tuple(inverse[x] for x in t)]
-                permuted |= (masks >> src & 1) << (offset + dst)
+        for (_, arity), offset in zip(sig.predicates, offsets):
+            for dst, src in enumerate(_relabel_table(n, arity, perm)):
+                permuted |= (masks >> (offset + src) & 1) << (offset + dst)
         np.minimum(canon, permuted, out=canon)
-    _, first = np.unique(canon, return_index=True)
+    return canon
+
+
+def _predicate_only_iso_masks(sig: Signature, n: int):
+    """Representative packed bitmasks, one per isomorphism class.
+
+    Representatives are the first labelled structure of each class, in
+    ascending mask order (identical to the generic path).
+    """
+    import numpy as np
+
+    _, first = np.unique(_canonical_masks(sig, n), return_index=True)
     return sorted(int(i) for i in first)
 
 

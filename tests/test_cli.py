@@ -327,10 +327,11 @@ def test_product_with_custom_filter(tmp_path, monkeypatch):
 
 
 def test_product_custom_filter_must_extend_cone_to_embed(tmp_path, monkeypatch):
-    code, _, err = run_product_with_filter(
+    code, text, err = run_product_with_filter(
         tmp_path, monkeypatch, CUSTOM_FILTER, "--verify-embedding"
     )
     assert code == 2
+    assert text == ""
     assert "does not extend the upper-cone filter" in err
 
 
@@ -392,6 +393,8 @@ def test_product_cone_filter_on_four_and_five_points(tmp_path):
              "--cone-filter", "--verify-embedding"]
         )
         assert code == expected
+        if n == 5:
+            assert text == ""
         if n == 4:
             assert "choice functions: 20736" in text
             assert text.rstrip().endswith("-> PASS")

@@ -22,7 +22,7 @@ from subsat.products import (
     validate_filter,
     validate_ideal,
 )
-from subsat.structures import Signature, Structure, find_isomorphism
+from subsat.structures import CapExceededError, Signature, Structure, find_isomorphism
 
 BINARY = Signature(predicates=(("R", 2),))
 UNAR = Signature(functions=(("F", 1),))
@@ -278,6 +278,17 @@ def test_reduced_product_matches_textbook_with_functions_and_constants():
     for kernel in _all_subfamilies(family):
         if kernel:
             assert_matches_textbook(components, IndexFilter(family, kernel))
+
+
+def test_reduced_product_cap_counts_every_choice_function():
+    # 5-point powerset: 1 * 1^5 * 2^10 * 3^10 * 4^5 * 5 choice functions,
+    # reported in full before any is enumerated
+    ideal = powerset_ideal(range(5))
+    system = induced_system(digraph(5, []), ideal.sets)
+    with pytest.raises(CapExceededError) as exc:
+        reduced_product(system.components, upper_cone_filter(ideal))
+    assert exc.value.count == 309586821120
+    assert "choice functions" in str(exc.value)
 
 
 # --- coherent systems -----------------------------------------------------------

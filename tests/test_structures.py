@@ -1,6 +1,9 @@
+import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subsat.structures import (
     ESCAPES,
@@ -267,6 +270,115 @@ def test_enumerate_structures_mixed_signature():
         assert validate_structure(sig, s) == []
     classes = list(enumerate_structures(sig, 2, up_to_iso=True))
     assert len(classes) == count_iso_classes_oracle(sig, 2)
+
+
+# --- canonical_key beyond binary relations -----------------------------------
+
+KERNEL_SIGNATURES = {
+    "unar": UNAR,
+    "unar_const": Signature(functions=(("F", 1),), constants=("c",)),
+    "binary_function": Signature(functions=(("G", 2),)),
+    "unary_binary": Signature(predicates=(("P", 1), ("R", 2))),
+    "mixed": Signature(predicates=(("P", 1),), functions=(("F", 1),), constants=("c",)),
+}
+
+
+@st.composite
+def random_structures(draw, sig, n):
+    preds = {
+        name: {t for t in itertools.product(range(n), repeat=arity) if draw(st.booleans())}
+        for name, arity in sig.predicates
+    }
+    values = st.integers(0, n - 1)
+    funcs = {
+        name: {t: draw(values) for t in itertools.product(range(n), repeat=arity)}
+        for name, arity in sig.functions
+    }
+    consts = {name: draw(values) for name in sig.constants}
+    return Structure(sig, n, preds, funcs, consts)
+
+
+def relabel(s, perm):
+    """The copy of ``s`` with each element x renamed perm[x]."""
+    return Structure(
+        s.signature,
+        s.size,
+        {name: {tuple(perm[x] for x in t) for t in rel} for name, rel in s.predicates.items()},
+        {
+            name: {tuple(perm[x] for x in t): perm[v] for t, v in table.items()}
+            for name, table in s.functions.items()
+        },
+        {name: perm[v] for name, v in s.constants.items()},
+    )
+
+
+def near_copy(data, s):
+    """A relabelled copy of ``s``, sometimes with one predicate bit, function
+    value or constant redrawn, so that pairs are often nearly isomorphic."""
+    n = s.size
+    sig = s.signature
+    preds = {name: set(rel) for name, rel in s.predicates.items()}
+    funcs = {name: dict(table) for name, table in s.functions.items()}
+    consts = dict(s.constants)
+    slots = (
+        [("P", name, arity) for name, arity in sig.predicates]
+        + [("F", name, arity) for name, arity in sig.functions]
+        + [("C", name, 0) for name in sig.constants]
+    )
+    if data.draw(st.booleans()):
+        kind, name, arity = data.draw(st.sampled_from(slots))
+        args = tuple(data.draw(st.integers(0, n - 1)) for _ in range(arity))
+        if kind == "P":
+            preds[name] ^= {args}
+        elif kind == "F":
+            funcs[name][args] = data.draw(st.integers(0, n - 1))
+        else:
+            consts[name] = data.draw(st.integers(0, n - 1))
+    changed = Structure(sig, n, preds, funcs, consts)
+    return relabel(changed, data.draw(st.permutations(range(n))))
+
+
+@pytest.mark.parametrize("label", list(KERNEL_SIGNATURES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_canonical_key_is_invariant_under_relabelling(label, data):
+    sig = KERNEL_SIGNATURES[label]
+    s = data.draw(random_structures(sig, data.draw(st.integers(1, 4))))
+    perm = data.draw(st.permutations(range(s.size)))
+    assert canonical_key(relabel(s, perm)) == canonical_key(s)
+
+
+@pytest.mark.parametrize("label", list(KERNEL_SIGNATURES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_canonical_keys_agree_iff_isomorphic(label, data):
+    sig = KERNEL_SIGNATURES[label]
+    a = data.draw(random_structures(sig, data.draw(st.integers(1, 4))))
+    b = near_copy(data, a)
+    assert (canonical_key(a) == canonical_key(b)) == (find_isomorphism(a, b) is not None)
+
+
+# SHA-256 of the Structure.key() list of the iso-class representatives, in
+# enumeration order, as the exhaustive n!-permutation canonical form gave it.
+ENUMERATION_ORDER_PINS = {
+    ("unar", 1): "cb8ac0c88f108fe66715288091d8f01ff0fa18ee198caa2592cf81775adc3831",
+    ("unar", 2): "e1b8af00d15221ac6566bbaeaf1eea5835bf8404ed7d39d323b77649148a8f00",
+    ("unar", 3): "a319229b6165da31e8397878abe1efb6f9df4b74058e5a4e0ce68479c3d68849",
+    ("unar", 4): "ca274035da49b8aa7405a62780eabedb3d98e0bcebc6140d2f0355c45a46f057",
+    ("unar", 5): "94d176ebc72bbdc7b2f9348371f4735b073ec5c2cc9f95852975a952ac9f70c7",
+    ("unar_const", 1): "67fec7e6bd30887b1aa96d9063ab756710522dd2e0c42194f17e015ff151ae36",
+    ("unar_const", 2): "7c29721303311ebd9fd845dd1be03c2cb1e7042657a0554ce3bbd3d0ad8beaaa",
+    ("unar_const", 3): "d28d55938ad5b86577b355e3709221ab274716e0bacefff93042b794e9832a48",
+    ("unar_const", 4): "18dd0481a6b69db10877dae2178d2475c381f463a57993729ba1d85212798f51",
+    ("mixed", 2): "7a961e95f724285c61f64c252a2b71c7390bd57ab11bb912e4ee6cea37833a8e",
+}
+
+
+@pytest.mark.parametrize("label,n", list(ENUMERATION_ORDER_PINS))
+def test_generic_iso_enumeration_order_pins(label, n):
+    keys = [s.key() for s in enumerate_structures(KERNEL_SIGNATURES[label], n, up_to_iso=True)]
+    digest = hashlib.sha256(repr(keys).encode()).hexdigest()
+    assert digest == ENUMERATION_ORDER_PINS[(label, n)]
 
 
 # --- find_isomorphism -------------------------------------------------------
