@@ -2,7 +2,9 @@
 
 Every report starts with its manifest line; identical manifests produce
 byte-identical reports.  Exit codes: 0 success/pass, 1 probe found a
-counterexample, 2 input error, 3 enumeration cap exceeded.
+counterexample, 2 input error, 3 enumeration cap exceeded.  Each command
+does all work that can fail before it writes its manifest line, so exit
+codes 2 and 3 leave stdout empty.
 """
 
 from __future__ import annotations
@@ -139,21 +141,27 @@ def _witness_text(carrier) -> str:
 # --- subcommand handlers -----------------------------------------------------
 
 
-def _cmd_eval(args, out) -> int:
-    sig, structures = _load_structures(args.structure)
-    text = _formula_text(args)
-    formula = parse_formula(text, sig)
-    manifest = _manifest("eval", args, ["structure", "formula", "formula-file", "name", "seed"])
-    out(manifest.line())
+def _named_structures(args, structures) -> list:
     names = [args.name] if args.name else list(structures)
     for name in names:
         if name not in structures:
             raise _InputError(f"no structure named {name} in {args.structure}")
-        s = structures[name]
-        if any(isinstance(g, ExistsSet) for g in subformulas(formula)):
-            value = evaluate_eso(s, formula)
-        else:
-            value = evaluate_fo(s, formula)
+    return names
+
+
+def _cmd_eval(args, out) -> int:
+    sig, structures = _load_structures(args.structure)
+    text = _formula_text(args)
+    formula = parse_formula(text, sig)
+    evaluate = (
+        evaluate_eso if any(isinstance(g, ExistsSet) for g in subformulas(formula))
+        else evaluate_fo
+    )
+    names = _named_structures(args, structures)
+    values = [evaluate(structures[name], formula) for name in names]
+    manifest = _manifest("eval", args, ["structure", "formula", "formula-file", "name", "seed"])
+    out(manifest.line())
+    for name, value in zip(names, values):
         prefix = f"{name}: " if len(names) > 1 else ""
         out(f"{prefix}{'true' if value else 'false'}")
     return 0
@@ -162,20 +170,18 @@ def _cmd_eval(args, out) -> int:
 def _cmd_theta(args, out) -> int:
     sig, structures = _load_structures(args.structure)
     formula = parse_formula(_formula_text(args), sig)
+    bound = getattr(args, "lambda")
+    names = _named_structures(args, structures)
+    reports = [
+        theta_semantic(structures[name], formula) if bound is None
+        else theta_bounded_semantic(structures[name], formula, bound)
+        for name in names
+    ]
     manifest = _manifest(
         "theta", args, ["structure", "formula", "formula-file", "lambda", "name", "seed"]
     )
     out(manifest.line())
-    names = [args.name] if args.name else list(structures)
-    for name in names:
-        if name not in structures:
-            raise _InputError(f"no structure named {name} in {args.structure}")
-        s = structures[name]
-        bound = getattr(args, "lambda")
-        if bound is None:
-            report = theta_semantic(s, formula)
-        else:
-            report = theta_bounded_semantic(s, formula, bound)
+    for name, report in zip(names, reports):
         prefix = f"{name}: " if len(names) > 1 else ""
         if report.truth:
             out(f"{prefix}true, witness {_witness_text(report.witness)}")
@@ -193,28 +199,32 @@ def _cmd_translate(args, out) -> int:
         "translate", args,
         ["to", "formula", "formula-file", "lambda", "nu", "signature", "seed"],
     )
-    out(manifest.line())
+    for line in [manifest.line(), *_translation_lines(args, formula, sig)]:
+        out(line)
+    return 0
+
+
+def _translation_lines(args, formula, sig: Signature) -> list[str]:
     bound = getattr(args, "lambda")
     if args.to == "eso":
-        out(render_formula(theta_to_eso(formula, sig)))
-        return 0
+        return [render_formula(theta_to_eso(formula, sig))]
     if bound is None:
         raise _InputError("--lambda is required for the existential translation")
     if sig.is_predicate_only:
         sentence = theta_bounded_to_existential_predicate(formula, bound, sig=sig)
-        out(render_formula(sentence))
-        out(f"completeness: exact equivalence (predicate-only signature, lambda={bound})")
-        return 0
+        return [
+            render_formula(sentence),
+            f"completeness: exact equivalence (predicate-only signature, lambda={bound})",
+        ]
     if args.nu is None:
         raise _InputError("--nu is required for functional signatures")
     result = theta_bounded_to_existential_functional(formula, sig, bound, args.nu)
-    out(render_formula(result.sentence))
-    out(
+    return [
+        render_formula(result.sentence),
         "completeness: sound always; equivalent on structures whose "
         f"<={result.bound}-generated submodels have <={result.size_cap} elements "
-        f"(nu={result.size_cap}, disjuncts={result.disjuncts})"
-    )
-    return 0
+        f"(nu={result.size_cap}, disjuncts={result.disjuncts})",
+    ]
 
 
 def _cmd_product(args, out) -> int:
@@ -281,6 +291,7 @@ def _probe_config(args, sig: Signature) -> ProbeConfig:
 
 
 def _cmd_probe(args, out) -> int:
+    report, code = _run_probe(args)
     manifest = _manifest(
         "probe", args,
         [
@@ -290,6 +301,12 @@ def _cmd_probe(args, out) -> int:
         ],
     )
     out(manifest.line())
+    out(render_probe_report(report).rstrip("\n"))
+    return code
+
+
+def _run_probe(args):
+    """The probe's verdict or demo report and its exit code."""
     sig = _signature_from_args(args)
 
     if args.check == "constants":
@@ -299,16 +316,14 @@ def _cmd_probe(args, out) -> int:
         psi_text = args.psi or "true"
         psi = parse_formula(psi_text, demo_sig)
         report = constant_blindness_demo(args.k, psi)
-        out(render_probe_report(report).rstrip("\n"))
-        return 0 if (report.theta_differs and report.agree_on_psi) else 1
+        return report, 0 if (report.theta_differs and report.agree_on_psi) else 1
 
     if args.check == "wellfounded":
         if sig is None:
             sig = Signature(predicates=(("R", 2),))
         cfg = _probe_config(args, sig)
         report = wellfoundedness_demo(cfg)
-        out(render_probe_report(report).rstrip("\n"))
-        return 0 if report.passed else 1
+        return report, 0 if report.passed else 1
 
     text = _formula_text(args)
     if sig is None:
@@ -349,18 +364,15 @@ def _cmd_probe(args, out) -> int:
         left = ThetaOf(formula) if args.theta_left else formula
         right = ThetaOf(second) if args.theta_right else second
         verdict = equivalence_oracle(left, right, cfg)
-        out(render_probe_report(verdict).rstrip("\n"))
-        return 0 if verdict.equal else 1
+        return verdict, 0 if verdict.equal else 1
 
     if args.check == "extensions":
         verdict = preservation_under_extensions(formula, cfg, apply_theta=not args.raw)
-        out(render_probe_report(verdict).rstrip("\n"))
-        return 0 if verdict.preserved else 1
+        return verdict, 0 if verdict.preserved else 1
 
     if args.check == "witness-bound":
         verdict = witness_bound_search(formula, cfg)
-        out(render_probe_report(verdict).rstrip("\n"))
-        return 0 if verdict.outcome == "WITNESS_BOUND_FOUND" else 1
+        return verdict, 0 if verdict.outcome == "WITNESS_BOUND_FOUND" else 1
 
     raise _InputError(f"unknown check {args.check}")
 
@@ -369,13 +381,13 @@ def _cmd_enumerate(args, out) -> int:
     sig = _signature_from_args(args)
     if sig is None:
         raise _InputError("--signature is required")
-    manifest = _manifest("enumerate", args, ["signature", "n", "up-to-iso", "cap", "seed"])
-    out(manifest.line())
     structures = {}
     for index, s in enumerate(
         enumerate_structures(sig, args.n, up_to_iso=args.up_to_iso, cap=args.cap)
     ):
         structures[f"S{index}"] = s
+    manifest = _manifest("enumerate", args, ["signature", "n", "up-to-iso", "cap", "seed"])
+    out(manifest.line())
     out(f"# {len(structures)} structures")
     for line in render_structures(sig, structures).splitlines():
         out(line)

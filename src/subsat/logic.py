@@ -933,6 +933,22 @@ def substitute_constant(f: Formula, name: str, term: Term) -> Formula:
     return rec(f)
 
 
+def relativized_node_count(f: Formula, width: int) -> int:
+    """Node count of ``relativize_to_variables(f, variables)`` for ``width``
+    variables, computed without building it: each quantifier becomes a
+    ``width``-fold disjunction or conjunction of its relativized body."""
+    if isinstance(f, Not):
+        return 1 + relativized_node_count(f.body, width)
+    if isinstance(f, (And, Or)):
+        return 1 + sum(relativized_node_count(p, width) for p in f.parts)
+    if isinstance(f, (Implies, Iff)):
+        return 1 + relativized_node_count(f.left, width) + relativized_node_count(f.right, width)
+    if isinstance(f, (Exists, Forall)):
+        body = relativized_node_count(f.body, width)
+        return body if width == 1 else 1 + width * body
+    return 1
+
+
 def relativize_to_variables(f: Formula, variables: list[str]) -> Formula:
     """Quantifier elimination by relativizing to a finite list of variables.
 

@@ -7,8 +7,10 @@ because results are merged in submission order.
 
 Witness-bound searches over one-predicate signatures use a vectorized
 mask sieve (no structure materialization), which is what makes size-5
-sweeps feasible; it is cross-checked against the generic path in the
-test suite.
+sweeps feasible: each chunk of masks meets the small subsets one at a
+time, a mask is dropped as soon as one of them is a witness, and only
+the masks left at the end are evaluated.  The sieve is cross-checked
+against the generic path in the test suite.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .structures import (
     induced_substructure,
     labelled_structure_count,
     render_structures,
+    _MASK_MAX_BITS,
     _canonical_masks,
     _labelled_structures,
     _structure_from_indices,
@@ -51,7 +54,6 @@ from .structures import (
 from .theta import theta_bounded_semantic, theta_semantic
 
 _SIEVE_CHUNK = 1 << 20
-_SIEVE_MAX_BITS = 25
 
 
 @dataclass(frozen=True)
@@ -249,7 +251,7 @@ def _sieve_applicable(sig: Signature, n: int) -> bool:
         len(sig.predicates) == 1
         and not sig.functions
         and not sig.constants
-        and n ** sig.predicates[0][1] <= _SIEVE_MAX_BITS
+        and n ** sig.predicates[0][1] <= _MASK_MAX_BITS
     )
 
 
@@ -277,7 +279,13 @@ def _sieve_first_counterexample(
     phi: Formula, sig: Signature, n: int, lam: int, tables: dict
 ) -> tuple[Optional[Structure], int]:
     """First labelled size-n structure satisfying phi with no phi-submodel of
-    size <= lam, by vectorized small-witness filtering; returns (hit, scanned)."""
+    size <= lam, by vectorized small-witness filtering; returns (hit, scanned).
+
+    Masks are sieved a chunk at a time: each subset of size <= lam, sizes
+    ascending, drops the live masks it is a witness for, and the survivors
+    are evaluated in mask order.  ``scanned`` is the end of the chunk that
+    holds the hit, or the whole space.
+    """
     import numpy as np
 
     arity = sig.predicates[0][1]
@@ -296,16 +304,17 @@ def _sieve_first_counterexample(
     scanned = 0
     for start in range(0, total, _SIEVE_CHUNK):
         stop = min(start + _SIEVE_CHUNK, total)
-        masks = np.arange(start, stop, dtype=np.int64)
-        has_witness = np.zeros(len(masks), dtype=bool)
+        live = np.arange(start, stop, dtype=np.int32)
         for k, spec in subset_specs:
-            submask = np.zeros(len(masks), dtype=np.int64)
-            for local, src in enumerate(spec):
-                submask |= (masks >> src & 1) << local
-            has_witness |= tables[k][submask]
-        candidates = masks[~has_witness]
+            # ranks ascend, so src >= local: one shift moves bit src to bit local
+            submask = live >> spec[0] & 1
+            for local, src in enumerate(spec[1:], 1):
+                submask |= live >> (src - local) & (1 << local)
+            live = live[~tables[k][submask]]
+            if not len(live):
+                break
         scanned = stop
-        for mask in candidates.tolist():
+        for mask in live.tolist():
             s = _structure_from_indices(sig, n, (int(mask),))
             if evaluate_fo(s, phi):
                 return s, scanned

@@ -16,6 +16,10 @@ from typing import Iterable, Iterator, Mapping, Optional, Union
 
 DEFAULT_ENUMERATION_CAP = 5_000_000
 
+# Widest packed predicate mask the numpy paths handle: arrays over all
+# 2**bits masks (iso classes, the witness sieve's truth tables and chunks).
+_MASK_MAX_BITS = 25
+
 
 class CapExceededError(RuntimeError):
     """Raised when an enumeration would exceed its configured cap."""
@@ -652,8 +656,8 @@ def _canonical_masks(sig: Signature, n: int):
 
     Entry ``m`` is the least mask over all relabellings of the structure
     packed as ``m``, so two masks share a canonical mask iff their
-    structures are isomorphic.  Intended for at most 25 tuple bits: the
-    array has 2**bits int64 entries.
+    structures are isomorphic.  Intended for at most ``_MASK_MAX_BITS``
+    tuple bits: the array has 2**bits int64 entries.
     """
     import numpy as np
 
@@ -714,7 +718,7 @@ def enumerate_structures(
         sig.predicates
         and not sig.functions
         and not sig.constants
-        and sum(n**arity for _, arity in sig.predicates) <= 25
+        and sum(n**arity for _, arity in sig.predicates) <= _MASK_MAX_BITS
     ):
         for mask in _predicate_only_iso_masks(sig, n):
             yield _structure_from_indices(sig, n, _unpack_predicate_mask(sig, n, mask))

@@ -41,11 +41,13 @@ from .logic import (
     make_or,
     relativize_to_set_variable,
     relativize_to_variables,
+    relativized_node_count,
     render_formula,
     substitute_constant,
 )
 from .structures import (
     DEFAULT_ENUMERATION_CAP,
+    CapExceededError,
     Signature,
     Structure,
     canonical_key,
@@ -133,18 +135,27 @@ def theta_to_eso(phi: Formula, sig: Signature) -> Formula:
 
 
 def theta_bounded_to_existential_predicate(
-    phi: Formula, bound: int, sig: Optional[Signature] = None
+    phi: Formula,
+    bound: int,
+    sig: Optional[Signature] = None,
+    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> Formula:
     """Existential first-order sentence equivalent to the bounded submodel check.
 
     Predicate-only signatures only: prefixes ``bound`` fresh existential
     variables over the quantifier-eliminated relativization of ``phi``.
+    The output grows ``bound``-fold per quantifier, so its node count is
+    predicted first and the translation refuses with
+    :class:`CapExceededError` past ``cap`` nodes.
     """
     _require_fo_sentence(phi)
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if sig is not None and (sig.functions or sig.constants):
         raise ValueError("functional signature: use the diagram-based translation")
+    nodes = bound + relativized_node_count(phi, bound)
+    if nodes > cap:
+        raise CapExceededError(nodes, cap, "formula nodes")
     variables = fresh_variables(phi, bound)
     matrix = relativize_to_variables(phi, variables)
     sentence = matrix

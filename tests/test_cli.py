@@ -405,3 +405,33 @@ def test_deeply_nested_formula_is_an_input_error(k2, formula, capsys):
     code, _ = run(["eval", "--structure", k2, "--formula", formula])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: formula ")
+
+
+# Every command refuses before it writes anything: no manifest line on stdout
+# for an input error (exit 2) or a cap refusal (exit 3).
+REFUSALS = [
+    (["translate", "--to", "existential", "--lambda", "0",
+      "--formula", "exists x. R(x,x)"], 2, "bound must be >= 1"),
+    (["translate", "--to", "existential", "--formula", "exists x. R(x,x)"],
+     2, "--lambda is required"),
+    (["translate", "--to", "existential", "--lambda", "4",
+      "--formula", "".join(f"forall y{i}. " for i in range(16)) + "R(y0,y15)"],
+     3, "formula nodes exceeds the cap"),
+    (["theta", "--structure", "{k2}", "--lambda", "0", "--formula", "exists x. R(x,x)"],
+     2, "bound must be >= 1"),
+    (["eval", "--structure", "{k2}", "--formula", "R(x,x)"],
+     2, "uncovered free variable x"),
+    (["probe", "--check", "witness-bound", "--formula", "exists x. R(x,x)",
+      "--lambda-max", "3", "--n-max", "2"], 2, "need 1 <= lambda_max <= n_max"),
+    (["probe", "--check", "equivalence", "--formula", "exists x. R(x,x)",
+      "--formula2", "exists y. R(y,y)", "--cap", "10"], 3, "exceeds the cap of 10"),
+    (["enumerate", "--signature", "{k2}", "-n", "9"], 3, "labelled structures exceeds the cap"),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", REFUSALS, ids=[a[0] for a, _, _ in REFUSALS])
+def test_refusals_leave_stdout_empty(k2, capsys, argv, code, message):
+    got, text = run([arg.replace("{k2}", k2) for arg in argv])
+    assert (got, text) == (code, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

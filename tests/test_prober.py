@@ -1,5 +1,6 @@
 import pytest
 
+from subsat import prober
 from subsat.corpus import CORPUS
 from subsat.logic import TRUE, Not, evaluate_fo, parse_formula
 from subsat.prober import (
@@ -134,6 +135,11 @@ def test_witness_bound_forall_exists_no_bound_with_cycles():
         # counterexamples are certificates: they re-verify
         assert evaluate_fo(s, FORALL_EXISTS)
         assert not theta_bounded_semantic(s, FORALL_EXISTS, lam).truth
+    # pinned as measured when every subset met every mask
+    assert verdict.stats["structures_scanned"] == 2163216
+    assert verdict.counterexamples[-1][1].key() == (
+        5, (((0, 2), (1, 4), (2, 3), (3, 1), (4, 0)),), (), ()
+    )
 
 
 def test_witness_bound_fragment_mode_unar():
@@ -164,21 +170,55 @@ def test_witness_bound_monotone_in_n_max():
     assert bounds == sorted(bounds)
 
 
-def test_sieve_agrees_with_generic_path():
-    tables = {}
-    for phi in [EXISTS_FORALL, FORALL_EXISTS, LOOP, NO_LOOP]:
-        for n in (2, 3):
-            for lam in (1, 2):
-                if lam >= n:
-                    continue
-                cfg = ProbeConfig(BINARY, n_max=n, lambda_max=max(lam, 1), nu=4)
-                from subsat.prober import _sieve_first_counterexample
+BINARY_CORPUS = {e.name: e.formula for e in CORPUS if e.signature_name == "binary"}
 
-                sieve_hit, _ = _sieve_first_counterexample(phi, BINARY, n, lam, dict())
-                generic_hit, _ = _generic_first_counterexample(phi, BINARY, n, lam, 10**7)
-                assert (sieve_hit is None) == (generic_hit is None)
-                if sieve_hit is not None:
-                    assert sieve_hit == generic_hit
+# At n = 4 the generic path takes 1-5 s per sentence when it has to scan all
+# 65536 labelled structures, so n = 4 runs the sentence whose counterexamples
+# (directed cycles) land in later chunks, plus two whole-space scans: one where
+# the first subset already drops every mask, one whose survivors all fail phi.
+SIEVE_CASES = [
+    (name, n, lam)
+    for name in [*BINARY_CORPUS, "no_loop"]
+    for n in (2, 3)
+    for lam in range(1, n)
+] + [
+    ("total_out_degree", 4, 1),
+    ("total_out_degree", 4, 2),
+    ("total_out_degree", 4, 3),
+    ("one_point_world", 4, 1),
+    ("edgeless", 4, 1),
+]
+
+
+def test_sieve_agrees_with_generic_path(monkeypatch):
+    formulas = {**BINARY_CORPUS, "no_loop": NO_LOOP}
+    late_hits = []
+    for name, n, lam in SIEVE_CASES:
+        phi = formulas[name]
+        total = 2 ** (n * n)
+        generic_hit, generic_scanned = _generic_first_counterexample(phi, BINARY, n, lam, 10**7)
+        if generic_hit is not None and generic_scanned > 1000:
+            late_hits.append((name, n, lam))
+        for chunk in (1 << 20, 1000):
+            monkeypatch.setattr(prober, "_SIEVE_CHUNK", chunk)
+            sieve_hit, scanned = prober._sieve_first_counterexample(phi, BINARY, n, lam, {})
+            case = (name, n, lam, chunk)
+            assert sieve_hit == generic_hit, case
+            if generic_hit is None:
+                assert scanned == generic_scanned == total, case
+            else:
+                assert scanned == min(-(-generic_scanned // chunk) * chunk, total), case
+    assert late_hits  # some hits lie past the first chunk of 1000
+
+
+def test_witness_bound_symmetric_n5_pin():
+    # structures_scanned as measured when every subset met every mask:
+    # dropping a mask once it has a witness must not move it
+    verdict = witness_bound_search(
+        BINARY_CORPUS["symmetric"], ProbeConfig(BINARY, n_max=5, lambda_max=3)
+    )
+    assert (verdict.outcome, verdict.bound) == ("WITNESS_BOUND_FOUND", 1)
+    assert verdict.stats["structures_scanned"] == 2**25 + 2**16 + 2**9 + 2**4
 
 
 def test_witness_bound_counterexamples_lack_small_witnesses():

@@ -1,5 +1,8 @@
+import time
+
 import pytest
 
+from subsat.corpus import CORPUS
 from subsat.logic import (
     FALSE,
     TRUE,
@@ -8,9 +11,12 @@ from subsat.logic import (
     evaluate_fo,
     is_existential_sentence,
     parse_formula,
+    relativized_node_count,
     render_formula,
+    subformulas,
 )
 from subsat.structures import (
+    CapExceededError,
     Signature,
     Structure,
     enumerate_structures,
@@ -193,6 +199,38 @@ def test_predicate_translation_rejects_functional():
         theta_bounded_to_existential_predicate(MOVED, 1)
     with pytest.raises(ValueError):
         theta_bounded_to_existential_predicate(LOOP, 1, sig=UNAR)
+
+
+def nested_quantifiers(depth: int) -> str:
+    """Alternating quantifiers over a chain of edges: x0 R x1 R ... R x{depth-1}."""
+    names = [f"y{i}" for i in range(depth)]
+    prefix = "".join(
+        f"{'forall' if i % 2 == 0 else 'exists'} {v}. " for i, v in enumerate(names)
+    )
+    return prefix + "(" + " | ".join(f"R({a},{b})" for a, b in zip(names, names[1:])) + ")"
+
+
+def test_predicate_translation_node_count_is_predicted():
+    sentences = [e.formula for e in CORPUS if e.signature_name == "binary"]
+    sentences.append(parse_formula(nested_quantifiers(4), BINARY))
+    for phi in sentences:
+        for lam in (1, 2, 3, 4):
+            f = theta_bounded_to_existential_predicate(phi, lam)
+            assert sum(1 for _ in subformulas(f)) == lam + relativized_node_count(phi, lam)
+
+
+def test_predicate_translation_refuses_past_cap_before_building():
+    phi = parse_formula(nested_quantifiers(16), BINARY)
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match="formula nodes") as info:
+        theta_bounded_to_existential_predicate(phi, 4)
+    assert time.perf_counter() - start < 1.0
+    assert info.value.count == 4 + relativized_node_count(phi, 4)
+    # a small cap refuses a small translation; at the cap it is built
+    loop_nodes = 2 + relativized_node_count(LOOP, 2)
+    with pytest.raises(CapExceededError):
+        theta_bounded_to_existential_predicate(LOOP, 2, cap=loop_nodes - 1)
+    theta_bounded_to_existential_predicate(LOOP, 2, cap=loop_nodes)
 
 
 def test_predicate_translation_matches_bounded_semantics():
