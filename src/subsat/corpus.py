@@ -9,6 +9,7 @@ submodel-check oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .logic import Formula, parse_formula
 from .structures import Signature
@@ -38,8 +39,9 @@ class CorpusEntry:
     def signature(self) -> Signature:
         return SIGNATURES[self.signature_name]
 
-    @property
+    @cached_property
     def formula(self) -> Formula:
+        """Parsed once, so that every use shares one compiled form."""
         return parse_formula(self.text, self.signature)
 
 

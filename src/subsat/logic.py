@@ -6,6 +6,16 @@ single-element chains collapse via the smart constructors.  Monadic
 second-order quantifiers are restricted to an outermost existential
 prefix, evaluated by exhaustive subset enumeration.
 
+Evaluation is compiled: ``compile_formula`` checks a formula once
+(first-order or not, free variables, the shape of its set prefix) and
+turns it into a tree of closures over the raw tables of a structure,
+with variables in slots and quantifiers ranging over an explicit domain.
+The compiled form is kept, by object identity, as long as the formula
+lives.  Passing a submodel carrier as the domain evaluates the formula in
+the induced submodel without building it (relativization), which is how
+the submodel checks in ``theta`` and ``prober`` work.  ``map_formula`` is
+the one bottom-up rebuild behind the relativizations and substitutions.
+
 Grammar (ASCII):
 
     formula := "forall" VAR+ "." formula | "exists" VAR+ "." formula
@@ -28,8 +38,9 @@ from __future__ import annotations
 
 import itertools
 import re
+import weakref
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .structures import Signature, Structure
 
@@ -716,76 +727,341 @@ def render_formula(f: Formula) -> str:
 
 
 # --- evaluation -------------------------------------------------------------
+#
+# A formula is compiled once into a tree of closures.  Every closure takes
+# one frame list: the raw tables of the structure (predicates, functions,
+# constants), the domain its quantifiers range over, then one slot per
+# variable.  Each quantifier and each free variable owns a slot, so
+# shadowing needs no save and restore.
 
 
-def _eval_term(t: Term, s: Structure, env: dict) -> int:
-    if isinstance(t, Var):
-        try:
-            return env[t.name]
-        except KeyError:
-            raise EvaluationError(f"uncovered free variable {t.name}") from None
-    if isinstance(t, Const):
-        try:
-            return s.constants[t.name]
-        except KeyError:
-            raise EvaluationError(f"constant {t.name} uninterpreted") from None
-    table = s.functions.get(t.name)
-    if table is None:
-        raise EvaluationError(f"function {t.name} uninterpreted")
-    args = tuple(_eval_term(a, s, env) for a in t.args)
-    try:
-        return table[args]
-    except KeyError:
-        raise EvaluationError(f"function {t.name} not total at {args}") from None
+_PREDICATES, _FUNCTIONS, _CONSTANTS, _DOMAIN, _FIRST_SLOT = range(5)
+
+# Slot value of a free variable the assignment does not cover.
+_UNSET = object()
 
 
-def _eval_fo(f: Formula, s: Structure, env: dict) -> bool:
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bottom):
+class CompiledFormula:
+    """A formula checked once and compiled for repeated evaluation.
+
+    ``holds(tables, domain)`` evaluates it with quantifiers ranging over
+    ``domain``, reading ``tables.predicates``, ``.functions`` and
+    ``.constants`` as they are (``tables`` is a :class:`Structure` or an
+    ``Interpretation``).  On a submodel carrier of a structure, listed in
+    ascending order, this is the truth of the formula in the induced
+    submodel (relativization), without building it.
+    """
+
+    __slots__ = (
+        "first_order",
+        "is_sentence",
+        "has_set_quantifier",
+        "eso_error",
+        "_run",
+        "_eso_body",
+        "_eso_slots",
+        "_frame",
+        "_free",
+    )
+
+    def holds(self, tables, domain: Sequence[int], assignment: Optional[dict] = None) -> bool:
+        frame = [tables.predicates, tables.functions, tables.constants, domain, *self._frame]
+        if assignment:
+            for name, slot in self._free:
+                frame[slot] = assignment.get(name, _UNSET)
+        return self._run(frame)
+
+    def holds_eso(self, tables, domain: Sequence[int]) -> bool:
+        """Truth of the monadic existential second-order sentence: its set
+        prefix ranges over every subset of ``domain`` (check ``eso_error``
+        first)."""
+        frame = [tables.predicates, tables.functions, tables.constants, domain, *self._frame]
+        body, slots = self._eso_body, self._eso_slots
+        if not slots:
+            return body(frame)
+        subsets = [
+            frozenset(e for i, e in enumerate(domain) if mask >> i & 1)
+            for mask in range(2 ** len(domain))
+        ]
+        for choice in itertools.product(subsets, repeat=len(slots)):
+            for slot, members in zip(slots, choice):
+                frame[slot] = members
+            if body(frame):
+                return True
         return False
-    if isinstance(f, Atom):
-        rel = s.predicates.get(f.name)
-        if rel is None:
-            raise EvaluationError(f"predicate {f.name} uninterpreted")
-        return tuple(_eval_term(a, s, env) for a in f.args) in rel
-    if isinstance(f, Eq):
-        return _eval_term(f.left, s, env) == _eval_term(f.right, s, env)
-    if isinstance(f, SetAtom):
-        try:
-            members = env[f.set_var]
-        except KeyError:
-            raise EvaluationError(f"uncovered set variable {f.set_var}") from None
-        return _eval_term(f.arg, s, env) in members
-    if isinstance(f, Not):
-        return not _eval_fo(f.body, s, env)
-    if isinstance(f, And):
-        return all(_eval_fo(p, s, env) for p in f.parts)
-    if isinstance(f, Or):
-        return any(_eval_fo(p, s, env) for p in f.parts)
-    if isinstance(f, Implies):
-        return (not _eval_fo(f.left, s, env)) or _eval_fo(f.right, s, env)
-    if isinstance(f, Iff):
-        return _eval_fo(f.left, s, env) == _eval_fo(f.right, s, env)
-    if isinstance(f, (Forall, Exists)):
-        var = f.var
-        shadowed = var in env
-        old = env.get(var)
-        want = isinstance(f, Exists)
-        result = not want
-        for e in range(s.size):
-            env[var] = e
-            if _eval_fo(f.body, s, env) == want:
-                result = want
-                break
-        if shadowed:
-            env[var] = old
-        else:
-            env.pop(var, None)
-        return result
-    if isinstance(f, ExistsSet):
-        raise EvaluationError("second-order quantifier in first-order evaluation")
-    raise TypeError(f"not a formula: {f!r}")
+
+
+_COMPILED: dict[int, tuple] = {}
+
+
+def compile_formula(f: Formula) -> CompiledFormula:
+    """The compiled form of ``f``, built on first use and kept while ``f`` lives.
+
+    Kept by object identity: hashing the AST by value would cost about as
+    much as an evaluation, so reuse the formula object to reuse the work.
+    """
+    key = id(f)
+    hit = _COMPILED.get(key)
+    if hit is not None and hit[0]() is f:
+        return hit[1]
+    compiled = _compile(f)
+    _COMPILED[key] = (weakref.ref(f, lambda _, key=key: _COMPILED.pop(key, None)), compiled)
+    return compiled
+
+
+def _compile(f: Formula) -> CompiledFormula:
+    compiled = CompiledFormula()
+    compiled.first_order = is_first_order(f)
+    compiled.is_sentence = is_sentence(f)
+    compiled.has_set_quantifier = any(isinstance(g, ExistsSet) for g in subformulas(f))
+    prefix = []
+    body = f
+    while isinstance(body, ExistsSet):
+        prefix.append(body.set_var)
+        body = body.body
+    if any(isinstance(g, ExistsSet) for g in subformulas(body)):
+        compiled.eso_error = "set quantifier not in prefix position"
+    elif not compiled.is_sentence:
+        compiled.eso_error = "evaluate_eso expects a sentence"
+    else:
+        compiled.eso_error = None
+    builder = _Builder()
+    compiled._run = builder.formula(f, {}, {})
+    compiled._eso_body, compiled._eso_slots = compiled._run, ()
+    if prefix and compiled.eso_error is None:
+        set_scope = {name: builder.new_slot() for name in prefix}
+        compiled._eso_body = builder.formula(body, {}, set_scope)
+        compiled._eso_slots = tuple(set_scope.values())
+    compiled._free = tuple(builder.free.items()) + tuple(builder.free_sets.items())
+    frame = [None] * (builder.slots - _FIRST_SLOT)
+    for _, slot in compiled._free:
+        frame[slot - _FIRST_SLOT] = _UNSET
+    compiled._frame = tuple(frame)
+    return compiled
+
+
+def _missing(message: str):
+    raise EvaluationError(message) from None
+
+
+class _Builder:
+    """Closure construction for one formula: slot allocation and the cases.
+
+    Closures capture names and slots only, never AST nodes, so the memo of
+    compiled forms does not keep formulas alive.  Terms and literals that
+    recur under the same variable slots (diagram disjunctions repeat most
+    of theirs) share one closure.  Error cases and the order of evaluation
+    (left to right, short-circuiting) are those of Tarskian evaluation
+    over the AST.
+    """
+
+    def __init__(self):
+        self.slots = _FIRST_SLOT
+        self.free: dict[str, int] = {}
+        self.free_sets: dict[str, int] = {}
+        self.shared: dict = {}
+
+    def new_slot(self) -> int:
+        self.slots += 1
+        return self.slots - 1
+
+    def share(self, build, node, scope: dict, *rest):
+        key = (node, tuple(scope.items()))
+        hit = self.shared.get(key)
+        if hit is None:
+            hit = self.shared[key] = build(node, scope, *rest)
+        return hit
+
+    def term(self, t: Term, scope: dict):
+        return self.share(self._term, t, scope)
+
+    def _term(self, t: Term, scope: dict):
+        if isinstance(t, Var):
+            slot = scope.get(t.name)
+            if slot is not None:
+                return lambda fr: fr[slot]
+            name = t.name
+            if name not in self.free:
+                self.free[name] = self.new_slot()
+            slot = self.free[name]
+
+            def free_var(fr):
+                value = fr[slot]
+                if value is _UNSET:
+                    raise EvaluationError(f"uncovered free variable {name}")
+                return value
+
+            return free_var
+        name = t.name
+        if isinstance(t, Const):
+
+            def const(fr):
+                try:
+                    return fr[_CONSTANTS][name]
+                except KeyError:
+                    _missing(f"constant {name} uninterpreted")
+
+            return const
+        if len(t.args) == 1:
+            arg = self.term(t.args[0], scope)
+
+            def unary(fr):
+                try:
+                    table = fr[_FUNCTIONS][name]
+                except KeyError:
+                    _missing(f"function {name} uninterpreted")
+                args = (arg(fr),)
+                try:
+                    return table[args]
+                except KeyError:
+                    _missing(f"function {name} not total at {args}")
+
+            return unary
+        parts = tuple(self.term(a, scope) for a in t.args)
+
+        def func(fr):
+            try:
+                table = fr[_FUNCTIONS][name]
+            except KeyError:
+                _missing(f"function {name} uninterpreted")
+            args = tuple([p(fr) for p in parts])
+            try:
+                return table[args]
+            except KeyError:
+                _missing(f"function {name} not total at {args}")
+
+        return func
+
+    def formula(self, f: Formula, scope: dict, set_scope: dict):
+        if isinstance(f, (Atom, Eq)) or (isinstance(f, Not) and isinstance(f.body, (Atom, Eq))):
+            return self.share(self._formula, f, scope, set_scope)
+        return self._formula(f, scope, set_scope)
+
+    def _formula(self, f: Formula, scope: dict, set_scope: dict):
+        if isinstance(f, Top):
+            return lambda fr: True
+        if isinstance(f, Bottom):
+            return lambda fr: False
+        if isinstance(f, Atom):
+            return self.atom(f, scope)
+        if isinstance(f, Eq):
+            left, right = self.term(f.left, scope), self.term(f.right, scope)
+            return lambda fr: left(fr) == right(fr)
+        if isinstance(f, SetAtom):
+            return self.set_atom(f, scope, set_scope)
+        if isinstance(f, Not):
+            body = self.formula(f.body, scope, set_scope)
+            return lambda fr: not body(fr)
+        if isinstance(f, (And, Or)):
+            parts = tuple(self.formula(p, scope, set_scope) for p in f.parts)
+            if isinstance(f, And):
+
+                def conjunction(fr):
+                    for p in parts:
+                        if not p(fr):
+                            return False
+                    return True
+
+                return conjunction
+
+            def disjunction(fr):
+                for p in parts:
+                    if p(fr):
+                        return True
+                return False
+
+            return disjunction
+        if isinstance(f, Implies):
+            left = self.formula(f.left, scope, set_scope)
+            right = self.formula(f.right, scope, set_scope)
+            return lambda fr: not left(fr) or right(fr)
+        if isinstance(f, Iff):
+            left = self.formula(f.left, scope, set_scope)
+            right = self.formula(f.right, scope, set_scope)
+            return lambda fr: left(fr) == right(fr)
+        if isinstance(f, (Forall, Exists)):
+            slot = self.new_slot()
+            body = self.formula(f.body, {**scope, f.var: slot}, set_scope)
+            if isinstance(f, Exists):
+
+                def exists(fr):
+                    for e in fr[_DOMAIN]:
+                        fr[slot] = e
+                        if body(fr):
+                            return True
+                    return False
+
+                return exists
+
+            def forall(fr):
+                for e in fr[_DOMAIN]:
+                    fr[slot] = e
+                    if not body(fr):
+                        return False
+                return True
+
+            return forall
+        if isinstance(f, ExistsSet):
+
+            def second_order(fr):
+                raise EvaluationError("second-order quantifier in first-order evaluation")
+
+            return second_order
+        raise TypeError(f"not a formula: {f!r}")
+
+    def atom(self, f: Atom, scope: dict):
+        name = f.name
+        slots = [scope.get(a.name) if isinstance(a, Var) else None for a in f.args]
+        if None not in slots and len(slots) in (1, 2):
+            # bound variables only: reading them cannot fail, so the
+            # predicate may be looked up after the tuple is built
+            if len(slots) == 2:
+                a, b = slots
+
+                def binary(fr):
+                    try:
+                        return (fr[a], fr[b]) in fr[_PREDICATES][name]
+                    except KeyError:
+                        _missing(f"predicate {name} uninterpreted")
+
+                return binary
+            (a,) = slots
+
+            def unary(fr):
+                try:
+                    return (fr[a],) in fr[_PREDICATES][name]
+                except KeyError:
+                    _missing(f"predicate {name} uninterpreted")
+
+            return unary
+        parts = tuple(self.term(a, scope) for a in f.args)
+
+        def atom(fr):
+            try:
+                rel = fr[_PREDICATES][name]
+            except KeyError:
+                _missing(f"predicate {name} uninterpreted")
+            return tuple([p(fr) for p in parts]) in rel
+
+        return atom
+
+    def set_atom(self, f: SetAtom, scope: dict, set_scope: dict):
+        arg = self.term(f.arg, scope)
+        slot = set_scope.get(f.set_var)
+        if slot is not None:
+            return lambda fr: arg(fr) in fr[slot]
+        name = f.set_var
+        if name not in self.free_sets:
+            self.free_sets[name] = self.new_slot()
+        slot = self.free_sets[name]
+
+        def free_set(fr):
+            members = fr[slot]
+            if members is _UNSET:
+                raise EvaluationError(f"uncovered set variable {name}")
+            return arg(fr) in members
+
+        return free_set
 
 
 def evaluate_fo(s: Structure, f: Formula, assignment: Optional[dict] = None) -> bool:
@@ -793,8 +1069,7 @@ def evaluate_fo(s: Structure, f: Formula, assignment: Optional[dict] = None) -> 
 
     The assignment must cover all free (first-order and set) variables.
     """
-    env = dict(assignment or {})
-    return _eval_fo(f, s, env)
+    return compile_formula(f).holds(s, range(s.size), assignment)
 
 
 def evaluate_eso(s: Structure, f: Formula) -> bool:
@@ -803,27 +1078,56 @@ def evaluate_eso(s: Structure, f: Formula) -> bool:
     Strips the outermost existsSet prefix and searches subsets exhaustively;
     set quantifiers anywhere else are rejected.
     """
-    prefix = []
-    body = f
-    while isinstance(body, ExistsSet):
-        prefix.append(body.set_var)
-        body = body.body
-    if any(isinstance(g, ExistsSet) for g in subformulas(body)):
-        raise EvaluationError("set quantifier not in prefix position")
-    if free_variables(f) or free_set_variables(f):
-        raise EvaluationError("evaluate_eso expects a sentence")
-    universe = list(range(s.size))
-    for masks in itertools.product(range(2 ** s.size), repeat=len(prefix)):
-        env = {
-            name: frozenset(e for e in universe if mask >> e & 1)
-            for name, mask in zip(prefix, masks)
-        }
-        if _eval_fo(body, s, env):
-            return True
-    return False
+    compiled = compile_formula(f)
+    if compiled.eso_error is not None:
+        raise EvaluationError(compiled.eso_error)
+    return compiled.holds_eso(s, range(s.size))
 
 
-# --- relativization ---------------------------------------------------------
+# --- rebuilding and relativization --------------------------------------------
+
+
+def map_formula(
+    f: Formula,
+    node: Optional[Callable[[Formula], Formula]] = None,
+    term: Optional[Callable[[Term], Term]] = None,
+) -> Formula:
+    """Rebuild ``f`` bottom-up.
+
+    Every term, once its arguments are rebuilt, is replaced by ``term(t)``;
+    every formula node, once its parts are rebuilt, by ``node(g)``.  A hook
+    left out keeps its nodes (without ``term``, atoms are kept as they are).
+    """
+
+    def rebuild_term(t: Term) -> Term:
+        if isinstance(t, Func):
+            t = Func(t.name, tuple(rebuild_term(a) for a in t.args))
+        return term(t)
+
+    def rec(g: Formula) -> Formula:
+        if isinstance(g, (Top, Bottom)) or (term is None and isinstance(g, (Atom, Eq, SetAtom))):
+            out = g
+        elif isinstance(g, Atom):
+            out = Atom(g.name, tuple(rebuild_term(a) for a in g.args))
+        elif isinstance(g, Eq):
+            out = Eq(rebuild_term(g.left), rebuild_term(g.right))
+        elif isinstance(g, SetAtom):
+            out = SetAtom(g.set_var, rebuild_term(g.arg))
+        elif isinstance(g, Not):
+            out = Not(rec(g.body))
+        elif isinstance(g, (And, Or)):
+            out = type(g)(tuple(rec(p) for p in g.parts))
+        elif isinstance(g, (Implies, Iff)):
+            out = type(g)(rec(g.left), rec(g.right))
+        elif isinstance(g, (Forall, Exists)):
+            out = type(g)(g.var, rec(g.body))
+        elif isinstance(g, ExistsSet):
+            out = ExistsSet(g.set_var, rec(g.body))
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        return out if node is None else node(out)
+
+    return rec(f)
 
 
 def relativize_to_set_variable(f: Formula, set_var: str) -> Formula:
@@ -837,100 +1141,36 @@ def relativize_to_set_variable(f: Formula, set_var: str) -> Formula:
     if set_var in set_variable_names(f):
         raise ValueError(f"set variable {set_var} already occurs in the formula")
 
-    def rec(g: Formula) -> Formula:
-        if isinstance(g, (Top, Bottom, Atom, Eq, SetAtom)):
-            return g
-        if isinstance(g, Not):
-            return Not(rec(g.body))
-        if isinstance(g, And):
-            return And(tuple(rec(p) for p in g.parts))
-        if isinstance(g, Or):
-            return Or(tuple(rec(p) for p in g.parts))
-        if isinstance(g, Implies):
-            return Implies(rec(g.left), rec(g.right))
-        if isinstance(g, Iff):
-            return Iff(rec(g.left), rec(g.right))
+    def bound(g: Formula) -> Formula:
         if isinstance(g, Exists):
-            return Exists(g.var, And((SetAtom(set_var, Var(g.var)), rec(g.body))))
+            return Exists(g.var, And((SetAtom(set_var, Var(g.var)), g.body)))
         if isinstance(g, Forall):
-            return Forall(g.var, Implies(SetAtom(set_var, Var(g.var)), rec(g.body)))
-        raise TypeError(f"not a formula: {g!r}")
+            return Forall(g.var, Implies(SetAtom(set_var, Var(g.var)), g.body))
+        return g
 
-    return rec(f)
+    return map_formula(f, node=bound)
+
+
+def _quantifier_free(g: Formula) -> Formula:
+    if isinstance(g, (Forall, Exists, ExistsSet)):
+        raise ValueError("substitution expects a quantifier-free formula")
+    return g
 
 
 def substitute_variable(f: Formula, name: str, term: Term) -> Formula:
     """Replace free occurrences of a variable in a quantifier-free formula."""
-
-    def sub_term(t: Term) -> Term:
-        if isinstance(t, Var):
-            return term if t.name == name else t
-        if isinstance(t, Func):
-            return Func(t.name, tuple(sub_term(a) for a in t.args))
-        return t
-
-    def rec(g: Formula) -> Formula:
-        if isinstance(g, (Top, Bottom)):
-            return g
-        if isinstance(g, Atom):
-            return Atom(g.name, tuple(sub_term(a) for a in g.args))
-        if isinstance(g, Eq):
-            return Eq(sub_term(g.left), sub_term(g.right))
-        if isinstance(g, SetAtom):
-            return SetAtom(g.set_var, sub_term(g.arg))
-        if isinstance(g, Not):
-            return Not(rec(g.body))
-        if isinstance(g, And):
-            return And(tuple(rec(p) for p in g.parts))
-        if isinstance(g, Or):
-            return Or(tuple(rec(p) for p in g.parts))
-        if isinstance(g, Implies):
-            return Implies(rec(g.left), rec(g.right))
-        if isinstance(g, Iff):
-            return Iff(rec(g.left), rec(g.right))
-        raise ValueError("substitution expects a quantifier-free formula")
-
-    return rec(f)
+    return map_formula(
+        f,
+        node=_quantifier_free,
+        term=lambda t: term if isinstance(t, Var) and t.name == name else t,
+    )
 
 
 def substitute_constant(f: Formula, name: str, term: Term) -> Formula:
     """Replace every occurrence of a constant symbol by a term."""
-
-    def sub_term(t: Term) -> Term:
-        if isinstance(t, Const) and t.name == name:
-            return term
-        if isinstance(t, Func):
-            return Func(t.name, tuple(sub_term(a) for a in t.args))
-        return t
-
-    def rec(g: Formula) -> Formula:
-        if isinstance(g, (Top, Bottom)):
-            return g
-        if isinstance(g, Atom):
-            return Atom(g.name, tuple(sub_term(a) for a in g.args))
-        if isinstance(g, Eq):
-            return Eq(sub_term(g.left), sub_term(g.right))
-        if isinstance(g, SetAtom):
-            return SetAtom(g.set_var, sub_term(g.arg))
-        if isinstance(g, Not):
-            return Not(rec(g.body))
-        if isinstance(g, And):
-            return And(tuple(rec(p) for p in g.parts))
-        if isinstance(g, Or):
-            return Or(tuple(rec(p) for p in g.parts))
-        if isinstance(g, Implies):
-            return Implies(rec(g.left), rec(g.right))
-        if isinstance(g, Iff):
-            return Iff(rec(g.left), rec(g.right))
-        if isinstance(g, Forall):
-            return Forall(g.var, rec(g.body))
-        if isinstance(g, Exists):
-            return Exists(g.var, rec(g.body))
-        if isinstance(g, ExistsSet):
-            return ExistsSet(g.set_var, rec(g.body))
-        raise TypeError(f"not a formula: {g!r}")
-
-    return rec(f)
+    return map_formula(
+        f, term=lambda t: term if isinstance(t, Const) and t.name == name else t
+    )
 
 
 def relativized_node_count(f: Formula, width: int) -> int:
@@ -975,25 +1215,11 @@ def relativize_to_variables(f: Formula, variables: list[str]) -> Formula:
     if len(set(variables)) != len(variables):
         raise ValueError("relativization variables must be distinct")
 
-    def rec(g: Formula) -> Formula:
-        if isinstance(g, (Top, Bottom, Atom, Eq, SetAtom)):
-            return g
-        if isinstance(g, Not):
-            return Not(rec(g.body))
-        if isinstance(g, And):
-            return And(tuple(rec(p) for p in g.parts))
-        if isinstance(g, Or):
-            return Or(tuple(rec(p) for p in g.parts))
-        if isinstance(g, Implies):
-            return Implies(rec(g.left), rec(g.right))
-        if isinstance(g, Iff):
-            return Iff(rec(g.left), rec(g.right))
+    def eliminate(g: Formula) -> Formula:
         if isinstance(g, Exists):
-            body = rec(g.body)
-            return make_or(substitute_variable(body, g.var, Var(v)) for v in variables)
+            return make_or(substitute_variable(g.body, g.var, Var(v)) for v in variables)
         if isinstance(g, Forall):
-            body = rec(g.body)
-            return make_and(substitute_variable(body, g.var, Var(v)) for v in variables)
-        raise TypeError(f"not a formula: {g!r}")
+            return make_and(substitute_variable(g.body, g.var, Var(v)) for v in variables)
+        return g
 
-    return rec(f)
+    return map_formula(f, node=eliminate)

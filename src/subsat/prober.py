@@ -3,36 +3,38 @@
 Verdicts carry re-checkable counterexamples, never summaries.  All sweeps
 run in deterministic enumeration order so reports are reproducible
 byte-for-byte; the structure stream may be partitioned across workers
-because results are merged in submission order.
+because results are merged in submission order.  Each sweep classifies
+and compiles its sentences once (each worker process does so at start).
 
 Witness-bound searches over one-predicate signatures use a vectorized
 mask sieve (no structure materialization), which is what makes size-5
 sweeps feasible: each chunk of masks meets the small subsets one at a
 time, a mask is dropped as soon as one of them is a witness, and only
-the masks left at the end are evaluated.  The sieve is cross-checked
-against the generic path in the test suite.
+the masks left at the end are evaluated, on the relation unpacked from
+the mask.  The generic path, which the sieve is cross-checked against in
+the test suite, evaluates every labelled structure and its small
+carriers in place on the raw tables.  Only a returned counterexample is
+built as a ``Structure``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional, Union
 
 from .logic import (
     Eq,
-    ExistsSet,
     Forall,
     Exists,
     Atom,
     Formula,
     Var,
+    compile_formula,
     constant_names,
     evaluate_eso,
     evaluate_fo,
     render_formula,
-    subformulas,
 )
 from .structures import (
     DEFAULT_ENUMERATION_CAP,
@@ -48,7 +50,8 @@ from .structures import (
     render_structures,
     _MASK_MAX_BITS,
     _canonical_masks,
-    _labelled_structures,
+    _interpretation_from_indices,
+    _labelled_interpretations,
     _structure_from_indices,
 )
 from .theta import theta_bounded_semantic, theta_semantic
@@ -107,16 +110,27 @@ class BoundedThetaOf:
 SentenceLike = Union[Formula, ThetaOf, BoundedThetaOf, Callable[[Structure], bool]]
 
 
-def evaluate_sentence_like(item: SentenceLike, s: Structure) -> bool:
+def sentence_checker(item: SentenceLike) -> Callable[[Structure], bool]:
+    """Classify (and compile) ``item`` once; the result decides it on a structure.
+
+    Formulas with a set quantifier are evaluated as monadic existential
+    second-order sentences, all others as first-order ones.
+    """
     if isinstance(item, ThetaOf):
-        return theta_semantic(s, item.formula).truth
+        phi = item.formula
+        return lambda s: theta_semantic(s, phi).truth
     if isinstance(item, BoundedThetaOf):
-        return theta_bounded_semantic(s, item.formula, item.bound).truth
+        phi, bound = item.formula, item.bound
+        return lambda s: theta_bounded_semantic(s, phi, bound).truth
     if callable(item) and not _is_formula(item):
-        return bool(item(s))
-    if any(isinstance(g, ExistsSet) for g in subformulas(item)):
-        return evaluate_eso(s, item)
-    return evaluate_fo(s, item)
+        return lambda s: bool(item(s))
+    if compile_formula(item).has_set_quantifier:
+        return lambda s: evaluate_eso(s, item)
+    return lambda s: evaluate_fo(s, item)
+
+
+def evaluate_sentence_like(item: SentenceLike, s: Structure) -> bool:
+    return sentence_checker(item)(s)
 
 
 def _is_formula(item) -> bool:
@@ -135,22 +149,33 @@ def describe_sentence_like(item: SentenceLike) -> str:
     return render_formula(item)
 
 
-def _pair_eval(s: Structure, left: SentenceLike, right: SentenceLike):
-    return evaluate_sentence_like(left, s), evaluate_sentence_like(right, s)
-
-
 def _picklable(item: SentenceLike) -> bool:
     return not (callable(item) and not _is_formula(item))
 
 
-def _parallel_map(fn, items: list, workers: int) -> list:
-    if workers <= 1 or len(items) < 64:
-        return [fn(x) for x in items]
+# Each worker process classifies and compiles the pair once, at start-up:
+# compiled formulas are closures and do not pickle.
+_worker_checkers: tuple = ()
+
+
+def _start_pair_worker(left: SentenceLike, right: SentenceLike) -> None:
+    global _worker_checkers
+    _worker_checkers = (sentence_checker(left), sentence_checker(right))
+
+
+def _worker_pair_eval(s: Structure) -> tuple[bool, bool]:
+    left, right = _worker_checkers
+    return left(s), right(s)
+
+
+def _parallel_pair_eval(left, right, structures: list, workers: int) -> list:
     import multiprocessing
 
-    with multiprocessing.Pool(workers) as pool:
-        chunk = max(1, len(items) // (workers * 4))
-        return pool.map(fn, items, chunksize=chunk)
+    with multiprocessing.Pool(
+        workers, initializer=_start_pair_worker, initargs=(left, right)
+    ) as pool:
+        chunk = max(1, len(structures) // (workers * 4))
+        return pool.map(_worker_pair_eval, structures, chunksize=chunk)
 
 
 # --- equivalence oracle ---------------------------------------------------------
@@ -176,16 +201,13 @@ def equivalence_oracle(
     """
     checked = 0
     use_workers = cfg.workers > 1 and _picklable(left) and _picklable(right)
+    left_check, right_check = sentence_checker(left), sentence_checker(right)
     for n in range(1, cfg.n_max + 1):
         structures = list(enumerate_structures(cfg.signature, n, up_to_iso=True, cap=cfg.cap))
-        if use_workers:
-            results = iter(
-                _parallel_map(
-                    partial(_pair_eval, left=left, right=right), structures, cfg.workers
-                )
-            )
+        if use_workers and len(structures) >= 64:
+            results = iter(_parallel_pair_eval(left, right, structures, cfg.workers))
         else:
-            results = (_pair_eval(s, left, right) for s in structures)
+            results = ((left_check(s), right_check(s)) for s in structures)
         for s, (lt, rt) in zip(structures, results):
             checked += 1
             if lt != rt:
@@ -215,16 +237,17 @@ def preservation_under_extensions(
     tested instead, where counterexamples are expected.
     """
     target: SentenceLike = ThetaOf(phi) if apply_theta else phi
+    holds = sentence_checker(target)
     checked = 0
     for n in range(1, cfg.n_max + 1):
         for s in enumerate_structures(cfg.signature, n, up_to_iso=True, cap=cfg.cap):
-            holds_in_s = evaluate_sentence_like(target, s)
+            holds_in_s = holds(s)
             for carrier in enumerate_submodels(s):
                 checked += 1
                 if len(carrier) == s.size:
                     continue
                 sub = induced_substructure(s, carrier)
-                if evaluate_sentence_like(target, sub) and not holds_in_s:
+                if holds(sub) and not holds_in_s:
                     return PreservationVerdict(
                         False, (carrier, sub, s), checked, cfg.n_max,
                         describe_sentence_like(target),
@@ -263,11 +286,13 @@ def _mask_truth_table(phi: Formula, sig: Signature, k: int):
     """
     import numpy as np
 
+    compiled = compile_formula(phi)
+    domain = range(k)
     reps, inverse_idx = np.unique(_canonical_masks(sig, k), return_inverse=True)
     rep_truth = np.fromiter(
         (
-            evaluate_fo(_structure_from_indices(sig, k, (int(mask),)), phi)
-            for mask in reps
+            compiled.holds(_interpretation_from_indices(sig, k, (mask,)), domain)
+            for mask in reps.tolist()
         ),
         dtype=bool,
         count=len(reps),
@@ -283,12 +308,14 @@ def _sieve_first_counterexample(
 
     Masks are sieved a chunk at a time: each subset of size <= lam, sizes
     ascending, drops the live masks it is a witness for, and the survivors
-    are evaluated in mask order.  ``scanned`` is the end of the chunk that
-    holds the hit, or the whole space.
+    are evaluated in mask order, on their relation alone.  ``scanned`` is
+    the end of the chunk that holds the hit, or the whole space.
     """
     import numpy as np
 
+    compiled = compile_formula(phi)
     arity = sig.predicates[0][1]
+    domain = range(n)
     tuples = list(itertools.product(range(n), repeat=arity))
     rank = {t: r for r, t in enumerate(tuples)}
     subset_specs = []
@@ -315,28 +342,31 @@ def _sieve_first_counterexample(
                 break
         scanned = stop
         for mask in live.tolist():
-            s = _structure_from_indices(sig, n, (int(mask),))
-            if evaluate_fo(s, phi):
-                return s, scanned
+            if compiled.holds(_interpretation_from_indices(sig, n, (mask,)), domain):
+                return _structure_from_indices(sig, n, (mask,)), scanned
     return None, scanned
 
 
 def _generic_first_counterexample(
     phi: Formula, sig: Signature, n: int, lam: int, cap: int
 ) -> tuple[Optional[Structure], int]:
+    """The reference for the sieve, over any signature: every labelled
+    structure in order, each and its small carriers evaluated in place."""
     count = labelled_structure_count(sig, n)
     if count > cap:
         raise CapExceededError(count, cap)
+    compiled = compile_formula(phi)
+    domain = range(n)
     scanned = 0
-    for s in _labelled_structures(sig, n):
+    for tables in _labelled_interpretations(sig, n):
         scanned += 1
-        if not evaluate_fo(s, phi):
+        if not compiled.holds(tables, domain):
             continue
         if not any(
-            evaluate_fo(induced_substructure(s, c), phi)
-            for c in enumerate_submodels(s, max_card=lam)
+            compiled.holds(tables, sorted(c))
+            for c in enumerate_submodels(tables, max_card=lam)
         ):
-            return s, scanned
+            return Structure(*tables), scanned
     return None, scanned
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 DEFAULT_ENUMERATION_CAP = 5_000_000
 
@@ -272,6 +272,18 @@ class Fragment:
         return f"Fragment(carrier={sorted(self.carrier)}, key={self.key()!r})"
 
 
+class Interpretation(NamedTuple):
+    """The raw tables of a structure on {0..size-1}, neither copied nor
+    checked: what evaluation and carrier enumeration read, wherever a
+    :class:`Structure` need not be built."""
+
+    signature: Signature
+    size: int
+    predicates: Mapping[str, frozenset]
+    functions: Mapping[str, Mapping[tuple, int]]
+    constants: Mapping[str, int]
+
+
 @dataclass(frozen=True)
 class GeneratedSubmodel:
     """Carrier of a generated submodel plus its renamed copy on {0..m-1}."""
@@ -360,7 +372,9 @@ def induced_fragment(s: Structure, carrier: Iterable[int]) -> Fragment:
     return Fragment(s.signature, s.size, carrier, preds, funcs, consts)
 
 
-def is_submodel_carrier(s: Structure, carrier: Iterable[int]) -> bool:
+def is_submodel_carrier(
+    s: Union[Structure, Interpretation], carrier: Iterable[int]
+) -> bool:
     """True iff carrier is nonempty, contains all constants, and is closed under functions."""
     carrier = frozenset(carrier)
     if not carrier:
@@ -434,7 +448,7 @@ def generated_submodel(s: Structure, seed: Iterable[int]) -> GeneratedSubmodel:
 
 
 def enumerate_submodels(
-    s: Structure, max_card: Optional[int] = None
+    s: Union[Structure, Interpretation], max_card: Optional[int] = None
 ) -> Iterator[frozenset]:
     """Yield every submodel carrier of ``s``, smallest first.
 
@@ -444,10 +458,14 @@ def enumerate_submodels(
     n = s.size
     upper = n if max_card is None else min(max_card, n)
     const_values = frozenset(s.constants.values())
+    # without functions, every nonempty set holding the constants is closed
+    closure_check = bool(s.signature.functions)
     for k in range(1, upper + 1):
         for combo in itertools.combinations(range(n), k):
             carrier = frozenset(combo)
-            if const_values <= carrier and is_submodel_carrier(s, carrier):
+            if const_values <= carrier and (
+                not closure_check or is_submodel_carrier(s, carrier)
+            ):
                 yield carrier
 
 
@@ -461,7 +479,9 @@ def labelled_structure_count(sig: Signature, n: int) -> int:
     return count
 
 
-def _structure_from_indices(sig: Signature, n: int, indices: tuple[int, ...]) -> Structure:
+def _interpretation_from_indices(
+    sig: Signature, n: int, indices: tuple[int, ...]
+) -> Interpretation:
     preds = {}
     funcs = {}
     consts = {}
@@ -469,26 +489,28 @@ def _structure_from_indices(sig: Signature, n: int, indices: tuple[int, ...]) ->
     for name, arity in sig.predicates:
         mask = indices[pos]
         pos += 1
-        tuples = []
-        for rank, t in enumerate(itertools.product(range(n), repeat=arity)):
-            if mask >> rank & 1:
-                tuples.append(t)
-        preds[name] = frozenset(tuples)
+        preds[name] = frozenset(
+            t for rank, t in enumerate(_tuple_space(n, arity)) if mask >> rank & 1
+        )
     for name, arity in sig.functions:
         code = indices[pos]
         pos += 1
         table = {}
-        for t in reversed(list(itertools.product(range(n), repeat=arity))):
+        for t in reversed(_tuple_space(n, arity)):
             code, v = divmod(code, n)
             table[t] = v
         funcs[name] = table
     for name in sig.constants:
         consts[name] = indices[pos]
         pos += 1
-    return Structure(sig, n, preds, funcs, consts)
+    return Interpretation(sig, n, preds, funcs, consts)
 
 
-def _labelled_structures(sig: Signature, n: int) -> Iterator[Structure]:
+def _structure_from_indices(sig: Signature, n: int, indices: tuple[int, ...]) -> Structure:
+    return Structure(*_interpretation_from_indices(sig, n, indices))
+
+
+def _labelled_interpretations(sig: Signature, n: int) -> Iterator[Interpretation]:
     spaces = []
     for _, arity in sig.predicates:
         spaces.append(range(2 ** (n**arity)))
@@ -497,7 +519,12 @@ def _labelled_structures(sig: Signature, n: int) -> Iterator[Structure]:
     for _ in sig.constants:
         spaces.append(range(n))
     for combo in itertools.product(*spaces):
-        yield _structure_from_indices(sig, n, combo)
+        yield _interpretation_from_indices(sig, n, combo)
+
+
+def _labelled_structures(sig: Signature, n: int) -> Iterator[Structure]:
+    for tables in _labelled_interpretations(sig, n):
+        yield Structure(*tables)
 
 
 @functools.lru_cache(maxsize=256)

@@ -2,7 +2,11 @@
 
 ``theta_semantic`` decides "some submodel satisfies the sentence" by
 enumerating carriers; ``theta_bounded_semantic`` restricts to submodels
-generated by small seeds.  The three translations express the same
+generated by small seeds.  Both evaluate each carrier in place: by the
+relativization lemma, a submodel satisfies the sentence iff the parent
+does with every quantifier bounded to the carrier, so the compiled
+sentence runs on the parent's tables with the carrier as its domain and
+no submodel is built.  The three translations express the same
 content syntactically: a monadic existential second-order sentence, an
 existential first-order sentence for predicate-only signatures, and a
 diagram disjunction for functional signatures (sound always, complete
@@ -19,6 +23,7 @@ from .logic import (
     FALSE,
     TRUE,
     Atom,
+    CompiledFormula,
     Const,
     Eq,
     Exists,
@@ -31,12 +36,10 @@ from .logic import (
     SetAtom,
     Term,
     Var,
+    compile_formula,
     evaluate_fo,
-    free_set_variables,
-    free_variables,
     fresh_set_variable,
     fresh_variables,
-    is_first_order,
     make_and,
     make_or,
     relativize_to_set_variable,
@@ -67,31 +70,34 @@ class ThetaReport:
     inspected: int
 
 
-def _require_fo_sentence(phi: Formula):
-    if not is_first_order(phi):
+def _require_fo_sentence(phi: Formula) -> CompiledFormula:
+    compiled = compile_formula(phi)
+    if not compiled.first_order:
         raise ValueError("expected a first-order sentence")
-    if free_variables(phi) or free_set_variables(phi):
+    if not compiled.is_sentence:
         raise ValueError(f"open formula: {render_formula(phi)}")
+    return compiled
 
 
 def theta_semantic(s: Structure, phi: Formula) -> ThetaReport:
     """Does some submodel of ``s`` satisfy ``phi``?
 
-    The witness is the first carrier in deterministic order (size, then
-    lexicographic).
+    Each carrier is checked in place: ``phi`` with its quantifiers bounded
+    to the carrier, on the tables of ``s``.  The witness is the first
+    carrier in deterministic order (size, then lexicographic).
     """
-    _require_fo_sentence(phi)
+    compiled = _require_fo_sentence(phi)
     inspected = 0
     for carrier in enumerate_submodels(s):
         inspected += 1
-        if evaluate_fo(induced_substructure(s, carrier), phi):
+        if compiled.holds(s, sorted(carrier)):
             return ThetaReport(True, carrier, inspected)
     return ThetaReport(False, None, inspected)
 
 
 def theta_bounded_semantic(s: Structure, phi: Formula, bound: int) -> ThetaReport:
     """Does some submodel generated by at most ``bound`` elements satisfy ``phi``?"""
-    _require_fo_sentence(phi)
+    compiled = _require_fo_sentence(phi)
     if bound < 0 or (bound == 0 and not s.signature.constants):
         raise ValueError("bound must be >= 1 (0 is allowed only with constants)")
     seen = set()
@@ -104,7 +110,7 @@ def theta_bounded_semantic(s: Structure, phi: Formula, bound: int) -> ThetaRepor
                 continue
             seen.add(carrier)
             inspected += 1
-            if evaluate_fo(induced_substructure(s, carrier), phi):
+            if compiled.holds(s, sorted(carrier)):
                 return ThetaReport(True, carrier, inspected)
     return ThetaReport(False, None, inspected)
 
@@ -385,6 +391,11 @@ def modal_laws_check(
     laws also record a strictness witness when the corpus exhibits one.
     """
     structures = list(structures)
+    # built once, so that each is compiled once
+    both = make_and((phi, psi))
+    either = make_or((phi, psi))
+    not_phi = Not(phi)
+    implication = Implies(phi, psi)
     results = {
         name: LawResult(name, True)
         for name in ["i", "ii", "iii", "iv", "v-and", "v-or", "vi", "vii"]
@@ -411,7 +422,6 @@ def modal_laws_check(
             if _theta_theta_truth(s, phi) != _theta_truth(s, phi):
                 results["iii"] = LawResult("iii", False, (s, "theta(theta(phi)) != theta(phi)"))
         if results["v-and"].holds:
-            both = make_and((phi, psi))
             if _theta_truth(s, both) and not (
                 _theta_truth(s, phi) and _theta_truth(s, psi)
             ):
@@ -419,7 +429,6 @@ def modal_laws_check(
                     "v-and", False, (s, "theta(phi&psi) without theta(phi)&theta(psi)")
                 )
         if results["v-or"].holds:
-            either = make_or((phi, psi))
             if _theta_truth(s, either) != (_theta_truth(s, phi) or _theta_truth(s, psi)):
                 results["v-or"] = LawResult(
                     "v-or", False, (s, "theta(phi|psi) != theta(phi)|theta(psi)")
@@ -427,19 +436,18 @@ def modal_laws_check(
         if results["vi"].holds:
             if not _theta_truth(s, phi) and evaluate_fo(s, phi):
                 results["vi"] = LawResult("vi", False, (s, "not theta(phi) but phi"))
-            elif not evaluate_fo(s, phi) and not _theta_truth(s, Not(phi)):
+            elif not evaluate_fo(s, phi) and not _theta_truth(s, not_phi):
                 results["vi"] = LawResult("vi", False, (s, "not phi but not theta(!phi)"))
         if results["vii"].holds:
             premise = any(
                 not theta_semantic(induced_substructure(s, c), phi).truth
                 for c in enumerate_submodels(s)
             )
-            if premise and not _theta_truth(s, Not(phi)):
+            if premise and not _theta_truth(s, not_phi):
                 results["vii"] = LawResult(
                     "vii", False, (s, "theta(!theta(phi)) without theta(!phi)")
                 )
 
-    implication = Implies(phi, psi)
     premise_holds = all(evaluate_fo(s, implication) for s in closure)
     if premise_holds:
         for s in closure:
@@ -459,7 +467,7 @@ def modal_laws_check(
             if (
                 _theta_truth(s, phi)
                 and _theta_truth(s, psi)
-                and not _theta_truth(s, make_and((phi, psi)))
+                and not _theta_truth(s, both)
             ):
                 r.strictness_witness = s
         r = results["vi"]
@@ -472,7 +480,7 @@ def modal_laws_check(
                 not theta_semantic(induced_substructure(s, c), phi).truth
                 for c in enumerate_submodels(s)
             )
-            if _theta_truth(s, Not(phi)) and not premise:
+            if _theta_truth(s, not_phi) and not premise:
                 r.strictness_witness = s
 
     order = ["i", "ii", "iii", "iv", "v-and", "v-or", "vi", "vii"]

@@ -1,9 +1,11 @@
+import gc
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subsat import logic
 from subsat.logic import (
     And,
     Atom,
@@ -23,6 +25,7 @@ from subsat.logic import (
     Var,
     TRUE,
     FALSE,
+    compile_formula,
     evaluate_eso,
     evaluate_fo,
     free_variables,
@@ -30,12 +33,15 @@ from subsat.logic import (
     is_sentence,
     make_and,
     make_or,
+    map_formula,
     parse_formula,
     parse_with_inference,
     relativize_to_set_variable,
     relativize_to_variables,
     render_formula,
     subformulas,
+    substitute_constant,
+    substitute_variable,
 )
 from subsat.structures import Signature, Structure, induced_substructure
 
@@ -263,6 +269,68 @@ def test_evaluate_functions_and_constants():
     assert not evaluate_fo(s, parse_formula("F(c) = c", sig))
 
 
+def test_evaluation_errors_follow_the_short_circuit_order():
+    s = c3_cycle()
+    open_atom = parse_formula("R(x,y)", BINARY)
+    assert evaluate_fo(s, Or((TRUE, open_atom)))
+    assert not evaluate_fo(s, And((FALSE, open_atom)))
+    with pytest.raises(EvaluationError, match="uncovered free variable y"):
+        evaluate_fo(s, And((TRUE, open_atom)), {"x": 0})
+    with pytest.raises(EvaluationError, match="predicate Q uninterpreted"):
+        evaluate_fo(s, Exists("x", Atom("Q", (Var("x"), Var("z")))))
+    with pytest.raises(EvaluationError, match="uncovered set variable X"):
+        evaluate_fo(s, SetAtom("X", Var("x")), {"x": 0})
+    assert evaluate_fo(s, SetAtom("X", Var("x")), {"x": 0, "X": frozenset({0})})
+    with pytest.raises(EvaluationError, match="second-order quantifier"):
+        evaluate_fo(s, parse_formula("existsSet X. exists x. X(x)", BINARY))
+    # a bound variable shadows the assignment only inside its quantifier
+    shadow = parse_formula("(exists x. R(x,x)) & !R(x,x)", BINARY)
+    assert evaluate_fo(digraph(2, [(1, 1)]), shadow, {"x": 0})
+    assert not evaluate_fo(digraph(2, [(1, 1)]), shadow, {"x": 1})
+    unar = Signature(functions=(("F", 1),), constants=("c",))
+    partial = Structure(unar, 2, functions={"F": {(0,): 1}}, constants={"c": 0})
+    with pytest.raises(EvaluationError, match=r"function F not total at \(1,\)"):
+        evaluate_fo(partial, parse_formula("F(F(c)) = c", unar))
+    with pytest.raises(EvaluationError, match="constant c uninterpreted"):
+        evaluate_fo(Structure(unar, 1, functions={"F": {(0,): 0}}), parse_formula("F(c) = c", unar))
+
+
+def test_evaluation_on_a_carrier_is_truth_in_the_submodel():
+    s = digraph(4, [(0, 1), (1, 0), (2, 2), (3, 1)])
+    f = parse_formula("forall x. exists y. (x != y & R(x,y))", BINARY)
+    compiled = compile_formula(f)
+    for k in range(1, 5):
+        for combo in itertools.combinations(range(4), k):
+            sub = induced_substructure(s, combo)
+            assert compiled.holds(s, combo) == evaluate_fo(sub, f)
+
+
+def test_compiled_form_is_kept_by_identity_while_the_formula_lives():
+    f = parse_formula("exists x. R(x,x)", BINARY)
+    g = parse_formula("exists x. R(x,x)", BINARY)
+    assert f == g and compile_formula(f) is compile_formula(f)
+    assert compile_formula(g) is not compile_formula(f)
+    key = id(g)
+    assert key in logic._COMPILED
+    del g
+    gc.collect()
+    assert key not in logic._COMPILED and id(f) in logic._COMPILED
+
+
+def test_compile_formula_classifies_once():
+    eso = parse_formula("existsSet X. exists x. X(x)", BINARY)
+    c = compile_formula(eso)
+    assert c.has_set_quantifier and not c.first_order and c.is_sentence
+    assert c.eso_error is None
+    inner = Exists("x", ExistsSet("X", SetAtom("X", Var("x"))))
+    assert compile_formula(inner).eso_error == "set quantifier not in prefix position"
+    assert compile_formula(parse_formula("R(x,x)", BINARY)).eso_error == (
+        "evaluate_eso expects a sentence"
+    )
+    with pytest.raises(EvaluationError, match="expects a sentence"):
+        evaluate_eso(digraph(1, []), parse_formula("existsSet X. X(x)", BINARY))
+
+
 def test_evaluate_eso_nonempty_subset():
     f = parse_formula("existsSet X. exists x. X(x)", BINARY)
     assert evaluate_eso(digraph(2, []), f)
@@ -365,6 +433,30 @@ def test_relativized_truth_equals_substructure_truth():
                     for f in sentences:
                         rel = relativize_to_set_variable(f, "X")
                         assert evaluate_fo(s, rel, {"X": carrier}) == evaluate_fo(sub, f)
+
+
+def test_substitutions_rebuild_terms_and_keep_their_errors():
+    sig = Signature(predicates=(("R", 2),), functions=(("F", 1),), constants=("c",))
+    f = parse_formula("(R(x,F(y)) & F(c) = x)", sig)
+    assert substitute_variable(f, "x", Const("c")) == parse_formula(
+        "(R(c,F(y)) & F(c) = c)", sig
+    )
+    assert substitute_constant(f, "c", Func("F", (Var("z"),))) == parse_formula(
+        "(R(x,F(y)) & F(F(z)) = x)", sig
+    )
+    quantified = parse_formula("exists y. R(x,y)", sig)
+    with pytest.raises(ValueError, match="substitution expects a quantifier-free formula"):
+        substitute_variable(quantified, "x", Var("z"))
+    assert substitute_constant(quantified, "c", Var("z")) == quantified
+
+
+def test_map_formula_hooks_run_bottom_up():
+    f = parse_formula("forall x. (R(x,x) -> (exists y. R(x,y)))", BINARY)
+    seen = []
+    assert map_formula(f, node=lambda g: seen.append(type(g).__name__) or g) == f
+    assert seen == ["Atom", "Atom", "Exists", "Implies", "Forall"]
+    renamed = map_formula(f, term=lambda t: Var("u") if t == Var("x") else t)
+    assert render_formula(renamed) == "forall x. (R(u,u) -> (exists y. R(u,y)))"
 
 
 def test_relativize_to_variables_paper_example():

@@ -82,12 +82,34 @@ def test_equivalence_counterexample_reverifies():
     assert theta_semantic(s, FORALL_EXISTS).truth != evaluate_fo(s, FORALL_EXISTS)
 
 
-def test_equivalence_with_workers_matches_serial():
+# Every point has an edge to another one: its submodel check asks for a cycle
+# through two or more points, which first differs from it on three points.
+OUT_NEIGHBOUR = parse_formula("forall x. exists y. (R(x,y) & x != y)", BINARY)
+
+
+def test_equivalence_with_workers_matches_serial(monkeypatch):
+    pools = []
+    parallel = prober._parallel_pair_eval
+    monkeypatch.setattr(
+        prober, "_parallel_pair_eval", lambda *args: pools.append(args) or parallel(*args)
+    )
     cfg1 = ProbeConfig(BINARY, n_max=3, workers=1)
     cfg2 = ProbeConfig(BINARY, n_max=3, workers=2)
-    a = equivalence_oracle(ThetaOf(EXISTS_FORALL), LOOP, cfg1)
-    b = equivalence_oracle(ThetaOf(EXISTS_FORALL), LOOP, cfg2)
-    assert a.equal == b.equal and a.checked == b.checked
+    for left, right, equal in [
+        (ThetaOf(EXISTS_FORALL), LOOP, True),
+        (ThetaOf(OUT_NEIGHBOUR), OUT_NEIGHBOUR, False),
+    ]:
+        pools.clear()
+        a = equivalence_oracle(left, right, cfg1)
+        assert not pools
+        b = equivalence_oracle(left, right, cfg2)
+        # only the 104 three-point classes are enough to start a pool
+        assert [len(args[2]) for args in pools] == [104]
+        assert a.equal == b.equal == equal and a.checked == b.checked
+        assert a.counterexample == b.counterexample
+        assert (a.left_truth, a.right_truth) == (b.left_truth, b.right_truth)
+        if not equal:
+            assert a.counterexample.size == 3
 
 
 # --- preservation under extensions ----------------------------------------------
@@ -172,10 +194,12 @@ def test_witness_bound_monotone_in_n_max():
 
 BINARY_CORPUS = {e.name: e.formula for e in CORPUS if e.signature_name == "binary"}
 
-# At n = 4 the generic path takes 1-5 s per sentence when it has to scan all
-# 65536 labelled structures, so n = 4 runs the sentence whose counterexamples
-# (directed cycles) land in later chunks, plus two whole-space scans: one where
-# the first subset already drops every mask, one whose survivors all fail phi.
+# At n = 4 the generic path takes 0.5-2 s per sentence when it has to scan
+# all 65536 labelled structures, so n = 4 runs the sentence whose
+# counterexamples (directed cycles) land in later chunks, plus three
+# whole-space scans: one where the first subset already drops every mask, one
+# whose survivors all fail phi, and one where most structures are models that
+# need two-point carriers.
 SIEVE_CASES = [
     (name, n, lam)
     for name in [*BINARY_CORPUS, "no_loop"]
@@ -187,6 +211,7 @@ SIEVE_CASES = [
     ("total_out_degree", 4, 3),
     ("one_point_world", 4, 1),
     ("edgeless", 4, 1),
+    ("proper_edge", 4, 2),
 ]
 
 

@@ -1,14 +1,20 @@
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_logic import formulas
 
 from subsat.corpus import CORPUS
 from subsat.logic import (
     FALSE,
     TRUE,
+    Exists,
+    Forall,
     Not,
     evaluate_eso,
     evaluate_fo,
+    free_variables,
     is_existential_sentence,
     parse_formula,
     relativized_node_count,
@@ -25,6 +31,7 @@ from subsat.structures import (
     induced_substructure,
 )
 from subsat.theta import (
+    ThetaReport,
     atomic_diagram,
     modal_laws_check,
     theta_bounded_semantic,
@@ -90,6 +97,38 @@ def test_theta_witness_carrier_reverifies():
             report = theta_semantic(s, phi)
             if report.truth:
                 assert evaluate_fo(induced_substructure(s, report.witness), phi)
+
+
+def _closed(f, universal):
+    """``f`` with its free variables bound, outermost first in name order."""
+    for name, forall in zip(sorted(free_variables(f), reverse=True), universal):
+        f = (Forall if forall else Exists)(name, f)
+    return f
+
+
+sentences = st.builds(_closed, formulas, st.lists(st.booleans(), min_size=3, max_size=3))
+digraphs = st.integers(1, 3).flatmap(
+    lambda n: st.builds(
+        lambda edges: digraph(n, edges),
+        st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sentences, digraphs)
+def test_theta_in_place_matches_built_submodels(phi, s):
+    # reference: every carrier built as its own structure, then evaluated
+    inspected = 0
+    for carrier in enumerate_submodels(s):
+        inspected += 1
+        if evaluate_fo(induced_substructure(s, carrier), phi):
+            expected = ThetaReport(True, carrier, inspected)
+            break
+    else:
+        expected = ThetaReport(False, None, inspected)
+    assert theta_semantic(s, phi) == expected
+    assert evaluate_eso(s, theta_to_eso(phi, BINARY)) == expected.truth
 
 
 # --- theta_bounded_semantic --------------------------------------------------
