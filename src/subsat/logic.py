@@ -36,6 +36,7 @@ Multi-variable quantifiers desugar to nested single-variable ones;
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 import weakref
@@ -779,16 +780,21 @@ class CompiledFormula:
         body, slots = self._eso_body, self._eso_slots
         if not slots:
             return body(frame)
-        subsets = [
-            frozenset(e for i, e in enumerate(domain) if mask >> i & 1)
-            for mask in range(2 ** len(domain))
-        ]
-        for choice in itertools.product(subsets, repeat=len(slots)):
+        for choice in itertools.product(_subsets(tuple(domain)), repeat=len(slots)):
             for slot, members in zip(slots, choice):
                 frame[slot] = members
             if body(frame):
                 return True
         return False
+
+
+@functools.lru_cache(maxsize=32)
+def _subsets(domain: tuple[int, ...]) -> tuple[frozenset, ...]:
+    """Every subset of ``domain``, in binary counting order."""
+    return tuple(
+        frozenset(e for i, e in enumerate(domain) if mask >> i & 1)
+        for mask in range(2 ** len(domain))
+    )
 
 
 _COMPILED: dict[int, tuple] = {}

@@ -2,19 +2,24 @@
 
 Verdicts carry re-checkable counterexamples, never summaries.  All sweeps
 run in deterministic enumeration order so reports are reproducible
-byte-for-byte; the structure stream may be partitioned across workers
-because results are merged in submission order.  Each sweep classifies
-and compiles its sentences once (each worker process does so at start).
+byte-for-byte.  They stream the iso classes from ``enumerate_structures``
+(memoised representatives, built by one-point extension for
+predicate-only signatures); only the ``workers > 1`` pool takes each
+size as a list, which it may partition because results are merged in
+submission order.  Each sweep classifies and compiles its sentences once
+(each worker process does so at start).
 
 Witness-bound searches over one-predicate signatures use a vectorized
 mask sieve (no structure materialization), which is what makes size-5
 sweeps feasible: each chunk of masks meets the small subsets one at a
 time, a mask is dropped as soon as one of them is a witness, and only
 the masks left at the end are evaluated, on the relation unpacked from
-the mask.  The generic path, which the sieve is cross-checked against in
-the test suite, evaluates every labelled structure and its small
-carriers in place on the raw tables.  Only a returned counterexample is
-built as a ``Structure``.
+the mask.  A subset's truth table evaluates the memoised iso-class
+representatives and finds each mask's class by searching its canonical
+mask among them.  The generic path, which the sieve is cross-checked
+against in the test suite, evaluates every labelled structure and its
+small carriers in place on the raw tables.  Only a returned
+counterexample is built as a ``Structure``.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from .structures import (
     _canonical_masks,
     _interpretation_from_indices,
     _labelled_interpretations,
+    _predicate_only_iso_masks,
     _structure_from_indices,
 )
 from .theta import theta_bounded_semantic, theta_semantic
@@ -203,12 +209,14 @@ def equivalence_oracle(
     use_workers = cfg.workers > 1 and _picklable(left) and _picklable(right)
     left_check, right_check = sentence_checker(left), sentence_checker(right)
     for n in range(1, cfg.n_max + 1):
-        structures = list(enumerate_structures(cfg.signature, n, up_to_iso=True, cap=cfg.cap))
+        structures = enumerate_structures(cfg.signature, n, up_to_iso=True, cap=cfg.cap)
+        if use_workers:
+            structures = list(structures)  # the pool needs a list; serial sweeps stream
         if use_workers and len(structures) >= 64:
-            results = iter(_parallel_pair_eval(left, right, structures, cfg.workers))
+            pairs = zip(structures, _parallel_pair_eval(left, right, structures, cfg.workers))
         else:
-            results = ((left_check(s), right_check(s)) for s in structures)
-        for s, (lt, rt) in zip(structures, results):
+            pairs = ((s, (left_check(s), right_check(s))) for s in structures)
+        for s, (lt, rt) in pairs:
             checked += 1
             if lt != rt:
                 return EquivalenceVerdict(False, s, lt, rt, checked, cfg.n_max)
@@ -281,23 +289,24 @@ def _sieve_applicable(sig: Signature, n: int) -> bool:
 def _mask_truth_table(phi: Formula, sig: Signature, k: int):
     """Truth of ``phi`` on every labelled size-k structure, indexed by mask.
 
-    Evaluates one representative per isomorphism class and spreads the
-    value over the class via the canonical-mask array.
+    Evaluates one representative per isomorphism class (the memoised
+    least masks) and spreads the value over the class by looking up each
+    mask's canonical mask among them.
     """
     import numpy as np
 
     compiled = compile_formula(phi)
     domain = range(k)
-    reps, inverse_idx = np.unique(_canonical_masks(sig, k), return_inverse=True)
+    reps = _predicate_only_iso_masks(sig, k)
     rep_truth = np.fromiter(
         (
             compiled.holds(_interpretation_from_indices(sig, k, (mask,)), domain)
-            for mask in reps.tolist()
+            for mask in reps
         ),
         dtype=bool,
         count=len(reps),
     )
-    return rep_truth[inverse_idx]
+    return rep_truth[np.searchsorted(np.array(reps), _canonical_masks(sig, k))]
 
 
 def _sieve_first_counterexample(
@@ -366,7 +375,7 @@ def _generic_first_counterexample(
             compiled.holds(tables, sorted(c))
             for c in enumerate_submodels(tables, max_card=lam)
         ):
-            return Structure(*tables), scanned
+            return Structure._trusted(tables), scanned
     return None, scanned
 
 

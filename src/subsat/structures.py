@@ -164,6 +164,18 @@ class Structure:
             {str(n): int(v) for n, v in dict(self.constants or {}).items()},
         )
 
+    @classmethod
+    def _trusted(cls, tables: "Interpretation") -> "Structure":
+        """Wrap tables the enumerator has just built, without normalising.
+
+        Only for fresh tables that are already normal: a dict per kind
+        holding every symbol, int tuples in frozensets, total int-valued
+        function dicts.
+        """
+        s = object.__new__(cls)
+        s.__dict__.update(zip(tables._fields, tables))
+        return s
+
     def key(self):
         sig = self.signature
         return (
@@ -490,7 +502,10 @@ def _interpretation_from_indices(
         mask = indices[pos]
         pos += 1
         preds[name] = frozenset(
-            t for rank, t in enumerate(_tuple_space(n, arity)) if mask >> rank & 1
+            itertools.chain.from_iterable(
+                tuples[mask >> 8 * b & 0xFF]
+                for b, tuples in enumerate(_tuples_by_byte(n, arity))
+            )
         )
     for name, arity in sig.functions:
         code = indices[pos]
@@ -507,7 +522,7 @@ def _interpretation_from_indices(
 
 
 def _structure_from_indices(sig: Signature, n: int, indices: tuple[int, ...]) -> Structure:
-    return Structure(*_interpretation_from_indices(sig, n, indices))
+    return Structure._trusted(_interpretation_from_indices(sig, n, indices))
 
 
 def _labelled_interpretations(sig: Signature, n: int) -> Iterator[Interpretation]:
@@ -524,13 +539,27 @@ def _labelled_interpretations(sig: Signature, n: int) -> Iterator[Interpretation
 
 def _labelled_structures(sig: Signature, n: int) -> Iterator[Structure]:
     for tables in _labelled_interpretations(sig, n):
-        yield Structure(*tables)
+        yield Structure._trusted(tables)
 
 
 @functools.lru_cache(maxsize=256)
 def _tuple_space(n: int, arity: int) -> tuple[tuple[int, ...], ...]:
     """All argument tuples over {0..n-1}, in rank order."""
     return tuple(itertools.product(range(n), repeat=arity))
+
+
+@functools.lru_cache(maxsize=256)
+def _tuples_by_byte(n: int, arity: int) -> tuple[tuple[tuple, ...], ...]:
+    """For byte ``b`` of a predicate mask and each byte value, the tuples
+    whose bits it sets (ranks 8b..8b+7)."""
+    space = _tuple_space(n, arity)
+    return tuple(
+        tuple(
+            tuple(t for i, t in enumerate(space[start:start + 8]) if value >> i & 1)
+            for value in range(256)
+        )
+        for start in range(0, len(space), 8)
+    )
 
 
 @functools.lru_cache(maxsize=4096)
@@ -662,13 +691,14 @@ def canonical_key(s: Structure):
     return (n, tuple(best))
 
 
-def _predicate_only_bit_layout(sig: Signature, n: int):
+@functools.lru_cache(maxsize=256)
+def _bit_layout(arities: tuple[int, ...], n: int):
     """Bit spans for packing all predicate interpretations into one mask.
 
     Later symbols occupy lower bits so that ascending masks coincide with
     the labelled enumeration order (which varies later symbols fastest).
     """
-    widths = [n**arity for _, arity in sig.predicates]
+    widths = [n**arity for arity in arities]
     offsets = []
     below = 0
     for w in reversed(widths):
@@ -678,46 +708,145 @@ def _predicate_only_bit_layout(sig: Signature, n: int):
     return widths, offsets, below
 
 
-def _canonical_masks(sig: Signature, n: int):
-    """Canonical mask of every packed predicate-only mask, as a numpy array.
+def _arities(sig: Signature) -> tuple[int, ...]:
+    return tuple(arity for _, arity in sig.predicates)
 
-    Entry ``m`` is the least mask over all relabellings of the structure
-    packed as ``m``, so two masks share a canonical mask iff their
-    structures are isomorphic.  Intended for at most ``_MASK_MAX_BITS``
-    tuple bits: the array has 2**bits int64 entries.
+
+def _bit_tables(dest):
+    """Byte lookup tables that move bit ``i`` of a mask to bit ``dest[i]``.
+
+    Row ``b`` maps each value of the mask's byte ``b`` to the bits it
+    becomes, so a whole bit permutation costs one gather per byte.
     """
     import numpy as np
 
-    widths, offsets, total_bits = _predicate_only_bit_layout(sig, n)
-    masks = np.arange(2**total_bits, dtype=np.int64)
-    canon = masks.copy()
-    for perm in itertools.permutations(range(n)):
-        permuted = np.zeros_like(masks)
-        for (_, arity), offset in zip(sig.predicates, offsets):
+    values = np.arange(256, dtype=np.int32)
+    tables = np.zeros((max(1, -(-len(dest) // 8)), 256), dtype=np.int32)
+    for i, d in enumerate(dest):
+        tables[i // 8] |= (values >> i % 8 & 1) << d
+    return tables
+
+
+def _byte_columns(masks, bits: int) -> list:
+    """The bytes of ``bits``-bit masks, one index array per byte."""
+    import numpy as np
+
+    return [(masks >> 8 * b & 0xFF).astype(np.intp) for b in range(max(1, -(-bits // 8)))]
+
+
+def _remap_bits(columns, tables):
+    """The masks given by their ``_byte_columns``, moved through ``_bit_tables``."""
+    out = tables[0].take(columns[0])
+    for table, column in zip(tables[1:], columns[1:]):
+        out |= table.take(column)
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _relabelling_tables(arities: tuple[int, ...], n: int) -> tuple:
+    """``_bit_tables`` of every relabelling of the universe but the identity."""
+    _, offsets, bits = _bit_layout(arities, n)
+    out = []
+    for perm in itertools.islice(itertools.permutations(range(n)), 1, None):
+        dest = [0] * bits
+        for arity, offset in zip(arities, offsets):
             for dst, src in enumerate(_relabel_table(n, arity, perm)):
-                permuted |= (masks >> (offset + src) & 1) << (offset + dst)
-        np.minimum(canon, permuted, out=canon)
+                dest[offset + src] = offset + dst
+        out.append(_bit_tables(dest))
+    return tuple(out)
+
+
+# Masks canonicalised at a time: keeps the byte columns in cache.
+_CANON_CHUNK = 1 << 16
+
+
+def _canonicalise(sig: Signature, n: int, masks):
+    """Least mask over all relabellings of each packed predicate-only mask.
+
+    Two masks share a canonical mask iff their structures are isomorphic,
+    and the canonical mask is the least, hence first labelled, member of
+    the class.  Returns a new int32 array.
+    """
+    import numpy as np
+
+    arities = _arities(sig)
+    bits = _bit_layout(arities, n)[2]
+    canon = np.array(masks, dtype=np.int32)
+    for start in range(0, len(canon), _CANON_CHUNK):
+        best = canon[start:start + _CANON_CHUNK]
+        columns = _byte_columns(best, bits)
+        for tables in _relabelling_tables(arities, n):
+            np.minimum(best, _remap_bits(columns, tables), out=best)
     return canon
 
 
-def _predicate_only_iso_masks(sig: Signature, n: int):
-    """Representative packed bitmasks, one per isomorphism class.
+def _canonical_masks(sig: Signature, n: int):
+    """Canonical mask of every packed predicate-only mask, indexed by mask.
 
-    Representatives are the first labelled structure of each class, in
-    ascending mask order (identical to the generic path).
+    Intended for at most ``_MASK_MAX_BITS`` tuple bits: the array has
+    2**bits entries.
     """
     import numpy as np
 
-    _, first = np.unique(_canonical_masks(sig, n), return_index=True)
-    return sorted(int(i) for i in first)
+    return _canonicalise(sig, n, np.arange(2 ** _bit_layout(_arities(sig), n)[2]))
 
 
-def _unpack_predicate_mask(sig: Signature, n: int, mask: int) -> tuple[int, ...]:
-    widths, offsets, _total = _predicate_only_bit_layout(sig, n)
-    return tuple(
-        (mask >> offset) & ((1 << width) - 1)
-        for width, offset in zip(widths, offsets)
+def _fresh_bits(arities: tuple[int, ...], n: int) -> list[int]:
+    """Mask bits at size ``n`` of the tuples that contain the point n - 1."""
+    _, offsets, _ = _bit_layout(arities, n)
+    return sorted(
+        offset + rank
+        for arity, offset in zip(arities, offsets)
+        for rank, t in enumerate(_tuple_space(n, arity))
+        if n - 1 in t
     )
+
+
+@functools.cache
+def _iso_level(sig: Signature, n: int) -> tuple[int, ...]:
+    """Least mask of every isomorphism class at size ``n``, ascending.
+
+    One-point extension (McKay's vertex extension, with uniqueness from
+    the canonical mask): every class has a member whose restriction to
+    {0..n-2} is a representative at size n - 1, so the candidates are
+    those representatives, embedded, with every subset of the fresh bits.
+    """
+    import numpy as np
+
+    arities = _arities(sig)
+    prev = _iso_level(sig, n - 1) if n > 1 else (0,)
+    _, old_offsets, old_bits = _bit_layout(arities, n - 1)
+    _, offsets, _ = _bit_layout(arities, n)
+    embed = [0] * old_bits
+    for arity, old_offset, offset in zip(arities, old_offsets, offsets):
+        rank = {t: r for r, t in enumerate(_tuple_space(n, arity))}
+        for old_rank, t in enumerate(_tuple_space(n - 1, arity)):
+            embed[old_offset + old_rank] = offset + rank[t]
+    fresh = _fresh_bits(arities, n)
+    embedded = _remap_bits(_byte_columns(np.array(prev), old_bits), _bit_tables(embed))
+    subsets = _byte_columns(np.arange(1 << len(fresh)), len(fresh))
+    candidates = (embedded[:, None] | _remap_bits(subsets, _bit_tables(fresh))).ravel()
+    return tuple(np.unique(_canonicalise(sig, n, candidates)).tolist())
+
+
+def _predicate_only_iso_masks(
+    sig: Signature, n: int, cap: int = DEFAULT_ENUMERATION_CAP
+) -> tuple[int, ...]:
+    """Representative packed bitmasks, one per isomorphism class.
+
+    Representatives are the first labelled structure of each class, in
+    ascending mask order (identical to the generic path).  They are built
+    size by size and memoised; each size's candidate count is checked
+    against ``cap`` before that size is computed.
+    """
+    arities = _arities(sig)
+    reps: tuple[int, ...] = (0,)
+    for k in range(1, n + 1):
+        count = len(reps) << len(_fresh_bits(arities, k))
+        if count > cap:
+            raise CapExceededError(count, cap, "iso candidates")
+        reps = _iso_level(sig, k)
+    return reps
 
 
 def enumerate_structures(
@@ -730,25 +859,32 @@ def enumerate_structures(
 
     Deterministic order: labelled structures ascend in their per-symbol
     encoding; with ``up_to_iso`` each class is represented by its first
-    labelled member.  Refuses with :class:`CapExceededError` when the
-    labelled count exceeds ``cap``.
+    labelled member.  Refuses with :class:`CapExceededError` before doing
+    the work: predicate-only signatures of at most ``_MASK_MAX_BITS``
+    tuple bits are enumerated up to isomorphism by one-point extension,
+    and there ``cap`` bounds the candidates canonicalised at each size
+    (memoised per signature and size); everywhere else it bounds the
+    labelled structures.
     """
     if n < 1:
         raise ValueError("structure size must be >= 1")
-    count = labelled_structure_count(sig, n)
-    if count > cap:
-        raise CapExceededError(count, cap)
-    if not up_to_iso:
-        yield from _labelled_structures(sig, n)
-        return
-    if (
+    if up_to_iso and (
         sig.predicates
         and not sig.functions
         and not sig.constants
         and sum(n**arity for _, arity in sig.predicates) <= _MASK_MAX_BITS
     ):
-        for mask in _predicate_only_iso_masks(sig, n):
-            yield _structure_from_indices(sig, n, _unpack_predicate_mask(sig, n, mask))
+        widths, offsets, _ = _bit_layout(_arities(sig), n)
+        for mask in _predicate_only_iso_masks(sig, n, cap):
+            yield _structure_from_indices(
+                sig, n, tuple(mask >> o & (1 << w) - 1 for w, o in zip(widths, offsets))
+            )
+        return
+    count = labelled_structure_count(sig, n)
+    if count > cap:
+        raise CapExceededError(count, cap)
+    if not up_to_iso:
+        yield from _labelled_structures(sig, n)
         return
     seen = set()
     for s in _labelled_structures(sig, n):

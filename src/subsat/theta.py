@@ -103,9 +103,12 @@ def theta_bounded_semantic(s: Structure, phi: Formula, bound: int) -> ThetaRepor
     seen = set()
     inspected = 0
     start = 0 if s.signature.constants else 1
+    # without functions a seed generates itself plus the constants
+    closure = s.signature.functions
+    constants = frozenset(s.constants.values())
     for k in range(start, bound + 1):
         for seed in itertools.combinations(range(s.size), k):
-            carrier = generated_carrier(s, seed)
+            carrier = generated_carrier(s, seed) if closure else constants.union(seed)
             if carrier in seen:
                 continue
             seen.add(carrier)

@@ -424,7 +424,8 @@ REFUSALS = [
     (["probe", "--check", "witness-bound", "--formula", "exists x. R(x,x)",
       "--lambda-max", "3", "--n-max", "2"], 2, "need 1 <= lambda_max <= n_max"),
     (["probe", "--check", "equivalence", "--formula", "exists x. R(x,x)",
-      "--formula2", "exists y. R(y,y)", "--cap", "10"], 3, "exceeds the cap of 10"),
+      "--formula2", "exists y. R(y,y)", "--cap", "10"],
+     3, "enumeration of 16 iso candidates exceeds the cap of 10"),
     (["enumerate", "--signature", "{k2}", "-n", "9"], 3, "labelled structures exceeds the cap"),
 ]
 
@@ -433,5 +434,23 @@ REFUSALS = [
 def test_refusals_leave_stdout_empty(k2, capsys, argv, code, message):
     got, text = run([arg.replace("{k2}", k2) for arg in argv])
     assert (got, text) == (code, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+# Up to isomorphism, over predicate-only signatures, the cap counts the
+# candidates canonicalised at each size; labelled enumeration counts
+# labelled structures.
+ENUMERATION_CAPS = {
+    "labelled": (["-n", "5"], "enumeration of 33554432 labelled structures exceeds the cap"),
+    "iso": (["-n", "5", "--up-to-iso", "--cap", "1000000"],
+            "enumeration of 1558528 iso candidates exceeds the cap of 1000000"),
+}
+
+
+@pytest.mark.parametrize("case", list(ENUMERATION_CAPS))
+def test_enumeration_cap_says_what_it_counts(k2, capsys, case):
+    argv, message = ENUMERATION_CAPS[case]
+    assert run(["enumerate", "--signature", k2, *argv]) == (3, "")
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err

@@ -1,10 +1,12 @@
 import hashlib
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subsat import structures
 from subsat.structures import (
     ESCAPES,
     CapExceededError,
@@ -29,6 +31,7 @@ from subsat.structures import (
 
 UNAR = Signature(functions=(("F", 1),))
 BINARY = Signature(predicates=(("R", 2),))
+UNARY_BINARY = Signature(predicates=(("P", 1), ("R", 2)))
 
 
 def unar(n, table):
@@ -215,10 +218,76 @@ def test_enumerate_structures_labelled_counts():
     assert len(list(enumerate_structures(UNAR, 3))) == 27
 
 
-@pytest.mark.parametrize("n,expected", [(1, 2), (2, 10), (3, 104)])
+# OEIS A000595 (binary relations up to isomorphism).
+@pytest.mark.parametrize("n,expected", [(1, 2), (2, 10), (3, 104), (4, 3044), (5, 291968)])
 def test_enumerate_structures_iso_class_pins(n, expected):
-    classes = list(enumerate_structures(BINARY, n, up_to_iso=True))
-    assert len(classes) == expected
+    assert sum(1 for _ in enumerate_structures(BINARY, n, up_to_iso=True)) == expected
+
+
+def test_unary_binary_iso_class_pin():
+    # counted by canonicalising all 2**20 labelled masks
+    assert sum(1 for _ in enumerate_structures(UNARY_BINARY, 4, up_to_iso=True)) == 45960
+
+
+# Predicate-only signatures of every shape the one-point extension handles.
+EXTENSION_ARITIES = {
+    "unary": (1,),
+    "binary": (2,),
+    "unary_binary": (1, 2),
+    "two_unary": (1, 1),
+    "two_binary": (2, 2),
+    "ternary": (3,),
+}
+
+
+@pytest.mark.parametrize("label", list(EXTENSION_ARITIES))
+def test_extension_matches_full_canonicalisation(label):
+    # The reference canonicalises all 2**bits masks under all n!
+    # relabellings: every n with at most 20 bits, and at most 6 points.
+    arities = EXTENSION_ARITIES[label]
+    sig = Signature(tuple((f"P{i}", a) for i, a in enumerate(arities)))
+    n = 1
+    while sum(n**a for a in arities) <= 20 and n <= 6:
+        reference = tuple(np.unique(structures._canonical_masks(sig, n)).tolist())
+        assert structures._predicate_only_iso_masks(sig, n) == reference
+        n += 1
+    assert n > 2
+
+
+def test_unary_binary_extension_matches_generic_path():
+    generic = []
+    seen = set()
+    for s in enumerate_structures(UNARY_BINARY, 3):
+        key = canonical_key(s)
+        if key not in seen:
+            seen.add(key)
+            generic.append(s)
+    assert list(enumerate_structures(UNARY_BINARY, 3, up_to_iso=True)) == generic
+
+
+@pytest.mark.parametrize(
+    "sig,n,up_to_iso", [(BINARY, 3, True), (BINARY, 2, False), (UNAR, 3, True)]
+)
+def test_enumerated_structures_are_normal_and_unshared(sig, n, up_to_iso):
+    # the enumerator builds its structures without normalising them
+    first = list(enumerate_structures(sig, n, up_to_iso=up_to_iso))
+    keys = [s.key() for s in first]
+    for s in first:
+        normal = Structure(s.signature, s.size, s.predicates, s.functions, s.constants)
+        assert vars(s) == vars(normal)
+        assert all(type(x) is int for rel in s.predicates.values() for t in rel for x in t)
+        assert all(
+            type(x) is int
+            for table in s.functions.values()
+            for t, v in table.items()
+            for x in t + (v,)
+        )
+        assert validate_structure(sig, s) == []
+        for name in s.predicates:
+            s.predicates[name] = frozenset({(0,) * dict(sig.predicates)[name]})
+        for table in s.functions.values():
+            table.clear()
+    assert [s.key() for s in enumerate_structures(sig, n, up_to_iso=up_to_iso)] == keys
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -260,6 +329,29 @@ def test_enumerate_structures_cap_refusal():
     with pytest.raises(CapExceededError) as exc:
         list(enumerate_structures(BINARY, 5, cap=1000))
     assert exc.value.count == 2**25
+
+
+def test_iso_cap_counts_candidates_before_the_work(monkeypatch):
+    # 3044 four-point classes times 2**9 choices of the new point's tuples
+    sizes = []
+    canonicalise = structures._canonicalise
+
+    def recording(sig, n, masks):
+        sizes.append(n)
+        return canonicalise(sig, n, masks)
+
+    monkeypatch.setattr(structures, "_canonicalise", recording)
+    structures._iso_level.cache_clear()
+    for memoised in (False, True):
+        with pytest.raises(CapExceededError, match="1558528 iso candidates") as exc:
+            next(enumerate_structures(BINARY, 5, up_to_iso=True, cap=1_000_000))
+        assert (exc.value.count, exc.value.cap) == (1_558_528, 1_000_000)
+        assert 5 not in sizes
+        if not memoised:
+            structures._predicate_only_iso_masks(BINARY, 5)
+            sizes.clear()
+    with pytest.raises(CapExceededError, match="16 iso candidates"):
+        next(enumerate_structures(BINARY, 2, up_to_iso=True, cap=10))
 
 
 def test_enumerate_structures_mixed_signature():
