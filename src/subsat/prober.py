@@ -4,9 +4,9 @@ Verdicts carry re-checkable counterexamples, never summaries.  All sweeps
 run in deterministic enumeration order so reports are reproducible
 byte-for-byte.  They stream the iso classes from ``enumerate_structures``
 (memoised representatives, built by one-point extension for
-predicate-only signatures); only the ``workers > 1`` pool takes each
-size as a list, which it may partition because results are merged in
-submission order.  Each sweep classifies and compiles its sentences once
+predicate-only signatures up to ``_EXTENSION_MAX_SIZE`` points); only
+the ``workers > 1`` pool takes each size as a list, which it may
+partition because results are merged in submission order.  Each sweep classifies and compiles its sentences once
 (each worker process does so at start).
 
 Witness-bound searches over one-predicate signatures use a vectorized
@@ -53,6 +53,7 @@ from .structures import (
     induced_substructure,
     labelled_structure_count,
     render_structures,
+    _EXTENSION_MAX_SIZE,
     _MASK_MAX_BITS,
     _canonical_masks,
     _interpretation_from_indices,
@@ -289,15 +290,20 @@ def _sieve_applicable(sig: Signature, n: int) -> bool:
 def _mask_truth_table(phi: Formula, sig: Signature, k: int):
     """Truth of ``phi`` on every labelled size-k structure, indexed by mask.
 
-    Evaluates one representative per isomorphism class (the memoised
-    least masks) and spreads the value over the class by looking up each
-    mask's canonical mask among them.
+    Evaluates one representative per isomorphism class (the least masks,
+    memoised up to ``_EXTENSION_MAX_SIZE`` and taken from the canonical
+    masks beyond it) and spreads the value over the class by looking up
+    each mask's canonical mask among them.
     """
     import numpy as np
 
     compiled = compile_formula(phi)
     domain = range(k)
-    reps = _predicate_only_iso_masks(sig, k)
+    canon = _canonical_masks(sig, k)
+    if k > _EXTENSION_MAX_SIZE:
+        reps = np.unique(canon).tolist()
+    else:
+        reps = _predicate_only_iso_masks(sig, k)
     rep_truth = np.fromiter(
         (
             compiled.holds(_interpretation_from_indices(sig, k, (mask,)), domain)
@@ -306,7 +312,7 @@ def _mask_truth_table(phi: Formula, sig: Signature, k: int):
         dtype=bool,
         count=len(reps),
     )
-    return rep_truth[np.searchsorted(np.array(reps), _canonical_masks(sig, k))]
+    return rep_truth[np.searchsorted(np.array(reps), canon)]
 
 
 def _sieve_first_counterexample(

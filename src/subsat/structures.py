@@ -502,10 +502,7 @@ def _interpretation_from_indices(
         mask = indices[pos]
         pos += 1
         preds[name] = frozenset(
-            itertools.chain.from_iterable(
-                tuples[mask >> 8 * b & 0xFF]
-                for b, tuples in enumerate(_tuples_by_byte(n, arity))
-            )
+            t for rank, t in enumerate(_tuple_space(n, arity)) if mask >> rank & 1
         )
     for name, arity in sig.functions:
         code = indices[pos]
@@ -546,20 +543,6 @@ def _labelled_structures(sig: Signature, n: int) -> Iterator[Structure]:
 def _tuple_space(n: int, arity: int) -> tuple[tuple[int, ...], ...]:
     """All argument tuples over {0..n-1}, in rank order."""
     return tuple(itertools.product(range(n), repeat=arity))
-
-
-@functools.lru_cache(maxsize=256)
-def _tuples_by_byte(n: int, arity: int) -> tuple[tuple[tuple, ...], ...]:
-    """For byte ``b`` of a predicate mask and each byte value, the tuples
-    whose bits it sets (ranks 8b..8b+7)."""
-    space = _tuple_space(n, arity)
-    return tuple(
-        tuple(
-            tuple(t for i, t in enumerate(space[start:start + 8]) if value >> i & 1)
-            for value in range(256)
-        )
-        for start in range(0, len(space), 8)
-    )
 
 
 @functools.lru_cache(maxsize=4096)
@@ -742,18 +725,32 @@ def _remap_bits(columns, tables):
     return out
 
 
-@functools.lru_cache(maxsize=64)
-def _relabelling_tables(arities: tuple[int, ...], n: int) -> tuple:
+# Up to this size the one-point extension builds the iso classes, and the
+# byte tables of all n! <= 720 relabellings are kept; beyond it they are
+# built one at a time and every labelled mask is canonicalised.
+_EXTENSION_MAX_SIZE = 6
+
+
+def _relabelling_tables(arities: tuple[int, ...], n: int):
     """``_bit_tables`` of every relabelling of the universe but the identity."""
+    if n <= _EXTENSION_MAX_SIZE:
+        return _kept_relabelling_tables(arities, n)
+    return _each_relabelling_table(arities, n)
+
+
+@functools.lru_cache(maxsize=16)
+def _kept_relabelling_tables(arities: tuple[int, ...], n: int) -> tuple:
+    return tuple(_each_relabelling_table(arities, n))
+
+
+def _each_relabelling_table(arities: tuple[int, ...], n: int):
     _, offsets, bits = _bit_layout(arities, n)
-    out = []
     for perm in itertools.islice(itertools.permutations(range(n)), 1, None):
         dest = [0] * bits
         for arity, offset in zip(arities, offsets):
             for dst, src in enumerate(_relabel_table(n, arity, perm)):
                 dest[offset + src] = offset + dst
-        out.append(_bit_tables(dest))
-    return tuple(out)
+        yield _bit_tables(dest)
 
 
 # Masks canonicalised at a time: keeps the byte columns in cache.
@@ -806,13 +803,17 @@ def _fresh_bits(arities: tuple[int, ...], n: int) -> list[int]:
 def _iso_level(sig: Signature, n: int) -> tuple[int, ...]:
     """Least mask of every isomorphism class at size ``n``, ascending.
 
-    One-point extension (McKay's vertex extension, with uniqueness from
-    the canonical mask): every class has a member whose restriction to
-    {0..n-2} is a representative at size n - 1, so the candidates are
-    those representatives, embedded, with every subset of the fresh bits.
+    Up to ``_EXTENSION_MAX_SIZE`` by one-point extension (McKay's vertex
+    extension, with uniqueness from the canonical mask): every class has a
+    member whose restriction to {0..n-2} is a representative at size n - 1,
+    so the candidates are those representatives, embedded, with every
+    subset of the fresh bits.  Beyond it, where the n! relabellings are
+    too many to apply to each level, every labelled mask is canonicalised.
     """
     import numpy as np
 
+    if n > _EXTENSION_MAX_SIZE:
+        return tuple(np.unique(_canonical_masks(sig, n)).tolist())
     arities = _arities(sig)
     prev = _iso_level(sig, n - 1) if n > 1 else (0,)
     _, old_offsets, old_bits = _bit_layout(arities, n - 1)
@@ -835,11 +836,17 @@ def _predicate_only_iso_masks(
     """Representative packed bitmasks, one per isomorphism class.
 
     Representatives are the first labelled structure of each class, in
-    ascending mask order (identical to the generic path).  They are built
-    size by size and memoised; each size's candidate count is checked
-    against ``cap`` before that size is computed.
+    ascending mask order (identical to the generic path), memoised per
+    size.  Up to ``_EXTENSION_MAX_SIZE`` they are built size by size, and
+    each size's candidate count is checked against ``cap`` before that
+    size is computed; beyond it ``cap`` bounds the labelled masks.
     """
     arities = _arities(sig)
+    if n > _EXTENSION_MAX_SIZE:
+        count = 2 ** _bit_layout(arities, n)[2]
+        if count > cap:
+            raise CapExceededError(count, cap)
+        return _iso_level(sig, n)
     reps: tuple[int, ...] = (0,)
     for k in range(1, n + 1):
         count = len(reps) << len(_fresh_bits(arities, k))
@@ -861,10 +868,10 @@ def enumerate_structures(
     encoding; with ``up_to_iso`` each class is represented by its first
     labelled member.  Refuses with :class:`CapExceededError` before doing
     the work: predicate-only signatures of at most ``_MASK_MAX_BITS``
-    tuple bits are enumerated up to isomorphism by one-point extension,
-    and there ``cap`` bounds the candidates canonicalised at each size
-    (memoised per signature and size); everywhere else it bounds the
-    labelled structures.
+    tuple bits and ``_EXTENSION_MAX_SIZE`` points are enumerated up to
+    isomorphism by one-point extension, and there ``cap`` bounds the
+    candidates canonicalised at each size (memoised per signature and
+    size); everywhere else it bounds the labelled structures.
     """
     if n < 1:
         raise ValueError("structure size must be >= 1")

@@ -441,16 +441,25 @@ def test_refusals_leave_stdout_empty(k2, capsys, argv, code, message):
 # Up to isomorphism, over predicate-only signatures, the cap counts the
 # candidates canonicalised at each size; labelled enumeration counts
 # labelled structures.
+# Past six points the candidates are not counted: each size's n!
+# relabellings would be applied to them, so the cap counts labelled masks.
 ENUMERATION_CAPS = {
-    "labelled": (["-n", "5"], "enumeration of 33554432 labelled structures exceeds the cap"),
-    "iso": (["-n", "5", "--up-to-iso", "--cap", "1000000"],
+    "labelled": ("R 2", ["-n", "5"],
+                 "enumeration of 33554432 labelled structures exceeds the cap"),
+    "iso": ("R 2", ["-n", "5", "--up-to-iso", "--cap", "1000000"],
             "enumeration of 1558528 iso candidates exceeds the cap of 1000000"),
+    "iso-unary": ("P 1", ["-n", "23", "--up-to-iso"],
+                  "enumeration of 8388608 labelled structures exceeds the cap of 5000000"),
 }
 
 
 @pytest.mark.parametrize("case", list(ENUMERATION_CAPS))
-def test_enumeration_cap_says_what_it_counts(k2, capsys, case):
-    argv, message = ENUMERATION_CAPS[case]
-    assert run(["enumerate", "--signature", k2, *argv]) == (3, "")
+def test_enumeration_cap_says_what_it_counts(tmp_path, capsys, case):
+    predicate, argv, message = ENUMERATION_CAPS[case]
+    path = tmp_path / "sig.st"
+    path.write_text(
+        f"signature\npredicate {predicate}\nend\nstructure a\nuniverse 1\nend\n"
+    )
+    assert run(["enumerate", "--signature", str(path), *argv]) == (3, "")
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err

@@ -254,15 +254,46 @@ def test_extension_matches_full_canonicalisation(label):
     assert n > 2
 
 
-def test_unary_binary_extension_matches_generic_path():
+def _generic_iso_representatives(sig, n):
     generic = []
     seen = set()
-    for s in enumerate_structures(UNARY_BINARY, 3):
+    for s in enumerate_structures(sig, n):
         key = canonical_key(s)
         if key not in seen:
             seen.add(key)
             generic.append(s)
-    assert list(enumerate_structures(UNARY_BINARY, 3, up_to_iso=True)) == generic
+    return generic
+
+
+UNARY = Signature(predicates=(("P", 1),))
+TWO_UNARY = Signature(predicates=(("P", 1), ("Q", 1)))
+
+
+def test_beyond_the_extension_sizes_every_mask_is_canonicalised():
+    # n! relabellings are built one at a time past the extension's sizes:
+    # kept, the 5039 byte tables of one unary predicate at 7 points would
+    # take 5 MB
+    import tracemalloc
+
+    n = structures._EXTENSION_MAX_SIZE + 1
+    structures._iso_level.cache_clear()
+    tracemalloc.start()
+    try:
+        reps = list(enumerate_structures(UNARY, n, up_to_iso=True))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert reps == _generic_iso_representatives(UNARY, n)
+    assert len(reps) == 8
+    # multisets of 7 from the 4 unary types
+    assert sum(1 for _ in enumerate_structures(TWO_UNARY, n, up_to_iso=True)) == 120
+
+
+def test_unary_binary_extension_matches_generic_path():
+    assert list(enumerate_structures(UNARY_BINARY, 3, up_to_iso=True)) == (
+        _generic_iso_representatives(UNARY_BINARY, 3)
+    )
 
 
 @pytest.mark.parametrize(
