@@ -6,8 +6,9 @@ byte-for-byte.  They stream the iso classes from ``enumerate_structures``
 (memoised representatives, built by one-point extension for
 predicate-only signatures up to ``_EXTENSION_MAX_SIZE`` points); only
 the ``workers > 1`` pool takes each size as a list, which it may
-partition because results are merged in submission order.  Each sweep classifies and compiles its sentences once
-(each worker process does so at start).
+partition because results are merged in submission order.  Each sweep
+classifies and compiles its sentences once (each worker process does so
+at start).
 
 Witness-bound searches over one-predicate signatures use a vectorized
 mask sieve (no structure materialization), which is what makes size-5
