@@ -522,7 +522,10 @@ def _structure_from_indices(sig: Signature, n: int, indices: tuple[int, ...]) ->
     return Structure._trusted(_interpretation_from_indices(sig, n, indices))
 
 
-def _labelled_interpretations(sig: Signature, n: int) -> Iterator[Interpretation]:
+def _labelled_indices(sig: Signature, n: int) -> Iterator[tuple[int, ...]]:
+    """The index tuple of every labelled structure, in enumeration order:
+    a mask per predicate, a base-``n`` code per function, a value per
+    constant, later symbols varying fastest."""
     spaces = []
     for _, arity in sig.predicates:
         spaces.append(range(2 ** (n**arity)))
@@ -530,8 +533,12 @@ def _labelled_interpretations(sig: Signature, n: int) -> Iterator[Interpretation
         spaces.append(range(n ** (n**arity)))
     for _ in sig.constants:
         spaces.append(range(n))
-    for combo in itertools.product(*spaces):
-        yield _interpretation_from_indices(sig, n, combo)
+    return itertools.product(*spaces)
+
+
+def _labelled_interpretations(sig: Signature, n: int) -> Iterator[Interpretation]:
+    for indices in _labelled_indices(sig, n):
+        yield _interpretation_from_indices(sig, n, indices)
 
 
 def _labelled_structures(sig: Signature, n: int) -> Iterator[Structure]:
@@ -639,7 +646,7 @@ def _cell_relabellings(n: int, arities: tuple[int, ...], cells) -> tuple:
 _REFINE_FROM_SIZE = 4
 
 
-def canonical_key(s: Structure):
+def canonical_key(s: Union[Structure, Interpretation]):
     """Minimal encoding of ``s`` over relabellings of its universe.
 
     Two structures are isomorphic iff their canonical keys coincide.  The
@@ -867,11 +874,14 @@ def enumerate_structures(
     Deterministic order: labelled structures ascend in their per-symbol
     encoding; with ``up_to_iso`` each class is represented by its first
     labelled member.  Refuses with :class:`CapExceededError` before doing
-    the work: predicate-only signatures of at most ``_MASK_MAX_BITS``
-    tuple bits and ``_EXTENSION_MAX_SIZE`` points are enumerated up to
-    isomorphism by one-point extension, and there ``cap`` bounds the
-    candidates canonicalised at each size (memoised per signature and
-    size); everywhere else it bounds the labelled structures.
+    the work, memoised or not: predicate-only signatures of at most
+    ``_MASK_MAX_BITS`` tuple bits and ``_EXTENSION_MAX_SIZE`` points are
+    enumerated up to isomorphism by one-point extension, and there ``cap``
+    bounds the candidates canonicalised at each size; everywhere else it
+    bounds the labelled structures, and other signatures are enumerated up
+    to isomorphism by canonicalising each labelled structure.  On both
+    paths the representatives are memoised per signature and size, and
+    each call builds fresh structures from them.
     """
     if n < 1:
         raise ValueError("structure size must be >= 1")
@@ -893,12 +903,32 @@ def enumerate_structures(
     if not up_to_iso:
         yield from _labelled_structures(sig, n)
         return
+    for indices in _generic_iso_indices(sig, n):
+        yield _structure_from_indices(sig, n, indices)
+
+
+# Generic-path representatives per (signature, n), as index tuples.
+_GENERIC_ISO: dict = {}
+
+
+def _generic_iso_indices(sig: Signature, n: int) -> Iterator[tuple[int, ...]]:
+    """Index tuple of the first labelled member of every isomorphism class,
+    in labelled order.  Each labelled structure is canonicalised; the
+    representatives are memoised only once the stream has run to its end,
+    so a consumer that stops early pays for no more than it took."""
+    memo = _GENERIC_ISO.get((sig, n))
+    if memo is not None:
+        yield from memo
+        return
+    found = []
     seen = set()
-    for s in _labelled_structures(sig, n):
-        key = canonical_key(s)
+    for indices in _labelled_indices(sig, n):
+        key = canonical_key(_interpretation_from_indices(sig, n, indices))
         if key not in seen:
             seen.add(key)
-            yield s
+            found.append(indices)
+            yield indices
+    _GENERIC_ISO[(sig, n)] = tuple(found)
 
 
 def _fragment_view(x: Union[Structure, Fragment]):

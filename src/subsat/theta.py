@@ -10,11 +10,16 @@ no submodel is built.  The three translations express the same
 content syntactically: a monadic existential second-order sentence, an
 existential first-order sentence for predicate-only signatures, and a
 diagram disjunction for functional signatures (sound always, complete
-up to a generated-submodel size cap).
+up to a generated-submodel size cap).  The models behind the diagrams
+do not depend on the sentence: they are the classes of structures with
+marked generators, told apart by numbering elements in order of first
+reach from the marks, and are built once per (signature, bound, size);
+each translation only filters them by the sentence.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -46,18 +51,21 @@ from .logic import (
     relativize_to_variables,
     relativized_node_count,
     render_formula,
-    substitute_constant,
 )
 from .structures import (
     DEFAULT_ENUMERATION_CAP,
     CapExceededError,
+    Interpretation,
     Signature,
     Structure,
+    _interpretation_from_indices,
+    _labelled_indices,
+    _structure_from_indices,
     canonical_key,
-    enumerate_structures,
     enumerate_submodels,
     generated_carrier,
     induced_substructure,
+    labelled_structure_count,
 )
 
 
@@ -189,20 +197,10 @@ class FunctionalTranslation:
     disjuncts: int
 
 
-def _generator_constant_names(sig: Signature, count: int) -> list[str]:
-    taken = sig.symbol_names()
-    names = []
-    i = 0
-    while len(names) < count:
-        name = f"g{i}"
-        if name not in taken:
-            names.append(name)
-        i += 1
-    return names
-
-
-def _representative_terms(s: Structure, generators: Sequence[int], gen_names) -> dict:
-    """Breadth-first representative closed terms, shortest first.
+def _representative_terms(
+    s: Structure, generators: Sequence[int], markers: Sequence[Term]
+) -> dict:
+    """Breadth-first representative terms, shortest first.
 
     Depth-0 terms are the generator markers (in order) and the original
     constants (in signature order); deeper terms apply function symbols in
@@ -210,8 +208,8 @@ def _representative_terms(s: Structure, generators: Sequence[int], gen_names) ->
     ascending element order.
     """
     reps: dict[int, Term] = {}
-    for name, e in zip(gen_names, generators):
-        reps.setdefault(e, Const(name))
+    for marker, e in zip(markers, generators):
+        reps.setdefault(e, marker)
     for cname in s.signature.constants:
         reps.setdefault(s.constants[cname], Const(cname))
     while len(reps) < s.size:
@@ -248,11 +246,18 @@ def atomic_diagram(
     predicate facts and their negations, and pairwise disequalities.
     Syntactically trivial equations (t = t) are dropped.
     """
-    reps = _representative_terms(s, generators, gen_names)
+    return _marked_diagram(s, generators, [Const(name) for name in gen_names])
+
+
+def _marked_diagram(
+    s: Structure, generators: Sequence[int], markers: Sequence[Term]
+) -> DiagramSentence:
+    """``atomic_diagram`` with each generator named by the given term."""
+    reps = _representative_terms(s, generators, markers)
     literals = []
-    for name, e in zip(gen_names, generators):
-        if reps[e] != Const(name):
-            literals.append(Eq(Const(name), reps[e]))
+    for marker, e in zip(markers, generators):
+        if reps[e] != marker:
+            literals.append(Eq(marker, reps[e]))
     for cname in s.signature.constants:
         if reps[s.constants[cname]] != Const(cname):
             literals.append(Eq(Const(cname), reps[s.constants[cname]]))
@@ -275,6 +280,115 @@ def atomic_diagram(
     )
 
 
+def _reached(sig: Signature, size: int, indices: tuple[int, ...]) -> set[int]:
+    """Elements that a constant names or a function takes as a value, read
+    off the labelled structure's index tuple."""
+    first = len(sig.predicates)
+    reached = set(indices[first + len(sig.functions):])
+    for code, (_, arity) in zip(indices[first:], sig.functions):
+        for _ in range(size**arity):
+            code, v = divmod(code, size)
+            reached.add(v)
+    return reached
+
+
+@functools.lru_cache(maxsize=256)
+def _tuples_through(i: int, arity: int) -> tuple[tuple[int, ...], ...]:
+    """Argument tuples over {0..i} that contain i, in lexicographic order."""
+    return tuple(t for t in itertools.product(range(i + 1), repeat=arity) if i in t)
+
+
+def _reach_key(s: Interpretation, generators: Sequence[int]):
+    """Complete invariant of ``s`` with marked generators, or None when the
+    marks (constants and generators) do not reach all of ``s``.
+
+    Elements are numbered in order of first reach: the constants in
+    signature order, then the generators, then, element by element in
+    that numbering, the values of each function at the argument tuples
+    over the numbered elements that contain the element.  The key is the
+    size, the numbers of the marks, the function values in that visiting
+    order, and the predicates read through the numbering.  An isomorphism
+    that keeps the marks carries the numbering along, and the key rebuilds
+    the structure on the numbers, so two marked structures that each
+    generate their universe get the same key iff they are isomorphic by a
+    map that keeps the marks.
+    """
+    sig = s.signature
+    marks = [s.constants[c] for c in sig.constants] + list(generators)
+    number: dict[int, int] = {}
+    order: list[int] = []
+    for x in marks:
+        if x not in number:
+            number[x] = len(order)
+            order.append(x)
+    functions = [(s.functions[name], arity) for name, arity in sig.functions]
+    values = []
+    i = 0
+    while i < len(order):
+        for table, arity in functions:
+            for args in _tuples_through(i, arity):
+                v = table[tuple(map(order.__getitem__, args))]
+                if v not in number:
+                    number[v] = len(order)
+                    order.append(v)
+                values.append(number[v])
+        i += 1
+    if len(order) < s.size:
+        return None
+    relations = tuple(
+        frozenset(tuple(number[x] for x in t) for t in s.predicates[name])
+        for name, _ in sig.predicates
+    )
+    return s.size, tuple(number[x] for x in marks), tuple(values), relations
+
+
+@functools.lru_cache(maxsize=1024)
+def _tuples_covering(size: int, bound: int, sources: frozenset) -> tuple:
+    """The ``bound``-tuples over {0..size-1} that contain every source, in
+    product order."""
+    return tuple(
+        t for t in itertools.product(range(size), repeat=bound) if sources.issubset(t)
+    )
+
+
+@functools.cache
+def _generated_classes(sig: Signature, bound: int, size: int) -> tuple:
+    """Every model of ``size`` elements generated by ``bound`` marked
+    elements, up to marked isomorphism: (structure indices, generator
+    tuples) pairs, in order of first labelled occurrence.
+
+    A marked class first occurs at the first labelled member of its
+    structure's isomorphism class, which carries every marked class of
+    that structure; so a structure whose first generating tuple is a class
+    seen before adds nothing.  An element that no constant names and no
+    function takes as a value must be a generator: structures with more
+    than ``bound`` such sources are skipped, and so are tuples that miss
+    one.
+    """
+    classes = []
+    seen = set()
+    universe = frozenset(range(size))
+    for indices in _labelled_indices(sig, size):
+        sources = universe.difference(_reached(sig, size, indices))
+        if len(sources) > bound:
+            continue
+        s = _interpretation_from_indices(sig, size, indices)
+        kept = []
+        for generators in _tuples_covering(size, bound, sources):
+            key = _reach_key(s, generators)
+            if key is None:
+                continue
+            if key in seen:
+                if not kept:
+                    break
+                continue
+            seen.add(key)
+            kept.append(generators)
+        if kept:
+            classes.append((indices, tuple(kept)))
+    return tuple(classes)
+
+
 def enumerate_generated_models(
     sig: Signature,
     bound: int,
@@ -283,29 +397,24 @@ def enumerate_generated_models(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> Iterable[tuple[Structure, tuple[int, ...]]]:
     """All (structure, generators) generated by ``bound`` marked elements, up to
-    marked isomorphism, sizes up to ``size_cap``, optionally filtered."""
-    gen_names = _generator_constant_names(sig, bound)
-    marked_sig = Signature(sig.predicates, sig.functions, sig.constants + tuple(gen_names))
-    seen = set()
+    marked isomorphism, sizes up to ``size_cap``, optionally filtered.
+
+    Every size's labelled structures are checked against ``cap`` before
+    any is built.  The marked classes do not depend on the filter and are
+    built once per (signature, bound, size); each call builds fresh
+    structures from them and keeps those that pass ``satisfying``, which
+    must be isomorphism-invariant, as truth of a sentence is.
+    """
     for size in range(1, size_cap + 1):
-        for s in enumerate_structures(sig, size, cap=cap):
-            if satisfying is not None and not satisfying(s):
-                continue
-            for generators in itertools.product(range(size), repeat=bound):
-                if len(generated_carrier(s, generators)) != size:
-                    continue
-                marked = Structure(
-                    marked_sig,
-                    size,
-                    s.predicates,
-                    s.functions,
-                    dict(s.constants) | dict(zip(gen_names, generators)),
-                )
-                key = canonical_key(marked)
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield s, generators
+        count = labelled_structure_count(sig, size)
+        if count > cap:
+            raise CapExceededError(count, cap)
+    for size in range(1, size_cap + 1):
+        for indices, tuples in _generated_classes(sig, bound, size):
+            s = _structure_from_indices(sig, size, indices)
+            if satisfying is None or satisfying(s):
+                for generators in tuples:
+                    yield s, generators
 
 
 def theta_bounded_to_existential_functional(
@@ -320,24 +429,21 @@ def theta_bounded_to_existential_functional(
     Enumerates, up to isomorphism, the models generated by ``bound``
     marked elements with at most ``size_cap`` elements that satisfy
     ``phi``; each contributes the conjunction of its atomic diagram, with
-    generator markers replaced by the prefixed variables.
+    the prefixed variables as the generator markers.
     """
     _require_fo_sentence(phi)
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if size_cap < bound:
         raise ValueError("size cap must be at least the generator bound")
-    gen_names = _generator_constant_names(sig, bound)
     variables = fresh_variables(phi, bound)
-    disjuncts = []
-    for s, generators in enumerate_generated_models(
-        sig, bound, size_cap, satisfying=lambda t: evaluate_fo(t, phi), cap=cap
-    ):
-        diagram = atomic_diagram(s, generators, gen_names)
-        body = make_and(diagram.literals)
-        for gname, v in zip(gen_names, variables):
-            body = substitute_constant(body, gname, Var(v))
-        disjuncts.append(body)
+    markers = [Var(v) for v in variables]
+    disjuncts = [
+        make_and(_marked_diagram(s, generators, markers).literals)
+        for s, generators in enumerate_generated_models(
+            sig, bound, size_cap, satisfying=lambda t: evaluate_fo(t, phi), cap=cap
+        )
+    ]
     sentence = make_or(disjuncts)
     for v in reversed(variables):
         sentence = Exists(v, sentence)

@@ -427,12 +427,16 @@ REFUSALS = [
       "--formula2", "exists y. R(y,y)", "--cap", "10"],
      3, "enumeration of 16 iso candidates exceeds the cap of 10"),
     (["enumerate", "--signature", "{k2}", "-n", "9"], 3, "labelled structures exceeds the cap"),
+    # every size up to nu is checked before any is built: 8**8 at nu = 8
+    (["translate", "--to", "existential", "--lambda", "1", "--nu", "8",
+      "--signature", "{z4}", "--formula", "exists x. F(x) != x"],
+     3, "enumeration of 16777216 labelled structures exceeds the cap of 5000000"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, message", REFUSALS, ids=[a[0] for a, _, _ in REFUSALS])
-def test_refusals_leave_stdout_empty(k2, capsys, argv, code, message):
-    got, text = run([arg.replace("{k2}", k2) for arg in argv])
+def test_refusals_leave_stdout_empty(k2, z4, capsys, argv, code, message):
+    got, text = run([arg.replace("{k2}", k2).replace("{z4}", z4) for arg in argv])
     assert (got, text) == (code, "")
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err

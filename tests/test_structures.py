@@ -385,6 +385,45 @@ def test_iso_cap_counts_candidates_before_the_work(monkeypatch):
         next(enumerate_structures(BINARY, 2, up_to_iso=True, cap=10))
 
 
+def test_generic_iso_memo_fills_only_when_a_stream_ends(monkeypatch):
+    structures._GENERIC_ISO.clear()
+    stream = enumerate_structures(UNAR, 4, up_to_iso=True)
+    first = next(stream)
+    stream.close()
+    assert (UNAR, 4) not in structures._GENERIC_ISO
+    keys = [s.key() for s in enumerate_structures(UNAR, 4, up_to_iso=True)]
+    assert keys[0] == first.key()
+    assert len(structures._GENERIC_ISO[(UNAR, 4)]) == len(keys) == 19
+
+    def unexpected(s):
+        raise AssertionError("the memoised size was canonicalised again")
+
+    monkeypatch.setattr(structures, "canonical_key", unexpected)
+    assert [s.key() for s in enumerate_structures(UNAR, 4, up_to_iso=True)] == keys
+
+
+def test_generic_iso_cap_refuses_before_the_work(monkeypatch):
+    # 5**5 labelled unars on five points
+    sizes = []
+    key = structures.canonical_key
+
+    def recording(s):
+        sizes.append(s.size)
+        return key(s)
+
+    monkeypatch.setattr(structures, "canonical_key", recording)
+    structures._GENERIC_ISO.clear()
+    for memoised in (False, True):
+        with pytest.raises(CapExceededError, match="3125 labelled structures") as exc:
+            next(enumerate_structures(UNAR, 5, up_to_iso=True, cap=3000))
+        assert (exc.value.count, exc.value.cap) == (3125, 3000)
+        assert sizes == []
+        if not memoised:
+            assert sum(1 for _ in enumerate_structures(UNAR, 5, up_to_iso=True)) == 47
+            assert (UNAR, 5) in structures._GENERIC_ISO
+            sizes.clear()
+
+
 def test_enumerate_structures_mixed_signature():
     sig = Signature(predicates=(("P", 1),), functions=(("F", 1),), constants=("c",))
     structures = list(enumerate_structures(sig, 2))

@@ -1,11 +1,14 @@
+import itertools
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_logic import formulas
+from test_structures import KERNEL_SIGNATURES, random_structures, relabel
 
-from subsat.corpus import CORPUS
+from subsat import theta
+from subsat.corpus import CORPUS, UNAR_CONST
 from subsat.logic import (
     FALSE,
     TRUE,
@@ -25,6 +28,7 @@ from subsat.structures import (
     CapExceededError,
     Signature,
     Structure,
+    canonical_key,
     enumerate_structures,
     enumerate_submodels,
     generated_carrier,
@@ -33,6 +37,7 @@ from subsat.structures import (
 from subsat.theta import (
     ThetaReport,
     atomic_diagram,
+    enumerate_generated_models,
     modal_laws_check,
     theta_bounded_semantic,
     theta_bounded_to_existential_functional,
@@ -325,6 +330,122 @@ def test_functional_translation_soundness_and_conditional_completeness():
                 )
                 if small:
                     assert translated == semantic
+
+
+def test_functional_translation_refuses_before_building_any_size():
+    # sizes 1..7 of one unary function fit the cap; 8**8 does not
+    theta._generated_classes.cache_clear()
+    with pytest.raises(CapExceededError) as exc:
+        theta_bounded_to_existential_functional(MOVED, UNAR, 1, 8)
+    assert (exc.value.count, exc.value.cap) == (16_777_216, 5_000_000)
+    assert theta._generated_classes.cache_info().currsize == 0
+
+
+def reference_generated_models(sig, bound, size_cap, satisfying=None):
+    """Every labelled structure times every generator tuple, generation by
+    closure and marked classes by the canonical key of the marked
+    structure, first occurrences kept."""
+    gen_names = [f"g{i}" for i in range(bound)]
+    marked_sig = Signature(sig.predicates, sig.functions, sig.constants + tuple(gen_names))
+    seen = set()
+    for size in range(1, size_cap + 1):
+        for s in enumerate_structures(sig, size):
+            if satisfying is not None and not satisfying(s):
+                continue
+            for generators in itertools.product(range(size), repeat=bound):
+                if len(generated_carrier(s, generators)) != size:
+                    continue
+                marked = Structure(
+                    marked_sig,
+                    size,
+                    s.predicates,
+                    s.functions,
+                    dict(s.constants) | dict(zip(gen_names, generators)),
+                )
+                key = canonical_key(marked)
+                if key not in seen:
+                    seen.add(key)
+                    yield s, generators
+
+
+P_F = Signature(predicates=(("P", 1),), functions=(("F", 1),))
+G = Signature(functions=(("G", 2),))
+F_CD = Signature(functions=(("F", 1),), constants=("c", "d"))
+R_F = Signature(predicates=(("R", 2),), functions=(("F", 1),))
+GENERATED_MODEL_CASES = {
+    "unar-l1": (UNAR, 1, 4, "exists x. F(x) != x"),
+    "unar-l2": (UNAR, 2, 4, "exists x. F(F(x)) = x"),
+    "unar_const-l1": (UNAR_CONST, 1, 4, "F(c) = c"),
+    "unar_const-l2": (UNAR_CONST, 2, 4, "exists x. F(x) = c & x != c"),
+    "P-F-l2": (P_F, 2, 3, "exists x. P(x) & !P(F(x))"),
+    "G-l1": (G, 1, 3, "forall x. G(x,x) = x"),
+    "F-c-d-l2": (F_CD, 2, 3, "c != d"),
+    "R-F-l1": (R_F, 1, 3, "forall x. R(x,F(x))"),
+}
+
+
+@pytest.mark.parametrize("case", list(GENERATED_MODEL_CASES))
+def test_generated_models_match_the_reference(case):
+    sig, bound, size_cap, text = GENERATED_MODEL_CASES[case]
+    phi = parse_formula(text, sig)
+    counts = []
+    for satisfying in (None, lambda s: evaluate_fo(s, phi)):
+        got = [(s.key(), g) for s, g in enumerate_generated_models(sig, bound, size_cap, satisfying)]
+        want = [
+            (s.key(), g)
+            for s, g in reference_generated_models(sig, bound, size_cap, satisfying)
+        ]
+        assert got == want
+        counts.append(len(got))
+    assert counts[0] > counts[1] > 0
+
+
+@pytest.mark.parametrize("label", list(KERNEL_SIGNATURES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_reach_key_is_invariant_under_relabelling(label, data):
+    s = data.draw(random_structures(KERNEL_SIGNATURES[label], data.draw(st.integers(1, 4))))
+    generators = data.draw(st.lists(st.integers(0, s.size - 1), min_size=1, max_size=2))
+    perm = data.draw(st.permutations(range(s.size)))
+    key = theta._reach_key(s, generators)
+    assert theta._reach_key(relabel(s, perm), [perm[g] for g in generators]) == key
+    assert (key is None) == (len(generated_carrier(s, generators)) < s.size)
+
+
+@pytest.mark.parametrize(
+    "sig,n,bound",
+    [(UNAR_CONST, 3, 2), (KERNEL_SIGNATURES["mixed"], 3, 1), (G, 2, 2),
+     (Signature(predicates=(("P", 1), ("R", 2)), constants=("c",)), 2, 1)],
+)
+def test_reach_keys_part_marked_structures_as_canonical_keys_do(sig, n, bound):
+    gen_names = tuple(f"g{i}" for i in range(bound))
+    marked_sig = Signature(sig.predicates, sig.functions, sig.constants + gen_names)
+    pairs = set()
+    for s in enumerate_structures(sig, n):
+        for generators in itertools.product(range(n), repeat=bound):
+            key = theta._reach_key(s, generators)
+            if key is None:
+                assert len(generated_carrier(s, generators)) < n
+                continue
+            marked = Structure(
+                marked_sig, n, s.predicates, s.functions,
+                dict(s.constants) | dict(zip(gen_names, generators)),
+            )
+            pairs.add((key, canonical_key(marked)))
+    reach_keys, canonical_keys = zip(*pairs)
+    assert len(set(reach_keys)) == len(set(canonical_keys)) == len(pairs)
+
+
+def test_mutating_a_generated_model_leaves_later_translations_alone():
+    def rendered():
+        return render_formula(theta_bounded_to_existential_functional(MOVED, UNAR, 2, 3).sentence)
+
+    before = rendered()
+    for s, _ in enumerate_generated_models(UNAR, 2, 3):
+        table = s.functions["F"]
+        for args in table:
+            table[args] = 0
+    assert rendered() == before
 
 
 # --- modal laws ---------------------------------------------------------------
