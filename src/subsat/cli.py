@@ -10,7 +10,6 @@ codes 2 and 3 leave stdout empty.
 from __future__ import annotations
 
 import argparse
-import os
 import shlex
 import sys
 from dataclasses import dataclass
@@ -286,7 +285,6 @@ def _probe_config(args, sig: Signature) -> ProbeConfig:
         nu=args.nu,
         mode=args.mode,
         cap=args.cap,
-        workers=args.workers,
     )
 
 
@@ -307,6 +305,8 @@ def _cmd_probe(args, out) -> int:
 
 def _run_probe(args):
     """The probe's verdict or demo report and its exit code."""
+    if args.workers != 1:
+        raise _InputError("--workers must be 1: probes run in one process")
     sig = _signature_from_args(args)
 
     if args.check == "constants":
@@ -463,7 +463,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--nu", type=int, default=None)
     p_probe.add_argument("--mode", choices=["submodel", "fragment"], default="submodel")
     p_probe.add_argument("--cap", type=int, default=5_000_000)
-    p_probe.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p_probe.add_argument("--workers", type=int, default=1,
+                         help="only 1: probes run in one process (kept in the manifest)")
     p_probe.add_argument("--k", type=int, help="constant count for the constants demo")
     p_probe.add_argument("--psi", help="sentence for the constants demo")
     add_common(p_probe)

@@ -4,11 +4,8 @@ Verdicts carry re-checkable counterexamples, never summaries.  All sweeps
 run in deterministic enumeration order so reports are reproducible
 byte-for-byte.  They stream the iso classes from ``enumerate_structures``
 (memoised representatives, built by one-point extension for
-predicate-only signatures up to ``_EXTENSION_MAX_SIZE`` points); only
-the ``workers > 1`` pool takes each size as a list, which it may
-partition because results are merged in submission order.  Each sweep
-classifies and compiles its sentences once (each worker process does so
-at start).
+predicate-only signatures), in one process.  Each sweep classifies and
+compiles its sentences once.
 
 Witness-bound searches over one-predicate signatures use a vectorized
 mask sieve (no structure materialization), which is what makes size-5
@@ -54,7 +51,6 @@ from .structures import (
     induced_substructure,
     labelled_structure_count,
     render_structures,
-    _EXTENSION_MAX_SIZE,
     _MASK_MAX_BITS,
     _canonical_masks,
     _interpretation_from_indices,
@@ -82,7 +78,6 @@ class ProbeConfig:
     nu: Optional[int] = None
     mode: str = "submodel"
     cap: int = DEFAULT_ENUMERATION_CAP
-    workers: int = 1
 
     def __post_init__(self):
         if self.lambda_max is None:
@@ -137,10 +132,6 @@ def sentence_checker(item: SentenceLike) -> Callable[[Structure], bool]:
     return lambda s: evaluate_fo(s, item)
 
 
-def evaluate_sentence_like(item: SentenceLike, s: Structure) -> bool:
-    return sentence_checker(item)(s)
-
-
 def _is_formula(item) -> bool:
     return hasattr(item, "__dataclass_fields__") and not isinstance(
         item, (ThetaOf, BoundedThetaOf)
@@ -155,35 +146,6 @@ def describe_sentence_like(item: SentenceLike) -> str:
     if callable(item) and not _is_formula(item):
         return getattr(item, "__name__", "<callable>")
     return render_formula(item)
-
-
-def _picklable(item: SentenceLike) -> bool:
-    return not (callable(item) and not _is_formula(item))
-
-
-# Each worker process classifies and compiles the pair once, at start-up:
-# compiled formulas are closures and do not pickle.
-_worker_checkers: tuple = ()
-
-
-def _start_pair_worker(left: SentenceLike, right: SentenceLike) -> None:
-    global _worker_checkers
-    _worker_checkers = (sentence_checker(left), sentence_checker(right))
-
-
-def _worker_pair_eval(s: Structure) -> tuple[bool, bool]:
-    left, right = _worker_checkers
-    return left(s), right(s)
-
-
-def _parallel_pair_eval(left, right, structures: list, workers: int) -> list:
-    import multiprocessing
-
-    with multiprocessing.Pool(
-        workers, initializer=_start_pair_worker, initargs=(left, right)
-    ) as pool:
-        chunk = max(1, len(structures) // (workers * 4))
-        return pool.map(_worker_pair_eval, structures, chunksize=chunk)
 
 
 # --- equivalence oracle ---------------------------------------------------------
@@ -208,18 +170,11 @@ def equivalence_oracle(
     structure predicates.
     """
     checked = 0
-    use_workers = cfg.workers > 1 and _picklable(left) and _picklable(right)
     left_check, right_check = sentence_checker(left), sentence_checker(right)
     for n in range(1, cfg.n_max + 1):
-        structures = enumerate_structures(cfg.signature, n, up_to_iso=True, cap=cfg.cap)
-        if use_workers:
-            structures = list(structures)  # the pool needs a list; serial sweeps stream
-        if use_workers and len(structures) >= 64:
-            pairs = zip(structures, _parallel_pair_eval(left, right, structures, cfg.workers))
-        else:
-            pairs = ((s, (left_check(s), right_check(s))) for s in structures)
-        for s, (lt, rt) in pairs:
+        for s in enumerate_structures(cfg.signature, n, up_to_iso=True, cap=cfg.cap):
             checked += 1
+            lt, rt = left_check(s), right_check(s)
             if lt != rt:
                 return EquivalenceVerdict(False, s, lt, rt, checked, cfg.n_max)
     return EquivalenceVerdict(True, None, None, None, checked, cfg.n_max)
@@ -291,20 +246,16 @@ def _sieve_applicable(sig: Signature, n: int) -> bool:
 def _mask_truth_table(phi: Formula, sig: Signature, k: int):
     """Truth of ``phi`` on every labelled size-k structure, indexed by mask.
 
-    Evaluates one representative per isomorphism class (the least masks,
-    memoised up to ``_EXTENSION_MAX_SIZE`` and taken from the canonical
-    masks beyond it) and spreads the value over the class by looking up
-    each mask's canonical mask among them.
+    Evaluates one representative per isomorphism class (the memoised
+    least masks) and spreads the value over the class by looking up each
+    mask's canonical mask among them.
     """
     import numpy as np
 
     compiled = compile_formula(phi)
     domain = range(k)
     canon = _canonical_masks(sig, k)
-    if k > _EXTENSION_MAX_SIZE:
-        reps = np.unique(canon).tolist()
-    else:
-        reps = _predicate_only_iso_masks(sig, k)
+    reps = _predicate_only_iso_masks(sig, k)
     rep_truth = np.fromiter(
         (
             compiled.holds(_interpretation_from_indices(sig, k, (mask,)), domain)
@@ -403,36 +354,6 @@ def _first_submodel_counterexample(
     return None, scanned
 
 
-def _renamed_fragment_key(frag):
-    order = {e: i for i, e in enumerate(sorted(frag.carrier))}
-    from .structures import ESCAPES
-
-    def enc(v):
-        return -1 if v is ESCAPES else order[v]
-
-    sig = frag.signature
-    return (
-        len(frag.carrier),
-        tuple(
-            tuple(sorted(tuple(order[x] for x in t) for t in frag.predicates[name]))
-            for name, _ in sig.predicates
-        ),
-        tuple(
-            tuple(
-                sorted(
-                    (tuple(order[x] for x in t), enc(v))
-                    for t, v in frag.functions[name].items()
-                )
-            )
-            for name, _ in sig.functions
-        ),
-        tuple(
-            (-1 if frag.constants[name] is ESCAPES else order[frag.constants[name]])
-            for name in sig.constants
-        ),
-    )
-
-
 def witness_bound_search(phi: Formula, cfg: ProbeConfig) -> ProbeVerdict:
     """Smallest witness size that certifies the submodel check, or counterexamples.
 
@@ -489,7 +410,8 @@ def _witness_bound_fragment(phi: Formula, cfg: ProbeConfig) -> ProbeVerdict:
     certified: dict = {}
 
     def fragment_certifies(frag) -> bool:
-        key = _renamed_fragment_key(frag)
+        # the carrier's size in place of the carrier: equal keys, isomorphic fragments
+        key = (len(frag.carrier),) + frag.key()[1:]
         if key not in certified:
             ok = True
             for s, truth in zip(all_structures, theta_truth):

@@ -252,22 +252,29 @@ class Fragment:
         return any(v is ESCAPES for v in self.constants.values())
 
     def key(self):
+        """The sorted carrier, then every table with each element written as
+        its rank in the carrier (``ESCAPES`` as -1).  Two fragments whose
+        keys agree after the carrier are isomorphic by the order-preserving
+        map between their carriers."""
         sig = self.signature
+        carrier = tuple(sorted(self.carrier))
+        rank = {x: r for r, x in enumerate(carrier)}
+        rank[ESCAPES] = -1
 
-        def enc(v):
-            return -1 if v is ESCAPES else v
+        def ranks(t):
+            return tuple(rank[x] for x in t)
 
         return (
-            tuple(sorted(self.carrier)),
+            carrier,
             tuple(
-                tuple(sorted(self.predicates.get(n, frozenset())))
+                tuple(sorted(map(ranks, self.predicates.get(n, frozenset()))))
                 for n, _ in sig.predicates
             ),
             tuple(
-                tuple(sorted((k, enc(v)) for k, v in self.functions.get(n, {}).items()))
+                tuple(sorted((ranks(k), rank[v]) for k, v in self.functions.get(n, {}).items()))
                 for n, _ in sig.functions
             ),
-            tuple(enc(self.constants.get(n)) for n in sig.constants),
+            tuple(rank.get(self.constants.get(n)) for n in sig.constants),
         )
 
     def __eq__(self, other):
@@ -732,32 +739,45 @@ def _remap_bits(columns, tables):
     return out
 
 
-# Up to this size the one-point extension builds the iso classes, and the
-# byte tables of all n! <= 720 relabellings are kept; beyond it they are
-# built one at a time and every labelled mask is canonicalised.
-_EXTENSION_MAX_SIZE = 6
-
-
-def _relabelling_tables(arities: tuple[int, ...], n: int):
-    """``_bit_tables`` of every relabelling of the universe but the identity."""
-    if n <= _EXTENSION_MAX_SIZE:
-        return _kept_relabelling_tables(arities, n)
-    return _each_relabelling_table(arities, n)
-
-
 @functools.lru_cache(maxsize=16)
-def _kept_relabelling_tables(arities: tuple[int, ...], n: int) -> tuple:
-    return tuple(_each_relabelling_table(arities, n))
+def _relabelling_tables(arities: tuple[int, ...], n: int) -> tuple:
+    """``_bit_tables`` of every relabelling of the universe but the identity.
 
-
-def _each_relabelling_table(arities: tuple[int, ...], n: int):
+    Only signatures with a binary or wider symbol use them, and within
+    ``_MASK_MAX_BITS`` tuple bits those have at most five points, so there
+    are at most 119 tables.
+    """
     _, offsets, bits = _bit_layout(arities, n)
+    out = []
     for perm in itertools.islice(itertools.permutations(range(n)), 1, None):
         dest = [0] * bits
         for arity, offset in zip(arities, offsets):
             for dst, src in enumerate(_relabel_table(n, arity, perm)):
                 dest[offset + src] = offset + dst
-        yield _bit_tables(dest)
+        out.append(_bit_tables(dest))
+    return tuple(out)
+
+
+def _type_sorted(masks, k: int, n: int):
+    """Least relabelling of each mask of ``k`` unary predicates on ``n`` points.
+
+    A unary structure is fixed up to isomorphism by how many elements have
+    each type, the set of predicates they satisfy.  Listing the types in
+    descending order, members of earlier predicates first, puts each
+    predicate's members on the lowest points its higher spans leave free,
+    which is the least mask of the class.
+    """
+    import numpy as np
+
+    points = np.arange(n)
+    types = np.zeros((len(masks), n), dtype=np.int32)
+    for j in range(k):  # the span of predicate k - 1 - j starts at bit j * n
+        types |= (masks[:, None] >> (j * n + points) & 1) << j
+    types = -np.sort(-types, axis=1)
+    out = np.zeros(len(masks), dtype=np.int32)
+    for j in range(k):
+        out |= ((types >> j & 1) << (j * n + points)).sum(axis=1, dtype=np.int32)
+    return out
 
 
 # Masks canonicalised at a time: keeps the byte columns in cache.
@@ -769,15 +789,20 @@ def _canonicalise(sig: Signature, n: int, masks):
 
     Two masks share a canonical mask iff their structures are isomorphic,
     and the canonical mask is the least, hence first labelled, member of
-    the class.  Returns a new int32 array.
+    the class.  All-unary signatures sort their element types; all others
+    apply every relabelling's byte tables.  Returns a new int32 array.
     """
     import numpy as np
 
     arities = _arities(sig)
     bits = _bit_layout(arities, n)[2]
+    unary = set(arities) == {1}
     canon = np.array(masks, dtype=np.int32)
     for start in range(0, len(canon), _CANON_CHUNK):
         best = canon[start:start + _CANON_CHUNK]
+        if unary:
+            best[:] = _type_sorted(best, len(arities), n)
+            continue
         columns = _byte_columns(best, bits)
         for tables in _relabelling_tables(arities, n):
             np.minimum(best, _remap_bits(columns, tables), out=best)
@@ -810,17 +835,13 @@ def _fresh_bits(arities: tuple[int, ...], n: int) -> list[int]:
 def _iso_level(sig: Signature, n: int) -> tuple[int, ...]:
     """Least mask of every isomorphism class at size ``n``, ascending.
 
-    Up to ``_EXTENSION_MAX_SIZE`` by one-point extension (McKay's vertex
-    extension, with uniqueness from the canonical mask): every class has a
-    member whose restriction to {0..n-2} is a representative at size n - 1,
-    so the candidates are those representatives, embedded, with every
-    subset of the fresh bits.  Beyond it, where the n! relabellings are
-    too many to apply to each level, every labelled mask is canonicalised.
+    By one-point extension (McKay's vertex extension, with uniqueness from
+    the canonical mask): every class has a member whose restriction to
+    {0..n-2} is a representative at size n - 1, so the candidates are those
+    representatives, embedded, with every subset of the fresh bits.
     """
     import numpy as np
 
-    if n > _EXTENSION_MAX_SIZE:
-        return tuple(np.unique(_canonical_masks(sig, n)).tolist())
     arities = _arities(sig)
     prev = _iso_level(sig, n - 1) if n > 1 else (0,)
     _, old_offsets, old_bits = _bit_layout(arities, n - 1)
@@ -844,16 +865,10 @@ def _predicate_only_iso_masks(
 
     Representatives are the first labelled structure of each class, in
     ascending mask order (identical to the generic path), memoised per
-    size.  Up to ``_EXTENSION_MAX_SIZE`` they are built size by size, and
-    each size's candidate count is checked against ``cap`` before that
-    size is computed; beyond it ``cap`` bounds the labelled masks.
+    size.  They are built size by size, and each size's candidate count is
+    checked against ``cap`` before that size is computed.
     """
     arities = _arities(sig)
-    if n > _EXTENSION_MAX_SIZE:
-        count = 2 ** _bit_layout(arities, n)[2]
-        if count > cap:
-            raise CapExceededError(count, cap)
-        return _iso_level(sig, n)
     reps: tuple[int, ...] = (0,)
     for k in range(1, n + 1):
         count = len(reps) << len(_fresh_bits(arities, k))
@@ -875,11 +890,11 @@ def enumerate_structures(
     encoding; with ``up_to_iso`` each class is represented by its first
     labelled member.  Refuses with :class:`CapExceededError` before doing
     the work, memoised or not: predicate-only signatures of at most
-    ``_MASK_MAX_BITS`` tuple bits and ``_EXTENSION_MAX_SIZE`` points are
-    enumerated up to isomorphism by one-point extension, and there ``cap``
-    bounds the candidates canonicalised at each size; everywhere else it
-    bounds the labelled structures, and other signatures are enumerated up
-    to isomorphism by canonicalising each labelled structure.  On both
+    ``_MASK_MAX_BITS`` tuple bits are enumerated up to isomorphism by
+    one-point extension, and there ``cap`` bounds the candidates
+    canonicalised at each size; everywhere else it bounds the labelled
+    structures, and other signatures are enumerated up to isomorphism by
+    canonicalising each labelled structure.  On both
     paths the representatives are memoised per signature and size, and
     each call builds fresh structures from them.
     """

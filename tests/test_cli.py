@@ -426,6 +426,8 @@ REFUSALS = [
     (["probe", "--check", "equivalence", "--formula", "exists x. R(x,x)",
       "--formula2", "exists y. R(y,y)", "--cap", "10"],
      3, "enumeration of 16 iso candidates exceeds the cap of 10"),
+    (["probe", "--check", "wellfounded", "--n-max", "2", "--workers", "2"],
+     2, "--workers must be 1"),
     (["enumerate", "--signature", "{k2}", "-n", "9"], 3, "labelled structures exceeds the cap"),
     # every size up to nu is checked before any is built: 8**8 at nu = 8
     (["translate", "--to", "existential", "--lambda", "1", "--nu", "8",
@@ -443,17 +445,16 @@ def test_refusals_leave_stdout_empty(k2, z4, capsys, argv, code, message):
 
 
 # Up to isomorphism, over predicate-only signatures, the cap counts the
-# candidates canonicalised at each size; labelled enumeration counts
-# labelled structures.
-# Past six points the candidates are not counted: each size's n!
-# relabellings would be applied to them, so the cap counts labelled masks.
+# candidates canonicalised at each size, whatever the size; labelled
+# enumeration counts labelled structures.
 ENUMERATION_CAPS = {
     "labelled": ("R 2", ["-n", "5"],
                  "enumeration of 33554432 labelled structures exceeds the cap"),
     "iso": ("R 2", ["-n", "5", "--up-to-iso", "--cap", "1000000"],
             "enumeration of 1558528 iso candidates exceeds the cap of 1000000"),
-    "iso-unary": ("P 1", ["-n", "23", "--up-to-iso"],
-                  "enumeration of 8388608 labelled structures exceeds the cap of 5000000"),
+    # the 6 five-point classes with the sixth point in P or not
+    "iso-unary": ("P 1", ["-n", "23", "--up-to-iso", "--cap", "10"],
+                  "enumeration of 12 iso candidates exceeds the cap of 10"),
 }
 
 
@@ -467,3 +468,19 @@ def test_enumeration_cap_says_what_it_counts(tmp_path, capsys, case):
     assert run(["enumerate", "--signature", str(path), *argv]) == (3, "")
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_enumerate_unary_classes_on_23_points(tmp_path):
+    # one class per count of points in P
+    path = tmp_path / "sig.st"
+    path.write_text("signature\npredicate P 1\nend\nstructure a\nuniverse 1\nend\n")
+    code, text = run(["enumerate", "--signature", str(path), "-n", "23", "--up-to-iso"])
+    assert code == 0
+    assert "# 24 structures" in text
+
+
+def test_default_probe_manifest_does_not_depend_on_the_machine(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 64)
+    code, text = run(["probe", "--check", "wellfounded", "--n-max", "2"])
+    assert code == 0
+    assert "workers=1" in text.splitlines()[0].split()

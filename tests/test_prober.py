@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from subsat import prober
@@ -9,10 +11,10 @@ from subsat.prober import (
     ThetaOf,
     constant_blindness_demo,
     equivalence_oracle,
-    evaluate_sentence_like,
     has_directed_cycle,
     preservation_under_extensions,
     render_probe_report,
+    sentence_checker,
     wellfoundedness_demo,
     witness_bound_search,
     _generic_first_counterexample,
@@ -23,6 +25,7 @@ from subsat.structures import (
     find_isomorphism,
     induced_substructure,
     enumerate_submodels,
+    labelled_structure_count,
 )
 from subsat.theta import theta_bounded_semantic, theta_semantic, theta_to_eso
 
@@ -80,36 +83,6 @@ def test_equivalence_counterexample_reverifies():
     assert not verdict.equal
     s = verdict.counterexample
     assert theta_semantic(s, FORALL_EXISTS).truth != evaluate_fo(s, FORALL_EXISTS)
-
-
-# Every point has an edge to another one: its submodel check asks for a cycle
-# through two or more points, which first differs from it on three points.
-OUT_NEIGHBOUR = parse_formula("forall x. exists y. (R(x,y) & x != y)", BINARY)
-
-
-def test_equivalence_with_workers_matches_serial(monkeypatch):
-    pools = []
-    parallel = prober._parallel_pair_eval
-    monkeypatch.setattr(
-        prober, "_parallel_pair_eval", lambda *args: pools.append(args) or parallel(*args)
-    )
-    cfg1 = ProbeConfig(BINARY, n_max=3, workers=1)
-    cfg2 = ProbeConfig(BINARY, n_max=3, workers=2)
-    for left, right, equal in [
-        (ThetaOf(EXISTS_FORALL), LOOP, True),
-        (ThetaOf(OUT_NEIGHBOUR), OUT_NEIGHBOUR, False),
-    ]:
-        pools.clear()
-        a = equivalence_oracle(left, right, cfg1)
-        assert not pools
-        b = equivalence_oracle(left, right, cfg2)
-        # only the 104 three-point classes are enough to start a pool
-        assert [len(args[2]) for args in pools] == [104]
-        assert a.equal == b.equal == equal and a.checked == b.checked
-        assert a.counterexample == b.counterexample
-        assert (a.left_truth, a.right_truth) == (b.left_truth, b.right_truth)
-        if not equal:
-            assert a.counterexample.size == 3
 
 
 # --- preservation under extensions ----------------------------------------------
@@ -171,6 +144,22 @@ def test_witness_bound_fragment_mode_unar():
     assert verdict.bound == 1
 
 
+# SHA-256 of the fragment-mode reports of every corpus sentence, as the
+# fragment memo keyed on its own renamed copy of each fragment gave them.
+FRAGMENT_REPORTS_DIGEST = "8ba06cc7e57accdaf170690b1ae8eafc162c430b3f401a63eb112d745bceac9e"
+
+
+def test_fragment_mode_reports_pin():
+    text = "".join(
+        render_probe_report(witness_bound_search(
+            entry.formula,
+            ProbeConfig(entry.signature, n_max=3, lambda_max=2, mode="fragment"),
+        ))
+        for entry in CORPUS
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == FRAGMENT_REPORTS_DIGEST
+
+
 def test_witness_bound_fragment_equals_submodel_for_predicate_only():
     for phi in [EXISTS_FORALL, LOOP]:
         sub = witness_bound_search(phi, ProbeConfig(BINARY, n_max=3, lambda_max=2))
@@ -194,6 +183,17 @@ def test_witness_bound_monotone_in_n_max():
 
 BINARY_CORPUS = {e.name: e.formula for e in CORPUS if e.signature_name == "binary"}
 
+UNARY = Signature(predicates=(("P", 1),))
+UNARY_SENTENCES = {
+    "some_p": "exists x. P(x)",
+    "all_p": "forall x. P(x)",
+    "p_and_not_p": "exists x. exists y. (P(x) & !P(y))",
+    "three_p": "exists x. exists y. exists z. (x != y & x != z & y != z & P(x) & P(y) & P(z))",
+    # at most one point outside P, two in it: the first model lies past mask 0
+    "nearly_all_p": "(forall x. forall y. ((!P(x) & !P(y)) -> x = y)) & "
+                    "(exists x. exists y. (x != y & P(x) & P(y)))",
+}
+
 # At n = 4 the generic path takes 0.5-2 s per sentence when it has to scan
 # all 65536 labelled structures, so n = 4 runs the sentence whose
 # counterexamples (directed cycles) land in later chunks, plus three
@@ -212,21 +212,31 @@ SIEVE_CASES = [
     ("one_point_world", 4, 1),
     ("edgeless", 4, 1),
     ("proper_edge", 4, 2),
+] + [
+    # one unary predicate on 7-9 points: the labelled masks are few, and
+    # the subsets' truth tables come from the type-sorted canonical masks
+    (name, n, lam)
+    for name in UNARY_SENTENCES
+    for n in (7, 8, 9)
+    for lam in (1, 2, 3)
 ]
 
 
 def test_sieve_agrees_with_generic_path(monkeypatch):
-    formulas = {**BINARY_CORPUS, "no_loop": NO_LOOP}
+    formulas = {name: (BINARY, phi) for name, phi in BINARY_CORPUS.items()}
+    formulas["no_loop"] = (BINARY, NO_LOOP)
+    for name, text in UNARY_SENTENCES.items():
+        formulas[name] = (UNARY, parse_formula(text, UNARY))
     late_hits = []
     for name, n, lam in SIEVE_CASES:
-        phi = formulas[name]
-        total = 2 ** (n * n)
-        generic_hit, generic_scanned = _generic_first_counterexample(phi, BINARY, n, lam, 10**7)
+        sig, phi = formulas[name]
+        total = labelled_structure_count(sig, n)
+        generic_hit, generic_scanned = _generic_first_counterexample(phi, sig, n, lam, 10**7)
         if generic_hit is not None and generic_scanned > 1000:
             late_hits.append((name, n, lam))
         for chunk in (1 << 20, 1000):
             monkeypatch.setattr(prober, "_SIEVE_CHUNK", chunk)
-            sieve_hit, scanned = prober._sieve_first_counterexample(phi, BINARY, n, lam, {})
+            sieve_hit, scanned = prober._sieve_first_counterexample(phi, sig, n, lam, {})
             case = (name, n, lam, chunk)
             assert sieve_hit == generic_hit, case
             if generic_hit is None:
@@ -317,13 +327,13 @@ def test_constant_blindness_rejects_full_naming():
 # --- sentence-like dispatch -----------------------------------------------------------
 
 
-def test_evaluate_sentence_like_dispatch():
+def test_sentence_checker_dispatch():
     s = digraph(2, [(0, 0)])
-    assert evaluate_sentence_like(LOOP, s)
-    assert evaluate_sentence_like(ThetaOf(EXISTS_FORALL), s)
-    assert evaluate_sentence_like(BoundedThetaOf(EXISTS_FORALL, 1), s)
-    assert evaluate_sentence_like(lambda t: t.size == 2, s)
-    assert evaluate_sentence_like(theta_to_eso(LOOP, BINARY), s)
+    assert sentence_checker(LOOP)(s)
+    assert sentence_checker(ThetaOf(EXISTS_FORALL))(s)
+    assert sentence_checker(BoundedThetaOf(EXISTS_FORALL, 1))(s)
+    assert sentence_checker(lambda t: t.size == 2)(s)
+    assert sentence_checker(theta_to_eso(LOOP, BINARY))(s)
 
 
 # --- report rendering ---------------------------------------------------------------
@@ -353,14 +363,14 @@ def test_cross_module_soundness_pin():
     # the evaluated second-order translation and the semantic submodel check
     # are indistinguishable as pseudo-sentences, across the whole corpus
     for entry in CORPUS:
-        cfg = ProbeConfig(entry.signature, n_max=3, workers=1)
+        cfg = ProbeConfig(entry.signature, n_max=3)
         phi = entry.formula
         verdict = equivalence_oracle(theta_to_eso(phi, entry.signature), ThetaOf(phi), cfg)
         assert verdict.equal, entry.name
     for entry in CORPUS:
         if entry.signature_name not in ("binary", "unar"):
             continue
-        cfg = ProbeConfig(entry.signature, n_max=4, workers=1)
+        cfg = ProbeConfig(entry.signature, n_max=4)
         phi = entry.formula
         verdict = equivalence_oracle(theta_to_eso(phi, entry.signature), ThetaOf(phi), cfg)
         assert verdict.equal, entry.name

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -269,25 +270,46 @@ UNARY = Signature(predicates=(("P", 1),))
 TWO_UNARY = Signature(predicates=(("P", 1), ("Q", 1)))
 
 
-def test_beyond_the_extension_sizes_every_mask_is_canonicalised():
-    # n! relabellings are built one at a time past the extension's sizes:
-    # kept, the 5039 byte tables of one unary predicate at 7 points would
-    # take 5 MB
-    import tracemalloc
+def _least_relabelled_unary_masks(k, n):
+    """Least mask over all n! relabellings of every mask of ``k`` unary
+    predicates on ``n`` points, predicate i on bits (k-1-i)*n onwards."""
+    masks = np.arange(2 ** (k * n))
+    least = masks.copy()
+    for perm in itertools.permutations(range(n)):
+        moved = np.zeros_like(masks)
+        for span in range(k):
+            for x in range(n):
+                moved |= (masks >> (span * n + x) & 1) << (span * n + perm[x])
+        np.minimum(least, moved, out=least)
+    return least
 
-    n = structures._EXTENSION_MAX_SIZE + 1
-    structures._iso_level.cache_clear()
-    tracemalloc.start()
-    try:
-        reps = list(enumerate_structures(UNARY, n, up_to_iso=True))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2_000_000
-    assert reps == _generic_iso_representatives(UNARY, n)
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_unary_canonical_masks_are_least_over_all_relabellings(k):
+    sig = Signature(tuple((f"P{i}", 1) for i in range(k)))
+    for n in range(1, 6):
+        assert structures._canonical_masks(sig, n).tolist() == (
+            _least_relabelled_unary_masks(k, n).tolist()
+        ), n
+
+
+def test_unary_class_counts():
+    # a unary structure is its count of elements of each type: one unary
+    # predicate has n + 1 classes, two have C(n + 3, 3) (multisets of n
+    # from the four types)
+    for n in range(1, 26):
+        assert sum(1 for _ in enumerate_structures(UNARY, n, up_to_iso=True)) == n + 1
+    for n in range(1, 13):
+        assert sum(1 for _ in enumerate_structures(TWO_UNARY, n, up_to_iso=True)) == (
+            math.comb(n + 3, 3)
+        )
+
+
+def test_unary_classes_at_seven_points_match_generic_path():
+    reps = list(enumerate_structures(UNARY, 7, up_to_iso=True))
+    assert reps == _generic_iso_representatives(UNARY, 7)
     assert len(reps) == 8
-    # multisets of 7 from the 4 unary types
-    assert sum(1 for _ in enumerate_structures(TWO_UNARY, n, up_to_iso=True)) == 120
+    assert sum(1 for _ in enumerate_structures(TWO_UNARY, 7, up_to_iso=True)) == 120
 
 
 def test_unary_binary_extension_matches_generic_path():
