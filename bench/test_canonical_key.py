@@ -5,8 +5,7 @@ every structure of its case once; the per-call cost is the round time
 divided by ``extra_info["calls"]``.
 
 - ``binary_closure``: every induced substructure of the binary-relation
-  iso classes of size <= 3, the corpus that ``theta.modal_laws_check``
-  closes under submodels (small predicate structures);
+  iso classes of size <= 3 (small predicate structures);
 - ``unar_n5``: all 3125 labelled structures of one unary function on
   5 points (the generic enumeration path);
 - ``unar_const_n4``: all 1024 labelled structures of one unary function

@@ -1,0 +1,42 @@
+"""Cost of ``theta.modal_laws_check`` on the digraphs of up to 3 points.
+
+Run with ``python -m pytest bench --benchmark-only``.  The corpus is the
+116 digraphs on 1..3 points up to isomorphism, enumerated before timing,
+and the sentences are compiled by the warm-up round, so a round is the
+carrier tables and the laws read off them.
+
+- ``total_out_degree_some_point_stuck``: a sentence and its negation;
+- ``proper_edge_one_point_world``: law (iv) holds vacuously.
+
+``extra_info`` records the carriers a round evaluates and the median µs
+per carrier.
+"""
+
+import pytest
+
+from subsat import corpus, structures, theta
+
+FORMULAS = {e.name: e.formula for e in corpus.CORPUS}
+STRUCTURES = [
+    s for n in range(1, 4)
+    for s in structures.enumerate_structures(corpus.BINARY, n, up_to_iso=True)
+]
+
+CASES = {
+    "total_out_degree_some_point_stuck": ("total_out_degree", "some_point_stuck"),
+    "proper_edge_one_point_world": ("proper_edge", "one_point_world"),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_modal_laws_check(benchmark, case):
+    phi, psi = (FORMULAS[name] for name in CASES[case])
+
+    def check():
+        return theta.modal_laws_check(phi, psi, STRUCTURES)
+
+    report = benchmark.pedantic(check, rounds=5, iterations=1, warmup_rounds=1)
+    assert report.passed
+    carriers = sum(1 for s in STRUCTURES for _ in structures.enumerate_submodels(s))
+    benchmark.extra_info["carriers"] = carriers
+    benchmark.extra_info["us_per_carrier"] = 1e6 * benchmark.stats.stats.median / carriers

@@ -10,9 +10,14 @@ compiles its sentences once.
 Witness-bound searches over one-predicate signatures use a vectorized
 mask sieve (no structure materialization), which is what makes size-5
 sweeps feasible: each chunk of masks meets the small subsets one at a
-time, a mask is dropped as soon as one of them is a witness, and only
-the masks left at the end are evaluated, on the relation unpacked from
-the mask.  A subset's truth table evaluates the memoised iso-class
+time, and a mask is dropped as soon as one of them is a witness.  A
+subset size whose truth table is all true settles the search before any
+chunk is built, and one whose table is all false drops nothing and is
+skipped.  The counterexamples are closed under isomorphism, so the
+first one is the least mask of its class: the masks left at the end are
+canonicalised in slices, in mask order, and only those equal to their
+canonical mask are evaluated, on the relation unpacked from the mask.
+A subset's truth table evaluates the memoised iso-class
 representatives and finds each mask's class by searching its canonical
 mask among them.  The generic path, which the sieve is cross-checked
 against in the test suite, evaluates every labelled structure and its
@@ -51,8 +56,10 @@ from .structures import (
     induced_substructure,
     labelled_structure_count,
     render_structures,
+    _CANON_CHUNK,
     _MASK_MAX_BITS,
     _canonical_masks,
+    _canonicalise,
     _interpretation_from_indices,
     _labelled_interpretations,
     _predicate_only_iso_masks,
@@ -61,6 +68,9 @@ from .structures import (
 from .theta import theta_bounded_semantic, theta_semantic
 
 _SIEVE_CHUNK = 1 << 20
+# Survivors canonicalised in the first slice of a chunk; later slices
+# double, up to _CANON_CHUNK.
+_FIRST_SLICE = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -274,9 +284,16 @@ def _sieve_first_counterexample(
     size <= lam, by vectorized small-witness filtering; returns (hit, scanned).
 
     Masks are sieved a chunk at a time: each subset of size <= lam, sizes
-    ascending, drops the live masks it is a witness for, and the survivors
-    are evaluated in mask order, on their relation alone.  ``scanned`` is
-    the end of the chunk that holds the hit, or the whole space.
+    ascending, drops the live masks it is a witness for.  A size whose
+    truth table is all true settles the search (every structure has a
+    witness of that size) before any chunk is built, and one that is all
+    false drops nothing, so its subsets are left out.  The counterexamples
+    are a union of isomorphism classes, so the first one is the least
+    member of its class: of the survivors, only those equal to their
+    canonical mask are evaluated, in mask order, on their relation alone.
+    They are canonicalised in slices that double from ``_FIRST_SLICE``,
+    so a hit early among many survivors costs little.  ``scanned`` is the
+    end of the chunk that holds the hit, or the whole space.
     """
     import numpy as np
 
@@ -285,16 +302,20 @@ def _sieve_first_counterexample(
     domain = range(n)
     tuples = list(itertools.product(range(n), repeat=arity))
     rank = {t: r for r, t in enumerate(tuples)}
+    total = 2 ** (n**arity)
     subset_specs = []
     for k in range(1, min(lam, n) + 1):
         if k not in tables:
             tables[k] = _mask_truth_table(phi, sig, k)
+        if tables[k].all():
+            return None, total
+        if not tables[k].any():
+            continue
         for combo in itertools.combinations(range(n), k):
             spec = [
                 rank[t] for t in itertools.product(combo, repeat=arity)
             ]  # local rank is the position in this list
             subset_specs.append((k, spec))
-    total = 2 ** (n**arity)
     scanned = 0
     for start in range(0, total, _SIEVE_CHUNK):
         stop = min(start + _SIEVE_CHUNK, total)
@@ -308,9 +329,13 @@ def _sieve_first_counterexample(
             if not len(live):
                 break
         scanned = stop
-        for mask in live.tolist():
-            if compiled.holds(_interpretation_from_indices(sig, n, (mask,)), domain):
-                return _structure_from_indices(sig, n, (mask,)), scanned
+        at, width = 0, _FIRST_SLICE
+        while at < len(live):
+            part = live[at:at + width]
+            at, width = at + width, min(2 * width, _CANON_CHUNK)
+            for mask in part[_canonicalise(sig, n, part) == part].tolist():
+                if compiled.holds(_interpretation_from_indices(sig, n, (mask,)), domain):
+                    return _structure_from_indices(sig, n, (mask,)), scanned
     return None, scanned
 
 

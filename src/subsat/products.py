@@ -36,10 +36,17 @@ def _family_order(family: Iterable[frozenset]) -> list[frozenset]:
 
 
 def _powerset(items) -> Iterable[frozenset]:
+    """Every subset of ``items``, by size, then lexicographically; refuses
+    with :class:`CapExceededError` past ``DEFAULT_PRODUCT_CAP`` subsets,
+    before yielding any."""
     items = sorted(items)
-    for k in range(len(items) + 1):
-        for combo in itertools.combinations(items, k):
-            yield frozenset(combo)
+    if 2 ** len(items) > DEFAULT_PRODUCT_CAP:
+        raise CapExceededError(2 ** len(items), DEFAULT_PRODUCT_CAP, "subsets")
+    return (
+        frozenset(combo)
+        for k in range(len(items) + 1)
+        for combo in itertools.combinations(items, k)
+    )
 
 
 def _index_sets(sets) -> frozenset:

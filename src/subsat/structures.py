@@ -19,6 +19,9 @@ DEFAULT_ENUMERATION_CAP = 5_000_000
 # Widest packed predicate mask the numpy paths handle: arrays over all
 # 2**bits masks (iso classes, the witness sieve's truth tables and chunks).
 _MASK_MAX_BITS = 25
+# All-unary signatures sort element types and build no 2**bits array, so
+# their one-point extension runs while masks fit in int32.
+_UNARY_MASK_MAX_BITS = 31
 
 
 class CapExceededError(RuntimeError):
@@ -890,7 +893,8 @@ def enumerate_structures(
     encoding; with ``up_to_iso`` each class is represented by its first
     labelled member.  Refuses with :class:`CapExceededError` before doing
     the work, memoised or not: predicate-only signatures of at most
-    ``_MASK_MAX_BITS`` tuple bits are enumerated up to isomorphism by
+    ``_MASK_MAX_BITS`` tuple bits (``_UNARY_MASK_MAX_BITS`` when every
+    predicate is unary) are enumerated up to isomorphism by
     one-point extension, and there ``cap`` bounds the candidates
     canonicalised at each size; everywhere else it bounds the labelled
     structures, and other signatures are enumerated up to isomorphism by
@@ -900,13 +904,15 @@ def enumerate_structures(
     """
     if n < 1:
         raise ValueError("structure size must be >= 1")
+    arities = _arities(sig)
     if up_to_iso and (
         sig.predicates
         and not sig.functions
         and not sig.constants
-        and sum(n**arity for _, arity in sig.predicates) <= _MASK_MAX_BITS
+        and sum(n**arity for arity in arities)
+        <= (_UNARY_MASK_MAX_BITS if set(arities) == {1} else _MASK_MAX_BITS)
     ):
-        widths, offsets, _ = _bit_layout(_arities(sig), n)
+        widths, offsets, _ = _bit_layout(arities, n)
         for mask in _predicate_only_iso_masks(sig, n, cap):
             yield _structure_from_indices(
                 sig, n, tuple(mask >> o & (1 << w) - 1 for w, o in zip(widths, offsets))

@@ -61,7 +61,6 @@ from .structures import (
     _interpretation_from_indices,
     _labelled_indices,
     _structure_from_indices,
-    canonical_key,
     enumerate_submodels,
     generated_carrier,
     induced_substructure,
@@ -477,16 +476,7 @@ class ModalLawReport:
         raise KeyError(law)
 
 
-def _theta_truth(s: Structure, phi: Formula) -> bool:
-    return theta_semantic(s, phi).truth
-
-
-def _theta_theta_truth(s: Structure, phi: Formula) -> bool:
-    # evaluated by nesting: some submodel whose own submodel satisfies phi
-    for carrier in enumerate_submodels(s):
-        if theta_semantic(induced_substructure(s, carrier), phi).truth:
-            return True
-    return False
+_LAWS = ("i", "ii", "iii", "iv", "v-and", "v-or", "vi", "vii")
 
 
 def modal_laws_check(
@@ -498,99 +488,90 @@ def modal_laws_check(
     rule form: if phi -> psi holds on the corpus closed under submodels,
     then theta(phi) -> theta(psi) must hold there too.  One-directional
     laws also record a strictness witness when the corpus exhibits one.
+
+    Every truth is read off tables filled once.  Each structure's carriers
+    are listed once, and each of the eight sentences true, false, phi,
+    psi, phi & psi, phi | psi, !phi and phi -> psi is evaluated once per
+    carrier, in place; its table is a bitmask over the carriers, so its
+    submodel check is the mask being nonzero.  The carriers of the
+    submodel on a carrier c are the structure's carriers inside c, so a
+    submodel check in that submodel is the mask meet ``below[c]``: the
+    nested checks of (iii) and (vii) build no submodel.  The corpus closed
+    under submodels is its (structure, carrier) pairs, and (iv) fails at
+    the first pair with theta(phi) but not theta(psi): failing is
+    invariant under isomorphism, so that pair is the first occurrence of
+    the first failing class.  Only that counterexample is built.
     """
-    structures = list(structures)
-    # built once, so that each is compiled once
-    both = make_and((phi, psi))
-    either = make_or((phi, psi))
-    not_phi = Not(phi)
-    implication = Implies(phi, psi)
-    results = {
-        name: LawResult(name, True)
-        for name in ["i", "ii", "iii", "iv", "v-and", "v-or", "vi", "vii"]
-    }
+    compiled = [
+        _require_fo_sentence(f)
+        for f in (TRUE, FALSE, phi, psi, make_and((phi, psi)), make_or((phi, psi)),
+                  Not(phi), Implies(phi, psi))
+    ]
+    results = {name: LawResult(name, True) for name in _LAWS}
 
-    closure = []
-    closure_keys = set()
-    for s in structures:
-        for carrier in enumerate_submodels(s):
-            sub = induced_substructure(s, carrier)
-            key = canonical_key(sub)
-            if key not in closure_keys:
-                closure_keys.add(key)
-                closure.append(sub)
+    def fail(name, where, message):
+        if results[name].holds:
+            results[name] = LawResult(name, False, (where, message))
 
+    facts = []  # per structure, what the strictness witnesses need
+    closure_premise = True
+    first_failing = None  # (structure, carrier) refuting (iv)'s conclusion
     for s in structures:
-        if results["i"].holds:
-            if not _theta_truth(s, TRUE) or _theta_truth(s, FALSE):
-                results["i"] = LawResult("i", False, (s, "theta(true)/theta(false)"))
-        if results["ii"].holds:
-            if evaluate_fo(s, phi) and not _theta_truth(s, phi):
-                results["ii"] = LawResult("ii", False, (s, "phi holds, theta(phi) fails"))
-        if results["iii"].holds:
-            if _theta_theta_truth(s, phi) != _theta_truth(s, phi):
-                results["iii"] = LawResult("iii", False, (s, "theta(theta(phi)) != theta(phi)"))
-        if results["v-and"].holds:
-            if _theta_truth(s, both) and not (
-                _theta_truth(s, phi) and _theta_truth(s, psi)
-            ):
-                results["v-and"] = LawResult(
-                    "v-and", False, (s, "theta(phi&psi) without theta(phi)&theta(psi)")
-                )
-        if results["v-or"].holds:
-            if _theta_truth(s, either) != (_theta_truth(s, phi) or _theta_truth(s, psi)):
-                results["v-or"] = LawResult(
-                    "v-or", False, (s, "theta(phi|psi) != theta(phi)|theta(psi)")
-                )
-        if results["vi"].holds:
-            if not _theta_truth(s, phi) and evaluate_fo(s, phi):
-                results["vi"] = LawResult("vi", False, (s, "not theta(phi) but phi"))
-            elif not evaluate_fo(s, phi) and not _theta_truth(s, not_phi):
-                results["vi"] = LawResult("vi", False, (s, "not phi but not theta(!phi)"))
-        if results["vii"].holds:
-            premise = any(
-                not theta_semantic(induced_substructure(s, c), phi).truth
-                for c in enumerate_submodels(s)
+        carriers = list(enumerate_submodels(s))
+        tables = [0] * len(compiled)
+        for i, carrier in enumerate(carriers):
+            domain = sorted(carrier)
+            for j, sentence in enumerate(compiled):
+                if sentence.holds(s, domain):
+                    tables[j] |= 1 << i
+        top, bottom, t_phi, t_psi, t_both, t_either, t_not_phi, t_implication = tables
+        below = [sum(1 << i for i, d in enumerate(carriers) if d <= c) for c in carriers]
+        theta_phi, theta_psi = t_phi != 0, t_psi != 0
+        phi_holds = t_phi >> len(carriers) - 1 == 1  # the full carrier comes last
+        some_without = any(not t_phi & inside for inside in below)
+
+        if not top or bottom:
+            fail("i", s, "theta(true)/theta(false)")
+        if phi_holds and not theta_phi:
+            fail("ii", s, "phi holds, theta(phi) fails")
+        if any(t_phi & inside for inside in below) != theta_phi:
+            fail("iii", s, "theta(theta(phi)) != theta(phi)")
+        if t_both and not (theta_phi and theta_psi):
+            fail("v-and", s, "theta(phi&psi) without theta(phi)&theta(psi)")
+        if (t_either != 0) != (theta_phi or theta_psi):
+            fail("v-or", s, "theta(phi|psi) != theta(phi)|theta(psi)")
+        if not theta_phi and phi_holds:
+            fail("vi", s, "not theta(phi) but phi")
+        elif not phi_holds and not t_not_phi:
+            fail("vi", s, "not phi but not theta(!phi)")
+        if some_without and not t_not_phi:
+            fail("vii", s, "theta(!theta(phi)) without theta(!phi)")
+
+        closure_premise = closure_premise and t_implication == (1 << len(carriers)) - 1
+        if first_failing is None:
+            first_failing = next(
+                ((s, c) for c, inside in zip(carriers, below)
+                 if t_phi & inside and not t_psi & inside),
+                None,
             )
-            if premise and not _theta_truth(s, not_phi):
-                results["vii"] = LawResult(
-                    "vii", False, (s, "theta(!theta(phi)) without theta(!phi)")
-                )
+        facts.append(
+            (s, theta_phi and theta_psi and not t_both, not phi_holds and theta_phi,
+             t_not_phi != 0 and not some_without)
+        )
 
-    premise_holds = all(evaluate_fo(s, implication) for s in closure)
-    if premise_holds:
-        for s in closure:
-            if _theta_truth(s, phi) and not _theta_truth(s, psi):
-                results["iv"] = LawResult(
-                    "iv", False, (s, "phi->psi valid on closure, theta monotonicity fails")
-                )
-                break
+    if closure_premise:
+        if first_failing is not None:
+            fail("iv", induced_substructure(*first_failing),
+                 "phi->psi valid on closure, theta monotonicity fails")
         results["iv"].note = "premise holds on corpus closure"
     else:
         results["iv"].note = "vacuous: phi->psi fails somewhere on the corpus closure"
 
     # strictness witnesses for the one-directional laws
-    for s in structures:
-        r = results["v-and"]
-        if r.holds and r.strictness_witness is None:
-            if (
-                _theta_truth(s, phi)
-                and _theta_truth(s, psi)
-                and not _theta_truth(s, both)
-            ):
-                r.strictness_witness = s
-        r = results["vi"]
-        if r.holds and r.strictness_witness is None:
-            if not evaluate_fo(s, phi) and _theta_truth(s, phi):
-                r.strictness_witness = s
-        r = results["vii"]
-        if r.holds and r.strictness_witness is None:
-            premise = any(
-                not theta_semantic(induced_substructure(s, c), phi).truth
-                for c in enumerate_submodels(s)
-            )
-            if _theta_truth(s, not_phi) and not premise:
+    for s, *strict in facts:
+        for name, witnessed in zip(("v-and", "vi", "vii"), strict):
+            r = results[name]
+            if r.holds and r.strictness_witness is None and witnessed:
                 r.strictness_witness = s
 
-    order = ["i", "ii", "iii", "iv", "v-and", "v-or", "vi", "vii"]
-    return ModalLawReport([results[name] for name in order])
+    return ModalLawReport([results[name] for name in _LAWS])

@@ -194,6 +194,9 @@ UNARY_SENTENCES = {
                     "(exists x. exists y. (x != y & P(x) & P(y)))",
 }
 
+# ``two_points`` has an all-false 1-point table and an all-true 2-point one.
+TWO_POINTS = parse_formula("exists x. exists y. x != y", BINARY)
+
 # At n = 4 the generic path takes 0.5-2 s per sentence when it has to scan
 # all 65536 labelled structures, so n = 4 runs the sentence whose
 # counterexamples (directed cycles) land in later chunks, plus three
@@ -202,10 +205,11 @@ UNARY_SENTENCES = {
 # need two-point carriers.
 SIEVE_CASES = [
     (name, n, lam)
-    for name in [*BINARY_CORPUS, "no_loop"]
+    for name in [*BINARY_CORPUS, "no_loop", "two_points"]
     for n in (2, 3)
     for lam in range(1, n)
 ] + [
+    ("two_points", 4, 1),
     ("total_out_degree", 4, 1),
     ("total_out_degree", 4, 2),
     ("total_out_degree", 4, 3),
@@ -225,6 +229,7 @@ SIEVE_CASES = [
 def test_sieve_agrees_with_generic_path(monkeypatch):
     formulas = {name: (BINARY, phi) for name, phi in BINARY_CORPUS.items()}
     formulas["no_loop"] = (BINARY, NO_LOOP)
+    formulas["two_points"] = (BINARY, TWO_POINTS)
     for name, text in UNARY_SENTENCES.items():
         formulas[name] = (UNARY, parse_formula(text, UNARY))
     late_hits = []
@@ -234,8 +239,10 @@ def test_sieve_agrees_with_generic_path(monkeypatch):
         generic_hit, generic_scanned = _generic_first_counterexample(phi, sig, n, lam, 10**7)
         if generic_hit is not None and generic_scanned > 1000:
             late_hits.append((name, n, lam))
-        for chunk in (1 << 20, 1000):
+        # small chunks and slices put hits past the first of each
+        for chunk, first_slice in ((1 << 20, 1 << 10), (1000, 16)):
             monkeypatch.setattr(prober, "_SIEVE_CHUNK", chunk)
+            monkeypatch.setattr(prober, "_FIRST_SLICE", first_slice)
             sieve_hit, scanned = prober._sieve_first_counterexample(phi, sig, n, lam, {})
             case = (name, n, lam, chunk)
             assert sieve_hit == generic_hit, case
@@ -254,6 +261,44 @@ def test_witness_bound_symmetric_n5_pin():
     )
     assert (verdict.outcome, verdict.bound) == ("WITNESS_BOUND_FOUND", 1)
     assert verdict.stats["structures_scanned"] == 2**25 + 2**16 + 2**9 + 2**4
+
+
+def test_sieve_full_table_returns_before_any_chunk(monkeypatch):
+    # a chunk of 0 masks would make the chunk loop raise
+    monkeypatch.setattr(prober, "_SIEVE_CHUNK", 0)
+    for phi, lam, full in ((BINARY_CORPUS["symmetric"], 3, 1), (TWO_POINTS, 3, 2)):
+        tables = {}
+        assert prober._sieve_first_counterexample(phi, BINARY, 5, lam, tables) == (None, 2**25)
+        # sizes past the full one are never tabled
+        assert sorted(tables) == list(range(1, full + 1)) and tables[full].all()
+
+
+def test_sieve_proper_edge_n5_pin():
+    # the hit comes early among about a million survivors
+    phi = BINARY_CORPUS["proper_edge"]
+    hit, scanned = prober._sieve_first_counterexample(phi, BINARY, 5, 1, {})
+    assert (hit.predicates["R"], scanned) == ({(0, 1)}, 2**20)
+    verdict = witness_bound_search(phi, ProbeConfig(BINARY, n_max=5, lambda_max=1))
+    assert verdict.outcome == "NO_BOUND_UP_TO"
+    assert verdict.counterexamples == ((1, digraph(2, [(0, 1)])),)
+
+
+def test_sieve_hit_past_the_first_canonicalised_slice(monkeypatch):
+    # slices of 4, 8, ... survivors: the directed 3-cycle comes after
+    # several slices of its chunk
+    monkeypatch.setattr(prober, "_FIRST_SLICE", 4)
+    slices = []
+    canonicalise = prober._canonicalise
+
+    def counted(sig, n, masks):
+        slices.append(len(masks))
+        return canonicalise(sig, n, masks)
+
+    monkeypatch.setattr(prober, "_canonicalise", counted)
+    phi = BINARY_CORPUS["total_out_degree"]
+    hit, scanned = prober._sieve_first_counterexample(phi, BINARY, 3, 2, {})
+    assert (hit, scanned) == (_generic_first_counterexample(phi, BINARY, 3, 2, 10**7)[0], 2**9)
+    assert slices == [4, 8, 15]  # 27 survivors; the hit is in the third slice
 
 
 def test_witness_bound_counterexamples_lack_small_witnesses():

@@ -1,10 +1,12 @@
 import itertools
 import random
+import time
 
 import pytest
 
 from subsat.logic import parse_formula, evaluate_fo
 from subsat.products import (
+    DEFAULT_PRODUCT_CAP,
     CoherentSystem,
     IndexFilter,
     IndexIdeal,
@@ -57,6 +59,17 @@ def chain_family(k):
 
 def test_validate_ideal_powerset_ok():
     assert validate_ideal(powerset_ideal({0, 1, 2})) == []
+
+
+def test_powerset_refuses_before_enumerating():
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match="1073741824 subsets") as exc:
+        powerset_ideal(range(30))
+    assert (exc.value.count, exc.value.cap) == (2**30, DEFAULT_PRODUCT_CAP)
+    singletons = frozenset(frozenset({i}) for i in range(30))
+    with pytest.raises(CapExceededError, match="1073741824 subsets"):
+        render_ideal_file(IndexIdeal(range(30), singletons), IndexFilter(singletons, frozenset()))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_validate_ideal_downward_closure_violation():

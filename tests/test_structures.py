@@ -296,13 +296,26 @@ def test_unary_canonical_masks_are_least_over_all_relabellings(k):
 def test_unary_class_counts():
     # a unary structure is its count of elements of each type: one unary
     # predicate has n + 1 classes, two have C(n + 3, 3) (multisets of n
-    # from the four types)
-    for n in range(1, 26):
+    # from the four types); all-unary masks take the one-point extension
+    # while they fit in int32
+    for n in range(1, 32):
         assert sum(1 for _ in enumerate_structures(UNARY, n, up_to_iso=True)) == n + 1
-    for n in range(1, 13):
+    for n in range(1, 16):
         assert sum(1 for _ in enumerate_structures(TWO_UNARY, n, up_to_iso=True)) == (
             math.comb(n + 3, 3)
         )
+
+
+def test_unary_cap_refuses_before_the_work():
+    # past 31 bits the labelled path counts 2**32 structures and refuses
+    # before any size is extended
+    for sig, n in ((UNARY, 32), (TWO_UNARY, 16)):
+        before = structures._iso_level.cache_info()
+        with pytest.raises(CapExceededError, match="4294967296 labelled structures"):
+            next(enumerate_structures(sig, n, up_to_iso=True))
+        assert structures._iso_level.cache_info() == before
+    with pytest.raises(CapExceededError, match="12 iso candidates"):
+        next(enumerate_structures(UNARY, 26, up_to_iso=True, cap=10))
 
 
 def test_unary_classes_at_seven_points_match_generic_path():

@@ -7,18 +7,22 @@ from hypothesis import strategies as st
 from test_logic import formulas
 from test_structures import KERNEL_SIGNATURES, random_structures, relabel
 
-from subsat import theta
+from subsat import logic, theta
+from subsat import structures as structures_module
 from subsat.corpus import CORPUS, UNAR_CONST
 from subsat.logic import (
     FALSE,
     TRUE,
     Exists,
     Forall,
+    Implies,
     Not,
     evaluate_eso,
     evaluate_fo,
     free_variables,
     is_existential_sentence,
+    make_and,
+    make_or,
     parse_formula,
     relativized_node_count,
     render_formula,
@@ -35,6 +39,8 @@ from subsat.structures import (
     induced_substructure,
 )
 from subsat.theta import (
+    LawResult,
+    ModalLawReport,
     ThetaReport,
     atomic_diagram,
     enumerate_generated_models,
@@ -485,6 +491,169 @@ def test_modal_law_iv_vacuous_when_premise_fails():
     report = modal_laws_check(LOOP, FALSE, law_corpus())
     assert report.result("iv").holds
     assert "vacuous" in report.result("iv").note
+
+
+def _reference_modal_laws_check(phi, psi, structures):
+    """The nested algorithm: theta by carriers, theta-theta by building every
+    submodel, and law (iv) on the corpus closed under submodels by
+    ``canonical_key``, each class at its first occurrence."""
+
+    def th(s, f):
+        return theta_semantic(s, f).truth
+
+    def th_th(s, f):
+        return any(th(induced_substructure(s, c), f) for c in enumerate_submodels(s))
+
+    def some_without(s):
+        return any(not th(induced_substructure(s, c), phi) for c in enumerate_submodels(s))
+
+    structures = list(structures)
+    both, either = make_and((phi, psi)), make_or((phi, psi))
+    not_phi, implication = Not(phi), Implies(phi, psi)
+    results = {name: LawResult(name, True) for name in theta._LAWS}
+    closure, keys = [], set()
+    for s in structures:
+        for carrier in enumerate_submodels(s):
+            sub = induced_substructure(s, carrier)
+            key = canonical_key(sub)
+            if key not in keys:
+                keys.add(key)
+                closure.append(sub)
+
+    def fail(name, s, message):
+        if results[name].holds:
+            results[name] = LawResult(name, False, (s, message))
+
+    for s in structures:
+        if not th(s, TRUE) or th(s, FALSE):
+            fail("i", s, "theta(true)/theta(false)")
+        if evaluate_fo(s, phi) and not th(s, phi):
+            fail("ii", s, "phi holds, theta(phi) fails")
+        if th_th(s, phi) != th(s, phi):
+            fail("iii", s, "theta(theta(phi)) != theta(phi)")
+        if th(s, both) and not (th(s, phi) and th(s, psi)):
+            fail("v-and", s, "theta(phi&psi) without theta(phi)&theta(psi)")
+        if th(s, either) != (th(s, phi) or th(s, psi)):
+            fail("v-or", s, "theta(phi|psi) != theta(phi)|theta(psi)")
+        if results["vi"].holds:
+            if not th(s, phi) and evaluate_fo(s, phi):
+                fail("vi", s, "not theta(phi) but phi")
+            elif not evaluate_fo(s, phi) and not th(s, not_phi):
+                fail("vi", s, "not phi but not theta(!phi)")
+        if some_without(s) and not th(s, not_phi):
+            fail("vii", s, "theta(!theta(phi)) without theta(!phi)")
+    if all(evaluate_fo(s, implication) for s in closure):
+        for s in closure:
+            if th(s, phi) and not th(s, psi):
+                fail("iv", s, "phi->psi valid on closure, theta monotonicity fails")
+                break
+        results["iv"].note = "premise holds on corpus closure"
+    else:
+        results["iv"].note = "vacuous: phi->psi fails somewhere on the corpus closure"
+    for s in structures:
+        r = results["v-and"]
+        if r.holds and r.strictness_witness is None:
+            if th(s, phi) and th(s, psi) and not th(s, both):
+                r.strictness_witness = s
+        r = results["vi"]
+        if r.holds and r.strictness_witness is None:
+            if not evaluate_fo(s, phi) and th(s, phi):
+                r.strictness_witness = s
+        r = results["vii"]
+        if r.holds and r.strictness_witness is None:
+            if th(s, not_phi) and not some_without(s):
+                r.strictness_witness = s
+    return ModalLawReport([results[name] for name in theta._LAWS])
+
+
+def _up_to(sig, n_max):
+    return [s for n in range(1, n_max + 1) for s in enumerate_structures(sig, n, up_to_iso=True)]
+
+
+def test_modal_laws_match_the_nested_reference():
+    groups = {}
+    for entry in CORPUS:
+        groups.setdefault(entry.signature_name, []).append(entry)
+    for entries in groups.values():
+        corpus = _up_to(entries[0].signature, 3)
+        for left, right in itertools.product(entries, repeat=2):
+            expected = _reference_modal_laws_check(left.formula, right.formula, corpus)
+            assert modal_laws_check(left.formula, right.formula, corpus) == expected, (
+                left.name, right.name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sentences, sentences)
+def test_modal_laws_match_the_nested_reference_on_generated_sentences(phi, psi):
+    corpus = _up_to(BINARY, 2)
+    assert modal_laws_check(phi, psi, corpus) == _reference_modal_laws_check(phi, psi, corpus)
+
+
+class _Liar:
+    """A compiled formula whose answers pass through ``lie(truth, domain)``."""
+
+    def __init__(self, compiled, lie):
+        self._compiled, self._lie = compiled, lie
+
+    def __getattr__(self, name):
+        return getattr(self._compiled, name)
+
+    def holds(self, tables, domain, assignment=None):
+        return self._lie(self._compiled.holds(tables, domain, assignment), domain)
+
+
+LIES = {
+    # each breaks one law's premise or conclusion, so both checks report
+    # a counterexample and must report the same one
+    "true": lambda phi, psi: (TRUE, lambda truth, domain: len(domain) > 1),
+    "and": lambda phi, psi: (make_and((phi, psi)), lambda truth, domain: True),
+    "or": lambda phi, psi: (make_or((phi, psi)), lambda truth, domain: False),
+    "not": lambda phi, psi: (Not(phi), lambda truth, domain: truth and len(domain) > 1),
+    "phi": lambda phi, psi: (phi, lambda truth, domain: truth != (len(domain) == 2)),
+    "implies": lambda phi, psi: (Implies(phi, psi), lambda truth, domain: True),
+}
+
+
+LIE_PAIRS = {
+    "loop_edgeless": ("exists x. R(x,x)", "forall x. forall y. !R(x,y)"),
+    # (iv) first fails at the 2-point edgeless digraph, and the last
+    # structures of the corpus have no failing carrier
+    "two_points_loop": ("exists x. exists y. x != y", "exists x. R(x,x)"),
+}
+
+
+@pytest.mark.parametrize("pair", list(LIE_PAIRS))
+@pytest.mark.parametrize("lie", list(LIES))
+def test_modal_law_counterexamples_match_the_reference(monkeypatch, lie, pair):
+    # the laws are theorems, so only a lying evaluator reaches the
+    # counterexample paths; both checks must name the same structure
+    phi, psi = (parse_formula(text, BINARY) for text in LIE_PAIRS[pair])
+    target, answer = LIES[lie](phi, psi)
+    compile_ = logic._compile
+    monkeypatch.setattr(
+        logic, "_compile",
+        lambda f: _Liar(compile_(f), answer) if f == target else compile_(f),
+    )
+    corpus = _up_to(BINARY, 3)
+    logic._COMPILED.pop(id(TRUE), None)
+    try:
+        report = modal_laws_check(phi, psi, corpus)
+        assert not report.passed
+        assert report == _reference_modal_laws_check(phi, psi, corpus)
+    finally:
+        logic._COMPILED.pop(id(TRUE), None)
+
+
+def test_passing_modal_check_builds_no_submodel(monkeypatch):
+    corpus = _up_to(BINARY, 3)
+
+    def forbidden(*args):
+        raise AssertionError("a passing check built a submodel or a canonical key")
+
+    monkeypatch.setattr(theta, "induced_substructure", forbidden)
+    monkeypatch.setattr(structures_module, "canonical_key", forbidden)
+    report = modal_laws_check(EXISTS_FORALL, LOOP, corpus)
+    assert report.passed and report.result("iv").note == "premise holds on corpus closure"
 
 
 def test_theta_monotone_in_submodel_order():
