@@ -10,6 +10,7 @@ codes 2 and 3 leave stdout empty.
 from __future__ import annotations
 
 import argparse
+import functools
 import shlex
 import sys
 from dataclasses import dataclass
@@ -397,7 +398,9 @@ def _cmd_enumerate(args, out) -> int:
 # --- argument parsing -----------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="subsat",
         description="Finite-model workbench for satisfiability in submodels.",

@@ -13,8 +13,11 @@ with variables in slots and quantifiers ranging over an explicit domain.
 The compiled form is kept, by object identity, as long as the formula
 lives.  Passing a submodel carrier as the domain evaluates the formula in
 the induced submodel without building it (relativization), which is how
-the submodel checks in ``theta`` and ``prober`` work.  ``map_formula`` is
-the one bottom-up rebuild behind the relativizations and substitutions.
+the submodel checks in ``theta`` and ``prober`` work.  A sentence whose
+terms are variables also compiles bit-sliced: it is then decided in a
+whole family of structures on one universe at once, from one integer
+column per predicate tuple.  ``map_formula`` is the one bottom-up rebuild
+behind the relativizations and substitutions.
 
 Grammar (ASCII):
 
@@ -734,9 +737,18 @@ def render_formula(f: Formula) -> str:
 # constants), the domain its quantifiers range over, then one slot per
 # variable.  Each quantifier and each free variable owns a slot, so
 # shadowing needs no save and restore.
+#
+# The bit-sliced closures decide a sentence in a whole family of structures
+# on one universe at once.  Bit i of a value is the truth in the i-th
+# structure: a predicate tuple reads its column (the structures holding
+# it), and &, | and the all-ones column's ^ stand for and, or and not.
+# Their terms are variables, which take the same element in every
+# structure, so a sliced frame holds the all-ones column where the
+# function tables go.
 
 
 _PREDICATES, _FUNCTIONS, _CONSTANTS, _DOMAIN, _FIRST_SLOT = range(5)
+_ALL = _FUNCTIONS
 
 # Slot value of a free variable the assignment does not cover.
 _UNSET = object()
@@ -751,6 +763,13 @@ class CompiledFormula:
     ``Interpretation``).  On a submodel carrier of a structure, listed in
     ascending order, this is the truth of the formula in the induced
     submodel (relativization), without building it.
+
+    ``atoms`` is the set of (predicate, arity) pairs its atoms read, or
+    None when a term is a constant or a function application.  A sentence
+    whose terms are all variables also has a bit-sliced mode, built by
+    ``compile_formula(f, sliced=True)``: ``holds_sliced`` and
+    ``holds_eso_sliced`` take ``columns`` (``structures.Columns``) in place
+    of the tables and return the column of the structures where it holds.
     """
 
     __slots__ = (
@@ -758,9 +777,11 @@ class CompiledFormula:
         "is_sentence",
         "has_set_quantifier",
         "eso_error",
+        "atoms",
         "_run",
         "_eso_body",
         "_eso_slots",
+        "_sliced",
         "_frame",
         "_free",
     )
@@ -777,15 +798,31 @@ class CompiledFormula:
         prefix ranges over every subset of ``domain`` (check ``eso_error``
         first)."""
         frame = [tables.predicates, tables.functions, tables.constants, domain, *self._frame]
-        body, slots = self._eso_body, self._eso_slots
-        if not slots:
-            return body(frame)
-        for choice in itertools.product(_subsets(tuple(domain)), repeat=len(slots)):
-            for slot, members in zip(slots, choice):
-                frame[slot] = members
-            if body(frame):
-                return True
-        return False
+        return _exists_sets(frame, self._eso_body, self._eso_slots, True)
+
+    def holds_sliced(self, columns, domain: Sequence[int]) -> int:
+        """``holds`` in every structure of ``columns`` at once, as a column."""
+        return self._sliced[0]([columns.predicates, columns.full, None, domain, *self._frame])
+
+    def holds_eso_sliced(self, columns, domain: Sequence[int]) -> int:
+        """``holds_eso`` in every structure of ``columns`` at once, as a column."""
+        frame = [columns.predicates, columns.full, None, domain, *self._frame]
+        return _exists_sets(frame, self._sliced[1], self._eso_slots, columns.full)
+
+
+def _exists_sets(frame: list, body, slots: tuple, full):
+    """Disjunction of ``body`` over every choice of subsets of the domain
+    for the set slots, stopping once it is ``full``."""
+    if not slots:
+        return body(frame)
+    found = False
+    for choice in itertools.product(_subsets(tuple(frame[_DOMAIN])), repeat=len(slots)):
+        for slot, members in zip(slots, choice):
+            frame[slot] = members
+        found |= body(frame)
+        if found == full:
+            break
+    return found
 
 
 @functools.lru_cache(maxsize=32)
@@ -800,18 +837,26 @@ def _subsets(domain: tuple[int, ...]) -> tuple[frozenset, ...]:
 _COMPILED: dict[int, tuple] = {}
 
 
-def compile_formula(f: Formula) -> CompiledFormula:
+def compile_formula(f: Formula, sliced: bool = False) -> CompiledFormula:
     """The compiled form of ``f``, built on first use and kept while ``f`` lives.
 
     Kept by object identity: hashing the AST by value would cost about as
     much as an evaluation, so reuse the formula object to reuse the work.
+    With ``sliced`` the bit-sliced closures are built too, on first
+    request; ``f`` must be a sentence whose terms are variables.
     """
     key = id(f)
     hit = _COMPILED.get(key)
     if hit is not None and hit[0]() is f:
-        return hit[1]
-    compiled = _compile(f)
-    _COMPILED[key] = (weakref.ref(f, lambda _, key=key: _COMPILED.pop(key, None)), compiled)
+        compiled = hit[1]
+    else:
+        compiled = _compile(f)
+        _COMPILED[key] = (weakref.ref(f, lambda _, key=key: _COMPILED.pop(key, None)), compiled)
+    if sliced and compiled._sliced is None:
+        if compiled.atoms is None or not compiled.is_sentence:
+            raise ValueError("bit-sliced evaluation needs a sentence whose terms are variables")
+        run, eso_body, _ = _build(_Builder(sliced=True), f, compiled.eso_error)
+        compiled._sliced = (run, eso_body)
     return compiled
 
 
@@ -820,10 +865,8 @@ def _compile(f: Formula) -> CompiledFormula:
     compiled.first_order = is_first_order(f)
     compiled.is_sentence = is_sentence(f)
     compiled.has_set_quantifier = any(isinstance(g, ExistsSet) for g in subformulas(f))
-    prefix = []
     body = f
     while isinstance(body, ExistsSet):
-        prefix.append(body.set_var)
         body = body.body
     if any(isinstance(g, ExistsSet) for g in subformulas(body)):
         compiled.eso_error = "set quantifier not in prefix position"
@@ -832,18 +875,33 @@ def _compile(f: Formula) -> CompiledFormula:
     else:
         compiled.eso_error = None
     builder = _Builder()
-    compiled._run = builder.formula(f, {}, {})
-    compiled._eso_body, compiled._eso_slots = compiled._run, ()
-    if prefix and compiled.eso_error is None:
-        set_scope = {name: builder.new_slot() for name in prefix}
-        compiled._eso_body = builder.formula(body, {}, set_scope)
-        compiled._eso_slots = tuple(set_scope.values())
+    compiled._run, compiled._eso_body, compiled._eso_slots = _build(
+        builder, f, compiled.eso_error
+    )
+    compiled.atoms = frozenset(builder.atoms) if builder.variable_terms else None
+    compiled._sliced = None
     compiled._free = tuple(builder.free.items()) + tuple(builder.free_sets.items())
     frame = [None] * (builder.slots - _FIRST_SLOT)
     for _, slot in compiled._free:
         frame[slot - _FIRST_SLOT] = _UNSET
     compiled._frame = tuple(frame)
     return compiled
+
+
+def _build(builder: "_Builder", f: Formula, eso_error: Optional[str]):
+    """The closure of ``f``, and of its body under its set prefix with the
+    prefix's slots (``f`` itself and no slots without a usable prefix).
+    Both modes allocate the same slots, so they share one frame layout."""
+    run = builder.formula(f, {}, {})
+    prefix = []
+    body = f
+    while isinstance(body, ExistsSet):
+        prefix.append(body.set_var)
+        body = body.body
+    if not prefix or eso_error is not None:
+        return run, run, ()
+    set_scope = {name: builder.new_slot() for name in prefix}
+    return run, builder.formula(body, {}, set_scope), tuple(set_scope.values())
 
 
 def _missing(message: str):
@@ -858,14 +916,20 @@ class _Builder:
     recur under the same variable slots (diagram disjunctions repeat most
     of theirs) share one closure.  Error cases and the order of evaluation
     (left to right, short-circuiting) are those of Tarskian evaluation
-    over the AST.
+    over the AST.  With ``sliced`` the formula closures return columns
+    (see the notes above ``CompiledFormula``); terms are the same in both
+    modes.  The walk records the atoms' symbols and whether every term is
+    a variable.
     """
 
-    def __init__(self):
+    def __init__(self, sliced: bool = False):
+        self.sliced = sliced
         self.slots = _FIRST_SLOT
         self.free: dict[str, int] = {}
         self.free_sets: dict[str, int] = {}
         self.shared: dict = {}
+        self.atoms: set[tuple[str, int]] = set()
+        self.variable_terms = True
 
     def new_slot(self) -> int:
         self.slots += 1
@@ -898,6 +962,7 @@ class _Builder:
                 return value
 
             return free_var
+        self.variable_terms = False
         name = t.name
         if isinstance(t, Const):
 
@@ -944,22 +1009,49 @@ class _Builder:
         return self._formula(f, scope, set_scope)
 
     def _formula(self, f: Formula, scope: dict, set_scope: dict):
+        sliced = self.sliced
         if isinstance(f, Top):
-            return lambda fr: True
+            return (lambda fr: fr[_ALL]) if sliced else (lambda fr: True)
         if isinstance(f, Bottom):
-            return lambda fr: False
+            return lambda fr: False  # also the empty column
         if isinstance(f, Atom):
             return self.atom(f, scope)
         if isinstance(f, Eq):
             left, right = self.term(f.left, scope), self.term(f.right, scope)
+            if sliced:
+                return lambda fr: fr[_ALL] if left(fr) == right(fr) else 0
             return lambda fr: left(fr) == right(fr)
         if isinstance(f, SetAtom):
             return self.set_atom(f, scope, set_scope)
         if isinstance(f, Not):
             body = self.formula(f.body, scope, set_scope)
+            if sliced:
+                return lambda fr: fr[_ALL] ^ body(fr)
             return lambda fr: not body(fr)
         if isinstance(f, (And, Or)):
             parts = tuple(self.formula(p, scope, set_scope) for p in f.parts)
+            if sliced and isinstance(f, And):
+
+                def sliced_conjunction(fr):
+                    acc = fr[_ALL]
+                    for p in parts:
+                        acc &= p(fr)
+                        if not acc:
+                            break
+                    return acc
+
+                return sliced_conjunction
+            if sliced:
+
+                def sliced_disjunction(fr):
+                    acc, full = 0, fr[_ALL]
+                    for p in parts:
+                        acc |= p(fr)
+                        if acc == full:
+                            break
+                    return acc
+
+                return sliced_disjunction
             if isinstance(f, And):
 
                 def conjunction(fr):
@@ -980,14 +1072,42 @@ class _Builder:
         if isinstance(f, Implies):
             left = self.formula(f.left, scope, set_scope)
             right = self.formula(f.right, scope, set_scope)
+            if sliced:
+                return lambda fr: fr[_ALL] ^ left(fr) | right(fr)
             return lambda fr: not left(fr) or right(fr)
         if isinstance(f, Iff):
             left = self.formula(f.left, scope, set_scope)
             right = self.formula(f.right, scope, set_scope)
+            if sliced:
+                return lambda fr: fr[_ALL] ^ left(fr) ^ right(fr)
             return lambda fr: left(fr) == right(fr)
         if isinstance(f, (Forall, Exists)):
             slot = self.new_slot()
             body = self.formula(f.body, {**scope, f.var: slot}, set_scope)
+            if sliced and isinstance(f, Exists):
+
+                def sliced_exists(fr):
+                    acc, full = 0, fr[_ALL]
+                    for e in fr[_DOMAIN]:
+                        fr[slot] = e
+                        acc |= body(fr)
+                        if acc == full:
+                            break
+                    return acc
+
+                return sliced_exists
+            if sliced:
+
+                def sliced_forall(fr):
+                    acc = fr[_ALL]
+                    for e in fr[_DOMAIN]:
+                        fr[slot] = e
+                        acc &= body(fr)
+                        if not acc:
+                            break
+                    return acc
+
+                return sliced_forall
             if isinstance(f, Exists):
 
                 def exists(fr):
@@ -1017,6 +1137,17 @@ class _Builder:
 
     def atom(self, f: Atom, scope: dict):
         name = f.name
+        self.atoms.add((name, len(f.args)))
+        if self.sliced:
+            parts = tuple(self.term(a, scope) for a in f.args)
+
+            def column(fr):
+                try:
+                    return fr[_PREDICATES][name][tuple([p(fr) for p in parts])]
+                except KeyError:
+                    _missing(f"predicate {name} uninterpreted")
+
+            return column
         slots = [scope.get(a.name) if isinstance(a, Var) else None for a in f.args]
         if None not in slots and len(slots) in (1, 2):
             # bound variables only: reading them cannot fail, so the
@@ -1054,6 +1185,8 @@ class _Builder:
     def set_atom(self, f: SetAtom, scope: dict, set_scope: dict):
         arg = self.term(f.arg, scope)
         slot = set_scope.get(f.set_var)
+        if slot is not None and self.sliced:
+            return lambda fr: fr[_ALL] if arg(fr) in fr[slot] else 0
         if slot is not None:
             return lambda fr: arg(fr) in fr[slot]
         name = f.set_var

@@ -7,6 +7,17 @@ byte-for-byte.  They stream the iso classes from ``enumerate_structures``
 predicate-only signatures), in one process.  Each sweep classifies and
 compiles its sentences once.
 
+Over predicate-only signatures, a size whose classes come from packed
+masks is swept bit-sliced: every sentence whose evaluation cannot raise
+(variables for terms, the signature's predicates) is decided for all
+classes at once on the size's predicate columns (``structures.Columns``,
+bit i for the i-th class), and a submodel check is the disjunction of
+its sentence over the carriers, there every nonempty subset.  The equivalence
+oracle then builds only the first class where the sides differ, the
+lowest set bit of their xor; the well-foundedness demo takes its
+submodel checks from one column; the sieve's truth tables unpack one.
+Callables and every other side keep the class-by-class loop.
+
 Witness-bound searches over one-predicate signatures use a vectorized
 mask sieve (no structure materialization), which is what makes size-5
 sweeps feasible: each chunk of masks meets the small subsets one at a
@@ -17,8 +28,8 @@ skipped.  The counterexamples are closed under isomorphism, so the
 first one is the least mask of its class: the masks left at the end are
 canonicalised in slices, in mask order, and only those equal to their
 canonical mask are evaluated, on the relation unpacked from the mask.
-A subset's truth table evaluates the memoised iso-class
-representatives and finds each mask's class by searching its canonical
+A subset's truth table decides the memoised iso classes (bit-sliced
+when it can) and finds each mask's class by searching its canonical
 mask among them.  The generic path, which the sieve is cross-checked
 against in the test suite, evaluates every labelled structure and its
 small carriers in place on the raw tables.  Only a returned
@@ -47,6 +58,7 @@ from .logic import (
 from .structures import (
     DEFAULT_ENUMERATION_CAP,
     CapExceededError,
+    Columns,
     Signature,
     Structure,
     enumerate_structures,
@@ -61,9 +73,12 @@ from .structures import (
     _canonical_masks,
     _canonicalise,
     _interpretation_from_indices,
+    _iso_columns,
+    _iso_path_applies,
     _labelled_interpretations,
     _predicate_only_iso_masks,
     _structure_from_indices,
+    _structure_from_mask,
 )
 from .theta import theta_bounded_semantic, theta_semantic
 
@@ -148,6 +163,52 @@ def _is_formula(item) -> bool:
     )
 
 
+def _sliced_formula(phi: Formula, sig: Signature, first_order: bool) -> bool:
+    """Whether ``phi`` is decided bit-sliced over ``sig``: a sentence, first
+    order if asked, over ``sig``'s predicates at their arities with
+    variables for terms, on a signature with predicates only.  Nothing in
+    it can raise, so deciding it for all classes at once changes no error."""
+    compiled = compile_formula(phi)
+    return (
+        sig.is_predicate_only
+        and compiled.eso_error is None
+        and (compiled.first_order or not first_order)
+        and compiled.atoms is not None
+        and compiled.atoms <= set(sig.predicates)
+    )
+
+
+def _sliceable(item: SentenceLike, sig: Signature) -> bool:
+    """Whether ``_class_truths`` decides ``item`` (callables never)."""
+    if isinstance(item, ThetaOf):
+        return _sliced_formula(item.formula, sig, True)
+    if isinstance(item, BoundedThetaOf):
+        return item.bound >= 1 and _sliced_formula(item.formula, sig, True)
+    return _is_formula(item) and _sliced_formula(item, sig, False)
+
+
+def _class_truths(item: SentenceLike, columns: Columns, n: int) -> int:
+    """Truth of a ``_sliceable`` item in every class of ``columns`` (size
+    ``n``), as a column.  The submodel check is the disjunction of the
+    formula evaluated in place on each carrier (the relativization lemma,
+    on columns): with predicates only every nonempty subset is a carrier,
+    and the bounded check keeps those of at most ``bound`` points."""
+    if isinstance(item, (ThetaOf, BoundedThetaOf)):
+        compiled = compile_formula(item.formula, sliced=True)
+        bound = item.bound if isinstance(item, BoundedThetaOf) else n
+        truth = 0
+        for k in range(1, min(bound, n) + 1):
+            for carrier in itertools.combinations(range(n), k):
+                truth |= compiled.holds_sliced(columns, carrier)
+                if truth == columns.full:
+                    return truth
+        return truth
+    compiled = compile_formula(item, sliced=True)
+    if compiled.has_set_quantifier:
+        return compiled.holds_eso_sliced(columns, range(n))
+    return compiled.holds_sliced(columns, range(n))
+
+
 def describe_sentence_like(item: SentenceLike) -> str:
     if isinstance(item, ThetaOf):
         return f"theta[{render_formula(item.formula)}]"
@@ -178,11 +239,36 @@ def equivalence_oracle(
 
     ``left``/``right`` may be formulas, theta wrappers, or arbitrary
     structure predicates.
+
+    When both sides are sentences over the predicates of a predicate-only
+    signature (formulas, first-order or with a set prefix, or theta
+    wrappers of first-order ones), each size taken from packed class masks
+    is decided bit-sliced: each side is evaluated once, on the columns of
+    all that size's classes, and the first class where they differ is the
+    lowest set bit of the two columns' xor.  Only that class is built.
+    Every other size and side (callables, constants, function terms, open
+    formulas, symbols outside the signature) is checked class by class,
+    so its errors are unchanged.
     """
+    sig = cfg.signature
     checked = 0
     left_check, right_check = sentence_checker(left), sentence_checker(right)
+    sliced = _sliceable(left, sig) and _sliceable(right, sig)
     for n in range(1, cfg.n_max + 1):
-        for s in enumerate_structures(cfg.signature, n, up_to_iso=True, cap=cfg.cap):
+        if sliced and _iso_path_applies(sig, n):
+            classes = _predicate_only_iso_masks(sig, n, cfg.cap)  # refuses before the work
+            columns = _iso_columns(sig, n)
+            lt, rt = _class_truths(left, columns, n), _class_truths(right, columns, n)
+            differ = lt ^ rt
+            if differ:
+                i = (differ & -differ).bit_length() - 1
+                return EquivalenceVerdict(
+                    False, _structure_from_mask(sig, n, classes[i]),
+                    bool(lt >> i & 1), bool(rt >> i & 1), checked + i + 1, cfg.n_max,
+                )
+            checked += len(classes)
+            continue
+        for s in enumerate_structures(sig, n, up_to_iso=True, cap=cfg.cap):
             checked += 1
             lt, rt = left_check(s), right_check(s)
             if lt != rt:
@@ -256,24 +342,33 @@ def _sieve_applicable(sig: Signature, n: int) -> bool:
 def _mask_truth_table(phi: Formula, sig: Signature, k: int):
     """Truth of ``phi`` on every labelled size-k structure, indexed by mask.
 
-    Evaluates one representative per isomorphism class (the memoised
-    least masks) and spreads the value over the class by looking up each
-    mask's canonical mask among them.
+    Decides ``phi`` on every isomorphism class (the memoised least masks)
+    at once, bit-sliced, or one representative at a time when it is not
+    a first-order sentence over the signature's predicate, and spreads the
+    value over the class by looking up each mask's canonical mask among
+    them.
     """
     import numpy as np
 
-    compiled = compile_formula(phi)
-    domain = range(k)
     canon = _canonical_masks(sig, k)
     reps = _predicate_only_iso_masks(sig, k)
-    rep_truth = np.fromiter(
-        (
-            compiled.holds(_interpretation_from_indices(sig, k, (mask,)), domain)
-            for mask in reps
-        ),
-        dtype=bool,
-        count=len(reps),
-    )
+    if _sliced_formula(phi, sig, True):
+        truth = _class_truths(phi, _iso_columns(sig, k), k)
+        rep_truth = np.unpackbits(
+            np.frombuffer(truth.to_bytes(-(-len(reps) // 8), "little"), dtype=np.uint8),
+            count=len(reps),
+            bitorder="little",
+        ).astype(bool)
+    else:
+        compiled = compile_formula(phi)
+        rep_truth = np.fromiter(
+            (
+                compiled.holds(_interpretation_from_indices(sig, k, (mask,)), range(k))
+                for mask in reps
+            ),
+            dtype=bool,
+            count=len(reps),
+        )
     return rep_truth[np.searchsorted(np.array(reps), canon)]
 
 
@@ -534,7 +629,9 @@ def wellfoundedness_demo(cfg: ProbeConfig) -> WellfoundednessReport:
 
     Sweeps all structures up to n_max and compares against an independent
     graph-theoretic cycle search; on finite structures the two agree
-    everywhere.
+    everywhere.  The submodel check of each size taken from packed class
+    masks is decided bit-sliced, for all its classes at once; the cycle
+    search runs on each structure.
     """
     sig = cfg.signature
     if len(sig.predicates) != 1 or sig.predicates[0][1] != 2 or sig.functions or sig.constants:
@@ -545,9 +642,13 @@ def wellfoundedness_demo(cfg: ProbeConfig) -> WellfoundednessReport:
     cyclic = 0
     mismatches = []
     for n in range(1, cfg.n_max + 1):
-        for s in enumerate_structures(sig, n, up_to_iso=True, cap=cfg.cap):
+        sliced = _iso_path_applies(sig, n)
+        if sliced:
+            _predicate_only_iso_masks(sig, n, cfg.cap)  # refuses before the work
+            theta = _class_truths(ThetaOf(phi), _iso_columns(sig, n), n)
+        for i, s in enumerate(enumerate_structures(sig, n, up_to_iso=True, cap=cfg.cap)):
             checked += 1
-            t = theta_semantic(s, phi).truth
+            t = bool(theta >> i & 1) if sliced else theta_semantic(s, phi).truth
             c = has_directed_cycle(s, name)
             if c:
                 cyclic += 1

@@ -861,6 +861,57 @@ def _iso_level(sig: Signature, n: int) -> tuple[int, ...]:
     return tuple(np.unique(_canonicalise(sig, n, candidates)).tolist())
 
 
+class Columns(NamedTuple):
+    """Every isomorphism class of one size at once, bit-sliced.
+
+    ``predicates`` maps each predicate to a dict from each argument tuple
+    to its column: the int whose bit ``i`` is set when the ``i``-th class,
+    in enumeration order, holds the tuple.  ``full`` has a bit per class.
+    """
+
+    predicates: Mapping[str, Mapping[tuple, int]]
+    full: int
+
+
+def _iso_path_applies(sig: Signature, n: int) -> bool:
+    """Whether size ``n`` is enumerated up to isomorphism from packed masks."""
+    arities = _arities(sig)
+    return bool(
+        sig.predicates
+        and sig.is_predicate_only
+        and sum(n**arity for arity in arities)
+        <= (_UNARY_MASK_MAX_BITS if set(arities) == {1} else _MASK_MAX_BITS)
+    )
+
+
+@functools.cache
+def _iso_columns(sig: Signature, n: int) -> Columns:
+    """The ``Columns`` of the memoised classes of ``_iso_level(sig, n)``:
+    each tuple's bit of every class mask, packed by numpy into one int."""
+    import numpy as np
+
+    masks = np.array(_iso_level(sig, n), dtype=np.int64)
+    _, offsets, _ = _bit_layout(_arities(sig), n)
+    predicates = {}
+    for (name, arity), offset in zip(sig.predicates, offsets):
+        predicates[name] = {
+            t: int.from_bytes(
+                np.packbits(masks >> offset + rank & 1 == 1, bitorder="little").tobytes(),
+                "little",
+            )
+            for rank, t in enumerate(_tuple_space(n, arity))
+        }
+    return Columns(predicates, (1 << len(masks)) - 1)
+
+
+def _structure_from_mask(sig: Signature, n: int, mask: int) -> Structure:
+    """The structure whose predicates are packed in ``mask``."""
+    widths, offsets, _ = _bit_layout(_arities(sig), n)
+    return _structure_from_indices(
+        sig, n, tuple(mask >> o & (1 << w) - 1 for w, o in zip(widths, offsets))
+    )
+
+
 def _predicate_only_iso_masks(
     sig: Signature, n: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> tuple[int, ...]:
@@ -904,19 +955,9 @@ def enumerate_structures(
     """
     if n < 1:
         raise ValueError("structure size must be >= 1")
-    arities = _arities(sig)
-    if up_to_iso and (
-        sig.predicates
-        and not sig.functions
-        and not sig.constants
-        and sum(n**arity for arity in arities)
-        <= (_UNARY_MASK_MAX_BITS if set(arities) == {1} else _MASK_MAX_BITS)
-    ):
-        widths, offsets, _ = _bit_layout(arities, n)
+    if up_to_iso and _iso_path_applies(sig, n):
         for mask in _predicate_only_iso_masks(sig, n, cap):
-            yield _structure_from_indices(
-                sig, n, tuple(mask >> o & (1 << w) - 1 for w, o in zip(widths, offsets))
-            )
+            yield _structure_from_mask(sig, n, mask)
         return
     count = labelled_structure_count(sig, n)
     if count > cap:

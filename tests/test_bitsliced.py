@@ -1,0 +1,374 @@
+"""Bit-sliced sweeps against the per-structure evaluation they replace.
+
+``prober._class_truths`` decides a sentence in every isomorphism class of
+one size at once; bit i of its column is the i-th class.  Each column is
+compared with the per-structure results of ``evaluate_fo``,
+``evaluate_eso`` on the ESO translation, ``theta_semantic`` and
+``theta_bounded_semantic``, and ``equivalence_oracle`` with a copy of the
+class-by-class loop it used before, which it still uses for sides it
+cannot slice.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from subsat import corpus, prober, structures
+from subsat.logic import (
+    FALSE,
+    TRUE,
+    Atom,
+    Const,
+    Eq,
+    EvaluationError,
+    Exists,
+    ExistsSet,
+    Forall,
+    Func,
+    Iff,
+    Implies,
+    Not,
+    SetAtom,
+    Var,
+    compile_formula,
+    evaluate_eso,
+    evaluate_fo,
+    free_variables,
+    make_and,
+    make_or,
+    parse_formula,
+)
+from subsat.prober import (
+    BoundedThetaOf,
+    EquivalenceVerdict,
+    ProbeConfig,
+    ThetaOf,
+    equivalence_oracle,
+    sentence_checker,
+    wellfoundedness_demo,
+)
+from subsat.structures import CapExceededError, Signature, enumerate_structures
+from subsat.theta import (
+    theta_bounded_semantic,
+    theta_bounded_to_existential_predicate,
+    theta_semantic,
+    theta_to_eso,
+)
+
+BINARY, UNARY_BINARY = corpus.BINARY, corpus.UNARY_BINARY
+LOOP = parse_formula("exists x. R(x,x)", BINARY)
+DOMINATING = parse_formula("exists x. forall y. R(x,y)", BINARY)
+
+
+def per_class_oracle(left, right, cfg):
+    """The class-by-class loop ``equivalence_oracle`` ran on every side."""
+    checked = 0
+    left_check, right_check = sentence_checker(left), sentence_checker(right)
+    for n in range(1, cfg.n_max + 1):
+        for s in enumerate_structures(cfg.signature, n, up_to_iso=True, cap=cfg.cap):
+            checked += 1
+            lt, rt = left_check(s), right_check(s)
+            if lt != rt:
+                return EquivalenceVerdict(False, s, lt, rt, checked, cfg.n_max)
+    return EquivalenceVerdict(True, None, None, None, checked, cfg.n_max)
+
+
+def summary(verdict):
+    s = verdict.counterexample
+    return (verdict.equal, None if s is None else s.key(), verdict.left_truth,
+            verdict.right_truth, verdict.checked, verdict.n_max)
+
+
+def outcome(oracle, left, right, cfg):
+    """The verdict's summary, or the type and text of what it raised."""
+    try:
+        return summary(oracle(left, right, cfg))
+    except (EvaluationError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_oracles_agree(left, right, cfg):
+    assert outcome(equivalence_oracle, left, right, cfg) == outcome(
+        per_class_oracle, left, right, cfg
+    ), (left, right)
+
+
+def assert_columns_match(phi, sig, n, classes=None):
+    """Every sliced truth of phi at size n against its per-structure value,
+    on every class or on the given class indices."""
+    masks, columns = structures._iso_level(sig, n), structures._iso_columns(sig, n)
+    everything = list(enumerate_structures(sig, n, up_to_iso=True))
+    assert len(everything) == len(masks) and columns.full == (1 << len(masks)) - 1
+    indices = range(len(masks)) if classes is None else classes
+    eso = theta_to_eso(phi, sig)
+    sides = {
+        "fo": (phi, lambda s: evaluate_fo(s, phi)),
+        "eso": (eso, lambda s: evaluate_eso(s, eso)),
+        "theta": (ThetaOf(phi), lambda s: theta_semantic(s, phi).truth),
+    }
+    for bound in (1, 2, 3):
+        sides[f"theta<={bound}"] = (
+            BoundedThetaOf(phi, bound),
+            lambda s, bound=bound: theta_bounded_semantic(s, phi, bound).truth,
+        )
+    for name, (item, reference) in sides.items():
+        assert prober._sliceable(item, sig)
+        column = prober._class_truths(item, columns, n)
+        assert column >> len(masks) == 0, name
+        for i in indices:
+            assert bool(column >> i & 1) == reference(everything[i]), (name, n, i)
+
+
+# --- random sentences -----------------------------------------------------------
+
+VARIABLES = ("x", "y", "z")
+
+
+def sentences(sig):
+    """Sentences over ``sig``: random formulas, their free variables bound
+    by drawn quantifiers."""
+    terms = st.sampled_from([Var(v) for v in VARIABLES])
+    leaves = [st.just(TRUE), st.just(FALSE), st.builds(Eq, terms, terms)]
+    for name, arity in sig.predicates:
+        leaves.append(
+            st.builds(lambda args, name=name: Atom(name, tuple(args)),
+                      st.lists(terms, min_size=arity, max_size=arity))
+        )
+
+    def extend(children):
+        variables = st.sampled_from(VARIABLES)
+        return st.one_of(
+            st.builds(Not, children),
+            st.builds(make_and, st.lists(children, min_size=1, max_size=3)),
+            st.builds(make_or, st.lists(children, min_size=1, max_size=3)),
+            st.builds(Implies, children, children),
+            st.builds(Iff, children, children),
+            st.builds(Forall, variables, children),
+            st.builds(Exists, variables, children),
+        )
+
+    def close(pair):
+        body, universal = pair
+        for v, forall in zip(sorted(free_variables(body)), universal):
+            body = (Forall if forall else Exists)(v, body)
+        return body
+
+    bodies = st.recursive(st.one_of(*leaves), extend, max_leaves=8)
+    return st.tuples(bodies, st.lists(st.booleans(), min_size=3, max_size=3)).map(close)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_sliced_truths_match_per_structure_on_random_sentences(data):
+    sig = data.draw(st.sampled_from([BINARY, UNARY_BINARY]))
+    phi = data.draw(sentences(sig))
+    for n in (1, 2, 3):
+        assert_columns_match(phi, sig, n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_oracle_matches_per_class_loop_on_random_sentences(data):
+    sig = data.draw(st.sampled_from([BINARY, UNARY_BINARY]))
+    phi, psi = data.draw(sentences(sig)), data.draw(sentences(sig))
+    cfg = ProbeConfig(sig, n_max=3)
+    for left, right in (
+        (ThetaOf(phi), theta_to_eso(phi, sig)),
+        (BoundedThetaOf(phi, 2), theta_bounded_to_existential_predicate(phi, 2, sig=sig)),
+        (ThetaOf(phi), phi),
+        (phi, BoundedThetaOf(phi, 1)),
+        (BoundedThetaOf(phi, 1), ThetaOf(psi)),
+        (phi, psi),
+    ):
+        assert_oracles_agree(left, right, cfg)
+
+
+def labelled_columns(sig, n):
+    """Columns of every labelled structure of size n, built by hand."""
+    family = list(enumerate_structures(sig, n))
+    predicates = {
+        name: {
+            t: sum(1 << i for i, s in enumerate(family) if t in s.predicates[name])
+            for t in itertools.product(range(n), repeat=arity)
+        }
+        for name, arity in sig.predicates
+    }
+    return family, structures.Columns(predicates, (1 << len(family)) - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sliced_mode_matches_holds_on_labelled_families(data):
+    # the compiled sliced mode on its own, over a family that is not a set
+    # of iso classes: every labelled structure of one size
+    sig = data.draw(st.sampled_from([BINARY, UNARY_BINARY]))
+    phi = data.draw(sentences(sig))
+    eso = theta_to_eso(phi, sig)
+    for n in (1, 2):
+        family, columns = labelled_columns(sig, n)
+        compiled = compile_formula(phi, sliced=True)
+        for carrier in ((0,), tuple(range(n))):
+            column = compiled.holds_sliced(columns, carrier)
+            assert [bool(column >> i & 1) for i in range(len(family))] == [
+                compiled.holds(s, carrier) for s in family
+            ]
+        column = compile_formula(eso, sliced=True).holds_eso_sliced(columns, range(n))
+        assert [bool(column >> i & 1) for i in range(len(family))] == [
+            evaluate_eso(s, eso) for s in family
+        ]
+
+
+# --- the corpus -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("entry", corpus.PREDICATE_ONLY, ids=lambda e: e.name)
+def test_sliced_truths_match_per_structure_on_the_corpus(entry):
+    sig, phi = entry.signature, entry.formula
+    for n in (1, 2, 3):
+        assert_columns_match(phi, sig, n)
+    if sig == BINARY:
+        assert_columns_match(phi, sig, 4)
+    else:
+        # 45960 four-point classes: every 7th keeps the test quick
+        assert_columns_match(phi, sig, 4, range(0, 45960, 7))
+
+
+@pytest.mark.parametrize("entry", corpus.BINARY_ONLY, ids=lambda e: e.name)
+def test_oracle_matches_per_class_loop_on_the_corpus(entry):
+    phi = entry.formula
+    cfg = ProbeConfig(BINARY, n_max=4)
+    others = [e.formula for e in corpus.BINARY_ONLY]
+    pairs = [
+        (ThetaOf(phi), theta_to_eso(phi, BINARY)),
+        (BoundedThetaOf(phi, 2), theta_bounded_to_existential_predicate(phi, 2, sig=BINARY)),
+        (ThetaOf(phi), phi),
+        (phi, ThetaOf(phi)),
+        (BoundedThetaOf(phi, 1), ThetaOf(phi)),
+    ] + [(ThetaOf(phi), psi) for psi in others]
+    for left, right in pairs:
+        assert_oracles_agree(left, right, cfg)
+
+
+def test_equal_and_unequal_pairs_pin():
+    # verdicts of the class-by-class loop: the counterexample is the first
+    # class where the sides differ, and it is counted
+    cfg = ProbeConfig(BINARY, n_max=4)
+    assert summary(equivalence_oracle(ThetaOf(DOMINATING), LOOP, cfg)) == (
+        True, None, None, None, 2 + 10 + 104 + 3044, 4
+    )
+    # a loop on one of two points: the loop is a dominating submodel
+    assert summary(equivalence_oracle(ThetaOf(DOMINATING), DOMINATING, cfg)) == (
+        False, (2, (((0, 0),),), (), ()), True, False, 4, 4
+    )
+    # one edge: no one-point submodel has a proper edge
+    proper_edge = parse_formula("exists x. exists y. (x != y & R(x,y))", BINARY)
+    assert summary(
+        equivalence_oracle(BoundedThetaOf(proper_edge, 1), ThetaOf(proper_edge), cfg)
+    ) == (False, (2, (((0, 1),),), (), ()), False, True, 5, 4)
+
+
+def test_wellfoundedness_demo_counts_are_unchanged():
+    report = wellfoundedness_demo(ProbeConfig(BINARY, n_max=4))
+    assert report.passed and report.structures_checked == 2 + 10 + 104 + 3044
+    cyclic = 0
+    for n in range(1, 5):
+        for s in enumerate_structures(BINARY, n, up_to_iso=True):
+            cyclic += prober.has_directed_cycle(s, "R")
+    assert report.cyclic_count == cyclic
+
+
+def test_sieve_truth_tables_match_per_structure():
+    # every labelled mask up to three points, sliced sentences and one that
+    # is not: an atom of the wrong arity is false, and raises nothing
+    wrong_arity = Exists("x", Atom("R", (Var("x"),)))
+    for phi in [e.formula for e in corpus.BINARY_ONLY] + [wrong_arity]:
+        for k in (1, 2, 3):
+            table = prober._mask_truth_table(phi, BINARY, k)
+            assert table.tolist() == [
+                evaluate_fo(structures._structure_from_indices(BINARY, k, (mask,)), phi)
+                for mask in range(2 ** (k * k))
+            ]
+    with pytest.raises(EvaluationError, match="uncovered free variable x"):
+        prober._mask_truth_table(Atom("R", (Var("x"), Var("x"))), BINARY, 2)
+
+
+# --- sides that keep the class-by-class loop ---------------------------------------
+
+X, Y = Var("x"), Var("y")
+WITH_CONSTANT = Signature(predicates=(("R", 2),), constants=("c",))
+
+FALLBACKS = {
+    "constant_term": (BINARY, Exists("x", Atom("R", (Const("c"), X)))),
+    "function_term": (BINARY, Exists("x", Eq(Func("F", (X,)), X))),
+    "constant_signature": (WITH_CONSTANT, parse_formula("exists x. R(x,c)", WITH_CONSTANT)),
+    "missing_predicate": (BINARY, Exists("x", Atom("Q", (X,)))),
+    "missing_predicate_late": (BINARY, Exists("x", make_or((Atom("R", (X, X)), Atom("Q", (X,)))))),
+    "wrong_arity": (BINARY, Exists("x", Atom("R", (X,)))),
+    "open": (BINARY, Atom("R", (X, Y))),
+    "nested_set_quantifier": (BINARY, Exists("x", ExistsSet("X", SetAtom("X", X)))),
+    "free_set_variable": (BINARY, Exists("x", SetAtom("X", X))),
+}
+
+
+@pytest.mark.parametrize("case", list(FALLBACKS))
+def test_unsliceable_sides_keep_the_per_class_loop(case):
+    sig, phi = FALLBACKS[case]
+    cfg = ProbeConfig(sig, n_max=3)
+    sides = [phi, ThetaOf(phi), BoundedThetaOf(phi, 1), BoundedThetaOf(phi, 0)]
+    for side in sides:
+        assert not prober._sliceable(side, sig)
+        for other in (TRUE, LOOP if sig == BINARY else TRUE, ThetaOf(TRUE)):
+            assert_oracles_agree(side, other, cfg)
+            assert_oracles_agree(other, side, cfg)
+
+
+def test_callable_side_keeps_the_per_class_loop():
+    cfg = ProbeConfig(BINARY, n_max=3)
+
+    def has_three_points(s):
+        return s.size >= 3
+
+    def refuses_at_three(s):
+        if s.size == 3:
+            raise ValueError("no three-point structures")
+        return False
+
+    for side in (has_three_points, refuses_at_three):
+        assert not prober._sliceable(side, BINARY)
+        for other in (FALSE, ThetaOf(DOMINATING), ThetaOf(Exists("x", Forall("y", Eq(X, Y))))):
+            assert_oracles_agree(side, other, cfg)
+            assert_oracles_agree(other, side, cfg)
+
+
+def test_sliced_mode_refuses_what_it_cannot_slice():
+    for _, phi in FALLBACKS.values():
+        if compile_formula(phi).atoms is None or not compile_formula(phi).is_sentence:
+            with pytest.raises(ValueError, match="bit-sliced evaluation needs a sentence"):
+                compile_formula(phi, sliced=True)
+
+
+def test_cap_refuses_before_any_column_is_built(monkeypatch):
+    built = []
+    columns = prober._iso_columns
+
+    def recording(sig, n):
+        built.append(n)
+        return columns(sig, n)
+
+    monkeypatch.setattr(prober, "_iso_columns", recording)
+    with pytest.raises(CapExceededError, match="2 iso candidates"):
+        equivalence_oracle(ThetaOf(DOMINATING), LOOP, ProbeConfig(BINARY, n_max=6, cap=1))
+    assert built == []
+    # 3044 four-point classes times 2**9 choices of the fifth point's tuples
+    with pytest.raises(CapExceededError, match="1558528 iso candidates"):
+        equivalence_oracle(
+            ThetaOf(DOMINATING), LOOP, ProbeConfig(BINARY, n_max=6, cap=1_000_000)
+        )
+    assert built == [1, 2, 3, 4]
+    # six points take the labelled path, which refuses 2**36 structures
+    built.clear()
+    with pytest.raises(CapExceededError, match="68719476736 labelled structures"):
+        equivalence_oracle(ThetaOf(DOMINATING), LOOP, ProbeConfig(BINARY, n_max=6))
+    assert built == [1, 2, 3, 4, 5]

@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from subsat import cli
 from subsat.cli import main
 
 K2_FILE = """\
@@ -484,3 +485,33 @@ def test_default_probe_manifest_does_not_depend_on_the_machine(monkeypatch):
     code, text = run(["probe", "--check", "wellfounded", "--n-max", "2"])
     assert code == 0
     assert "workers=1" in text.splitlines()[0].split()
+
+
+def test_parser_built_once_gives_the_answers_of_fresh_parsers(capsys):
+    # an argparse usage error, then valid calls, on one cached parser and
+    # on a parser built afresh for every call
+    calls = [
+        ["probe", "--check", "nonsense"],
+        ["translate", "--to", "eso", "--formula", "exists x. forall y. R(x,y)"],
+        ["--version"],
+        ["probe", "--check", "equivalence", "--theta-left", "--formula",
+         "exists x. forall y. R(x,y)", "--formula2", "exists x. R(x,x)", "--n-max", "3"],
+    ]
+
+    def outcomes(fresh):
+        got = []
+        for argv in calls:
+            if fresh:
+                cli._build_parser.cache_clear()
+            buf = io.StringIO()
+            code = main(argv, stdout=buf)
+            captured = capsys.readouterr()
+            got.append((code, buf.getvalue(), captured.out, captured.err))
+        return got
+
+    cli._build_parser.cache_clear()
+    once = outcomes(fresh=False)
+    assert cli._build_parser.cache_info().misses == 1
+    assert once == outcomes(fresh=True)
+    assert [code for code, *_ in once] == [2, 0, 0, 0]
+    assert "invalid choice: 'nonsense'" in once[0][3]
