@@ -3,7 +3,11 @@
 Run with ``python -m pytest bench --benchmark-only``.  The corpus is the
 116 digraphs on 1..3 points up to isomorphism, enumerated before timing,
 and the sentences are compiled by the warm-up round, so a round is the
-carrier tables and the laws read off them.
+carrier tables and the laws read off them.  Each case runs on both
+paths: ``columns`` packs the corpus into class columns per size and
+evaluates each (sentence, carrier) once for all of them; ``loop``
+evaluates every carrier of every structure, the path of signatures with
+constants or functions.
 
 - ``total_out_degree_some_point_stuck``: a sentence and its negation;
 - ``proper_edge_one_point_world``: law (iv) holds vacuously.
@@ -11,6 +15,9 @@ carrier tables and the laws read off them.
 ``extra_info`` records the carriers a round evaluates and the median µs
 per carrier.
 """
+
+import contextlib
+from unittest import mock
 
 import pytest
 
@@ -28,14 +35,17 @@ CASES = {
 }
 
 
+@pytest.mark.parametrize("path", ["columns", "loop"])
 @pytest.mark.parametrize("case", list(CASES))
-def test_modal_laws_check(benchmark, case):
+def test_modal_laws_check(benchmark, case, path):
     phi, psi = (FORMULAS[name] for name in CASES[case])
 
     def check():
         return theta.modal_laws_check(phi, psi, STRUCTURES)
 
-    report = benchmark.pedantic(check, rounds=5, iterations=1, warmup_rounds=1)
+    loop = mock.patch.object(theta, "_sliced_formula", lambda *args: False)
+    with loop if path == "loop" else contextlib.nullcontext():
+        report = benchmark.pedantic(check, rounds=5, iterations=1, warmup_rounds=1)
     assert report.passed
     carriers = sum(1 for s in STRUCTURES for _ in structures.enumerate_submodels(s))
     benchmark.extra_info["carriers"] = carriers

@@ -14,25 +14,16 @@ classes at once on the size's predicate columns (``structures.Columns``,
 bit i for the i-th class), and a submodel check is the disjunction of
 its sentence over the carriers, there every nonempty subset.  The equivalence
 oracle then builds only the first class where the sides differ, the
-lowest set bit of their xor; the well-foundedness demo takes its
-submodel checks from one column; the sieve's truth tables unpack one.
-Callables and every other side keep the class-by-class loop.
-
-Witness-bound searches over one-predicate signatures use a vectorized
-mask sieve (no structure materialization), which is what makes size-5
-sweeps feasible: each chunk of masks meets the small subsets one at a
-time, and a mask is dropped as soon as one of them is a witness.  A
-subset size whose truth table is all true settles the search before any
-chunk is built, and one whose table is all false drops nothing and is
-skipped.  The counterexamples are closed under isomorphism, so the
-first one is the least mask of its class: the masks left at the end are
-canonicalised in slices, in mask order, and only those equal to their
-canonical mask are evaluated, on the relation unpacked from the mask.
-A subset's truth table decides the memoised iso classes (bit-sliced
-when it can) and finds each mask's class by searching its canonical
-mask among them.  The generic path, which the sieve is cross-checked
-against in the test suite, evaluates every labelled structure and its
-small carriers in place on the raw tables.  Only a returned
+lowest set bit of their xor; the witness-bound search builds only the
+first class that satisfies its sentence with no small witness; the
+well-foundedness demo takes its submodel checks from one column and its
+cycle oracle from a transitive closure of the columns.  Each class is
+represented by its least mask, its first labelled member, and the
+representatives ascend, so the first class hit holds the first labelled
+structure hit.  Callables and every other side keep the class-by-class loop, and other
+witness-bound searches the generic path, which evaluates every labelled
+structure and its small carriers in place on the raw tables and is the
+column search's reference in the test suite.  Only a returned
 counterexample is built as a ``Structure``.
 """
 
@@ -68,24 +59,19 @@ from .structures import (
     induced_substructure,
     labelled_structure_count,
     render_structures,
-    _CANON_CHUNK,
-    _MASK_MAX_BITS,
-    _canonical_masks,
-    _canonicalise,
-    _interpretation_from_indices,
     _iso_columns,
+    _iso_level,
     _iso_path_applies,
     _labelled_interpretations,
     _predicate_only_iso_masks,
-    _structure_from_indices,
     _structure_from_mask,
 )
-from .theta import theta_bounded_semantic, theta_semantic
+from .theta import _sliced_formula, theta_bounded_semantic, theta_semantic
 
-_SIEVE_CHUNK = 1 << 20
-# Survivors canonicalised in the first slice of a chunk; later slices
-# double, up to _CANON_CHUNK.
-_FIRST_SLICE = 1 << 10
+# Witness searches on class columns count labelled masks scanned in quanta
+# of this many, so that ``structures_scanned`` keeps the counts that a
+# labelled scan in chunks of 2**20 masks reported (and that tests pin).
+_SCAN_QUANTUM = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -93,8 +79,8 @@ class ProbeConfig:
     """Search ceilings: structure size, witness size, generated-model cap.
 
     ``lambda_max`` defaults to min(3, n_max) and ``nu`` to
-    max(lambda_max, 4); the invariants 1 <= lambda_max <= n_max <= and
-    nu >= lambda_max are enforced.
+    max(lambda_max, 4); the invariants n_max >= 1, 1 <= lambda_max <= n_max
+    and nu >= lambda_max are enforced, in that order.
     """
 
     signature: Signature
@@ -105,6 +91,8 @@ class ProbeConfig:
     cap: int = DEFAULT_ENUMERATION_CAP
 
     def __post_init__(self):
+        if self.n_max < 1:
+            raise ValueError("need n_max >= 1")
         if self.lambda_max is None:
             object.__setattr__(self, "lambda_max", min(3, self.n_max))
         if self.nu is None:
@@ -160,21 +148,6 @@ def sentence_checker(item: SentenceLike) -> Callable[[Structure], bool]:
 def _is_formula(item) -> bool:
     return hasattr(item, "__dataclass_fields__") and not isinstance(
         item, (ThetaOf, BoundedThetaOf)
-    )
-
-
-def _sliced_formula(phi: Formula, sig: Signature, first_order: bool) -> bool:
-    """Whether ``phi`` is decided bit-sliced over ``sig``: a sentence, first
-    order if asked, over ``sig``'s predicates at their arities with
-    variables for terms, on a signature with predicates only.  Nothing in
-    it can raise, so deciding it for all classes at once changes no error."""
-    compiled = compile_formula(phi)
-    return (
-        sig.is_predicate_only
-        and compiled.eso_error is None
-        and (compiled.first_order or not first_order)
-        and compiled.atoms is not None
-        and compiled.atoms <= set(sig.predicates)
     )
 
 
@@ -330,115 +303,47 @@ class ProbeVerdict:
     stats: dict = field(default_factory=dict)
 
 
-def _sieve_applicable(sig: Signature, n: int) -> bool:
-    return (
-        len(sig.predicates) == 1
-        and not sig.functions
-        and not sig.constants
-        and n ** sig.predicates[0][1] <= _MASK_MAX_BITS
-    )
-
-
-def _mask_truth_table(phi: Formula, sig: Signature, k: int):
-    """Truth of ``phi`` on every labelled size-k structure, indexed by mask.
-
-    Decides ``phi`` on every isomorphism class (the memoised least masks)
-    at once, bit-sliced, or one representative at a time when it is not
-    a first-order sentence over the signature's predicate, and spreads the
-    value over the class by looking up each mask's canonical mask among
-    them.
-    """
-    import numpy as np
-
-    canon = _canonical_masks(sig, k)
-    reps = _predicate_only_iso_masks(sig, k)
-    if _sliced_formula(phi, sig, True):
-        truth = _class_truths(phi, _iso_columns(sig, k), k)
-        rep_truth = np.unpackbits(
-            np.frombuffer(truth.to_bytes(-(-len(reps) // 8), "little"), dtype=np.uint8),
-            count=len(reps),
-            bitorder="little",
-        ).astype(bool)
-    else:
-        compiled = compile_formula(phi)
-        rep_truth = np.fromiter(
-            (
-                compiled.holds(_interpretation_from_indices(sig, k, (mask,)), range(k))
-                for mask in reps
-            ),
-            dtype=bool,
-            count=len(reps),
-        )
-    return rep_truth[np.searchsorted(np.array(reps), canon)]
-
-
-def _sieve_first_counterexample(
-    phi: Formula, sig: Signature, n: int, lam: int, tables: dict
+def _column_first_counterexample(
+    phi: Formula, sig: Signature, n: int, lam: int, cap: int, truths: dict
 ) -> tuple[Optional[Structure], int]:
     """First labelled size-n structure satisfying phi with no phi-submodel of
-    size <= lam, by vectorized small-witness filtering; returns (hit, scanned).
+    size <= lam, decided on the class columns; returns (hit, scanned).
 
-    Masks are sieved a chunk at a time: each subset of size <= lam, sizes
-    ascending, drops the live masks it is a witness for.  A size whose
-    truth table is all true settles the search (every structure has a
-    witness of that size) before any chunk is built, and one that is all
-    false drops nothing, so its subsets are left out.  The counterexamples
-    are a union of isomorphism classes, so the first one is the least
-    member of its class: of the survivors, only those equal to their
-    canonical mask are evaluated, in mask order, on their relation alone.
-    They are canonicalised in slices that double from ``_FIRST_SLICE``,
-    so a hit early among many survivors costs little.  ``scanned`` is the
-    end of the chunk that holds the hit, or the whole space.
+    For a ``_sliced_formula`` on a signature ``_iso_path_applies`` to.  If
+    phi holds in every class of some size k <= lam, every structure has a
+    witness of size k and no size-n class is built.  Otherwise the
+    counterexamples are the column phi & ~theta<=lam(phi) at size n; they
+    are closed under isomorphism, so the first labelled one is the least
+    mask of the class at its lowest set bit.  ``scanned`` counts labelled
+    masks in quanta of ``_SCAN_QUANTUM``: up to the end of the hit's, or
+    the whole space.  ``truths`` memoises phi's column per size.
     """
-    import numpy as np
+    total = 2 ** sum(n**arity for _, arity in sig.predicates)
 
-    compiled = compile_formula(phi)
-    arity = sig.predicates[0][1]
-    domain = range(n)
-    tuples = list(itertools.product(range(n), repeat=arity))
-    rank = {t: r for r, t in enumerate(tuples)}
-    total = 2 ** (n**arity)
-    subset_specs = []
-    for k in range(1, min(lam, n) + 1):
-        if k not in tables:
-            tables[k] = _mask_truth_table(phi, sig, k)
-        if tables[k].all():
-            return None, total
-        if not tables[k].any():
-            continue
-        for combo in itertools.combinations(range(n), k):
-            spec = [
-                rank[t] for t in itertools.product(combo, repeat=arity)
-            ]  # local rank is the position in this list
-            subset_specs.append((k, spec))
-    scanned = 0
-    for start in range(0, total, _SIEVE_CHUNK):
-        stop = min(start + _SIEVE_CHUNK, total)
-        live = np.arange(start, stop, dtype=np.int32)
-        for k, spec in subset_specs:
-            # ranks ascend, so src >= local: one shift moves bit src to bit local
-            submask = live >> spec[0] & 1
-            for local, src in enumerate(spec[1:], 1):
-                submask |= live >> (src - local) & (1 << local)
-            live = live[~tables[k][submask]]
-            if not len(live):
-                break
-        scanned = stop
-        at, width = 0, _FIRST_SLICE
-        while at < len(live):
-            part = live[at:at + width]
-            at, width = at + width, min(2 * width, _CANON_CHUNK)
-            for mask in part[_canonicalise(sig, n, part) == part].tolist():
-                if compiled.holds(_interpretation_from_indices(sig, n, (mask,)), domain):
-                    return _structure_from_indices(sig, n, (mask,)), scanned
-    return None, scanned
+    def phi_at(k):
+        if k not in truths:
+            _predicate_only_iso_masks(sig, k, cap)  # refuses before the work
+            truths[k] = _class_truths(phi, _iso_columns(sig, k), k)
+        return truths[k]
+
+    if any(phi_at(k) == _iso_columns(sig, k).full for k in range(1, lam + 1)):
+        return None, total
+    models = phi_at(n)  # refuses before size n is built
+    witnessed = _class_truths(BoundedThetaOf(phi, lam), _iso_columns(sig, n), n)
+    counterexamples = models & ~witnessed
+    if not counterexamples:
+        return None, total
+    mask = int(_iso_level(sig, n)[(counterexamples & -counterexamples).bit_length() - 1])
+    scanned = min((mask // _SCAN_QUANTUM + 1) * _SCAN_QUANTUM, total)
+    return _structure_from_mask(sig, n, mask), scanned
 
 
 def _generic_first_counterexample(
     phi: Formula, sig: Signature, n: int, lam: int, cap: int
 ) -> tuple[Optional[Structure], int]:
-    """The reference for the sieve, over any signature: every labelled
-    structure in order, each and its small carriers evaluated in place."""
+    """The search over any signature, and the reference for the column
+    search: every labelled structure in order, each and its small carriers
+    evaluated in place."""
     count = labelled_structure_count(sig, n)
     if count > cap:
         raise CapExceededError(count, cap)
@@ -458,16 +363,18 @@ def _generic_first_counterexample(
 
 
 def _first_submodel_counterexample(
-    phi: Formula, cfg: ProbeConfig, lam: int, tables: dict
+    phi: Formula, cfg: ProbeConfig, lam: int, truths: dict
 ) -> tuple[Optional[Structure], int]:
     """First structure of size in (lam, n_max] that satisfies phi but has no
     phi-submodel of size <= lam.  Sizes <= lam are their own witnesses."""
+    sig = cfg.signature
+    sliced = _sliced_formula(phi, sig, True)
     scanned = 0
     for n in range(lam + 1, cfg.n_max + 1):
-        if _sieve_applicable(cfg.signature, n):
-            hit, done = _sieve_first_counterexample(phi, cfg.signature, n, lam, tables)
+        if sliced and _iso_path_applies(sig, n):
+            hit, done = _column_first_counterexample(phi, sig, n, lam, cfg.cap, truths)
         else:
-            hit, done = _generic_first_counterexample(phi, cfg.signature, n, lam, cfg.cap)
+            hit, done = _generic_first_counterexample(phi, sig, n, lam, cfg.cap)
         scanned += done
         if hit is not None:
             return hit, scanned
@@ -491,11 +398,11 @@ def witness_bound_search(phi: Formula, cfg: ProbeConfig) -> ProbeVerdict:
 
 
 def _witness_bound_submodel(phi: Formula, cfg: ProbeConfig) -> ProbeVerdict:
-    tables: dict = {}
+    truths: dict = {}
     family = []
     scanned_total = 0
     for lam in range(1, cfg.lambda_max + 1):
-        hit, scanned = _first_submodel_counterexample(phi, cfg, lam, tables)
+        hit, scanned = _first_submodel_counterexample(phi, cfg, lam, truths)
         scanned_total += scanned
         if hit is None:
             return ProbeVerdict(
@@ -628,10 +535,12 @@ def wellfoundedness_demo(cfg: ProbeConfig) -> WellfoundednessReport:
     """The submodel check of 'every element has a predecessor' detects cycles.
 
     Sweeps all structures up to n_max and compares against an independent
-    graph-theoretic cycle search; on finite structures the two agree
-    everywhere.  The submodel check of each size taken from packed class
-    masks is decided bit-sliced, for all its classes at once; the cycle
-    search runs on each structure.
+    cycle search; on finite structures the two agree everywhere.  Each
+    size taken from packed class masks is decided for all its classes at
+    once: the submodel check bit-sliced, and the cycles by Warshall's
+    transitive closure of the edge columns (a class is cyclic when some
+    point reaches itself); only mismatching classes are built.  Other
+    sizes run the submodel check and a graph search on each structure.
     """
     sig = cfg.signature
     if len(sig.predicates) != 1 or sig.predicates[0][1] != 2 or sig.functions or sig.constants:
@@ -642,18 +551,33 @@ def wellfoundedness_demo(cfg: ProbeConfig) -> WellfoundednessReport:
     cyclic = 0
     mismatches = []
     for n in range(1, cfg.n_max + 1):
-        sliced = _iso_path_applies(sig, n)
-        if sliced:
-            _predicate_only_iso_masks(sig, n, cfg.cap)  # refuses before the work
-            theta = _class_truths(ThetaOf(phi), _iso_columns(sig, n), n)
-        for i, s in enumerate(enumerate_structures(sig, n, up_to_iso=True, cap=cfg.cap)):
-            checked += 1
-            t = bool(theta >> i & 1) if sliced else theta_semantic(s, phi).truth
-            c = has_directed_cycle(s, name)
-            if c:
-                cyclic += 1
-            if t != c:
-                mismatches.append(s)
+        if not _iso_path_applies(sig, n):
+            for s in enumerate_structures(sig, n, up_to_iso=True, cap=cfg.cap):
+                checked += 1
+                c = has_directed_cycle(s, name)
+                cyclic += c
+                if theta_semantic(s, phi).truth != c:
+                    mismatches.append(s)
+            continue
+        classes = _predicate_only_iso_masks(sig, n, cfg.cap)  # refuses before the work
+        columns = _iso_columns(sig, n)
+        theta = _class_truths(ThetaOf(phi), columns, n)
+        reach = [[columns.predicates[name][i, j] for j in range(n)] for i in range(n)]
+        for k in range(n):
+            for i in range(n):
+                if reach[i][k]:
+                    for j in range(n):
+                        reach[i][j] |= reach[i][k] & reach[k][j]
+        cycles = 0
+        for i in range(n):
+            cycles |= reach[i][i]
+        checked += len(classes)
+        cyclic += cycles.bit_count()
+        differ = theta ^ cycles
+        while differ:
+            i = (differ & -differ).bit_length() - 1
+            mismatches.append(_structure_from_mask(sig, n, classes[i]))
+            differ &= differ - 1
     return WellfoundednessReport(
         render_formula(phi), checked, cyclic, tuple(mismatches), cfg.n_max
     )

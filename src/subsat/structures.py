@@ -12,12 +12,12 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 DEFAULT_ENUMERATION_CAP = 5_000_000
 
-# Widest packed predicate mask the numpy paths handle: arrays over all
-# 2**bits masks (iso classes, the witness sieve's truth tables and chunks).
+# Widest packed predicate mask the numpy iso path handles: wider ones take
+# the labelled path, which refuses 2**26 structures under the default cap.
 _MASK_MAX_BITS = 25
 # All-unary signatures sort element types and build no 2**bits array, so
 # their one-point extension runs while masks fit in int32.
@@ -783,10 +783,6 @@ def _type_sorted(masks, k: int, n: int):
     return out
 
 
-# Masks canonicalised at a time: keeps the byte columns in cache.
-_CANON_CHUNK = 1 << 16
-
-
 def _canonicalise(sig: Signature, n: int, masks):
     """Least mask over all relabellings of each packed predicate-only mask.
 
@@ -798,29 +794,13 @@ def _canonicalise(sig: Signature, n: int, masks):
     import numpy as np
 
     arities = _arities(sig)
-    bits = _bit_layout(arities, n)[2]
-    unary = set(arities) == {1}
     canon = np.array(masks, dtype=np.int32)
-    for start in range(0, len(canon), _CANON_CHUNK):
-        best = canon[start:start + _CANON_CHUNK]
-        if unary:
-            best[:] = _type_sorted(best, len(arities), n)
-            continue
-        columns = _byte_columns(best, bits)
-        for tables in _relabelling_tables(arities, n):
-            np.minimum(best, _remap_bits(columns, tables), out=best)
+    if set(arities) == {1}:
+        return _type_sorted(canon, len(arities), n)
+    columns = _byte_columns(canon, _bit_layout(arities, n)[2])
+    for tables in _relabelling_tables(arities, n):
+        np.minimum(canon, _remap_bits(columns, tables), out=canon)
     return canon
-
-
-def _canonical_masks(sig: Signature, n: int):
-    """Canonical mask of every packed predicate-only mask, indexed by mask.
-
-    Intended for at most ``_MASK_MAX_BITS`` tuple bits: the array has
-    2**bits entries.
-    """
-    import numpy as np
-
-    return _canonicalise(sig, n, np.arange(2 ** _bit_layout(_arities(sig), n)[2]))
 
 
 def _fresh_bits(arities: tuple[int, ...], n: int) -> list[int]:
@@ -834,19 +814,63 @@ def _fresh_bits(arities: tuple[int, ...], n: int) -> list[int]:
     )
 
 
-@functools.cache
-def _iso_level(sig: Signature, n: int) -> tuple[int, ...]:
-    """Least mask of every isomorphism class at size ``n``, ascending.
+def _point_invariants(arities: tuple[int, ...], n: int, masks):
+    """The vertex invariant of every point of every mask, (len(masks), n).
 
-    By one-point extension (McKay's vertex extension, with uniqueness from
-    the canonical mask): every class has a member whose restriction to
-    {0..n-2} is a representative at size n - 1, so the candidates are those
-    representatives, embedded, with every subset of the fresh bits.
+    Per unary predicate the point's bit, per binary predicate its loop,
+    out-degree and in-degree (a loop counts in both), read as digits of
+    one int64, earlier predicates more significant, so ints compare as the
+    digit tuples do.  Wider predicates add nothing, and digits past 62
+    bits are left out: any isomorphism invariant will do.  Every digit is
+    a sum over the mask's tuples, so the invariants of a union of disjoint
+    masks are the sums of theirs.
+    """
+    import numpy as np
+
+    _, offsets, _ = _bit_layout(arities, n)
+    key = np.zeros((len(masks), n), dtype=np.int64)
+    scale = 1
+    for arity, offset in zip(arities, offsets):
+        if arity > 2:
+            continue
+        table = masks[:, None] >> offset + np.arange(n**arity) & 1
+        if arity == 1:
+            digits = [(2, table)]
+        else:
+            table = table.reshape(-1, n, n)
+            digits = [(2, table.diagonal(0, 1, 2)), (n + 1, table.sum(2)), (n + 1, table.sum(1))]
+        for radix, digit in digits:
+            scale *= radix
+            if scale >= 1 << 62:
+                return key
+            key = key * radix + digit
+    return key
+
+
+# Extension candidates, before the invariant filter, taken at a time: bounds
+# the invariant sums and the canonicalisation of the survivors.
+_EXTEND_BLOCK = 1 << 16
+
+
+@functools.cache
+def _iso_level(sig: Signature, n: int):
+    """Least mask of every isomorphism class at size ``n``, ascending, as a
+    read-only int32 array.
+
+    By one-point extension with McKay's canonical augmentation test: every
+    class has a member whose point n - 1 has a greatest vertex invariant
+    (``_point_invariants``) and whose restriction to {0..n-2} is a
+    representative at size n - 1 (delete a point of greatest invariant).
+    So the candidates are those representatives, embedded, with every
+    subset of the fresh bits, kept only when the new point's invariant is
+    at least every other point's; the canonical mask picks one member per
+    class.  Representatives are taken in blocks, which bounds the filter's
+    and the canonicalisation's temporaries.
     """
     import numpy as np
 
     arities = _arities(sig)
-    prev = _iso_level(sig, n - 1) if n > 1 else (0,)
+    prev = _iso_level(sig, n - 1) if n > 1 else np.zeros(1, dtype=np.int32)
     _, old_offsets, old_bits = _bit_layout(arities, n - 1)
     _, offsets, _ = _bit_layout(arities, n)
     embed = [0] * old_bits
@@ -855,10 +879,27 @@ def _iso_level(sig: Signature, n: int) -> tuple[int, ...]:
         for old_rank, t in enumerate(_tuple_space(n - 1, arity)):
             embed[old_offset + old_rank] = offset + rank[t]
     fresh = _fresh_bits(arities, n)
-    embedded = _remap_bits(_byte_columns(np.array(prev), old_bits), _bit_tables(embed))
+    embedded = _remap_bits(_byte_columns(prev, old_bits), _bit_tables(embed))
     subsets = _byte_columns(np.arange(1 << len(fresh)), len(fresh))
-    candidates = (embedded[:, None] | _remap_bits(subsets, _bit_tables(fresh))).ravel()
-    return tuple(np.unique(_canonicalise(sig, n, candidates)).tolist())
+    added = _remap_bits(subsets, _bit_tables(fresh))
+    old_invariants = _point_invariants(arities, n, embedded)
+    new_invariants = _point_invariants(arities, n, added)
+    # the new point's lead over each old point, before the old tuples count
+    lead = new_invariants[:, -1:] - new_invariants[:, :-1]
+    step = max(1, _EXTEND_BLOCK >> len(fresh))
+    found = []
+    for start in range(0, len(prev), step):
+        block = old_invariants[start:start + step]
+        keep = np.ones((len(block), len(added)), dtype=bool)
+        for x in range(n - 1):
+            keep &= block[:, x, None] <= lead[None, :, x]
+        rows, cols = np.nonzero(keep)
+        found.append(_canonicalise(sig, n, embedded[start + rows] | added[cols]))
+    level = np.concatenate(found)
+    level.sort()
+    level = level[np.concatenate(([True], level[1:] != level[:-1]))]
+    level.flags.writeable = False
+    return level
 
 
 class Columns(NamedTuple):
@@ -888,42 +929,66 @@ def _iso_path_applies(sig: Signature, n: int) -> bool:
 def _iso_columns(sig: Signature, n: int) -> Columns:
     """The ``Columns`` of the memoised classes of ``_iso_level(sig, n)``:
     each tuple's bit of every class mask, packed by numpy into one int."""
-    import numpy as np
-
-    masks = np.array(_iso_level(sig, n), dtype=np.int64)
+    masks = _iso_level(sig, n)
     _, offsets, _ = _bit_layout(_arities(sig), n)
     predicates = {}
     for (name, arity), offset in zip(sig.predicates, offsets):
         predicates[name] = {
-            t: int.from_bytes(
-                np.packbits(masks >> offset + rank & 1 == 1, bitorder="little").tobytes(),
-                "little",
-            )
+            t: _packed_column(masks >> offset + rank & 1 == 1)
             for rank, t in enumerate(_tuple_space(n, arity))
         }
     return Columns(predicates, (1 << len(masks)) - 1)
 
 
+def _packed_column(bits) -> int:
+    """The int whose bit ``i`` is ``bits[i]``, a numpy bool array."""
+    import numpy as np
+
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _column_bits(column: int, count: int):
+    """Bits 0..count-1 of ``column`` as a numpy bool array."""
+    import numpy as np
+
+    packed = np.frombuffer(column.to_bytes(-(-count // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=count, bitorder="little").astype(bool)
+
+
+def _structure_columns(sig: Signature, n: int, group: Sequence[Structure]) -> Columns:
+    """The ``Columns`` of size-``n`` structures over a predicate-only ``sig``:
+    bit ``i`` of a tuple's column is set when ``group[i]`` holds it."""
+    predicates = {
+        name: {
+            t: _packed_column([t in s.predicates[name] for s in group])
+            for t in _tuple_space(n, arity)
+        }
+        for name, arity in sig.predicates
+    }
+    return Columns(predicates, (1 << len(group)) - 1)
+
+
 def _structure_from_mask(sig: Signature, n: int, mask: int) -> Structure:
-    """The structure whose predicates are packed in ``mask``."""
+    """The structure whose predicates are packed in ``mask`` (any int type)."""
     widths, offsets, _ = _bit_layout(_arities(sig), n)
+    mask = int(mask)
     return _structure_from_indices(
         sig, n, tuple(mask >> o & (1 << w) - 1 for w, o in zip(widths, offsets))
     )
 
 
-def _predicate_only_iso_masks(
-    sig: Signature, n: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> tuple[int, ...]:
-    """Representative packed bitmasks, one per isomorphism class.
+def _predicate_only_iso_masks(sig: Signature, n: int, cap: int = DEFAULT_ENUMERATION_CAP):
+    """Representative packed bitmasks, one per isomorphism class, as the
+    memoised int32 array of ``_iso_level``.
 
     Representatives are the first labelled structure of each class, in
     ascending mask order (identical to the generic path), memoised per
-    size.  They are built size by size, and each size's candidate count is
-    checked against ``cap`` before that size is computed.
+    size.  They are built size by size, and each size's candidate count,
+    before the invariant filter, is checked against ``cap`` before that
+    size is computed.
     """
     arities = _arities(sig)
-    reps: tuple[int, ...] = (0,)
+    reps = (0,)
     for k in range(1, n + 1):
         count = len(reps) << len(_fresh_bits(arities, k))
         if count > cap:

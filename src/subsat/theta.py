@@ -58,8 +58,10 @@ from .structures import (
     Interpretation,
     Signature,
     Structure,
+    _column_bits,
     _interpretation_from_indices,
     _labelled_indices,
+    _structure_columns,
     _structure_from_indices,
     enumerate_submodels,
     generated_carrier,
@@ -84,6 +86,21 @@ def _require_fo_sentence(phi: Formula) -> CompiledFormula:
     if not compiled.is_sentence:
         raise ValueError(f"open formula: {render_formula(phi)}")
     return compiled
+
+
+def _sliced_formula(phi: Formula, sig: Signature, first_order: bool) -> bool:
+    """Whether ``phi`` is decided bit-sliced over ``sig``: a sentence, first
+    order if asked, over ``sig``'s predicates at their arities with
+    variables for terms, on a signature with predicates only.  Nothing in
+    it can raise, so deciding it for all classes at once changes no error."""
+    compiled = compile_formula(phi)
+    return (
+        sig.is_predicate_only
+        and compiled.eso_error is None
+        and (compiled.first_order or not first_order)
+        and compiled.atoms is not None
+        and compiled.atoms <= set(sig.predicates)
+    )
 
 
 def theta_semantic(s: Structure, phi: Formula) -> ThetaReport:
@@ -479,6 +496,58 @@ class ModalLawReport:
 _LAWS = ("i", "ii", "iii", "iv", "v-and", "v-or", "vi", "vii")
 
 
+def _carrier_tables(sentences: Sequence[Formula], structures: list) -> list:
+    """Per structure: its carriers (in ``enumerate_submodels`` order); per
+    carrier, the bitmask of the carriers inside it; and per sentence, the
+    bitmask of the carriers it holds on, in place.
+
+    Structures over a predicate-only signature, when every sentence is
+    ``_sliced_formula`` over it, are packed per (signature, size) into
+    ``Columns``: every nonempty subset is then a carrier, so one sliced
+    evaluation per (sentence, carrier) decides it for the whole group, and
+    the group's tables are those columns transposed.  The others are
+    evaluated carrier by carrier.
+    """
+    import numpy as np
+
+    groups: dict = {}
+    for i, s in enumerate(structures):
+        groups.setdefault((s.signature, s.size), []).append(i)
+    out: list = [None] * len(structures)
+    for (sig, n), members in groups.items():
+        if not all(_sliced_formula(f, sig, True) for f in sentences):
+            compiled = [compile_formula(f) for f in sentences]
+            for i in members:
+                carriers = list(enumerate_submodels(structures[i]))
+                tables = [0] * len(compiled)
+                for b, carrier in enumerate(carriers):
+                    domain = sorted(carrier)
+                    for j, sentence in enumerate(compiled):
+                        if sentence.holds(structures[i], domain):
+                            tables[j] |= 1 << b
+                out[i] = (carriers, _below(carriers), tables)
+            continue
+        group = [structures[i] for i in members]
+        columns = _structure_columns(sig, n, group)
+        carriers = list(enumerate_submodels(group[0]))
+        transposed = []
+        for f in sentences:
+            sliced = compile_formula(f, sliced=True)
+            bits = [_column_bits(sliced.holds_sliced(columns, sorted(c)), len(group))
+                    for c in carriers]
+            packed = np.packbits(bits, axis=0, bitorder="little").T
+            transposed.append([int.from_bytes(row.tobytes(), "little") for row in packed])
+        below = _below(carriers)
+        for pos, i in enumerate(members):
+            out[i] = (carriers, below, [tables[pos] for tables in transposed])
+    return out
+
+
+def _below(carriers: list) -> list[int]:
+    """Per carrier, the bitmask of the carriers inside it."""
+    return [sum(1 << i for i, d in enumerate(carriers) if d <= c) for c in carriers]
+
+
 def modal_laws_check(
     phi: Formula, psi: Formula, structures: Iterable[Structure]
 ) -> ModalLawReport:
@@ -489,11 +558,10 @@ def modal_laws_check(
     then theta(phi) -> theta(psi) must hold there too.  One-directional
     laws also record a strictness witness when the corpus exhibits one.
 
-    Every truth is read off tables filled once.  Each structure's carriers
-    are listed once, and each of the eight sentences true, false, phi,
-    psi, phi & psi, phi | psi, !phi and phi -> psi is evaluated once per
-    carrier, in place; its table is a bitmask over the carriers, so its
-    submodel check is the mask being nonzero.  The carriers of the
+    Every truth is read off tables filled once (``_carrier_tables``): each
+    of the eight sentences true, false, phi, psi, phi & psi, phi | psi,
+    !phi and phi -> psi has, per structure, a bitmask over its carriers,
+    so its submodel check is the mask being nonzero.  The carriers of the
     submodel on a carrier c are the structure's carriers inside c, so a
     submodel check in that submodel is the mask meet ``below[c]``: the
     nested checks of (iii) and (vii) build no submodel.  The corpus closed
@@ -502,11 +570,10 @@ def modal_laws_check(
     invariant under isomorphism, so that pair is the first occurrence of
     the first failing class.  Only that counterexample is built.
     """
-    compiled = [
+    sentences = (TRUE, FALSE, phi, psi, make_and((phi, psi)), make_or((phi, psi)),
+                 Not(phi), Implies(phi, psi))
+    for f in sentences:
         _require_fo_sentence(f)
-        for f in (TRUE, FALSE, phi, psi, make_and((phi, psi)), make_or((phi, psi)),
-                  Not(phi), Implies(phi, psi))
-    ]
     results = {name: LawResult(name, True) for name in _LAWS}
 
     def fail(name, where, message):
@@ -516,16 +583,9 @@ def modal_laws_check(
     facts = []  # per structure, what the strictness witnesses need
     closure_premise = True
     first_failing = None  # (structure, carrier) refuting (iv)'s conclusion
-    for s in structures:
-        carriers = list(enumerate_submodels(s))
-        tables = [0] * len(compiled)
-        for i, carrier in enumerate(carriers):
-            domain = sorted(carrier)
-            for j, sentence in enumerate(compiled):
-                if sentence.holds(s, domain):
-                    tables[j] |= 1 << i
+    structures = list(structures)
+    for s, (carriers, below, tables) in zip(structures, _carrier_tables(sentences, structures)):
         top, bottom, t_phi, t_psi, t_both, t_either, t_not_phi, t_implication = tables
-        below = [sum(1 << i for i, d in enumerate(carriers) if d <= c) for c in carriers]
         theta_phi, theta_psi = t_phi != 0, t_psi != 0
         phi_holds = t_phi >> len(carriers) - 1 == 1  # the full carrier comes last
         some_without = any(not t_phi & inside for inside in below)

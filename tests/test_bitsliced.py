@@ -6,16 +6,21 @@ compared with the per-structure results of ``evaluate_fo``,
 ``evaluate_eso`` on the ESO translation, ``theta_semantic`` and
 ``theta_bounded_semantic``, and ``equivalence_oracle`` with a copy of the
 class-by-class loop it used before, which it still uses for sides it
-cannot slice.
+cannot slice.  The witness-bound search, the modal-law tables and the
+well-foundedness demo's cycle oracle, which read the same columns, are
+checked against the generic search, the per-structure loop and the graph
+search.
 """
 
 import itertools
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subsat import corpus, prober, structures
+from subsat import corpus, prober, structures, theta
 from subsat.logic import (
     FALSE,
     TRUE,
@@ -48,9 +53,11 @@ from subsat.prober import (
     equivalence_oracle,
     sentence_checker,
     wellfoundedness_demo,
+    witness_bound_search,
 )
 from subsat.structures import CapExceededError, Signature, enumerate_structures
 from subsat.theta import (
+    modal_laws_check,
     theta_bounded_semantic,
     theta_bounded_to_existential_predicate,
     theta_semantic,
@@ -279,19 +286,104 @@ def test_wellfoundedness_demo_counts_are_unchanged():
     assert report.cyclic_count == cyclic
 
 
-def test_sieve_truth_tables_match_per_structure():
-    # every labelled mask up to three points, sliced sentences and one that
-    # is not: an atom of the wrong arity is false, and raises nothing
-    wrong_arity = Exists("x", Atom("R", (Var("x"),)))
-    for phi in [e.formula for e in corpus.BINARY_ONLY] + [wrong_arity]:
+def test_class_truths_hold_in_every_labelled_member():
+    # the witness search reads each class's bit for its least labelled
+    # member: spread over every labelled mask up to three points through
+    # its canonical mask, each column is the per-structure truth
+    for phi in [e.formula for e in corpus.BINARY_ONLY]:
         for k in (1, 2, 3):
-            table = prober._mask_truth_table(phi, BINARY, k)
-            assert table.tolist() == [
+            classes = structures._iso_level(BINARY, k)
+            column = prober._class_truths(phi, structures._iso_columns(BINARY, k), k)
+            truth = structures._column_bits(column, len(classes))
+            canonical = structures._canonicalise(BINARY, k, np.arange(2 ** (k * k)))
+            assert truth[np.searchsorted(classes, canonical)].tolist() == [
                 evaluate_fo(structures._structure_from_indices(BINARY, k, (mask,)), phi)
                 for mask in range(2 ** (k * k))
             ]
+
+
+def test_witness_search_keeps_the_generic_path_for_what_it_cannot_slice():
+    # an atom of the wrong arity is false, and raises nothing; an open
+    # formula raises what the per-structure evaluation raises
+    wrong_arity = Exists("x", Atom("R", (Var("x"),)))
+    verdict = witness_bound_search(wrong_arity, ProbeConfig(BINARY, n_max=3, lambda_max=2))
+    assert (verdict.outcome, verdict.bound, verdict.counterexamples) == (
+        "WITNESS_BOUND_FOUND", 1, ()
+    )
+    assert verdict.stats["structures_scanned"] == 2**4 + 2**9
     with pytest.raises(EvaluationError, match="uncovered free variable x"):
-        prober._mask_truth_table(Atom("R", (Var("x"), Var("x"))), BINARY, 2)
+        witness_bound_search(Atom("R", (Var("x"), Var("x"))), ProbeConfig(BINARY, n_max=2))
+
+
+def test_wellfoundedness_demo_builds_the_mismatching_classes(monkeypatch):
+    # flip the submodel check of two 3-point classes: exactly those are
+    # reported, built as the enumeration builds them, in class order
+    class_truths = prober._class_truths
+    flipped = (5, 77)
+
+    def lying(item, columns, n):
+        truth = class_truths(item, columns, n)
+        return truth ^ sum(1 << i for i in flipped) if n == 3 else truth
+
+    monkeypatch.setattr(prober, "_class_truths", lying)
+    report = wellfoundedness_demo(ProbeConfig(BINARY, n_max=4))
+    three_point = list(enumerate_structures(BINARY, 3, up_to_iso=True))
+    assert report.mismatches == tuple(three_point[i] for i in flipped)
+    assert report.structures_checked == 2 + 10 + 104 + 3044
+    # with the submodel check false everywhere, the mismatches are the
+    # classes the closure finds cyclic: the graph search's, class by class
+    monkeypatch.setattr(prober, "_class_truths", lambda item, columns, n: 0)
+    report = wellfoundedness_demo(ProbeConfig(BINARY, n_max=4))
+    assert report.mismatches == tuple(
+        s for n in range(1, 5) for s in enumerate_structures(BINARY, n, up_to_iso=True)
+        if prober.has_directed_cycle(s, "R")
+    )
+
+
+def loop_modal_laws_check(phi, psi, family):
+    """``modal_laws_check`` with every structure on its per-structure loop."""
+    with mock.patch.object(theta, "_sliced_formula", lambda *args: False):
+        return modal_laws_check(phi, psi, family)
+
+
+MODAL_FAMILIES = {
+    # iso classes and labelled structures, so that the columns pack
+    # isomorphic copies too
+    BINARY: [
+        *(s for n in (1, 2, 3) for s in enumerate_structures(BINARY, n, up_to_iso=True)),
+        *enumerate_structures(BINARY, 2),
+    ],
+    UNARY_BINARY: [
+        *(s for n in (1, 2) for s in enumerate_structures(UNARY_BINARY, n, up_to_iso=True)),
+        *enumerate_structures(UNARY_BINARY, 2),
+    ],
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_modal_column_tables_match_the_per_structure_loop(data):
+    # shuffled lists with duplicates and mixed sizes, not iso sweeps
+    sig = data.draw(st.sampled_from([BINARY, UNARY_BINARY]))
+    phi, psi = data.draw(sentences(sig)), data.draw(sentences(sig))
+    family = data.draw(st.lists(st.sampled_from(MODAL_FAMILIES[sig]), min_size=1, max_size=40))
+    assert modal_laws_check(phi, psi, family) == loop_modal_laws_check(phi, psi, family)
+
+
+def test_modal_laws_with_a_constant_take_the_loop(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a signature with a constant was packed into columns")
+
+    monkeypatch.setattr(theta, "_structure_columns", forbidden)
+    # a looped c and an unlooped point it misses: each holds on a carrier,
+    # never both on one
+    phi = parse_formula("forall x. R(c,x)", WITH_CONSTANT)
+    psi = parse_formula("exists x. !R(x,x)", WITH_CONSTANT)
+    family = [s for n in (1, 2) for s in enumerate_structures(WITH_CONSTANT, n)]
+    report = modal_laws_check(phi, psi, family)
+    assert report.passed
+    assert report.result("v-and").strictness_witness is not None
+    assert report == loop_modal_laws_check(phi, psi, family)
 
 
 # --- sides that keep the class-by-class loop ---------------------------------------

@@ -434,6 +434,12 @@ REFUSALS = [
     (["translate", "--to", "existential", "--lambda", "1", "--nu", "8",
       "--signature", "{z4}", "--formula", "exists x. F(x) != x"],
      3, "enumeration of 16777216 labelled structures exceeds the cap of 5000000"),
+    # the witness search refuses the 10 three-point classes times 2**5
+    # choices of the new point's tuples before building them
+    (["probe", "--check", "witness-bound", "--formula", "forall x. exists y. R(x,y)",
+      "--n-max", "5", "--lambda-max", "4", "--cap", "100"],
+     3, "enumeration of 320 iso candidates exceeds the cap of 100"),
+    (["probe", "--check", "wellfounded", "--n-max", "0"], 2, "need n_max >= 1"),
 ]
 
 

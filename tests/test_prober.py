@@ -2,8 +2,8 @@ import hashlib
 
 import pytest
 
-from subsat import prober
-from subsat.corpus import CORPUS
+from subsat import prober, structures
+from subsat.corpus import CORPUS, UNARY_BINARY
 from subsat.logic import TRUE, Not, evaluate_fo, parse_formula
 from subsat.prober import (
     BoundedThetaOf,
@@ -20,6 +20,7 @@ from subsat.prober import (
     _generic_first_counterexample,
 )
 from subsat.structures import (
+    CapExceededError,
     Signature,
     Structure,
     find_isomorphism,
@@ -197,13 +198,21 @@ UNARY_SENTENCES = {
 # ``two_points`` has an all-false 1-point table and an all-true 2-point one.
 TWO_POINTS = parse_formula("exists x. exists y. x != y", BINARY)
 
+UNARY_BINARY_SENTENCES = {
+    **{e.name: e.formula for e in CORPUS if e.signature_name == "unary_binary"},
+    "marked_successors": parse_formula(
+        "forall x. exists y. (R(x,y) & (P(x) | P(y)))", UNARY_BINARY),
+    "split": parse_formula("exists x. exists y. (P(x) & !P(y))", UNARY_BINARY),
+}
+
 # At n = 4 the generic path takes 0.5-2 s per sentence when it has to scan
 # all 65536 labelled structures, so n = 4 runs the sentence whose
-# counterexamples (directed cycles) land in later chunks, plus three
-# whole-space scans: one where the first subset already drops every mask, one
-# whose survivors all fail phi, and one where most structures are models that
-# need two-point carriers.
-SIEVE_CASES = [
+# counterexamples (directed cycles) lie past the first masks, plus three
+# whole-space scans: one where the one-point witnesses already cover every
+# structure, one where no structure satisfies phi without them, and one
+# where most structures are models that need two-point carriers.  A unary
+# and a binary predicate (unary_binary) are searched on columns too.
+SEARCH_CASES = [
     (name, n, lam)
     for name in [*BINARY_CORPUS, "no_loop", "two_points"]
     for n in (2, 3)
@@ -218,39 +227,62 @@ SIEVE_CASES = [
     ("proper_edge", 4, 2),
 ] + [
     # one unary predicate on 7-9 points: the labelled masks are few, and
-    # the subsets' truth tables come from the type-sorted canonical masks
+    # the classes come from the type-sorted canonical masks
     (name, n, lam)
     for name in UNARY_SENTENCES
     for n in (7, 8, 9)
     for lam in (1, 2, 3)
+] + [
+    (name, n, lam)
+    for name in UNARY_BINARY_SENTENCES
+    for n in (2, 3)
+    for lam in range(1, n)
 ]
 
 
-def test_sieve_agrees_with_generic_path(monkeypatch):
+def test_column_search_agrees_with_generic_path(monkeypatch):
     formulas = {name: (BINARY, phi) for name, phi in BINARY_CORPUS.items()}
     formulas["no_loop"] = (BINARY, NO_LOOP)
     formulas["two_points"] = (BINARY, TWO_POINTS)
     for name, text in UNARY_SENTENCES.items():
         formulas[name] = (UNARY, parse_formula(text, UNARY))
-    late_hits = []
-    for name, n, lam in SIEVE_CASES:
+    for name, phi in UNARY_BINARY_SENTENCES.items():
+        formulas[name] = (UNARY_BINARY, phi)
+    hits, late_hits = [], []
+    for name, n, lam in SEARCH_CASES:
         sig, phi = formulas[name]
         total = labelled_structure_count(sig, n)
         generic_hit, generic_scanned = _generic_first_counterexample(phi, sig, n, lam, 10**7)
-        if generic_hit is not None and generic_scanned > 1000:
-            late_hits.append((name, n, lam))
-        # small chunks and slices put hits past the first of each
-        for chunk, first_slice in ((1 << 20, 1 << 10), (1000, 16)):
-            monkeypatch.setattr(prober, "_SIEVE_CHUNK", chunk)
-            monkeypatch.setattr(prober, "_FIRST_SLICE", first_slice)
-            sieve_hit, scanned = prober._sieve_first_counterexample(phi, sig, n, lam, {})
-            case = (name, n, lam, chunk)
-            assert sieve_hit == generic_hit, case
+        if generic_hit is not None:
+            hits.append(name)
+            if generic_scanned > 1000:
+                late_hits.append(name)
+        # small quanta put hits past the first of each
+        for quantum in (1 << 20, 1000, 4):
+            monkeypatch.setattr(prober, "_SCAN_QUANTUM", quantum)
+            hit, scanned = prober._column_first_counterexample(phi, sig, n, lam, 10**7, {})
+            case = (name, n, lam, quantum)
+            assert hit == generic_hit, case
             if generic_hit is None:
                 assert scanned == generic_scanned == total, case
             else:
-                assert scanned == min(-(-generic_scanned // chunk) * chunk, total), case
-    assert late_hits  # some hits lie past the first chunk of 1000
+                assert scanned == min(-(-generic_scanned // quantum) * quantum, total), case
+    assert late_hits  # some hits lie past the first quantum of 1000
+    assert {"marked_successors", "split"} <= set(hits)
+
+
+def test_column_search_hit_past_the_first_quantum(monkeypatch):
+    # total_out_degree on 3 points: the first counterexample is the directed
+    # 3-cycle at mask 98, in the 25th quantum of 4 masks and the 99th of 1
+    phi = BINARY_CORPUS["total_out_degree"]
+    generic_hit, generic_scanned = _generic_first_counterexample(phi, BINARY, 3, 2, 10**7)
+    assert (generic_hit, generic_scanned) == (cycle(3), 99)
+    for quantum, end in ((4, 100), (1, 99)):
+        monkeypatch.setattr(prober, "_SCAN_QUANTUM", quantum)
+        truths = {}
+        hit, scanned = prober._column_first_counterexample(phi, BINARY, 3, 2, 10**7, truths)
+        assert (hit, scanned) == (cycle(3), end), quantum
+        assert sorted(truths) == [1, 2, 3]
 
 
 def test_witness_bound_symmetric_n5_pin():
@@ -263,42 +295,45 @@ def test_witness_bound_symmetric_n5_pin():
     assert verdict.stats["structures_scanned"] == 2**25 + 2**16 + 2**9 + 2**4
 
 
-def test_sieve_full_table_returns_before_any_chunk(monkeypatch):
-    # a chunk of 0 masks would make the chunk loop raise
-    monkeypatch.setattr(prober, "_SIEVE_CHUNK", 0)
-    for phi, lam, full in ((BINARY_CORPUS["symmetric"], 3, 1), (TWO_POINTS, 3, 2)):
-        tables = {}
-        assert prober._sieve_first_counterexample(phi, BINARY, 5, lam, tables) == (None, 2**25)
-        # sizes past the full one are never tabled
-        assert sorted(tables) == list(range(1, full + 1)) and tables[full].all()
+def test_full_truth_column_builds_no_larger_class():
+    # phi holds in every class of some size k <= lambda, so every structure
+    # has a witness of size k: the search answers before building any class
+    # of a larger size
+    for phi, full in ((BINARY_CORPUS["symmetric"], 1), (TWO_POINTS, 2)):
+        structures._iso_level.cache_clear()
+        structures._iso_columns.cache_clear()
+        verdict = witness_bound_search(phi, ProbeConfig(BINARY, n_max=5, lambda_max=3))
+        assert (verdict.outcome, verdict.bound) == ("WITNESS_BOUND_FOUND", full)
+        assert structures._iso_level.cache_info().currsize == full
+        assert structures._iso_columns.cache_info().currsize == full
+        truths = {}
+        assert prober._column_first_counterexample(phi, BINARY, 5, 3, 10**7, truths) == (
+            None, 2**25
+        )
+        assert sorted(truths) == list(range(1, full + 1))
+        assert truths[full] == structures._iso_columns(BINARY, full).full
+        assert structures._iso_level.cache_info().currsize == full
 
 
-def test_sieve_proper_edge_n5_pin():
-    # the hit comes early among about a million survivors
+def test_proper_edge_n5_pin():
+    # no one-point structure is a witness: the hit is the least mask with a
+    # proper edge, in the first quantum
     phi = BINARY_CORPUS["proper_edge"]
-    hit, scanned = prober._sieve_first_counterexample(phi, BINARY, 5, 1, {})
-    assert (hit.predicates["R"], scanned) == ({(0, 1)}, 2**20)
+    hit, scanned = prober._column_first_counterexample(phi, BINARY, 5, 1, 10**7, {})
+    assert (hit.size, hit.predicates["R"], scanned) == (5, {(0, 1)}, 2**20)
     verdict = witness_bound_search(phi, ProbeConfig(BINARY, n_max=5, lambda_max=1))
     assert verdict.outcome == "NO_BOUND_UP_TO"
     assert verdict.counterexamples == ((1, digraph(2, [(0, 1)])),)
+    assert verdict.stats["structures_scanned"] == 2**4
 
 
-def test_sieve_hit_past_the_first_canonicalised_slice(monkeypatch):
-    # slices of 4, 8, ... survivors: the directed 3-cycle comes after
-    # several slices of its chunk
-    monkeypatch.setattr(prober, "_FIRST_SLICE", 4)
-    slices = []
-    canonicalise = prober._canonicalise
-
-    def counted(sig, n, masks):
-        slices.append(len(masks))
-        return canonicalise(sig, n, masks)
-
-    monkeypatch.setattr(prober, "_canonicalise", counted)
-    phi = BINARY_CORPUS["total_out_degree"]
-    hit, scanned = prober._sieve_first_counterexample(phi, BINARY, 3, 2, {})
-    assert (hit, scanned) == (_generic_first_counterexample(phi, BINARY, 3, 2, 10**7)[0], 2**9)
-    assert slices == [4, 8, 15]  # 27 survivors; the hit is in the third slice
+def test_column_search_refuses_before_building_a_size():
+    # 10 three-point classes times 2**5 choices of the new point's tuples
+    # exceed a cap of 100 before any three-point class is built
+    structures._iso_level.cache_clear()
+    with pytest.raises(CapExceededError, match="320 iso candidates exceeds the cap of 100"):
+        witness_bound_search(FORALL_EXISTS, ProbeConfig(BINARY, n_max=5, lambda_max=4, cap=100))
+    assert structures._iso_level.cache_info().currsize == 2
 
 
 def test_witness_bound_counterexamples_lack_small_witnesses():

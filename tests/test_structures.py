@@ -249,8 +249,9 @@ def test_extension_matches_full_canonicalisation(label):
     sig = Signature(tuple((f"P{i}", a) for i, a in enumerate(arities)))
     n = 1
     while sum(n**a for a in arities) <= 20 and n <= 6:
-        reference = tuple(np.unique(structures._canonical_masks(sig, n)).tolist())
-        assert structures._predicate_only_iso_masks(sig, n) == reference
+        bits = sum(n**a for a in arities)
+        reference = np.unique(structures._canonicalise(sig, n, np.arange(2**bits))).tolist()
+        assert structures._predicate_only_iso_masks(sig, n).tolist() == reference
         n += 1
     assert n > 2
 
@@ -288,7 +289,7 @@ def _least_relabelled_unary_masks(k, n):
 def test_unary_canonical_masks_are_least_over_all_relabellings(k):
     sig = Signature(tuple((f"P{i}", 1) for i in range(k)))
     for n in range(1, 6):
-        assert structures._canonical_masks(sig, n).tolist() == (
+        assert structures._canonicalise(sig, n, np.arange(2 ** (k * n))).tolist() == (
             _least_relabelled_unary_masks(k, n).tolist()
         ), n
 

@@ -590,7 +590,8 @@ def test_modal_laws_match_the_nested_reference_on_generated_sentences(phi, psi):
 
 
 class _Liar:
-    """A compiled formula whose answers pass through ``lie(truth, domain)``."""
+    """A compiled formula whose answers pass through ``lie(truth, domain)``:
+    structure by structure, and bit by bit on columns."""
 
     def __init__(self, compiled, lie):
         self._compiled, self._lie = compiled, lie
@@ -600,6 +601,14 @@ class _Liar:
 
     def holds(self, tables, domain, assignment=None):
         return self._lie(self._compiled.holds(tables, domain, assignment), domain)
+
+    def holds_sliced(self, columns, domain):
+        # compile_formula(f, sliced=True) stores the sliced closures on the liar
+        truth = logic.CompiledFormula.holds_sliced(self, columns, domain)
+        return sum(
+            self._lie(bool(truth >> i & 1), domain) << i
+            for i in range(columns.full.bit_length())
+        )
 
 
 LIES = {
