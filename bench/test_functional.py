@@ -9,16 +9,23 @@ Run with ``python -m pytest bench --benchmark-only``.
 - ``constant_reached_warm``: the same translation with the marked classes
   already built, which is what every later translation over the same
   (signature, lambda, size) pays;
+- ``constant_reached_compile``: compiling a fresh translation of the same
+  sentence (built off the clock), its wide diagram disjunction included;
+- ``constant_reached_sweep``: evaluating that translation, compiled, on the
+  72 iso classes of the signature up to 4 points, as criterion 4 does;
 - ``unar_n5_cold``: the 47 iso classes of one unary function on 5 points
   on the generic path (every labelled structure canonicalised), each
   round with an empty memo.
 
-``extra_info`` records the disjunct and class counts of a round.
+``extra_info`` records the disjunct and class counts of a round, and the
+number of classes where the translation holds.
 """
+
+import functools
 
 import pytest
 
-from subsat import corpus, structures, theta
+from subsat import corpus, logic, structures, theta
 
 CONSTANT_REACHED = next(e for e in corpus.CORPUS if e.name == "constant_reached")
 
@@ -28,10 +35,35 @@ def _clear_memos():
     structures._GENERIC_ISO.clear()
 
 
-def _translate():
+def _translation():
     return theta.theta_bounded_to_existential_functional(
         CONSTANT_REACHED.formula, corpus.UNAR_CONST, 2, 4
-    ).disjuncts
+    )
+
+
+def _translate():
+    return _translation().disjuncts
+
+
+def _fresh_translation():
+    return (_translation(),), {}
+
+
+def _compile(translation):
+    logic.compile_formula(translation.sentence)
+    return translation.disjuncts
+
+
+@functools.cache
+def _swept():
+    classes = [s for n in range(1, 5)
+               for s in structures.enumerate_structures(corpus.UNAR_CONST, n, up_to_iso=True)]
+    return _translation().sentence, classes
+
+
+def _sweep():
+    sentence, classes = _swept()
+    return sum(logic.evaluate_fo(s, sentence) for s in classes)
 
 
 def _unar_n5():
@@ -41,6 +73,8 @@ def _unar_n5():
 CASES = {
     "constant_reached_cold": (_translate, _clear_memos, "disjuncts"),
     "constant_reached_warm": (_translate, None, "disjuncts"),
+    "constant_reached_compile": (_compile, _fresh_translation, "disjuncts"),
+    "constant_reached_sweep": (_sweep, None, "holds"),
     "unar_n5_cold": (_unar_n5, _clear_memos, "classes"),
 }
 

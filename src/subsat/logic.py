@@ -738,6 +738,13 @@ def render_formula(f: Formula) -> str:
 # variable.  Each quantifier and each free variable owns a slot, so
 # shadowing needs no save and restore.
 #
+# A wide disjunction of literals and conjunctions of literals in which atoms
+# recur (the diagram disjunctions of the functional translation) keeps each
+# atom's truth for the rest of one call, so an atom is evaluated at most
+# once per assignment.  Its walk is the plain one, so truth values, the
+# short-circuit and the first EvaluationError raised are those of the
+# plain closure.
+#
 # The bit-sliced closures decide a sentence in a whole family of structures
 # on one universe at once.  Bit i of a value is the truth in the i-th
 # structure: a predicate tuple reads its column (the structures holding
@@ -855,29 +862,25 @@ def compile_formula(f: Formula, sliced: bool = False) -> CompiledFormula:
     if sliced and compiled._sliced is None:
         if compiled.atoms is None or not compiled.is_sentence:
             raise ValueError("bit-sliced evaluation needs a sentence whose terms are variables")
-        run, eso_body, _ = _build(_Builder(sliced=True), f, compiled.eso_error)
+        run, eso_body, _ = _build(_Builder(sliced=True), f)
         compiled._sliced = (run, eso_body)
     return compiled
 
 
 def _compile(f: Formula) -> CompiledFormula:
     compiled = CompiledFormula()
-    compiled.first_order = is_first_order(f)
-    compiled.is_sentence = is_sentence(f)
-    compiled.has_set_quantifier = any(isinstance(g, ExistsSet) for g in subformulas(f))
-    body = f
-    while isinstance(body, ExistsSet):
-        body = body.body
-    if any(isinstance(g, ExistsSet) for g in subformulas(body)):
+    builder = _Builder()
+    compiled._run, compiled._eso_body, compiled._eso_slots = _build(builder, f)
+    prefix = bool(compiled._eso_slots)
+    compiled.first_order = not prefix and not builder.second_order
+    compiled.is_sentence = not builder.free and not builder.free_sets
+    compiled.has_set_quantifier = prefix or builder.nested_set_quantifier
+    if builder.nested_set_quantifier:
         compiled.eso_error = "set quantifier not in prefix position"
     elif not compiled.is_sentence:
         compiled.eso_error = "evaluate_eso expects a sentence"
     else:
         compiled.eso_error = None
-    builder = _Builder()
-    compiled._run, compiled._eso_body, compiled._eso_slots = _build(
-        builder, f, compiled.eso_error
-    )
     compiled.atoms = frozenset(builder.atoms) if builder.variable_terms else None
     compiled._sliced = None
     compiled._free = tuple(builder.free.items()) + tuple(builder.free_sets.items())
@@ -888,20 +891,28 @@ def _compile(f: Formula) -> CompiledFormula:
     return compiled
 
 
-def _build(builder: "_Builder", f: Formula, eso_error: Optional[str]):
-    """The closure of ``f``, and of its body under its set prefix with the
-    prefix's slots (``f`` itself and no slots without a usable prefix).
-    Both modes allocate the same slots, so they share one frame layout."""
-    run = builder.formula(f, {}, {})
-    prefix = []
-    body = f
-    while isinstance(body, ExistsSet):
-        prefix.append(body.set_var)
-        body = body.body
-    if not prefix or eso_error is not None:
-        return run, run, ()
-    set_scope = {name: builder.new_slot() for name in prefix}
-    return run, builder.formula(body, {}, set_scope), tuple(set_scope.values())
+def _build(builder: "_Builder", f: Formula):
+    """The closure of ``f``, and of its matrix under its set prefix with the
+    prefix's slots (``f`` itself and no slots without a prefix), in one
+    walk that records the facts of ``f`` on the builder.  Both modes
+    allocate the same slots, so they share one frame layout."""
+    set_scope = {}
+    matrix = f
+    while isinstance(matrix, ExistsSet):
+        set_scope[matrix.set_var] = builder.new_slot()
+        matrix = matrix.body
+    body = builder.formula(matrix, {}, set_scope)
+    if not set_scope:
+        return body, body, ()
+    return _second_order, body, tuple(set_scope.values())
+
+
+def _second_order(fr):
+    raise EvaluationError("second-order quantifier in first-order evaluation")
+
+
+def _is_literal(f: Formula) -> bool:
+    return isinstance(f, (Atom, Eq)) or (isinstance(f, Not) and isinstance(f.body, (Atom, Eq)))
 
 
 def _missing(message: str):
@@ -914,12 +925,17 @@ class _Builder:
     Closures capture names and slots only, never AST nodes, so the memo of
     compiled forms does not keep formulas alive.  Terms and literals that
     recur under the same variable slots (diagram disjunctions repeat most
-    of theirs) share one closure.  Error cases and the order of evaluation
+    of theirs) share one closure, and a disjunction of literals and their
+    conjunctions in which an atom recurs memoises atom truths per call
+    (``literal_disjunction``).  Error cases and the order of evaluation
     (left to right, short-circuiting) are those of Tarskian evaluation
     over the AST.  With ``sliced`` the formula closures return columns
     (see the notes above ``CompiledFormula``); terms are the same in both
-    modes.  The walk records the atoms' symbols and whether every term is
-    a variable.
+    modes.  The walk visits every node once, set quantifiers' bodies too,
+    and records the facts ``CompiledFormula`` keeps: the free variables
+    and set variables, whether a set atom or quantifier occurs and whether
+    one occurs outside the prefix, the atoms' symbols and whether every
+    term is a variable.
     """
 
     def __init__(self, sliced: bool = False):
@@ -930,6 +946,8 @@ class _Builder:
         self.shared: dict = {}
         self.atoms: set[tuple[str, int]] = set()
         self.variable_terms = True
+        self.second_order = False
+        self.nested_set_quantifier = False
 
     def new_slot(self) -> int:
         self.slots += 1
@@ -1004,7 +1022,7 @@ class _Builder:
         return func
 
     def formula(self, f: Formula, scope: dict, set_scope: dict):
-        if isinstance(f, (Atom, Eq)) or (isinstance(f, Not) and isinstance(f.body, (Atom, Eq))):
+        if _is_literal(f):
             return self.share(self._formula, f, scope, set_scope)
         return self._formula(f, scope, set_scope)
 
@@ -1028,6 +1046,10 @@ class _Builder:
             if sliced:
                 return lambda fr: fr[_ALL] ^ body(fr)
             return lambda fr: not body(fr)
+        if isinstance(f, Or) and not sliced:
+            memo = self.literal_disjunction(f, scope, set_scope)
+            if memo is not None:
+                return memo
         if isinstance(f, (And, Or)):
             parts = tuple(self.formula(p, scope, set_scope) for p in f.parts)
             if sliced and isinstance(f, And):
@@ -1128,12 +1150,53 @@ class _Builder:
 
             return forall
         if isinstance(f, ExistsSet):
-
-            def second_order(fr):
-                raise EvaluationError("second-order quantifier in first-order evaluation")
-
-            return second_order
+            # walked for the facts only: it fails when reached
+            self.second_order = self.nested_set_quantifier = True
+            self.formula(f.body, scope, {**set_scope, f.set_var: self.new_slot()})
+            return _second_order
         raise TypeError(f"not a formula: {f!r}")
+
+    def literal_disjunction(self, f: Or, scope: dict, set_scope: dict):
+        """A disjunction of literals and conjunctions of literals in which an
+        atom recurs, with each atom's truth kept for the rest of the call
+        (None for any other disjunction).  The walk is the plain one, left
+        to right and short-circuiting; only the repeats read the memo, so
+        every atom is evaluated where the plain closure first reaches it."""
+        groups = [p.parts if isinstance(p, And) else (p,) for p in f.parts]
+        if not all(_is_literal(g) for group in groups for g in group):
+            return None
+        index: dict = {}  # atom closure -> its position
+        disjuncts = []
+        for group in groups:
+            literals = []
+            for g in group:
+                atom = self.share(self._formula, g.body if isinstance(g, Not) else g,
+                                  scope, set_scope)
+                position = index.setdefault(atom, len(index))
+                # memo entry 2i holds the atom's truth, 2i + 1 its negation
+                literals.append(2 * position + isinstance(g, Not))
+            disjuncts.append(tuple(literals))
+        if len(index) == sum(map(len, disjuncts)):
+            return None
+        atoms = tuple(index)
+        width = 2 * len(atoms)
+
+        def literal_disjunction(fr):
+            truths = [None] * width
+            for literals in disjuncts:
+                for i in literals:
+                    truth = truths[i]
+                    if truth is None:
+                        value = bool(atoms[i >> 1](fr))
+                        truths[i & -2], truths[i | 1] = value, not value
+                        truth = truths[i]
+                    if not truth:
+                        break
+                else:
+                    return True
+            return False
+
+        return literal_disjunction
 
     def atom(self, f: Atom, scope: dict):
         name = f.name
@@ -1185,6 +1248,7 @@ class _Builder:
     def set_atom(self, f: SetAtom, scope: dict, set_scope: dict):
         arg = self.term(f.arg, scope)
         slot = set_scope.get(f.set_var)
+        self.second_order = True
         if slot is not None and self.sliced:
             return lambda fr: fr[_ALL] if arg(fr) in fr[slot] else 0
         if slot is not None:

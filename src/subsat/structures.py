@@ -443,24 +443,33 @@ def induced_substructure(s: Structure, carrier: Iterable[int]) -> Structure:
 
 def generated_carrier(s: Structure, seed: Iterable[int]) -> frozenset:
     """Least superset of seed (plus all constants) closed under all functions."""
-    current = set(int(x) for x in seed)
+    current = set(map(int, seed))
     current.update(s.constants.values())
     if not current:
         raise ValueError("empty seed with a constant-free signature generates nothing")
-    if not all(0 <= x < s.size for x in current):
+    if min(current) < 0 or max(current) >= s.size:
         raise ValueError("seed element out of range")
-    while True:
+    # each round applies the functions only to the tuples through an element
+    # the previous round added: the others were applied before
+    old, frontier = (), current
+    while frontier:
         added = set()
-        elems = sorted(current)
         for name, arity in s.signature.functions:
             table = s.functions[name]
-            for t in itertools.product(elems, repeat=arity):
-                v = table[t]
-                if v not in current:
-                    added.add(v)
-        if not added:
-            return frozenset(current)
-        current |= added
+            if arity == 1:  # no per-round product setup: a third of a unary call
+                for x in frontier:
+                    v = table[(x,)]
+                    if v not in current:
+                        added.add(v)
+                continue
+            for i in range(arity):  # i: the first argument from the frontier
+                for t in itertools.product(*[old] * i, frontier, *[current] * (arity - i - 1)):
+                    v = table[t]
+                    if v not in current:
+                        added.add(v)
+        old, frontier = current, added
+        current = current | added
+    return frozenset(current)
 
 
 def generated_submodel(s: Structure, seed: Iterable[int]) -> GeneratedSubmodel:

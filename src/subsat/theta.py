@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .logic import (
-    FALSE,
-    TRUE,
     Atom,
     CompiledFormula,
     Const,
@@ -499,7 +497,8 @@ _LAWS = ("i", "ii", "iii", "iv", "v-and", "v-or", "vi", "vii")
 def _carrier_tables(sentences: Sequence[Formula], structures: list) -> list:
     """Per structure: its carriers (in ``enumerate_submodels`` order); per
     carrier, the bitmask of the carriers inside it; and per sentence, the
-    bitmask of the carriers it holds on, in place.
+    bitmask of the carriers it holds on, in place (carrier by carrier, the
+    sentences in order).
 
     Structures over a predicate-only signature, when every sentence is
     ``_sliced_formula`` over it, are packed per (signature, size) into
@@ -543,6 +542,15 @@ def _carrier_tables(sentences: Sequence[Formula], structures: list) -> list:
     return out
 
 
+def _law_tables(carriers: list, t_phi: int, t_psi: int) -> tuple:
+    """The carrier bitmasks of true, false, phi, psi, phi & psi, phi | psi,
+    !phi and phi -> psi, read off those of phi and psi: the connectives
+    act carrier by carrier, so bit by bit."""
+    full = (1 << len(carriers)) - 1
+    return (full, 0, t_phi, t_psi, t_phi & t_psi, t_phi | t_psi, full ^ t_phi,
+            full ^ t_phi | t_psi)
+
+
 def _below(carriers: list) -> list[int]:
     """Per carrier, the bitmask of the carriers inside it."""
     return [sum(1 << i for i, d in enumerate(carriers) if d <= c) for c in carriers]
@@ -558,10 +566,11 @@ def modal_laws_check(
     then theta(phi) -> theta(psi) must hold there too.  One-directional
     laws also record a strictness witness when the corpus exhibits one.
 
-    Every truth is read off tables filled once (``_carrier_tables``): each
-    of the eight sentences true, false, phi, psi, phi & psi, phi | psi,
-    !phi and phi -> psi has, per structure, a bitmask over its carriers,
-    so its submodel check is the mask being nonzero.  The carriers of the
+    Every truth is read off tables filled once: phi and psi are evaluated
+    on every carrier (``_carrier_tables``), and each of the eight sentences
+    true, false, phi, psi, phi & psi, phi | psi, !phi and phi -> psi has,
+    per structure, a bitmask over its carriers (``_law_tables``), so its
+    submodel check is the mask being nonzero.  The carriers of the
     submodel on a carrier c are the structure's carriers inside c, so a
     submodel check in that submodel is the mask meet ``below[c]``: the
     nested checks of (iii) and (vii) build no submodel.  The corpus closed
@@ -570,10 +579,8 @@ def modal_laws_check(
     invariant under isomorphism, so that pair is the first occurrence of
     the first failing class.  Only that counterexample is built.
     """
-    sentences = (TRUE, FALSE, phi, psi, make_and((phi, psi)), make_or((phi, psi)),
-                 Not(phi), Implies(phi, psi))
-    for f in sentences:
-        _require_fo_sentence(f)
+    _require_fo_sentence(phi)
+    _require_fo_sentence(psi)
     results = {name: LawResult(name, True) for name in _LAWS}
 
     def fail(name, where, message):
@@ -584,8 +591,9 @@ def modal_laws_check(
     closure_premise = True
     first_failing = None  # (structure, carrier) refuting (iv)'s conclusion
     structures = list(structures)
-    for s, (carriers, below, tables) in zip(structures, _carrier_tables(sentences, structures)):
-        top, bottom, t_phi, t_psi, t_both, t_either, t_not_phi, t_implication = tables
+    for s, (carriers, below, tables) in zip(structures, _carrier_tables((phi, psi), structures)):
+        top, bottom, t_phi, t_psi, t_both, t_either, t_not_phi, t_implication = _law_tables(
+            carriers, *tables)
         theta_phi, theta_psi = t_phi != 0, t_psi != 0
         phi_holds = t_phi >> len(carriers) - 1 == 1  # the full carrier comes last
         some_without = any(not t_phi & inside for inside in below)

@@ -1,5 +1,6 @@
 import gc
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from subsat.logic import (
     evaluate_fo,
     free_variables,
     is_existential_sentence,
+    is_first_order,
     is_sentence,
     make_and,
     make_or,
@@ -43,7 +45,13 @@ from subsat.logic import (
     substitute_constant,
     substitute_variable,
 )
-from subsat.structures import Signature, Structure, induced_substructure
+from subsat.corpus import CORPUS, UNAR_CONST
+from subsat.structures import (
+    Signature,
+    Structure,
+    enumerate_structures,
+    induced_substructure,
+)
 
 BINARY = Signature(predicates=(("R", 2),))
 UNAR = Signature(functions=(("F", 1),))
@@ -329,6 +337,146 @@ def test_compile_formula_classifies_once():
     )
     with pytest.raises(EvaluationError, match="expects a sentence"):
         evaluate_eso(digraph(1, []), parse_formula("existsSet X. X(x)", BINARY))
+
+
+def _old_facts(f):
+    """What ``compile_formula`` recorded from four walks before its facts
+    came from the builder's one."""
+    body = f
+    while isinstance(body, ExistsSet):
+        body = body.body
+    if any(isinstance(g, ExistsSet) for g in subformulas(body)):
+        eso_error = "set quantifier not in prefix position"
+    elif not is_sentence(f):
+        eso_error = "evaluate_eso expects a sentence"
+    else:
+        eso_error = None
+    set_quantifier = any(isinstance(g, ExistsSet) for g in subformulas(f))
+    return is_first_order(f), is_sentence(f), set_quantifier, eso_error
+
+
+def _facts(f):
+    c = compile_formula(f)
+    return c.first_order, c.is_sentence, c.has_set_quantifier, c.eso_error
+
+
+def test_compile_facts_match_the_walks_on_the_corpus():
+    for f in [e.formula for e in CORPUS] + [parse_formula(t, BINARY) for t in CORPUS_TEXTS]:
+        assert _facts(f) == _old_facts(f), render_formula(f)
+
+
+fact_terms = st.sampled_from(
+    [Var("x"), Var("y"), Const("c"), Func("F", (Var("x"),)), Func("F", (Const("c"),))]
+)
+fact_atoms = st.one_of(
+    st.just(TRUE),
+    st.builds(Atom, st.just("R"), st.tuples(fact_terms, fact_terms)),
+    st.builds(Eq, fact_terms, fact_terms),
+    st.builds(SetAtom, st.sampled_from(["X", "Y"]), fact_terms),
+)
+
+
+def fact_extend(children):
+    return st.one_of(
+        extend(children),
+        st.builds(ExistsSet, st.sampled_from(["X", "Y"]), children),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(["X", "Y"]), max_size=2),
+    st.recursive(fact_atoms, fact_extend, max_leaves=10),
+)
+def test_compile_facts_match_the_walks(prefix, matrix):
+    # set atoms bound and free, set quantifiers in and out of the prefix,
+    # free variables, constants and functions
+    f = matrix
+    for name in reversed(prefix):
+        f = ExistsSet(name, f)
+    assert _facts(f) == _old_facts(f)
+
+
+# --- the literal memo of wide disjunctions -------------------------------------
+
+X, Y, C = Var("x"), Var("y"), Const("c")
+FX, FFX = Func("F", (X,)), Func("F", (Func("F", (X,)),))
+MEMO_TERMS = [X, Y, C, FX, Func("F", (Y,)), FFX]
+memo_literals = st.builds(
+    lambda left, right, negated: Not(Eq(left, right)) if negated else Eq(left, right),
+    st.sampled_from(MEMO_TERMS),
+    st.sampled_from(MEMO_TERMS),
+    st.booleans(),
+)
+
+
+@st.composite
+def dnf_formulas(draw):
+    """Disjunctions of conjunctions drawn from a few literals, so that atoms
+    recur within and across disjuncts."""
+    pool = draw(st.lists(memo_literals, min_size=1, max_size=4))
+    conjunct = st.lists(st.sampled_from(pool), min_size=1, max_size=4).map(make_and)
+    return Or(tuple(draw(st.lists(conjunct, min_size=2, max_size=8))))
+
+
+def _outcome(compiled, s, env):
+    try:
+        return compiled.holds(s, range(s.size), env)
+    except EvaluationError as e:
+        return str(e)
+
+
+def _plain(f):
+    """``f`` compiled without the literal memo."""
+    with mock.patch.object(logic._Builder, "literal_disjunction", lambda *args: None):
+        return logic._compile(f)
+
+
+PARTIAL_F = Structure(UNAR_CONST, 2, functions={"F": {(0,): 1}}, constants={"c": 0})
+NO_CONSTANT = Structure(UNAR_CONST, 2, functions={"F": {(0,): 1, (1,): 1}})
+MEMO_STRUCTURES = [
+    *(s for n in (1, 2, 3) for s in enumerate_structures(UNAR_CONST, n)), PARTIAL_F, NO_CONSTANT
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(dnf_formulas())
+def test_literal_memo_matches_the_plain_disjunction(f):
+    memo, plain = compile_formula(f), _plain(f)
+    atoms = {g.body if isinstance(g, Not) else g
+             for part in f.parts for g in (part.parts if isinstance(part, And) else (part,))}
+    occurrences = sum(len(p.parts) if isinstance(p, And) else 1 for p in f.parts)
+    assert (memo._run.__name__ == "literal_disjunction") == (len(atoms) < occurrences)
+    for s in MEMO_STRUCTURES:
+        # every assignment, and ones that leave y uncovered
+        envs = [{"x": a, "y": b} for a in range(s.size) for b in range(s.size)]
+        envs += [{"x": a} for a in range(s.size)]
+        for env in envs:
+            assert _outcome(memo, s, env) == _outcome(plain, s, env)
+
+
+def test_literal_memo_raises_where_the_walk_reaches():
+    # x = c recurs; at x = 1 the second disjunct reaches F(1)
+    reached = Or((And((Eq(X, C), Eq(FX, X))), And((Not(Eq(X, C)), Eq(FX, C))), Eq(X, C)))
+    assert compile_formula(reached)._run.__name__ == "literal_disjunction"
+    for compiled in (compile_formula(reached), _plain(reached)):
+        with pytest.raises(EvaluationError, match=r"^function F not total at \(1,\)$"):
+            compiled.holds(PARTIAL_F, range(2), {"x": 1})
+        assert compiled.holds(PARTIAL_F, range(2), {"x": 0})
+    # F(F(x)) comes after x = c: at x = 0 the first disjunct holds, at x = 1
+    # the memo of x = c ends the second disjunct before it
+    unreached = Or((And((Eq(X, C), Eq(C, C))), And((Eq(X, C), Eq(FFX, X)))))
+    assert compile_formula(unreached).holds(PARTIAL_F, range(2), {"x": 0})
+    assert not compile_formula(unreached).holds(PARTIAL_F, range(2), {"x": 1})
+    # uninterpreted symbols raise at their first reach, memo or not
+    late = Or((And((Eq(FX, X), Eq(X, X))), And((Eq(X, X), Eq(X, C)))))
+    missing = Or((Eq(FX, X), Atom("Q", (X,)), Eq(FX, X)))
+    for f, message in ((late, "constant c uninterpreted"), (missing, "predicate Q uninterpreted")):
+        assert compile_formula(f)._run.__name__ == "literal_disjunction"
+        assert compile_formula(f).holds(NO_CONSTANT, range(2), {"x": 1})
+        for compiled in (compile_formula(f), _plain(f)):
+            with pytest.raises(EvaluationError, match=f"^{message}$"):
+                compiled.holds(NO_CONSTANT, range(2), {"x": 0})
 
 
 def test_evaluate_eso_nonempty_subset():

@@ -170,6 +170,57 @@ def test_generated_submodel_is_closure_operator():
     assert generated_carrier(s, {0}) <= generated_carrier(s, {0, 2})
 
 
+def _fixpoint_carrier(s, seed):
+    """``generated_carrier`` as it was: every round applies every function
+    to every tuple of the elements so far."""
+    current = set(int(x) for x in seed)
+    current.update(s.constants.values())
+    if not current:
+        raise ValueError("empty seed with a constant-free signature generates nothing")
+    if not all(0 <= x < s.size for x in current):
+        raise ValueError("seed element out of range")
+    while True:
+        added = set()
+        elems = sorted(current)
+        for name, arity in s.signature.functions:
+            for t in itertools.product(elems, repeat=arity):
+                if s.functions[name][t] not in current:
+                    added.add(s.functions[name][t])
+        if not added:
+            return frozenset(current)
+        current |= added
+
+
+BINARY_FUNCTION_CONST = Signature(functions=(("G", 2),), constants=("c",))
+
+
+def _same_carriers(s):
+    seeds = [()] + [seed for k in (1, 2) for seed in itertools.combinations(range(s.size), k)]
+    seeds += [(s.size,), (-1, 0)]  # out of range
+    for seed in seeds:
+        try:
+            expected = _fixpoint_carrier(s, seed)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=f"^{e}$"):
+                generated_carrier(s, seed)
+        else:
+            assert generated_carrier(s, seed) == expected, (s, seed)
+
+
+def test_generated_carrier_matches_the_fixpoint():
+    for sig, n_max in ((UNAR, 4), (Signature(functions=(("F", 1),), constants=("c",)), 3),
+                       (BINARY_FUNCTION_CONST, 2)):
+        for n in range(1, n_max + 1):
+            for s in enumerate_structures(sig, n):
+                _same_carriers(s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_generated_carrier_matches_the_fixpoint_with_a_binary_function(data):
+    _same_carriers(data.draw(random_structures(BINARY_FUNCTION_CONST, data.draw(st.integers(3, 5)))))
+
+
 # --- enumerate_submodels ----------------------------------------------------
 
 

@@ -590,8 +590,7 @@ def test_modal_laws_match_the_nested_reference_on_generated_sentences(phi, psi):
 
 
 class _Liar:
-    """A compiled formula whose answers pass through ``lie(truth, domain)``:
-    structure by structure, and bit by bit on columns."""
+    """A compiled formula whose answers pass through ``lie(truth, domain)``."""
 
     def __init__(self, compiled, lie):
         self._compiled, self._lie = compiled, lie
@@ -602,24 +601,17 @@ class _Liar:
     def holds(self, tables, domain, assignment=None):
         return self._lie(self._compiled.holds(tables, domain, assignment), domain)
 
-    def holds_sliced(self, columns, domain):
-        # compile_formula(f, sliced=True) stores the sliced closures on the liar
-        truth = logic.CompiledFormula.holds_sliced(self, columns, domain)
-        return sum(
-            self._lie(bool(truth >> i & 1), domain) << i
-            for i in range(columns.full.bit_length())
-        )
-
 
 LIES = {
     # each breaks one law's premise or conclusion, so both checks report
-    # a counterexample and must report the same one
-    "true": lambda phi, psi: (TRUE, lambda truth, domain: len(domain) > 1),
-    "and": lambda phi, psi: (make_and((phi, psi)), lambda truth, domain: True),
-    "or": lambda phi, psi: (make_or((phi, psi)), lambda truth, domain: False),
-    "not": lambda phi, psi: (Not(phi), lambda truth, domain: truth and len(domain) > 1),
-    "phi": lambda phi, psi: (phi, lambda truth, domain: truth != (len(domain) == 2)),
-    "implies": lambda phi, psi: (Implies(phi, psi), lambda truth, domain: True),
+    # a counterexample and must report the same one; the number is the
+    # sentence's place among ``theta._law_tables``
+    "true": lambda phi, psi: (TRUE, 0, lambda truth, domain: len(domain) > 1),
+    "and": lambda phi, psi: (make_and((phi, psi)), 4, lambda truth, domain: True),
+    "or": lambda phi, psi: (make_or((phi, psi)), 5, lambda truth, domain: False),
+    "not": lambda phi, psi: (Not(phi), 6, lambda truth, domain: truth and len(domain) > 1),
+    "phi": lambda phi, psi: (phi, 2, lambda truth, domain: truth != (len(domain) == 2)),
+    "implies": lambda phi, psi: (Implies(phi, psi), 7, lambda truth, domain: True),
 }
 
 
@@ -635,19 +627,35 @@ LIE_PAIRS = {
 @pytest.mark.parametrize("lie", list(LIES))
 def test_modal_law_counterexamples_match_the_reference(monkeypatch, lie, pair):
     # the laws are theorems, so only a lying evaluator reaches the
-    # counterexample paths; both checks must name the same structure
+    # counterexample paths; both checks must name the same structure.  The
+    # check evaluates phi and psi only and reads the eight tables off
+    # theirs, so it hears the lie in the target's table; the reference
+    # evaluates every sentence, so it hears it from the compiled target.
     phi, psi = (parse_formula(text, BINARY) for text in LIE_PAIRS[pair])
-    target, answer = LIES[lie](phi, psi)
+    target, place, answer = LIES[lie](phi, psi)
+    law_tables = theta._law_tables
+
+    def lying_tables(carriers, t_phi, t_psi):
+        tables = list(law_tables(carriers, t_phi, t_psi))
+        tables[place] = sum(
+            answer(bool(tables[place] >> b & 1), sorted(c)) << b for b, c in enumerate(carriers)
+        )
+        return tuple(tables)
+
+    corpus = _up_to(BINARY, 3)
+    with monkeypatch.context() as patched:
+        patched.setattr(theta, "_law_tables", lying_tables)
+        report = modal_laws_check(phi, psi, corpus)
+    assert not report.passed
+    # fresh copies, so that the reference compiles them with the lie
+    phi, psi = (parse_formula(text, BINARY) for text in LIE_PAIRS[pair])
     compile_ = logic._compile
     monkeypatch.setattr(
         logic, "_compile",
         lambda f: _Liar(compile_(f), answer) if f == target else compile_(f),
     )
-    corpus = _up_to(BINARY, 3)
     logic._COMPILED.pop(id(TRUE), None)
     try:
-        report = modal_laws_check(phi, psi, corpus)
-        assert not report.passed
         assert report == _reference_modal_laws_check(phi, psi, corpus)
     finally:
         logic._COMPILED.pop(id(TRUE), None)
