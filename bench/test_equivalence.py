@@ -45,4 +45,5 @@ def test_equivalence(benchmark, pair, n):
     result = benchmark.pedantic(sweep, rounds=5, iterations=1, warmup_rounds=1)
     assert result == verdict
     benchmark.extra_info["classes"] = verdict.checked
-    benchmark.extra_info["classes_per_s"] = verdict.checked / benchmark.stats.stats.median
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["classes_per_s"] = verdict.checked / benchmark.stats.stats.median

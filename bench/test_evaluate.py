@@ -50,4 +50,5 @@ def test_evaluate(benchmark, case):
     result = benchmark.pedantic(run, rounds=5, iterations=1, warmup_rounds=1)
     assert result == expected
     benchmark.extra_info["structures"] = checks
-    benchmark.extra_info["us_per_structure"] = 1e6 * benchmark.stats.stats.median / checks
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["us_per_structure"] = 1e6 * benchmark.stats.stats.median / checks

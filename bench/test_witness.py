@@ -48,4 +48,5 @@ def test_witness_search(benchmark, case):
     result = benchmark.pedantic(search, rounds=5, iterations=1, warmup_rounds=1)
     assert result == (hit, masks)
     benchmark.extra_info["masks"] = masks
-    benchmark.extra_info["masks_per_s"] = masks / benchmark.stats.stats.median
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["masks_per_s"] = masks / benchmark.stats.stats.median

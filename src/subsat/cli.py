@@ -18,13 +18,12 @@ from dataclasses import dataclass
 from . import __version__
 from .logic import (
     FormulaSyntaxError,
+    compile_formula,
     evaluate_eso,
     evaluate_fo,
     parse_formula,
     parse_with_inference,
     render_formula,
-    subformulas,
-    ExistsSet,
 )
 from .products import (
     canonical_embedding,
@@ -153,10 +152,7 @@ def _cmd_eval(args, out) -> int:
     sig, structures = _load_structures(args.structure)
     text = _formula_text(args)
     formula = parse_formula(text, sig)
-    evaluate = (
-        evaluate_eso if any(isinstance(g, ExistsSet) for g in subformulas(formula))
-        else evaluate_fo
-    )
+    evaluate = evaluate_eso if compile_formula(formula).has_set_quantifier else evaluate_fo
     names = _named_structures(args, structures)
     values = [evaluate(structures[name], formula) for name in names]
     manifest = _manifest("eval", args, ["structure", "formula", "formula-file", "name", "seed"])

@@ -1297,10 +1297,10 @@ def parse_structures(text: str) -> tuple[Signature, dict[str, Structure]]:
             pos += 1
             break
         kind = toks[0]
-        if kind == "predicate" and len(toks) == 3:
-            predicates.append((toks[1], int(toks[2])))
-        elif kind == "function" and len(toks) == 3:
-            functions.append((toks[1], int(toks[2])))
+        if kind in ("predicate", "function") and len(toks) == 3:
+            if not toks[2].isdecimal() or int(toks[2]) < 1:
+                error(f"arity of {toks[1]} must be a positive integer", lineno)
+            (predicates if kind == "predicate" else functions).append((toks[1], int(toks[2])))
         elif kind == "constant" and len(toks) == 2:
             constants.append(toks[1])
         else:
@@ -1367,6 +1367,8 @@ def parse_structures(text: str) -> tuple[Signature, dict[str, Structure]]:
                     consts[sym] = int(toks[1])
                 else:
                     error(f"unknown symbol {sym}", lineno)
+            except StructureFormatError:
+                raise
             except ValueError as exc:
                 error(f"bad integer in entry: {exc}", lineno)
             pos += 1

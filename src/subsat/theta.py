@@ -63,7 +63,6 @@ from .structures import (
     _structure_from_indices,
     enumerate_submodels,
     generated_carrier,
-    induced_substructure,
     labelled_structure_count,
 )
 
@@ -471,7 +470,6 @@ def theta_bounded_to_existential_functional(
 class LawResult:
     law: str
     holds: bool
-    counterexample: Optional[tuple[Structure, str]] = None
     strictness_witness: Optional[Structure] = None
     note: str = ""
 
@@ -542,15 +540,6 @@ def _carrier_tables(sentences: Sequence[Formula], structures: list) -> list:
     return out
 
 
-def _law_tables(carriers: list, t_phi: int, t_psi: int) -> tuple:
-    """The carrier bitmasks of true, false, phi, psi, phi & psi, phi | psi,
-    !phi and phi -> psi, read off those of phi and psi: the connectives
-    act carrier by carrier, so bit by bit."""
-    full = (1 << len(carriers)) - 1
-    return (full, 0, t_phi, t_psi, t_phi & t_psi, t_phi | t_psi, full ^ t_phi,
-            full ^ t_phi | t_psi)
-
-
 def _below(carriers: list) -> list[int]:
     """Per carrier, the bitmask of the carriers inside it."""
     return [sum(1 << i for i, d in enumerate(carriers) if d <= c) for c in carriers]
@@ -561,85 +550,42 @@ def modal_laws_check(
 ) -> ModalLawReport:
     """Check the possibility-operator laws of the submodel operator on a corpus.
 
-    Laws (i)-(iii) and (v)-(vii) are checked per structure; (iv) is the
-    rule form: if phi -> psi holds on the corpus closed under submodels,
-    then theta(phi) -> theta(psi) must hold there too.  One-directional
-    laws also record a strictness witness when the corpus exhibits one.
-
-    Every truth is read off tables filled once: phi and psi are evaluated
-    on every carrier (``_carrier_tables``), and each of the eight sentences
-    true, false, phi, psi, phi & psi, phi | psi, !phi and phi -> psi has,
-    per structure, a bitmask over its carriers (``_law_tables``), so its
-    submodel check is the mask being nonzero.  The carriers of the
-    submodel on a carrier c are the structure's carriers inside c, so a
-    submodel check in that submodel is the mask meet ``below[c]``: the
-    nested checks of (iii) and (vii) build no submodel.  The corpus closed
-    under submodels is its (structure, carrier) pairs, and (iv) fails at
-    the first pair with theta(phi) but not theta(psi): failing is
-    invariant under isomorphism, so that pair is the first occurrence of
-    the first failing class.  Only that counterexample is built.
+    Laws (i)-(iii) and (v)-(vii) are per structure; (iv) is the rule form:
+    if phi -> psi holds on the corpus closed under submodels, then
+    theta(phi) -> theta(psi) holds there too.  All of them hold by
+    construction.  phi and psi are evaluated once per carrier
+    (``_carrier_tables``), giving per structure a bitmask of the carriers
+    each holds on.  Every connective acts carrier by carrier, so bit by
+    bit; a submodel check is a mask being nonzero; and the carriers of the
+    submodel on carrier c are the structure's carriers inside c, so the
+    nested checks of (iii) and (vii) are the mask meeting ``below[c]``.
+    Read this way, each law is a set identity on the masks (for (iv): if
+    t_phi is inside t_psi, a carrier set meeting t_phi meets t_psi), and
+    none can fail.  What the corpus still decides is (iv)'s premise, which
+    sets its note, and the strictness witnesses of the one-directional laws
+    (v-and), (vi) and (vii): the first structure where the converse fails.
     """
     _require_fo_sentence(phi)
     _require_fo_sentence(psi)
     results = {name: LawResult(name, True) for name in _LAWS}
-
-    def fail(name, where, message):
-        if results[name].holds:
-            results[name] = LawResult(name, False, (where, message))
-
-    facts = []  # per structure, what the strictness witnesses need
-    closure_premise = True
-    first_failing = None  # (structure, carrier) refuting (iv)'s conclusion
+    premise = True
     structures = list(structures)
-    for s, (carriers, below, tables) in zip(structures, _carrier_tables((phi, psi), structures)):
-        top, bottom, t_phi, t_psi, t_both, t_either, t_not_phi, t_implication = _law_tables(
-            carriers, *tables)
-        theta_phi, theta_psi = t_phi != 0, t_psi != 0
-        phi_holds = t_phi >> len(carriers) - 1 == 1  # the full carrier comes last
-        some_without = any(not t_phi & inside for inside in below)
-
-        if not top or bottom:
-            fail("i", s, "theta(true)/theta(false)")
-        if phi_holds and not theta_phi:
-            fail("ii", s, "phi holds, theta(phi) fails")
-        if any(t_phi & inside for inside in below) != theta_phi:
-            fail("iii", s, "theta(theta(phi)) != theta(phi)")
-        if t_both and not (theta_phi and theta_psi):
-            fail("v-and", s, "theta(phi&psi) without theta(phi)&theta(psi)")
-        if (t_either != 0) != (theta_phi or theta_psi):
-            fail("v-or", s, "theta(phi|psi) != theta(phi)|theta(psi)")
-        if not theta_phi and phi_holds:
-            fail("vi", s, "not theta(phi) but phi")
-        elif not phi_holds and not t_not_phi:
-            fail("vi", s, "not phi but not theta(!phi)")
-        if some_without and not t_not_phi:
-            fail("vii", s, "theta(!theta(phi)) without theta(!phi)")
-
-        closure_premise = closure_premise and t_implication == (1 << len(carriers)) - 1
-        if first_failing is None:
-            first_failing = next(
-                ((s, c) for c, inside in zip(carriers, below)
-                 if t_phi & inside and not t_psi & inside),
-                None,
-            )
-        facts.append(
-            (s, theta_phi and theta_psi and not t_both, not phi_holds and theta_phi,
-             t_not_phi != 0 and not some_without)
+    for s, (carriers, below, (t_phi, t_psi)) in zip(
+            structures, _carrier_tables((phi, psi), structures)):
+        full = (1 << len(carriers)) - 1
+        premise = premise and not t_phi & ~t_psi
+        # theta(phi) & theta(psi) without theta(phi & psi); theta(phi) without
+        # phi (the full carrier comes last); theta(!phi) without theta(!theta(phi))
+        strict = (
+            t_phi and t_psi and not t_phi & t_psi,
+            t_phi and not t_phi >> len(carriers) - 1,
+            t_phi != full and all(t_phi & inside for inside in below),
         )
-
-    if closure_premise:
-        if first_failing is not None:
-            fail("iv", induced_substructure(*first_failing),
-                 "phi->psi valid on closure, theta monotonicity fails")
-        results["iv"].note = "premise holds on corpus closure"
-    else:
-        results["iv"].note = "vacuous: phi->psi fails somewhere on the corpus closure"
-
-    # strictness witnesses for the one-directional laws
-    for s, *strict in facts:
         for name, witnessed in zip(("v-and", "vi", "vii"), strict):
-            r = results[name]
-            if r.holds and r.strictness_witness is None and witnessed:
-                r.strictness_witness = s
-
+            if witnessed and results[name].strictness_witness is None:
+                results[name].strictness_witness = s
+    results["iv"].note = (
+        "premise holds on corpus closure" if premise
+        else "vacuous: phi->psi fails somewhere on the corpus closure"
+    )
     return ModalLawReport([results[name] for name in _LAWS])

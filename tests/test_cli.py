@@ -86,6 +86,16 @@ def test_eval_reports_truth(k2):
     assert lines[1] == "true"
 
 
+def test_eval_decides_a_set_quantifier_prefix(k2, capsys):
+    code, text = run(["eval", "--structure", k2, "--formula", "existsSet X. exists x. X(x)"])
+    assert (code, text.splitlines()[1]) == (0, "true")
+    code, text = run(
+        ["eval", "--structure", k2, "--formula", "exists x. existsSet X. X(x)"]
+    )
+    assert code == 2
+    assert "set quantifier not in prefix position" in capsys.readouterr().err
+
+
 def test_theta_paper_example(k2):
     code, text = run(
         ["theta", "--structure", k2, "--formula", "exists x. forall y. R(x,y)"]

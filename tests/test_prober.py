@@ -285,6 +285,22 @@ def test_column_search_hit_past_the_first_quantum(monkeypatch):
         assert sorted(truths) == [1, 2, 3]
 
 
+def test_witness_bound_multi_predicate_scan_count(monkeypatch):
+    # over two predicates a column search counts to the end of the hit's
+    # quantum, here the whole space at each size (64 + 4096); the generic
+    # path stops at the hit and counts 7 + 99, with the same hits
+    phi = parse_formula("forall x. exists y. R(x,y)", UNARY_BINARY)
+    cfg = ProbeConfig(UNARY_BINARY, n_max=3, lambda_max=2)
+    verdict = witness_bound_search(phi, cfg)
+    assert verdict.outcome == "NO_BOUND_UP_TO"
+    assert verdict.stats["structures_scanned"] == 4160 == sum(
+        labelled_structure_count(UNARY_BINARY, n) for n in (2, 3))
+    monkeypatch.setattr(prober, "_sliced_formula", lambda *args: False)
+    generic = witness_bound_search(phi, cfg)
+    assert generic.counterexamples == verdict.counterexamples
+    assert generic.stats["structures_scanned"] == 7 + 99
+
+
 def test_witness_bound_symmetric_n5_pin():
     # structures_scanned as measured when every subset met every mask:
     # dropping a mask once it has a witness must not move it

@@ -753,3 +753,21 @@ def test_parse_structures_errors_carry_line_numbers():
         parse_structures("signature\nend\n")
     with pytest.raises(StructureFormatError):
         parse_structures("structure A\nuniverse 1\nend\n")
+
+
+@pytest.mark.parametrize(
+    "old, new, message, line",
+    [
+        ("F 1 -> 2", "F 1 2", "function entry for F needs '->'", 12),
+        ("R 0 1\n", "R 0 1 2\n", "R expects 2 arguments", 9),
+        ("R 0 1\n", "R 0 x\n",
+         "bad integer in entry: invalid literal for int() with base 10: 'x'", 9),
+        ("predicate R 2", "predicate R x", "arity of R must be a positive integer", 3),
+        ("function F 1", "function F 0", "arity of F must be a positive integer", 4),
+    ],
+    ids=["no_arrow", "argument_count", "bad_integer", "arity_not_integer", "arity_zero"],
+)
+def test_parse_structures_error_message_and_line(old, new, message, line):
+    with pytest.raises(StructureFormatError) as exc:
+        parse_structures(SAMPLE.replace(old, new))
+    assert (exc.value.message, exc.value.line) == (message, line)

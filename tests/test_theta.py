@@ -522,7 +522,7 @@ def _reference_modal_laws_check(phi, psi, structures):
 
     def fail(name, s, message):
         if results[name].holds:
-            results[name] = LawResult(name, False, (s, message))
+            results[name] = LawResult(name, False, note=f"{message} at {s!r}")
 
     for s in structures:
         if not th(s, TRUE) or th(s, FALSE):
@@ -543,11 +543,11 @@ def _reference_modal_laws_check(phi, psi, structures):
         if some_without(s) and not th(s, not_phi):
             fail("vii", s, "theta(!theta(phi)) without theta(!phi)")
     if all(evaluate_fo(s, implication) for s in closure):
+        results["iv"].note = "premise holds on corpus closure"
         for s in closure:
             if th(s, phi) and not th(s, psi):
                 fail("iv", s, "phi->psi valid on closure, theta monotonicity fails")
                 break
-        results["iv"].note = "premise holds on corpus closure"
     else:
         results["iv"].note = "vacuous: phi->psi fails somewhere on the corpus closure"
     for s in structures:
@@ -602,63 +602,58 @@ class _Liar:
         return self._lie(self._compiled.holds(tables, domain, assignment), domain)
 
 
-LIES = {
-    # each breaks one law's premise or conclusion, so both checks report
-    # a counterexample and must report the same one; the number is the
-    # sentence's place among ``theta._law_tables``
-    "true": lambda phi, psi: (TRUE, 0, lambda truth, domain: len(domain) > 1),
-    "and": lambda phi, psi: (make_and((phi, psi)), 4, lambda truth, domain: True),
-    "or": lambda phi, psi: (make_or((phi, psi)), 5, lambda truth, domain: False),
-    "not": lambda phi, psi: (Not(phi), 6, lambda truth, domain: truth and len(domain) > 1),
-    "phi": lambda phi, psi: (phi, 2, lambda truth, domain: truth != (len(domain) == 2)),
-    "implies": lambda phi, psi: (Implies(phi, psi), 7, lambda truth, domain: True),
+LIE_PAIRS = {
+    "loop_edgeless": ("exists x. R(x,x)", "forall x. forall y. !R(x,y)"),
+    "two_points_loop": ("exists x. exists y. x != y", "exists x. R(x,x)"),
 }
 
 
-LIE_PAIRS = {
-    "loop_edgeless": ("exists x. R(x,x)", "forall x. forall y. !R(x,y)"),
-    # (iv) first fails at the 2-point edgeless digraph, and the last
-    # structures of the corpus have no failing carrier
-    "two_points_loop": ("exists x. exists y. x != y", "exists x. R(x,x)"),
+def _on_both(*laws):
+    return dict.fromkeys(LIE_PAIRS, list(laws))
+
+
+LIES = {
+    # the lying sentence, the laws the reference then reports failing on
+    # each pair, and the lie
+    "true": lambda phi, psi: (TRUE, _on_both("i"), lambda truth, domain: len(domain) > 1),
+    "and": lambda phi, psi: (make_and((phi, psi)), _on_both("v-and"), lambda truth, domain: True),
+    "or": lambda phi, psi: (make_or((phi, psi)), _on_both("v-or"), lambda truth, domain: False),
+    "not": lambda phi, psi: (
+        Not(phi), _on_both("vi", "vii"), lambda truth, domain: truth and len(domain) > 1),
+    "phi": lambda phi, psi: (
+        phi, {"loop_edgeless": ["vi"], "two_points_loop": ["v-and", "v-or"]},
+        lambda truth, domain: truth != (len(domain) == 2)),
+    "implies": lambda phi, psi: (Implies(phi, psi), _on_both("iv"), lambda truth, domain: True),
 }
 
 
 @pytest.mark.parametrize("pair", list(LIE_PAIRS))
 @pytest.mark.parametrize("lie", list(LIES))
 def test_modal_law_counterexamples_match_the_reference(monkeypatch, lie, pair):
-    # the laws are theorems, so only a lying evaluator reaches the
-    # counterexample paths; both checks must name the same structure.  The
-    # check evaluates phi and psi only and reads the eight tables off
-    # theirs, so it hears the lie in the target's table; the reference
-    # evaluates every sentence, so it hears it from the compiled target.
+    # the check reads every law off phi's and psi's tables, where the laws
+    # hold by construction; the reference evaluates every sentence, so
+    # under a lying evaluator it reports the broken laws' counterexamples
+    # and the reports part
     phi, psi = (parse_formula(text, BINARY) for text in LIE_PAIRS[pair])
-    target, place, answer = LIES[lie](phi, psi)
-    law_tables = theta._law_tables
-
-    def lying_tables(carriers, t_phi, t_psi):
-        tables = list(law_tables(carriers, t_phi, t_psi))
-        tables[place] = sum(
-            answer(bool(tables[place] >> b & 1), sorted(c)) << b for b, c in enumerate(carriers)
-        )
-        return tuple(tables)
-
     corpus = _up_to(BINARY, 3)
-    with monkeypatch.context() as patched:
-        patched.setattr(theta, "_law_tables", lying_tables)
-        report = modal_laws_check(phi, psi, corpus)
-    assert not report.passed
-    # fresh copies, so that the reference compiles them with the lie
-    phi, psi = (parse_formula(text, BINARY) for text in LIE_PAIRS[pair])
+    report = modal_laws_check(phi, psi, corpus)
+    assert report.passed
+    target, failing, answer = LIES[lie](phi, psi)
     compile_ = logic._compile
     monkeypatch.setattr(
         logic, "_compile",
         lambda f: _Liar(compile_(f), answer) if f == target else compile_(f),
     )
+    # fresh copies and a fresh TRUE entry, so that the reference compiles
+    # the target with the lie
+    phi, psi = (parse_formula(text, BINARY) for text in LIE_PAIRS[pair])
     logic._COMPILED.pop(id(TRUE), None)
     try:
-        assert report == _reference_modal_laws_check(phi, psi, corpus)
+        reference = _reference_modal_laws_check(phi, psi, corpus)
     finally:
         logic._COMPILED.pop(id(TRUE), None)
+    assert [r.law for r in reference.results if not r.holds] == failing[pair]
+    assert reference != report
 
 
 def test_passing_modal_check_builds_no_submodel(monkeypatch):
@@ -667,7 +662,7 @@ def test_passing_modal_check_builds_no_submodel(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a passing check built a submodel or a canonical key")
 
-    monkeypatch.setattr(theta, "induced_substructure", forbidden)
+    monkeypatch.setattr(structures_module, "induced_substructure", forbidden)
     monkeypatch.setattr(structures_module, "canonical_key", forbidden)
     report = modal_laws_check(EXISTS_FORALL, LOOP, corpus)
     assert report.passed and report.result("iv").note == "premise holds on corpus closure"
