@@ -99,6 +99,8 @@ def _read_file(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise _InputError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path}: {exc}") from exc
 
 
 def _load_structures(path: str):

@@ -46,7 +46,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Union
 
-from .structures import Signature, Structure
+from .structures import DEFAULT_ENUMERATION_CAP, CapExceededError, Signature, Structure
 
 
 class FormulaSyntaxError(ValueError):
@@ -734,28 +734,31 @@ def render_formula(f: Formula) -> str:
 #
 # A formula is compiled once into a tree of closures.  Every closure takes
 # one frame list: the raw tables of the structure (predicates, functions,
-# constants), the domain its quantifiers range over, then one slot per
-# variable.  Each quantifier and each free variable owns a slot, so
-# shadowing needs no save and restore.
+# constants), the domain its quantifiers range over, the all-ones value,
+# then one slot per variable.  Each quantifier and each free variable owns
+# a slot, so shadowing needs no save and restore.
+#
+# One closure per connective serves two modes.  A truth value is a column:
+# bit i is the truth in the i-th structure of a family on one universe,
+# and &, | and ^ with the all-ones value stand for and, or and not.  A
+# single structure is the family of one, whose all-ones value is True:
+# the same closures compute its truths on bools, and stop where Tarskian
+# evaluation does (a conjunction at 0, a disjunction at the all-ones
+# value, an implication whose premise is 0 before its conclusion).  Only
+# the atoms differ: a single structure's predicate is a set of tuples, a
+# family's holds one column per tuple (the structures holding it).  A
+# family's terms are variables, which take the same element in every
+# structure.
 #
 # A wide disjunction of literals and conjunctions of literals in which atoms
 # recur (the diagram disjunctions of the functional translation) keeps each
 # atom's truth for the rest of one call, so an atom is evaluated at most
 # once per assignment.  Its walk is the plain one, so truth values, the
 # short-circuit and the first EvaluationError raised are those of the
-# plain closure.
-#
-# The bit-sliced closures decide a sentence in a whole family of structures
-# on one universe at once.  Bit i of a value is the truth in the i-th
-# structure: a predicate tuple reads its column (the structures holding
-# it), and &, | and the all-ones column's ^ stand for and, or and not.
-# Their terms are variables, which take the same element in every
-# structure, so a sliced frame holds the all-ones column where the
-# function tables go.
+# plain closure.  It is built for single structures only.
 
 
-_PREDICATES, _FUNCTIONS, _CONSTANTS, _DOMAIN, _FIRST_SLOT = range(5)
-_ALL = _FUNCTIONS
+_PREDICATES, _FUNCTIONS, _CONSTANTS, _DOMAIN, _ALL, _FIRST_SLOT = range(6)
 
 # Slot value of a free variable the assignment does not cover.
 _UNSET = object()
@@ -794,36 +797,42 @@ class CompiledFormula:
     )
 
     def holds(self, tables, domain: Sequence[int], assignment: Optional[dict] = None) -> bool:
-        frame = [tables.predicates, tables.functions, tables.constants, domain, *self._frame]
+        frame = [tables.predicates, tables.functions, tables.constants, domain, True, *self._frame]
         if assignment:
             for name, slot in self._free:
                 frame[slot] = assignment.get(name, _UNSET)
-        return self._run(frame)
+        return bool(self._run(frame))
 
     def holds_eso(self, tables, domain: Sequence[int]) -> bool:
         """Truth of the monadic existential second-order sentence: its set
         prefix ranges over every subset of ``domain`` (check ``eso_error``
         first)."""
-        frame = [tables.predicates, tables.functions, tables.constants, domain, *self._frame]
-        return _exists_sets(frame, self._eso_body, self._eso_slots, True)
+        frame = [tables.predicates, tables.functions, tables.constants, domain, True, *self._frame]
+        return bool(_exists_sets(frame, self._eso_body, self._eso_slots))
 
     def holds_sliced(self, columns, domain: Sequence[int]) -> int:
         """``holds`` in every structure of ``columns`` at once, as a column."""
-        return self._sliced[0]([columns.predicates, columns.full, None, domain, *self._frame])
+        return self._sliced[0]([columns.predicates, None, None, domain, columns.full, *self._frame])
 
     def holds_eso_sliced(self, columns, domain: Sequence[int]) -> int:
         """``holds_eso`` in every structure of ``columns`` at once, as a column."""
-        frame = [columns.predicates, columns.full, None, domain, *self._frame]
-        return _exists_sets(frame, self._sliced[1], self._eso_slots, columns.full)
+        frame = [columns.predicates, None, None, domain, columns.full, *self._frame]
+        return _exists_sets(frame, self._sliced[1], self._eso_slots)
 
 
-def _exists_sets(frame: list, body, slots: tuple, full):
+def _exists_sets(frame: list, body, slots: tuple):
     """Disjunction of ``body`` over every choice of subsets of the domain
-    for the set slots, stopping once it is ``full``."""
+    for the set slots, stopping once it is all ones.  Refuses with
+    :class:`CapExceededError` past ``DEFAULT_ENUMERATION_CAP`` choices,
+    before making any."""
     if not slots:
         return body(frame)
-    found = False
-    for choice in itertools.product(_subsets(tuple(frame[_DOMAIN])), repeat=len(slots)):
+    domain = tuple(frame[_DOMAIN])
+    choices = 2 ** (len(domain) * len(slots))
+    if choices > DEFAULT_ENUMERATION_CAP:
+        raise CapExceededError(choices, DEFAULT_ENUMERATION_CAP, "set choices")
+    found, full = False, frame[_ALL]
+    for choice in itertools.product(_subsets(domain), repeat=len(slots)):
         for slot, members in zip(slots, choice):
             frame[slot] = members
         found |= body(frame)
@@ -925,17 +934,17 @@ class _Builder:
     Closures capture names and slots only, never AST nodes, so the memo of
     compiled forms does not keep formulas alive.  Terms and literals that
     recur under the same variable slots (diagram disjunctions repeat most
-    of theirs) share one closure, and a disjunction of literals and their
-    conjunctions in which an atom recurs memoises atom truths per call
-    (``literal_disjunction``).  Error cases and the order of evaluation
+    of theirs) share one closure.  Error cases and the order of evaluation
     (left to right, short-circuiting) are those of Tarskian evaluation
-    over the AST.  With ``sliced`` the formula closures return columns
-    (see the notes above ``CompiledFormula``); terms are the same in both
-    modes.  The walk visits every node once, set quantifiers' bodies too,
-    and records the facts ``CompiledFormula`` keeps: the free variables
-    and set variables, whether a set atom or quantifier occurs and whether
-    one occurs outside the prefix, the atoms' symbols and whether every
-    term is a variable.
+    over the AST.  Each connective has one closure, on columns, which
+    serves a single structure and a family alike (see the notes above
+    ``CompiledFormula``); ``sliced`` only chooses the atom closures, set
+    membership or column lookup, and keeps ``literal_disjunction``, which
+    memoises atom truths per call, to single structures.  The walk visits
+    every node once, set quantifiers' bodies too, and records the facts
+    ``CompiledFormula`` keeps: the free variables and set variables,
+    whether a set atom or quantifier occurs and whether one occurs outside
+    the prefix, the atoms' symbols and whether every term is a variable.
     """
 
     def __init__(self, sliced: bool = False):
@@ -1027,34 +1036,29 @@ class _Builder:
         return self._formula(f, scope, set_scope)
 
     def _formula(self, f: Formula, scope: dict, set_scope: dict):
-        sliced = self.sliced
         if isinstance(f, Top):
-            return (lambda fr: fr[_ALL]) if sliced else (lambda fr: True)
+            return lambda fr: fr[_ALL]
         if isinstance(f, Bottom):
             return lambda fr: False  # also the empty column
         if isinstance(f, Atom):
             return self.atom(f, scope)
         if isinstance(f, Eq):
             left, right = self.term(f.left, scope), self.term(f.right, scope)
-            if sliced:
-                return lambda fr: fr[_ALL] if left(fr) == right(fr) else 0
-            return lambda fr: left(fr) == right(fr)
+            return lambda fr: fr[_ALL] if left(fr) == right(fr) else False
         if isinstance(f, SetAtom):
             return self.set_atom(f, scope, set_scope)
         if isinstance(f, Not):
             body = self.formula(f.body, scope, set_scope)
-            if sliced:
-                return lambda fr: fr[_ALL] ^ body(fr)
-            return lambda fr: not body(fr)
-        if isinstance(f, Or) and not sliced:
+            return lambda fr: fr[_ALL] ^ body(fr)
+        if isinstance(f, Or) and not self.sliced:
             memo = self.literal_disjunction(f, scope, set_scope)
             if memo is not None:
                 return memo
         if isinstance(f, (And, Or)):
             parts = tuple(self.formula(p, scope, set_scope) for p in f.parts)
-            if sliced and isinstance(f, And):
+            if isinstance(f, And):
 
-                def sliced_conjunction(fr):
+                def conjunction(fr):
                     acc = fr[_ALL]
                     for p in parts:
                         acc &= p(fr)
@@ -1062,54 +1066,37 @@ class _Builder:
                             break
                     return acc
 
-                return sliced_conjunction
-            if sliced:
-
-                def sliced_disjunction(fr):
-                    acc, full = 0, fr[_ALL]
-                    for p in parts:
-                        acc |= p(fr)
-                        if acc == full:
-                            break
-                    return acc
-
-                return sliced_disjunction
-            if isinstance(f, And):
-
-                def conjunction(fr):
-                    for p in parts:
-                        if not p(fr):
-                            return False
-                    return True
-
                 return conjunction
 
             def disjunction(fr):
+                acc, full = False, fr[_ALL]
                 for p in parts:
-                    if p(fr):
-                        return True
-                return False
+                    acc |= p(fr)
+                    if acc == full:
+                        break
+                return acc
 
             return disjunction
         if isinstance(f, Implies):
             left = self.formula(f.left, scope, set_scope)
             right = self.formula(f.right, scope, set_scope)
-            if sliced:
-                return lambda fr: fr[_ALL] ^ left(fr) | right(fr)
-            return lambda fr: not left(fr) or right(fr)
+
+            def implication(fr):
+                premise = left(fr)
+                return fr[_ALL] ^ premise | right(fr) if premise else fr[_ALL]
+
+            return implication
         if isinstance(f, Iff):
             left = self.formula(f.left, scope, set_scope)
             right = self.formula(f.right, scope, set_scope)
-            if sliced:
-                return lambda fr: fr[_ALL] ^ left(fr) ^ right(fr)
-            return lambda fr: left(fr) == right(fr)
+            return lambda fr: fr[_ALL] ^ left(fr) ^ right(fr)
         if isinstance(f, (Forall, Exists)):
             slot = self.new_slot()
             body = self.formula(f.body, {**scope, f.var: slot}, set_scope)
-            if sliced and isinstance(f, Exists):
+            if isinstance(f, Exists):
 
-                def sliced_exists(fr):
-                    acc, full = 0, fr[_ALL]
+                def exists(fr):
+                    acc, full = False, fr[_ALL]
                     for e in fr[_DOMAIN]:
                         fr[slot] = e
                         acc |= body(fr)
@@ -1117,36 +1104,16 @@ class _Builder:
                             break
                     return acc
 
-                return sliced_exists
-            if sliced:
-
-                def sliced_forall(fr):
-                    acc = fr[_ALL]
-                    for e in fr[_DOMAIN]:
-                        fr[slot] = e
-                        acc &= body(fr)
-                        if not acc:
-                            break
-                    return acc
-
-                return sliced_forall
-            if isinstance(f, Exists):
-
-                def exists(fr):
-                    for e in fr[_DOMAIN]:
-                        fr[slot] = e
-                        if body(fr):
-                            return True
-                    return False
-
                 return exists
 
             def forall(fr):
+                acc = fr[_ALL]
                 for e in fr[_DOMAIN]:
                     fr[slot] = e
-                    if not body(fr):
-                        return False
-                return True
+                    acc &= body(fr)
+                    if not acc:
+                        break
+                return acc
 
             return forall
         if isinstance(f, ExistsSet):
@@ -1187,7 +1154,7 @@ class _Builder:
                 for i in literals:
                     truth = truths[i]
                     if truth is None:
-                        value = bool(atoms[i >> 1](fr))
+                        value = atoms[i >> 1](fr)
                         truths[i & -2], truths[i | 1] = value, not value
                         truth = truths[i]
                     if not truth:
@@ -1249,15 +1216,14 @@ class _Builder:
         arg = self.term(f.arg, scope)
         slot = set_scope.get(f.set_var)
         self.second_order = True
-        if slot is not None and self.sliced:
-            return lambda fr: fr[_ALL] if arg(fr) in fr[slot] else 0
         if slot is not None:
-            return lambda fr: arg(fr) in fr[slot]
+            return lambda fr: fr[_ALL] if arg(fr) in fr[slot] else False
         name = f.set_var
         if name not in self.free_sets:
             self.free_sets[name] = self.new_slot()
         slot = self.free_sets[name]
 
+        # single structures only: a family is decided for sentences
         def free_set(fr):
             members = fr[slot]
             if members is _UNSET:

@@ -44,6 +44,7 @@ from .logic import (
     constant_names,
     evaluate_eso,
     evaluate_fo,
+    free_variables,
     render_formula,
 )
 from .structures import (
@@ -612,6 +613,11 @@ def constant_blindness_demo(k: int, psi: Formula) -> ConstantBlindnessReport:
     if k < 1:
         raise ValueError("need at least one constant symbol")
     sig = Signature(constants=tuple(f"c{i}" for i in range(k)))
+    free = sorted(free_variables(psi))
+    if free:
+        # a name outside c0..c{k-1} parses as a variable
+        raise ValueError(f"psi must be a sentence over {', '.join(sig.constants)}; "
+                         f"free names: {', '.join(free)}")
     named = tuple(sorted(constant_names(psi)))
     unknown = [c for c in named if not sig.has_constant(c)]
     if unknown:

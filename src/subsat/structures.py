@@ -112,13 +112,6 @@ class Signature:
     def has_constant(self, name: str) -> bool:
         return name in self.constants
 
-    def symbol_names(self) -> set[str]:
-        return (
-            {n for n, _ in self.predicates}
-            | {n for n, _ in self.functions}
-            | set(self.constants)
-        )
-
 
 def _normalize_predicates(sig: Signature, given) -> dict:
     preds = {}

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -105,9 +106,14 @@ def theta_semantic(s: Structure, phi: Formula) -> ThetaReport:
 
     Each carrier is checked in place: ``phi`` with its quantifiers bounded
     to the carrier, on the tables of ``s``.  The witness is the first
-    carrier in deterministic order (size, then lexicographic).
+    carrier in deterministic order (size, then lexicographic).  Refuses
+    with :class:`CapExceededError` past ``DEFAULT_ENUMERATION_CAP`` subsets
+    before inspecting any.
     """
     compiled = _require_fo_sentence(phi)
+    subsets = 2 ** s.size - 1
+    if subsets > DEFAULT_ENUMERATION_CAP:
+        raise CapExceededError(subsets, DEFAULT_ENUMERATION_CAP, "carrier subsets")
     inspected = 0
     for carrier in enumerate_submodels(s):
         inspected += 1
@@ -117,13 +123,22 @@ def theta_semantic(s: Structure, phi: Formula) -> ThetaReport:
 
 
 def theta_bounded_semantic(s: Structure, phi: Formula, bound: int) -> ThetaReport:
-    """Does some submodel generated by at most ``bound`` elements satisfy ``phi``?"""
+    """Does some submodel generated by at most ``bound`` elements satisfy ``phi``?
+
+    Refuses with :class:`CapExceededError` past ``DEFAULT_ENUMERATION_CAP``
+    seeds before inspecting any.
+    """
     compiled = _require_fo_sentence(phi)
     if bound < 0 or (bound == 0 and not s.signature.constants):
         raise ValueError("bound must be >= 1 (0 is allowed only with constants)")
+    start = 0 if s.signature.constants else 1
+    # the seeds are at most the 2**n subsets, so small universes pass at once
+    if 2 ** s.size > DEFAULT_ENUMERATION_CAP:
+        seeds = sum(math.comb(s.size, k) for k in range(start, min(bound, s.size) + 1))
+        if seeds > DEFAULT_ENUMERATION_CAP:
+            raise CapExceededError(seeds, DEFAULT_ENUMERATION_CAP, "seeds")
     seen = set()
     inspected = 0
-    start = 0 if s.signature.constants else 1
     # without functions a seed generates itself plus the constants
     closure = s.signature.functions
     constants = frozenset(s.constants.values())

@@ -209,6 +209,15 @@ def test_probe_constants():
     assert "VERDICT differs=yes agree_on_psi=yes" in text
 
 
+def test_probe_constants_rejects_an_open_psi(capsys):
+    # c5 is outside c0, c1, so it parses as a variable
+    code, text = run(["probe", "--check", "constants", "--k", "2", "--psi", "c5 = c0"])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: psi must be a sentence over c0, c1; free names: c5\n"
+    )
+
+
 def test_enumerate_structures_output(tmp_path, k2):
     code, text = run(
         ["enumerate", "--signature", k2, "-n", "2", "--up-to-iso"]
@@ -231,6 +240,17 @@ def test_input_error_exit_code(tmp_path):
     code, _ = run(["eval", "--structure", str(tmp_path / "missing.st"),
                    "--formula", "true"])
     assert code == 2
+
+
+def test_undecodable_file_error_names_the_file(tmp_path, capsys):
+    path = tmp_path / "latin1.st"
+    path.write_bytes(b"\xffsignature\nend\n")
+    code, text = run(["eval", "--structure", str(path), "--formula", "true"])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n"
+    )
 
 
 def test_formula_syntax_error_exit_code(k2):
@@ -450,12 +470,34 @@ REFUSALS = [
       "--n-max", "5", "--lambda-max", "4", "--cap", "100"],
      3, "enumeration of 320 iso candidates exceeds the cap of 100"),
     (["probe", "--check", "wellfounded", "--n-max", "0"], 2, "need n_max >= 1"),
+    # exponential walks over 23 points refuse before the first carrier or set
+    (["theta", "--structure", "{p23}", "--formula", "forall x. R(x,x)"],
+     3, "enumeration of 8388607 carrier subsets exceeds the cap of 5000000"),
+    # sum of C(23, k) for k = 1..12
+    (["theta", "--structure", "{p23}", "--lambda", "12", "--formula", "forall x. R(x,x)"],
+     3, "enumeration of 5546381 seeds exceeds the cap of 5000000"),
+    (["eval", "--structure", "{p23}", "--formula", "existsSet X. forall x. (X(x) & R(x,x))"],
+     3, "enumeration of 8388608 set choices exceeds the cap of 5000000"),
 ]
 
 
-@pytest.mark.parametrize("argv, code, message", REFUSALS, ids=[a[0] for a, _, _ in REFUSALS])
-def test_refusals_leave_stdout_empty(k2, z4, capsys, argv, code, message):
-    got, text = run([arg.replace("{k2}", k2).replace("{z4}", z4) for arg in argv])
+def _refusal_id(argv):
+    # the 23-point cases are named apart, so the other ids keep their numbers
+    return f"{argv[0]}-23-points" if "{p23}" in argv else argv[0]
+
+
+@pytest.fixture
+def p23(tmp_path):
+    path = tmp_path / "p23.st"
+    path.write_text("signature\npredicate R 2\nend\nstructure e23\nuniverse 23\nend\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, code, message", REFUSALS,
+                         ids=[_refusal_id(a) for a, _, _ in REFUSALS])
+def test_refusals_leave_stdout_empty(k2, z4, p23, capsys, argv, code, message):
+    paths = {"{k2}": k2, "{z4}": z4, "{p23}": p23}
+    got, text = run([paths.get(arg, arg) for arg in argv])
     assert (got, text) == (code, "")
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err

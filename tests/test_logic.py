@@ -284,11 +284,21 @@ def test_evaluation_errors_follow_the_short_circuit_order():
     assert not evaluate_fo(s, And((FALSE, open_atom)))
     with pytest.raises(EvaluationError, match="uncovered free variable y"):
         evaluate_fo(s, And((TRUE, open_atom)), {"x": 0})
+    # an implication skips its conclusion after a false premise
+    assert evaluate_fo(s, Implies(FALSE, open_atom), {"x": 0})
+    with pytest.raises(EvaluationError, match="uncovered free variable y"):
+        evaluate_fo(s, Implies(TRUE, open_atom), {"x": 0})
+    # a biconditional reads both sides, left first
+    for left in (FALSE, TRUE):
+        with pytest.raises(EvaluationError, match="uncovered free variable y"):
+            evaluate_fo(s, Iff(left, open_atom), {"x": 0})
+    with pytest.raises(EvaluationError, match="uncovered free variable z"):
+        evaluate_fo(s, Iff(parse_formula("R(x,z)", BINARY), open_atom), {"x": 0})
     with pytest.raises(EvaluationError, match="predicate Q uninterpreted"):
         evaluate_fo(s, Exists("x", Atom("Q", (Var("x"), Var("z")))))
     with pytest.raises(EvaluationError, match="uncovered set variable X"):
         evaluate_fo(s, SetAtom("X", Var("x")), {"x": 0})
-    assert evaluate_fo(s, SetAtom("X", Var("x")), {"x": 0, "X": frozenset({0})})
+    assert evaluate_fo(s, SetAtom("X", Var("x")), {"x": 0, "X": frozenset({0})}) is True
     with pytest.raises(EvaluationError, match="second-order quantifier"):
         evaluate_fo(s, parse_formula("existsSet X. exists x. X(x)", BINARY))
     # a bound variable shadows the assignment only inside its quantifier
@@ -301,6 +311,35 @@ def test_evaluation_errors_follow_the_short_circuit_order():
         evaluate_fo(partial, parse_formula("F(F(c)) = c", unar))
     with pytest.raises(EvaluationError, match="constant c uninterpreted"):
         evaluate_fo(Structure(unar, 1, functions={"F": {(0,): 0}}), parse_formula("F(c) = c", unar))
+
+
+# one sentence per connective; reports print these truths as True/False
+BOOL_SENTENCES = [
+    "true",
+    "false",
+    "!true",
+    "!false",
+    "exists x. x = x",
+    "forall x. forall y. x != y",
+    "exists x. R(x,x)",
+    "forall x. R(x,x)",
+    "exists x. (R(x,x) & x = x)",
+    "forall x. (R(x,x) | !R(x,x))",
+    "exists x. ((R(x,x) & x = x) | (!R(x,x) & R(x,x)))",  # memoised literals
+    "forall x. (R(x,x) -> x = x)",
+    "exists x. (R(x,x) <-> !R(x,x))",
+    "existsSet X. exists x. X(x)",
+    "existsSet X. forall x. (X(x) & !X(x))",
+]
+
+
+@pytest.mark.parametrize("text", BOOL_SENTENCES)
+def test_truths_are_bools(text):
+    f = parse_formula(text, BINARY)
+    for s in (digraph(2, [(0, 0)]), digraph(1, [])):
+        assert type(evaluate_eso(s, f)) is bool
+        if is_first_order(f):
+            assert type(evaluate_fo(s, f)) is bool
 
 
 def test_evaluation_on_a_carrier_is_truth_in_the_submodel():
