@@ -311,6 +311,8 @@ def _run_probe(args):
     if args.check == "constants":
         if args.k is None:
             raise _InputError("--k is required for the constants demo")
+        if args.k > args.cap:
+            raise CapExceededError(args.k, args.cap, "constants")
         demo_sig = Signature(constants=tuple(f"c{i}" for i in range(args.k)))
         psi_text = args.psi or "true"
         psi = parse_formula(psi_text, demo_sig)

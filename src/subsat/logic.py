@@ -39,8 +39,6 @@ Multi-variable quantifiers desugar to nested single-variable ones;
 
 from __future__ import annotations
 
-import functools
-import itertools
 import re
 import weakref
 from dataclasses import dataclass
@@ -831,23 +829,20 @@ def _exists_sets(frame: list, body, slots: tuple):
     choices = 2 ** (len(domain) * len(slots))
     if choices > DEFAULT_ENUMERATION_CAP:
         raise CapExceededError(choices, DEFAULT_ENUMERATION_CAP, "set choices")
+    # choice c gives slot j the subset whose mask is the j-th n-bit digit
+    # of c from the top: itertools.product order over masks counted in
+    # binary, one frozenset alive per slot
+    n, width = len(domain), (1 << len(domain)) - 1
+    shifts = [n * j for j in reversed(range(len(slots)))]
     found, full = False, frame[_ALL]
-    for choice in itertools.product(_subsets(domain), repeat=len(slots)):
-        for slot, members in zip(slots, choice):
-            frame[slot] = members
+    for choice in range(choices):
+        for slot, shift in zip(slots, shifts):
+            mask = choice >> shift & width
+            frame[slot] = frozenset(e for i, e in enumerate(domain) if mask >> i & 1)
         found |= body(frame)
         if found == full:
             break
     return found
-
-
-@functools.lru_cache(maxsize=32)
-def _subsets(domain: tuple[int, ...]) -> tuple[frozenset, ...]:
-    """Every subset of ``domain``, in binary counting order."""
-    return tuple(
-        frozenset(e for i, e in enumerate(domain) if mask >> i & 1)
-        for mask in range(2 ** len(domain))
-    )
 
 
 _COMPILED: dict[int, tuple] = {}

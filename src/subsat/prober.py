@@ -49,16 +49,15 @@ from .logic import (
 )
 from .structures import (
     DEFAULT_ENUMERATION_CAP,
-    CapExceededError,
     Columns,
     Signature,
     Structure,
+    check_labelled_cap,
     enumerate_structures,
     enumerate_submodels,
     fragment_occurs,
     induced_fragment,
     induced_substructure,
-    labelled_structure_count,
     render_structures,
     _iso_columns,
     _iso_level,
@@ -345,9 +344,7 @@ def _generic_first_counterexample(
     """The search over any signature, and the reference for the column
     search: every labelled structure in order, each and its small carriers
     evaluated in place."""
-    count = labelled_structure_count(sig, n)
-    if count > cap:
-        raise CapExceededError(count, cap)
+    check_labelled_cap(sig, n, cap)
     compiled = compile_formula(phi)
     domain = range(n)
     scanned = 0

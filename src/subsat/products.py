@@ -6,6 +6,12 @@ is principal.  ``IndexFilter`` therefore stores only that kernel K.  Two
 choice functions agree modulo F exactly when they agree on K, so the
 reduced product is the direct product of the components indexed by K,
 and a choice function's class is its projection onto those coordinates.
+
+Coherence and the canonical embedding are checked by
+``structures._map_mismatches``: the coherence check maps the parent
+through each injection onto its component, whose values outside the
+image count as escaping, and the embedding check maps the parent onto
+the reduced product; each kind of mismatch has its own message.
 """
 
 from __future__ import annotations
@@ -16,11 +22,10 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .structures import (
-    ESCAPES,
     CapExceededError,
     Structure,
     StructureFormatError,
-    induced_fragment,
+    _map_mismatches,
     induced_substructure,
 )
 
@@ -314,6 +319,17 @@ def induced_system(parent: Structure, family: Iterable[frozenset],
     return CoherentSystem(parent, components, injections)
 
 
+# What each kind of _map_mismatches reports, for a function (False) or a
+# constant (True); predicates have no constant case.
+_COHERENCE_MESSAGES = {
+    ("predicate", False): "fragments disagree on {}{}",
+    ("escape", False): "ESCAPES patterns differ at {}{}",
+    ("value", False): "fragments disagree at {}{}",
+    ("escape", True): "constant {} inside/outside mismatch",
+    ("value", True): "constant {} maps differently",
+}
+
+
 def coherence_check(system: CoherentSystem) -> list[str]:
     """Violations of the coherence conditions, each naming the offending index."""
     violations = []
@@ -332,34 +348,10 @@ def coherence_check(system: CoherentSystem) -> list[str]:
         if not all(0 <= v < comp.size for v in values):
             violations.append(f"i={label}: injection leaves the component universe")
             continue
-        frag_parent = induced_fragment(parent, i)
-        image = frozenset(values)
-        frag_comp = induced_fragment(comp, image)
-        for name, arity in parent.signature.predicates:
-            for t in itertools.product(sorted(i), repeat=arity):
-                here = t in frag_parent.predicates[name]
-                there = tuple(inj[x] for x in t) in frag_comp.predicates[name]
-                if here != there:
-                    violations.append(f"i={label}: fragments disagree on {name}{t}")
-        for name, arity in parent.signature.functions:
-            for t in itertools.product(sorted(i), repeat=arity):
-                pv = frag_parent.functions[name][t]
-                cv = frag_comp.functions[name][tuple(inj[x] for x in t)]
-                if (pv is ESCAPES) != (cv is ESCAPES):
-                    violations.append(
-                        f"i={label}: ESCAPES patterns differ at {name}{t}"
-                    )
-                elif pv is not ESCAPES and inj[pv] != cv:
-                    violations.append(f"i={label}: fragments disagree at {name}{t}")
-        for name in parent.signature.constants:
-            pv = frag_parent.constants[name]
-            cv = frag_comp.constants[name]
-            if (pv is ESCAPES) != (cv is ESCAPES):
-                violations.append(
-                    f"i={label}: constant {name} inside/outside mismatch"
-                )
-            elif pv is not ESCAPES and inj[pv] != cv:
-                violations.append(f"i={label}: constant {name} maps differently")
+        if not all(0 <= x < parent.size for x in i):
+            raise ValueError(f"carrier {sorted(i)} not within universe of size {parent.size}")
+        for kind, name, t in _map_mismatches(parent, comp, inj):
+            violations.append(f"i={label}: " + _COHERENCE_MESSAGES[kind, t is None].format(name, t))
     return violations
 
 
@@ -383,6 +375,13 @@ class EmbeddingReport:
             and self.functions_ok
             and self.constants_ok
         )
+
+
+_EMBEDDING_MESSAGES = {
+    "predicates": "atom {}{} not preserved and reflected",
+    "functions": "function {}{} does not commute",
+    "constants": "constant {} not preserved",
+}
 
 
 def canonical_embedding(
@@ -436,29 +435,16 @@ def canonical_embedding(
     if not injective:
         violations.append("canonical map is not injective")
 
-    predicates_ok = True
-    for name, arity in parent.signature.predicates:
-        rel_a = parent.predicates[name]
-        rel_b = rp.structure.predicates[name]
-        for t in itertools.product(range(parent.size), repeat=arity):
-            if (t in rel_a) != (tuple(mapping[x] for x in t) in rel_b):
-                predicates_ok = False
-                violations.append(f"atom {name}{t} not preserved and reflected")
-
-    functions_ok = True
-    for name, arity in parent.signature.functions:
-        for t in itertools.product(range(parent.size), repeat=arity):
-            lhs = mapping[parent.functions[name][t]]
-            rhs = rp.structure.functions[name][tuple(mapping[x] for x in t)]
-            if lhs != rhs:
-                functions_ok = False
-                violations.append(f"function {name}{t} does not commute")
-
-    constants_ok = True
-    for name in parent.signature.constants:
-        if mapping[parent.constants[name]] != rp.structure.constants[name]:
-            constants_ok = False
-            violations.append(f"constant {name} not preserved")
+    # every parent element is in the map's domain, so an "escape" (a value
+    # off the image) is a failure to commute like a "value"
+    failed = set()
+    for kind, name, t in _map_mismatches(parent, rp.structure, dict(enumerate(mapping))):
+        part = "predicates" if kind == "predicate" else "constants" if t is None else "functions"
+        failed.add(part)
+        violations.append(_EMBEDDING_MESSAGES[part].format(name, t))
+    predicates_ok = "predicates" not in failed
+    functions_ok = "functions" not in failed
+    constants_ok = "constants" not in failed
 
     return EmbeddingReport(
         mapping, rp, injective, predicates_ok, functions_ok, constants_ok,

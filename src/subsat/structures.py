@@ -5,12 +5,20 @@ permissively and checked by ``validate_structure`` (violations are data,
 not exceptions).  Fragments record function values that leave the carrier
 with the ``ESCAPES`` marker, which is what lets a one-point fragment
 distinguish "fixed point inside" from "value leaves the carrier".
+
+Whether a map carries one structure or fragment onto another is decided
+in one place, ``_map_mismatches``: isomorphism checking and search,
+fragment occurrences, and in ``products`` the coherence check and the
+canonical embedding's verification all read its mismatches.  A value is
+inside when it is not ``ESCAPES`` and lies in the map's domain (or, on
+the target side, its image).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -24,11 +32,26 @@ _MASK_MAX_BITS = 25
 _UNARY_MASK_MAX_BITS = 31
 
 
-class CapExceededError(RuntimeError):
-    """Raised when an enumeration would exceed its configured cap."""
+# Counts of more bits than this are stated as a power of two they reach:
+# Python refuses to print an int of more than 4300 digits.
+_PRINTABLE_BITS = 4096
 
-    def __init__(self, count: int, cap: int, what: str = "labelled structures"):
-        super().__init__(f"enumeration of {count} {what} exceeds the cap of {cap}")
+
+class CapExceededError(RuntimeError):
+    """Raised when an enumeration would exceed its configured cap.
+
+    ``count`` is the size of the refused enumeration, or None where only
+    the lower bound ``2**bits`` was worked out.  A count of more than
+    ``_PRINTABLE_BITS`` bits is stated as such a bound as well.
+    """
+
+    def __init__(
+        self, count: Optional[int], cap: int, what: str = "labelled structures", bits: int = 0
+    ):
+        if count is not None and count.bit_length() > _PRINTABLE_BITS:
+            bits = count.bit_length() - 1
+        shown = f"at least 2^{bits}" if count is None or bits else count
+        super().__init__(f"enumeration of {shown} {what} exceeds the cap of {cap}")
         self.count = count
         self.cap = cap
 
@@ -493,14 +516,33 @@ def enumerate_submodels(
                 yield carrier
 
 
+def _labelled_powers(sig: Signature, n: int) -> list[tuple[int, int]]:
+    """(base, exponent) pairs whose powers multiply to the labelled count."""
+    return (
+        [(2, n**arity) for _, arity in sig.predicates]
+        + [(n, n**arity) for _, arity in sig.functions]
+        + [(n, len(sig.constants))]
+    )
+
+
 def labelled_structure_count(sig: Signature, n: int) -> int:
-    count = 1
-    for _, arity in sig.predicates:
-        count *= 2 ** (n**arity)
-    for _, arity in sig.functions:
-        count *= n ** (n**arity)
-    count *= n ** len(sig.constants)
-    return count
+    return math.prod(base**exponent for base, exponent in _labelled_powers(sig, n))
+
+
+def check_labelled_cap(sig: Signature, n: int, cap: int) -> None:
+    """Refuse with :class:`CapExceededError` when the labelled structures on
+    ``n`` points exceed ``cap``.
+
+    The exponents bound the count from below by ``2**bits`` before any
+    power is taken, so a count too large to print, or to build, is
+    refused as that bound.
+    """
+    bits = sum(e * (b.bit_length() - 1) for b, e in _labelled_powers(sig, n) if b > 1)
+    if bits > max(_PRINTABLE_BITS, cap.bit_length()):
+        raise CapExceededError(None, cap, bits=bits)
+    count = labelled_structure_count(sig, n)
+    if count > cap:
+        raise CapExceededError(count, cap)
 
 
 def _interpretation_from_indices(
@@ -1026,9 +1068,7 @@ def enumerate_structures(
         for mask in _predicate_only_iso_masks(sig, n, cap):
             yield _structure_from_mask(sig, n, mask)
         return
-    count = labelled_structure_count(sig, n)
-    if count > cap:
-        raise CapExceededError(count, cap)
+    check_labelled_cap(sig, n, cap)
     if not up_to_iso:
         yield from _labelled_structures(sig, n)
         return
@@ -1060,13 +1100,52 @@ def _generic_iso_indices(sig: Signature, n: int) -> Iterator[tuple[int, ...]]:
     _GENERIC_ISO[(sig, n)] = tuple(found)
 
 
-def _fragment_view(x: Union[Structure, Fragment]):
-    """Uniform (carrier, predicates, functions, constants) view for iso search."""
-    if isinstance(x, Structure):
-        carrier = frozenset(range(x.size))
-        funcs = {name: dict(table) for name, table in x.functions.items()}
-        return x.signature, carrier, x.predicates, funcs, dict(x.constants)
-    return x.signature, x.carrier, x.predicates, x.functions, dict(x.constants)
+def _map_mismatches(
+    a: Union[Structure, Fragment], b: Union[Structure, Fragment], mapping: Mapping[int, int]
+) -> Iterator[tuple[str, str, Optional[tuple]]]:
+    """Where ``mapping`` fails to carry ``a``'s tables onto ``b``'s.
+
+    The tuples checked are those over ``mapping``'s keys.  A function or
+    constant value is inside when it is not ``ESCAPES`` and lies in the
+    keys (for ``a``) or in the image (for ``b``).  Yields ``(kind, symbol,
+    tuple)`` in signature order, the tuple None for a constant: kind
+    ``"predicate"`` when the tuple holds on one side only, ``"escape"``
+    when a value is inside on one side only, ``"value"`` when both are
+    inside but ``mapping`` does not send one to the other.
+    """
+    sig = a.signature
+    domain = sorted(mapping)
+    image = set(mapping.values())
+
+    def moved(t):
+        return tuple(mapping[x] for x in t)
+
+    for name, arity in sig.predicates:
+        rel_a, rel_b = a.predicates[name], b.predicates[name]
+        for t in itertools.product(domain, repeat=arity):
+            if (t in rel_a) != (moved(t) in rel_b):
+                yield "predicate", name, t
+    values = itertools.chain(
+        (
+            (name, t, a.functions[name].get(t, ESCAPES), b.functions[name].get(moved(t), ESCAPES))
+            for name, arity in sig.functions
+            for t in itertools.product(domain, repeat=arity)
+        ),
+        (
+            (name, None, a.constants.get(name, ESCAPES), b.constants.get(name, ESCAPES))
+            for name in sig.constants
+        ),
+    )
+    # ESCAPES is never a key or an image, so membership decides "inside"
+    for name, t, va, vb in values:
+        if (va in mapping) != (vb in image):
+            yield "escape", name, t
+        elif va in mapping and mapping[va] != vb:
+            yield "value", name, t
+
+
+def _carrier(x: Union[Structure, Fragment]) -> frozenset:
+    return frozenset(range(x.size)) if isinstance(x, Structure) else x.carrier
 
 
 def check_isomorphism(
@@ -1076,54 +1155,26 @@ def check_isomorphism(
 
     For fragments the ESCAPES pattern must be preserved as well.
     """
-    sig_a, car_a, preds_a, funcs_a, consts_a = _fragment_view(a)
-    sig_b, car_b, preds_b, funcs_b, consts_b = _fragment_view(b)
-    if sig_a != sig_b:
+    if a.signature != b.signature or set(mapping) != _carrier(a):
         return False
-    if set(mapping.keys()) != set(car_a):
+    if set(mapping.values()) != _carrier(b) or len(set(mapping.values())) != len(mapping):
         return False
-    if set(mapping.values()) != set(car_b) or len(set(mapping.values())) != len(mapping):
-        return False
-    for name, arity in sig_a.predicates:
-        rel_a, rel_b = preds_a[name], preds_b[name]
-        for t in itertools.product(sorted(car_a), repeat=arity):
-            if (t in rel_a) != (tuple(mapping[x] for x in t) in rel_b):
-                return False
-    for name, arity in sig_a.functions:
-        ta, tb = funcs_a[name], funcs_b[name]
-        for t in itertools.product(sorted(car_a), repeat=arity):
-            va = ta.get(t, ESCAPES)
-            vb = tb.get(tuple(mapping[x] for x in t), ESCAPES)
-            if va is ESCAPES or vb is ESCAPES:
-                if not (va is ESCAPES and vb is ESCAPES):
-                    return False
-            elif mapping[va] != vb:
-                return False
-    for name in sig_a.constants:
-        va = consts_a.get(name, ESCAPES)
-        vb = consts_b.get(name, ESCAPES)
-        if va is ESCAPES or vb is ESCAPES:
-            if not (va is ESCAPES and vb is ESCAPES):
-                return False
-        elif mapping[va] != vb:
-            return False
-    return True
+    return not any(_map_mismatches(a, b, mapping))
 
 
-def _element_profile(sig, carrier, preds, funcs, consts, x):
+def _element_profile(x: Union[Structure, Fragment], e: int) -> tuple:
     parts = []
-    for name, arity in sig.predicates:
-        rel = preds[name]
+    for name, arity in x.signature.predicates:
+        rel = x.predicates[name]
         for pos in range(arity):
-            parts.append(sum(1 for t in rel if t[pos] == x))
-    for name, arity in sig.functions:
-        table = funcs[name]
-        parts.append(sum(1 for v in table.values() if v == x))
-        parts.append(sum(1 for t, v in table.items() if x in t and v is ESCAPES))
-        parts.append(1 if table.get((x,) * arity, None) == x else 0)
-    for name in sig.constants:
-        v = consts.get(name, ESCAPES)
-        parts.append(1 if v == x else 0)
+            parts.append(sum(1 for t in rel if t[pos] == e))
+    for name, arity in x.signature.functions:
+        table = x.functions[name]
+        parts.append(sum(1 for v in table.values() if v == e))
+        parts.append(sum(1 for t, v in table.items() if e in t and v is ESCAPES))
+        parts.append(1 if table.get((e,) * arity, None) == e else 0)
+    for name in x.signature.constants:
+        parts.append(1 if x.constants.get(name, ESCAPES) == e else 0)
     return tuple(parts)
 
 
@@ -1132,56 +1183,23 @@ def find_isomorphism(
 ) -> Optional[dict]:
     """Search for an isomorphism from ``a`` onto ``b``; None if there is none.
 
-    Backtracking over carrier bijections with element-profile pruning;
-    the returned map satisfies :func:`check_isomorphism`.
+    Backtracking over carrier bijections with element-profile pruning,
+    extending a partial map only while it shows no mismatch; the returned
+    map satisfies :func:`check_isomorphism`.
     """
-    sig_a, car_a, preds_a, funcs_a, consts_a = _fragment_view(a)
-    sig_b, car_b, preds_b, funcs_b, consts_b = _fragment_view(b)
-    if sig_a != sig_b:
+    if a.signature != b.signature:
         raise ValueError("signature mismatch")
+    car_a, car_b = _carrier(a), _carrier(b)
     if len(car_a) != len(car_b):
         return None
-    prof_a = {x: _element_profile(sig_a, car_a, preds_a, funcs_a, consts_a, x) for x in car_a}
-    prof_b = {y: _element_profile(sig_b, car_b, preds_b, funcs_b, consts_b, y) for y in car_b}
+    prof_a = {x: _element_profile(a, x) for x in car_a}
+    prof_b = {y: _element_profile(b, y) for y in car_b}
     if sorted(prof_a.values()) != sorted(prof_b.values()):
         return None
     domain = sorted(car_a)
     targets = sorted(car_b)
     mapping: dict = {}
     used: set = set()
-
-    def consistent(x, y):
-        assigned = set(mapping) | {x}
-        trial = dict(mapping)
-        trial[x] = y
-        for name, arity in sig_a.predicates:
-            rel_a, rel_b = preds_a[name], preds_b[name]
-            for t in itertools.product(sorted(assigned), repeat=arity):
-                if x not in t:
-                    continue
-                if (t in rel_a) != (tuple(trial[z] for z in t) in rel_b):
-                    return False
-        for name, arity in sig_a.functions:
-            ta, tb = funcs_a[name], funcs_b[name]
-            for t in itertools.product(sorted(assigned), repeat=arity):
-                va = ta.get(t, ESCAPES)
-                vb = tb.get(tuple(trial[z] for z in t), ESCAPES)
-                if (va is ESCAPES) != (vb is ESCAPES):
-                    return False
-                if va is not ESCAPES:
-                    if va in trial:
-                        if trial[va] != vb:
-                            return False
-                    elif vb in trial.values():
-                        return False
-        for name in sig_a.constants:
-            va = consts_a.get(name, ESCAPES)
-            vb = consts_b.get(name, ESCAPES)
-            if (va is ESCAPES) != (vb is ESCAPES):
-                return False
-            if va is not ESCAPES and va in trial and trial[va] != vb:
-                return False
-        return True
 
     def backtrack(i):
         if i == len(domain):
@@ -1190,11 +1208,9 @@ def find_isomorphism(
         for y in targets:
             if y in used or prof_a[x] != prof_b[y]:
                 continue
-            if not consistent(x, y):
-                continue
             mapping[x] = y
             used.add(y)
-            if backtrack(i + 1):
+            if not any(_map_mismatches(a, b, mapping)) and backtrack(i + 1):
                 return True
             del mapping[x]
             used.discard(y)
@@ -1215,44 +1231,12 @@ def fragment_occurs(f: Fragment, s: Structure) -> list[dict]:
     if f.signature != s.signature:
         raise ValueError("signature mismatch")
     domain = sorted(f.carrier)
-    k = len(domain)
-    if k == 0:
-        return [{}]
     out = []
-    for image in itertools.permutations(range(s.size), k):
+    for image in itertools.permutations(range(s.size), len(domain)):
         mapping = dict(zip(domain, image))
-        if _occurrence_ok(f, s, mapping):
+        if not any(_map_mismatches(f, s, mapping)):
             out.append(mapping)
     return out
-
-
-def _occurrence_ok(f: Fragment, s: Structure, mapping: dict) -> bool:
-    image = set(mapping.values())
-    domain = sorted(mapping)
-    for name, arity in f.signature.predicates:
-        rel_f, rel_s = f.predicates[name], s.predicates[name]
-        for t in itertools.product(domain, repeat=arity):
-            if (t in rel_f) != (tuple(mapping[x] for x in t) in rel_s):
-                return False
-    for name, arity in f.signature.functions:
-        table_f, table_s = f.functions[name], s.functions[name]
-        for t in itertools.product(domain, repeat=arity):
-            fv = table_f.get(t, ESCAPES)
-            sv = table_s[tuple(mapping[x] for x in t)]
-            if fv is ESCAPES:
-                if sv in image:
-                    return False
-            elif sv != mapping[fv]:
-                return False
-    for name in f.signature.constants:
-        fv = f.constants.get(name, ESCAPES)
-        sv = s.constants[name]
-        if fv is ESCAPES:
-            if sv in image:
-                return False
-        elif sv != mapping[fv]:
-            return False
-    return True
 
 
 # --- text format -----------------------------------------------------------

@@ -62,9 +62,9 @@ from .structures import (
     _labelled_indices,
     _structure_columns,
     _structure_from_indices,
+    check_labelled_cap,
     enumerate_submodels,
     generated_carrier,
-    labelled_structure_count,
 )
 
 
@@ -142,7 +142,7 @@ def theta_bounded_semantic(s: Structure, phi: Formula, bound: int) -> ThetaRepor
     # without functions a seed generates itself plus the constants
     closure = s.signature.functions
     constants = frozenset(s.constants.values())
-    for k in range(start, bound + 1):
+    for k in range(start, min(bound, s.size) + 1):
         for seed in itertools.combinations(range(s.size), k):
             carrier = generated_carrier(s, seed) if closure else constants.union(seed)
             if carrier in seen:
@@ -427,22 +427,25 @@ def enumerate_generated_models(
     """All (structure, generators) generated by ``bound`` marked elements, up to
     marked isomorphism, sizes up to ``size_cap``, optionally filtered.
 
-    Every size's labelled structures are checked against ``cap`` before
-    any is built.  The marked classes do not depend on the filter and are
-    built once per (signature, bound, size); each call builds fresh
-    structures from them and keeps those that pass ``satisfying``, which
-    must be isomorphism-invariant, as truth of a sentence is.
+    Every size's labelled structures are checked against ``cap`` by the
+    call itself, before any is built.  The marked classes do not depend
+    on the filter and are built once per (signature, bound, size); each
+    call builds fresh structures from them and keeps those that pass
+    ``satisfying``, which must be isomorphism-invariant, as truth of a
+    sentence is.
     """
     for size in range(1, size_cap + 1):
-        count = labelled_structure_count(sig, size)
-        if count > cap:
-            raise CapExceededError(count, cap)
-    for size in range(1, size_cap + 1):
-        for indices, tuples in _generated_classes(sig, bound, size):
-            s = _structure_from_indices(sig, size, indices)
-            if satisfying is None or satisfying(s):
-                for generators in tuples:
-                    yield s, generators
+        check_labelled_cap(sig, size, cap)
+
+    def models():
+        for size in range(1, size_cap + 1):
+            for indices, tuples in _generated_classes(sig, bound, size):
+                s = _structure_from_indices(sig, size, indices)
+                if satisfying is None or satisfying(s):
+                    for generators in tuples:
+                        yield s, generators
+
+    return models()
 
 
 def theta_bounded_to_existential_functional(
@@ -464,13 +467,13 @@ def theta_bounded_to_existential_functional(
         raise ValueError("bound must be >= 1")
     if size_cap < bound:
         raise ValueError("size cap must be at least the generator bound")
+    models = enumerate_generated_models(
+        sig, bound, size_cap, satisfying=lambda t: evaluate_fo(t, phi), cap=cap
+    )
     variables = fresh_variables(phi, bound)
     markers = [Var(v) for v in variables]
     disjuncts = [
-        make_and(_marked_diagram(s, generators, markers).literals)
-        for s, generators in enumerate_generated_models(
-            sig, bound, size_cap, satisfying=lambda t: evaluate_fo(t, phi), cap=cap
-        )
+        make_and(_marked_diagram(s, generators, markers).literals) for s, generators in models
     ]
     sentence = make_or(disjuncts)
     for v in reversed(variables):

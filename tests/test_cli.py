@@ -1,5 +1,6 @@
 import io
 import itertools
+import time
 
 import pytest
 
@@ -440,6 +441,8 @@ def test_deeply_nested_formula_is_an_input_error(k2, formula, capsys):
 
 # Every command refuses before it writes anything: no manifest line on stdout
 # for an input error (exit 2) or a cap refusal (exit 3).
+HUGE = str(10**11)
+
 REFUSALS = [
     (["translate", "--to", "existential", "--lambda", "0",
       "--formula", "exists x. R(x,x)"], 2, "bound must be >= 1"),
@@ -478,12 +481,27 @@ REFUSALS = [
      3, "enumeration of 5546381 seeds exceeds the cap of 5000000"),
     (["eval", "--structure", "{p23}", "--formula", "existsSet X. forall x. (X(x) & R(x,x))"],
      3, "enumeration of 8388608 set choices exceeds the cap of 5000000"),
+    # counts too large to print, or to build, are refused as a power of two
+    (["enumerate", "--signature", "{k2}", "-n", "120"],
+     3, "enumeration of at least 2^14400 labelled structures exceeds the cap of 5000000"),
+    (["enumerate", "--signature", "{k2}", "-n", HUGE],
+     3, "enumeration of at least 2^10000000000000000000000 labelled structures"
+        " exceeds the cap of 5000000"),
+    (["probe", "--check", "constants", "--k", HUGE],
+     3, "enumeration of 100000000000 constants exceeds the cap of 5000000"),
+    # the per-size refusal comes before the generator variables are named
+    (["translate", "--to", "existential", "--lambda", HUGE, "--nu", HUGE,
+      "--signature", "{z4}", "--formula", "exists x. F(x) != x"],
+     3, "enumeration of 16777216 labelled structures exceeds the cap of 5000000"),
 ]
 
 
 def _refusal_id(argv):
-    # the 23-point cases are named apart, so the other ids keep their numbers
-    return f"{argv[0]}-23-points" if "{p23}" in argv else argv[0]
+    # the 23-point and oversized cases are named apart, so the other ids
+    # keep their numbers
+    if "{p23}" in argv:
+        return f"{argv[0]}-23-points"
+    return f"{argv[0]}-oversized" if {"120", HUGE} & set(argv) else argv[0]
 
 
 @pytest.fixture
@@ -497,7 +515,9 @@ def p23(tmp_path):
                          ids=[_refusal_id(a) for a, _, _ in REFUSALS])
 def test_refusals_leave_stdout_empty(k2, z4, p23, capsys, argv, code, message):
     paths = {"{k2}": k2, "{z4}": z4, "{p23}": p23}
+    start = time.perf_counter()
     got, text = run([paths.get(arg, arg) for arg in argv])
+    assert time.perf_counter() - start < 1
     assert (got, text) == (code, "")
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
@@ -527,6 +547,16 @@ def test_enumeration_cap_says_what_it_counts(tmp_path, capsys, case):
     assert run(["enumerate", "--signature", str(path), *argv]) == (3, "")
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_theta_bound_past_the_universe_reads_as_the_universe(k2):
+    # the seeds stop at the universe's size, so a bound of 10**11 answers
+    # at once, as the bound 2 does
+    formula = "exists x. (R(x,x) & !R(x,x))"
+    code, text = run(["theta", "--structure", k2, "--lambda", HUGE, "--formula", formula])
+    assert code == 0
+    _, small = run(["theta", "--structure", k2, "--lambda", "2", "--formula", formula])
+    assert text.splitlines()[1:] == small.splitlines()[1:] == ["false", "inspected 3 submodels"]
 
 
 def test_enumerate_unary_classes_on_23_points(tmp_path):

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -521,6 +522,36 @@ def test_literal_memo_raises_where_the_walk_reaches():
 def test_evaluate_eso_nonempty_subset():
     f = parse_formula("existsSet X. exists x. X(x)", BINARY)
     assert evaluate_eso(digraph(2, []), f)
+
+
+def test_set_choices_come_in_product_order():
+    # each slot counts its subsets in binary, the last slot fastest
+    domain = (5, 7)
+    frame = [None] * (logic._FIRST_SLOT + 2)
+    frame[logic._DOMAIN], frame[logic._ALL] = domain, True
+    slots = (logic._FIRST_SLOT, logic._FIRST_SLOT + 1)
+    seen = []
+
+    def body(fr):
+        seen.append((fr[slots[0]], fr[slots[1]]))
+        return False
+
+    assert logic._exists_sets(frame, body, slots) is False
+    subsets = [frozenset(), frozenset({5}), frozenset({7}), frozenset({5, 7})]
+    assert seen == list(itertools.product(subsets, repeat=2))
+
+
+def test_set_prefix_keeps_no_table_of_subsets():
+    # 2**14 choices, one subset alive at a time
+    f = parse_formula("existsSet X. forall x. (X(x) & R(x,x))", BINARY)
+    s = digraph(14, [])
+    tracemalloc.start()
+    try:
+        assert not evaluate_eso(s, f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_evaluate_eso_contradiction():

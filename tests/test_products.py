@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 import random
 import time
 
 import pytest
 
+from subsat import products
 from subsat.logic import parse_formula, evaluate_fo
 from subsat.products import (
     DEFAULT_PRODUCT_CAP,
@@ -28,6 +30,7 @@ from subsat.structures import CapExceededError, Signature, Structure, find_isomo
 
 BINARY = Signature(predicates=(("R", 2),))
 UNAR = Signature(functions=(("F", 1),))
+FULL = Signature(predicates=(("R", 2),), functions=(("F", 1),), constants=("c",))
 
 
 def digraph(n, edges):
@@ -343,6 +346,44 @@ def test_coherent_unar_system_function_fragments():
     assert coherence_check(system) == []
 
 
+def test_coherence_check_names_every_mismatch_in_order():
+    # R(0,1), F: 0 -> 0, 1 -> 2, 2 -> 2, c = 0
+    parent = Structure(FULL, 3, {"R": {(0, 1)}}, {"F": {(0,): 0, (1,): 2, (2,): 2}}, {"c": 0})
+    system = CoherentSystem(
+        parent,
+        {
+            fs(1): parent,
+            # an extra loop; F(0) lands on 1; F(1) stays inside where the
+            # parent's escapes; c leaves the image {0,1}
+            fs(0, 1): Structure(FULL, 3, {"R": {(0, 0), (0, 1)}},
+                                {"F": {(0,): 1, (1,): 1, (2,): 2}}, {"c": 2}),
+            # F(0) leaves the image {0,1} where the parent's stays inside
+            fs(0, 2): Structure(FULL, 3, {}, {"F": {(0,): 2, (1,): 1, (2,): 1}}, {"c": 0}),
+            fs(1, 2): parent,
+            # c moves to 1
+            fs(0, 1, 2): Structure(FULL, 3, {"R": {(0, 1)}},
+                                   {"F": {(0,): 0, (1,): 2, (2,): 2}}, {"c": 1}),
+        },
+        {
+            fs(1): {1: 5},
+            fs(0, 1): {0: 0, 1: 1},
+            fs(0, 2): {0: 0, 2: 1},
+            fs(1, 2): {1: 0, 2: 0},
+            fs(0, 1, 2): {0: 0, 1: 1, 2: 2},
+        },
+    )
+    assert coherence_check(system) == [
+        "i={1}: injection leaves the component universe",
+        "i={0,1}: fragments disagree on R(0, 0)",
+        "i={0,1}: fragments disagree at F(0,)",
+        "i={0,1}: ESCAPES patterns differ at F(1,)",
+        "i={0,1}: constant c inside/outside mismatch",
+        "i={0,2}: ESCAPES patterns differ at F(0,)",
+        "i={1,2}: injection is not injective",
+        "i={0,1,2}: constant c maps differently",
+    ]
+
+
 # --- canonical embedding ---------------------------------------------------------
 
 
@@ -454,6 +495,37 @@ def test_embedding_not_elementary():
     has_loop = parse_formula("exists x. R(x,x)", BINARY)
     assert not evaluate_fo(parent, has_loop)
     assert evaluate_fo(report.product.structure, has_loop)
+
+
+def test_canonical_embedding_reports_each_failing_symbol(monkeypatch):
+    # a coherent system whose product is tampered with after it is built:
+    # one tuple added, F(0) sent outside the image {0,1}, F(1) sent to the
+    # wrong point inside it, and c moved
+    parent = Structure(FULL, 2, {"R": {(0, 1)}}, {"F": {(0,): 1, (1,): 1}}, {"c": 0})
+    top = Structure(FULL, 3, {"R": {(0, 1)}}, {"F": {(0,): 1, (1,): 1, (2,): 2}}, {"c": 0})
+    system = CoherentSystem(parent, {fs(0): parent, fs(0, 1): top},
+                            {fs(0): {0: 0}, fs(0, 1): {0: 0, 1: 1}})
+    real = products.reduced_product
+
+    def tampered(components, filt, cap):
+        rp = real(components, filt, cap=cap)
+        s = rp.structure
+        bad = Structure(FULL, s.size, {"R": s.predicates["R"] | {(1, 0)}},
+                        {"F": {**s.functions["F"], (0,): 2, (1,): 0}}, {"c": 1})
+        return dataclasses.replace(rp, structure=bad)
+
+    monkeypatch.setattr(products, "reduced_product", tampered)
+    report = canonical_embedding(system, upper_cone_filter([fs(0), fs(0, 1)]))
+    assert report.mapping == (0, 1)
+    assert report.injective
+    assert (report.predicates_ok, report.functions_ok, report.constants_ok) == (False,) * 3
+    assert not report.passed
+    assert report.violations == (
+        "atom R(1, 0) not preserved and reflected",
+        "function F(0,) does not commute",
+        "function F(1,) does not commute",
+        "constant c not preserved",
+    )
 
 
 # --- text format -----------------------------------------------------------------

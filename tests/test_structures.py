@@ -711,6 +711,51 @@ def test_fragment_occurs_respects_predicates():
     assert fragment_occurs(loop, s) == [{0: 0}]
 
 
+def _renamed_fragment(f, mapping, s):
+    """``f`` carried through ``mapping`` into the universe of ``s``."""
+    def move(v):
+        return v if v is ESCAPES else mapping[v]
+
+    return Fragment(
+        f.signature, s.size, frozenset(mapping.values()),
+        {name: {tuple(map(move, t)) for t in rel} for name, rel in f.predicates.items()},
+        {name: {tuple(map(move, t)): move(v) for t, v in table.items()}
+         for name, table in f.functions.items()},
+        {name: move(v) for name, v in f.constants.items()},
+    )
+
+
+def fragment_occurs_oracle(f, s):
+    """Every injective map under which ``f``, renamed, is the fragment of
+    ``s`` on the image."""
+    domain = sorted(f.carrier)
+    found = []
+    for image in itertools.permutations(range(s.size), len(domain)):
+        mapping = dict(zip(domain, image))
+        if _renamed_fragment(f, mapping, s) == induced_fragment(s, image):
+            found.append(mapping)
+    return found
+
+
+@pytest.mark.parametrize("sig", [
+    Signature(predicates=(("P", 1),), functions=(("F", 1),), constants=("c",)),
+    BINARY,
+], ids=["P-F-c", "R"])
+def test_fragment_occurs_matches_renaming_oracle(sig):
+    # every fragment of every structure of at most 3 points, placed by
+    # every injective map into that structure
+    occurrences = 0
+    for n in (1, 2, 3):
+        for s in enumerate_structures(sig, n):
+            for k in range(n + 1):
+                for carrier in itertools.combinations(range(n), k):
+                    f = induced_fragment(s, carrier)
+                    found = fragment_occurs(f, s)
+                    assert found == fragment_occurs_oracle(f, s)
+                    occurrences += len(found)
+    assert occurrences > sum(len(list(enumerate_structures(sig, n))) for n in (1, 2, 3))
+
+
 # --- text format ------------------------------------------------------------
 
 SAMPLE = """\
