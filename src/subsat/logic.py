@@ -44,7 +44,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Union
 
-from .structures import DEFAULT_ENUMERATION_CAP, CapExceededError, Signature, Structure
+from .structures import DEFAULT_ENUMERATION_CAP, Signature, Structure, check_power_cap
 
 
 class FormulaSyntaxError(ValueError):
@@ -825,10 +825,9 @@ def _exists_sets(frame: list, body, slots: tuple):
     before making any."""
     if not slots:
         return body(frame)
-    domain = tuple(frame[_DOMAIN])
-    choices = 2 ** (len(domain) * len(slots))
-    if choices > DEFAULT_ENUMERATION_CAP:
-        raise CapExceededError(choices, DEFAULT_ENUMERATION_CAP, "set choices")
+    bits = len(frame[_DOMAIN]) * len(slots)
+    check_power_cap(bits, DEFAULT_ENUMERATION_CAP, "set choices", lambda: 2**bits)
+    domain, choices = tuple(frame[_DOMAIN]), 2**bits
     # choice c gives slot j the subset whose mask is the j-th n-bit digit
     # of c from the top: itertools.product order over masks counted in
     # binary, one frozenset alive per slot

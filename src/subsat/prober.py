@@ -17,19 +17,27 @@ oracle then builds only the first class where the sides differ, the
 lowest set bit of their xor; the witness-bound search builds only the
 first class that satisfies its sentence with no small witness; the
 well-foundedness demo takes its submodel checks from one column and its
-cycle oracle from a transitive closure of the columns.  Each class is
+cycle oracle from a transitive closure of the columns.  The extension
+probe and the fragment-mode witness search read the columns through the
+induced-subclass tables (``structures._subclass_table``), which give the
+class of every subset of every class: a substructure's truth is its
+class's bit, and with predicates only a fragment occurs where a subset
+induces its class.  Each class is
 represented by its least mask, its first labelled member, and the
 representatives ascend, so the first class hit holds the first labelled
 structure hit.  Callables and every other side keep the class-by-class loop, and other
 witness-bound searches the generic path, which evaluates every labelled
 structure and its small carriers in place on the raw tables and is the
-column search's reference in the test suite.  Only a returned
+column search's reference in the test suite; the extension probe and the
+fragment search keep their per-structure loops, their references, for
+every other signature, size or sentence.  Only a returned
 counterexample is built as a ``Structure``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -59,12 +67,15 @@ from .structures import (
     induced_fragment,
     induced_substructure,
     render_structures,
+    _column_bits,
     _iso_columns,
     _iso_level,
     _iso_path_applies,
     _labelled_interpretations,
     _predicate_only_iso_masks,
     _structure_from_mask,
+    _subclass_table,
+    _subclass_tables_fit,
 )
 from .theta import _sliced_formula, theta_bounded_semantic, theta_semantic
 
@@ -182,6 +193,12 @@ def _class_truths(item: SentenceLike, columns: Columns, n: int) -> int:
     return compiled.holds_sliced(columns, range(n))
 
 
+def _class_truth_bits(item: SentenceLike, sig: Signature, n: int):
+    """``_class_truths`` of ``item`` in every size-``n`` class, as a numpy
+    bool array."""
+    return _column_bits(_class_truths(item, _iso_columns(sig, n), n), len(_iso_level(sig, n)))
+
+
 def describe_sentence_like(item: SentenceLike) -> str:
     if isinstance(item, ThetaOf):
         return f"theta[{render_formula(item.formula)}]"
@@ -269,12 +286,39 @@ def preservation_under_extensions(
     By default the target is the submodel check of ``phi`` (which the
     theory guarantees); with ``apply_theta=False`` the raw sentence is
     tested instead, where counterexamples are expected.
+
+    When the target is a sentence ``_class_truths`` decides, each size
+    taken from packed class masks whose induced-subclass tables fit is
+    decided on class columns: the target's truth in a substructure is its
+    class's bit in the column of the substructure's size, so a size fails
+    at its first class where the target is false and true in the class of
+    some proper subset.  Only that class and substructure are built, and
+    ``checked`` counts the carriers the loop below visits up to them.
+    Every other size and target loops over the classes and their
+    carriers, the reference for the column path in the test suite.
     """
     target: SentenceLike = ThetaOf(phi) if apply_theta else phi
+    sig = cfg.signature
     holds = sentence_checker(target)
+    sliced = _sliceable(target, sig)
+    truths: dict = {}
     checked = 0
     for n in range(1, cfg.n_max + 1):
-        for s in enumerate_structures(cfg.signature, n, up_to_iso=True, cap=cfg.cap):
+        if sliced and _subclass_tables_fit(sig, n, cfg.cap):
+            classes = _iso_level(sig, n)
+            failure = _first_extension_failure(target, sig, n, truths)
+            if failure is None:
+                checked += len(classes) * (2**n - 1)
+                continue
+            i, k, j = failure
+            s = _structure_from_mask(sig, n, classes[i])
+            carrier = frozenset(next(itertools.islice(itertools.combinations(range(n), k), j, None)))
+            checked += i * (2**n - 1) + sum(math.comb(n, m) for m in range(1, k)) + j + 1
+            return PreservationVerdict(
+                False, (carrier, induced_substructure(s, carrier), s), checked, cfg.n_max,
+                describe_sentence_like(target),
+            )
+        for s in enumerate_structures(sig, n, up_to_iso=True, cap=cfg.cap):
             holds_in_s = holds(s)
             for carrier in enumerate_submodels(s):
                 checked += 1
@@ -287,6 +331,32 @@ def preservation_under_extensions(
                         describe_sentence_like(target),
                     )
     return PreservationVerdict(True, None, checked, cfg.n_max, describe_sentence_like(target))
+
+
+def _first_extension_failure(
+    target: SentenceLike, sig: Signature, n: int, truths: dict
+) -> Optional[tuple[int, int, int]]:
+    """The first size-``n`` class where ``target`` is false but holds in
+    the class of a proper subset, as (class index, subset size, subset
+    index in ``itertools.combinations`` order), the subset the first in
+    ``enumerate_submodels`` order; None if there is none.  ``truths``
+    memoises the target's truth bits per size."""
+    import numpy as np
+
+    for k in range(1, n + 1):
+        if k not in truths:
+            truths[k] = _class_truth_bits(target, sig, k)
+    failing = (~truths[n]).nonzero()[0]
+    reached = np.zeros(len(failing), dtype=bool)
+    for k in range(1, n):
+        reached |= truths[k][_subclass_table(sig, n, k)[failing]].any(axis=1)
+    if not reached.any():
+        return None
+    i = int(failing[reached.argmax()])
+    for k in range(1, n):
+        row = truths[k][_subclass_table(sig, n, k)[i]]
+        if row.any():
+            return i, k, int(row.argmax())
 
 
 # --- witness-bound search ---------------------------------------------------------
@@ -389,42 +459,101 @@ def witness_bound_search(phi: Formula, cfg: ProbeConfig) -> ProbeVerdict:
     structure satisfying the submodel check; fragment verdicts are
     relative to n_max.  NO_BOUND verdicts carry one counterexample per
     lambda, sizes strictly increasing.
+
+    Over a predicate-only signature, a ``_sliced_formula`` is searched on
+    class columns: in submodel mode size by size where the classes come
+    from packed masks, in fragment mode when every size up to n_max has
+    induced-subclass tables that fit (``_fragment_search_on_columns``).
+    Everything else takes the per-structure searches.
     """
     if cfg.mode == "submodel":
         return _witness_bound_submodel(phi, cfg)
     return _witness_bound_fragment(phi, cfg)
 
 
-def _witness_bound_submodel(phi: Formula, cfg: ProbeConfig) -> ProbeVerdict:
-    truths: dict = {}
+def _least_bound(
+    cfg: ProbeConfig, first_counterexample: Callable[[int], Optional[Structure]], stats: dict
+) -> ProbeVerdict:
+    """The verdict for the least lambda <= lambda_max with no
+    ``first_counterexample``, carrying the counterexample of each smaller
+    lambda; ``stats`` is read once the search is done."""
     family = []
-    scanned_total = 0
     for lam in range(1, cfg.lambda_max + 1):
-        hit, scanned = _first_submodel_counterexample(phi, cfg, lam, truths)
-        scanned_total += scanned
+        hit = first_counterexample(lam)
         if hit is None:
             return ProbeVerdict(
-                "WITNESS_BOUND_FOUND",
-                lam,
-                cfg.n_max,
-                cfg.lambda_max,
-                cfg.mode,
-                tuple(family),
-                {"structures_scanned": scanned_total},
+                "WITNESS_BOUND_FOUND", lam, cfg.n_max, cfg.lambda_max, cfg.mode,
+                tuple(family), stats,
             )
         family.append((lam, hit))
     return ProbeVerdict(
-        "NO_BOUND_UP_TO",
-        None,
-        cfg.n_max,
-        cfg.lambda_max,
-        cfg.mode,
-        tuple(family),
-        {"structures_scanned": scanned_total},
+        "NO_BOUND_UP_TO", None, cfg.n_max, cfg.lambda_max, cfg.mode, tuple(family), stats
     )
 
 
+def _witness_bound_submodel(phi: Formula, cfg: ProbeConfig) -> ProbeVerdict:
+    truths: dict = {}
+    stats = {"structures_scanned": 0}
+
+    def first_counterexample(lam):
+        hit, scanned = _first_submodel_counterexample(phi, cfg, lam, truths)
+        stats["structures_scanned"] += scanned
+        return hit
+
+    return _least_bound(cfg, first_counterexample, stats)
+
+
 def _witness_bound_fragment(phi: Formula, cfg: ProbeConfig) -> ProbeVerdict:
+    sig = cfg.signature
+    sizes = range(1, cfg.n_max + 1)
+    if _sliced_formula(phi, sig, True) and all(
+        _subclass_tables_fit(sig, n, cfg.cap) for n in sizes  # refuses before each size's work
+    ):
+        first_counterexample, models_checked = _fragment_search_on_columns(phi, cfg)
+    else:
+        first_counterexample, models_checked = _fragment_search_by_structure(phi, cfg)
+    return _least_bound(cfg, first_counterexample, {"models_checked": models_checked})
+
+
+def _fragment_search_on_columns(phi: Formula, cfg: ProbeConfig):
+    """``_fragment_search_by_structure`` read off the induced-subclass tables.
+
+    With predicates only, a fragment is an induced substructure and it
+    occurs in a structure when some subset induces its class.  So a
+    ``k``-point class is certified when no class of size ``k..n_max``
+    outside the submodel check has it in its row (a size-``k`` class is
+    its own row), and each model's least certified fragment size is the
+    least ``k`` whose row holds a certified class.
+    """
+    import numpy as np
+
+    sig = cfg.signature
+    sizes = range(1, cfg.n_max + 1)
+    models = {n: _class_truth_bits(phi, sig, n) for n in sizes}
+    theta = {n: _class_truth_bits(ThetaOf(phi), sig, n) for n in sizes}
+    least = {n: np.full(len(models[n]), cfg.lambda_max + 1) for n in sizes}
+    for k in range(1, cfg.lambda_max + 1):
+        certified = theta[k].copy()
+        for m in range(k + 1, cfg.n_max + 1):
+            certified[_subclass_table(sig, m, k)[~theta[m]]] = False
+        for n in range(k, cfg.n_max + 1):
+            witnessed = certified if n == k else certified[_subclass_table(sig, n, k)].any(axis=1)
+            least[n][witnessed & (least[n] > k)] = k
+
+    def first_counterexample(lam):
+        for n in sizes:
+            hits = (models[n] & (least[n] > lam)).nonzero()[0]
+            if len(hits):
+                return _structure_from_mask(sig, n, _iso_level(sig, n)[hits[0]])
+        return None
+
+    return first_counterexample, sum(int(column.sum()) for column in models.values())
+
+
+def _fragment_search_by_structure(phi: Formula, cfg: ProbeConfig):
+    """The fragment search over any signature, and the reference for the
+    column search: (the first model without a certified fragment of size
+    <= lambda, as a function of lambda; the number of models)."""
     by_size = {
         n: list(enumerate_structures(cfg.signature, n, up_to_iso=True, cap=cfg.cap))
         for n in range(1, cfg.n_max + 1)
@@ -438,51 +567,24 @@ def _witness_bound_fragment(phi: Formula, cfg: ProbeConfig) -> ProbeVerdict:
         # the carrier's size in place of the carrier: equal keys, isomorphic fragments
         key = (len(frag.carrier),) + frag.key()[1:]
         if key not in certified:
-            ok = True
-            for s, truth in zip(all_structures, theta_truth):
-                if truth:
-                    continue
-                if fragment_occurs(frag, s):
-                    ok = False
-                    break
-            certified[key] = ok
+            certified[key] = not any(
+                fragment_occurs(frag, s)
+                for s, truth in zip(all_structures, theta_truth)
+                if not truth
+            )
         return certified[key]
 
-    family = []
-    for lam in range(1, cfg.lambda_max + 1):
-        counterexample = None
+    def first_counterexample(lam):
         for s in models:
-            found = False
-            for k in range(1, min(lam, s.size) + 1):
-                for combo in itertools.combinations(range(s.size), k):
-                    if fragment_certifies(induced_fragment(s, combo)):
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
-                counterexample = s
-                break
-        if counterexample is None:
-            return ProbeVerdict(
-                "WITNESS_BOUND_FOUND",
-                lam,
-                cfg.n_max,
-                cfg.lambda_max,
-                cfg.mode,
-                tuple(family),
-                {"models_checked": len(models)},
-            )
-        family.append((lam, counterexample))
-    return ProbeVerdict(
-        "NO_BOUND_UP_TO",
-        None,
-        cfg.n_max,
-        cfg.lambda_max,
-        cfg.mode,
-        tuple(family),
-        {"models_checked": len(models)},
-    )
+            if not any(
+                fragment_certifies(induced_fragment(s, combo))
+                for k in range(1, min(lam, s.size) + 1)
+                for combo in itertools.combinations(range(s.size), k)
+            ):
+                return s
+        return None
+
+    return first_counterexample, len(models)
 
 
 # --- demos ---------------------------------------------------------------------

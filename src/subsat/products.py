@@ -26,6 +26,7 @@ from .structures import (
     Structure,
     StructureFormatError,
     _map_mismatches,
+    check_power_cap,
     induced_substructure,
 )
 
@@ -45,8 +46,7 @@ def _powerset(items) -> Iterable[frozenset]:
     with :class:`CapExceededError` past ``DEFAULT_PRODUCT_CAP`` subsets,
     before yielding any."""
     items = sorted(items)
-    if 2 ** len(items) > DEFAULT_PRODUCT_CAP:
-        raise CapExceededError(2 ** len(items), DEFAULT_PRODUCT_CAP, "subsets")
+    check_power_cap(len(items), DEFAULT_PRODUCT_CAP, "subsets", lambda: 2 ** len(items))
     return (
         frozenset(combo)
         for k in range(len(items) + 1)

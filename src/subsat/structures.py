@@ -20,7 +20,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 DEFAULT_ENUMERATION_CAP = 5_000_000
 
@@ -529,20 +529,33 @@ def labelled_structure_count(sig: Signature, n: int) -> int:
     return math.prod(base**exponent for base, exponent in _labelled_powers(sig, n))
 
 
+def power_exceeds(bits: int, cap: int) -> bool:
+    """Whether ``2**bits > cap``, read off the cap's bit length: constant
+    time, and no power is taken."""
+    return bits >= cap.bit_length()
+
+
+def check_power_cap(bits: int, cap: int, what: str, count: Callable[[], int]) -> None:
+    """Refuse with :class:`CapExceededError` when ``count()`` exceeds
+    ``cap``, where ``2**bits`` bounds the count from below.
+
+    The exponent is compared first: a bound past the cap and too large to
+    print, or to build, is refused as that bound and ``count()`` is never
+    taken.
+    """
+    if bits > _PRINTABLE_BITS and power_exceeds(bits, cap):
+        raise CapExceededError(None, cap, what, bits=bits)
+    total = count()
+    if total > cap:
+        raise CapExceededError(total, cap, what)
+
+
 def check_labelled_cap(sig: Signature, n: int, cap: int) -> None:
     """Refuse with :class:`CapExceededError` when the labelled structures on
-    ``n`` points exceed ``cap``.
-
-    The exponents bound the count from below by ``2**bits`` before any
-    power is taken, so a count too large to print, or to build, is
-    refused as that bound.
-    """
+    ``n`` points exceed ``cap``; the exponents bound the count from below
+    by ``2**bits`` (``check_power_cap``)."""
     bits = sum(e * (b.bit_length() - 1) for b, e in _labelled_powers(sig, n) if b > 1)
-    if bits > max(_PRINTABLE_BITS, cap.bit_length()):
-        raise CapExceededError(None, cap, bits=bits)
-    count = labelled_structure_count(sig, n)
-    if count > cap:
-        raise CapExceededError(count, cap)
+    check_power_cap(bits, cap, "labelled structures", lambda: labelled_structure_count(sig, n))
 
 
 def _interpretation_from_indices(
@@ -757,7 +770,8 @@ def _arities(sig: Signature) -> tuple[int, ...]:
 
 
 def _bit_tables(dest):
-    """Byte lookup tables that move bit ``i`` of a mask to bit ``dest[i]``.
+    """Byte lookup tables that move bit ``i`` of a mask to bit ``dest[i]``,
+    dropping the bits whose ``dest`` is None.
 
     Row ``b`` maps each value of the mask's byte ``b`` to the bits it
     becomes, so a whole bit permutation costs one gather per byte.
@@ -767,7 +781,8 @@ def _bit_tables(dest):
     values = np.arange(256, dtype=np.int32)
     tables = np.zeros((max(1, -(-len(dest) // 8)), 256), dtype=np.int32)
     for i, d in enumerate(dest):
-        tables[i // 8] |= (values >> i % 8 & 1) << d
+        if d is not None:
+            tables[i // 8] |= (values >> i % 8 & 1) << d
     return tables
 
 
@@ -982,6 +997,65 @@ def _iso_columns(sig: Signature, n: int) -> Columns:
             for rank, t in enumerate(_tuple_space(n, arity))
         }
     return Columns(predicates, (1 << len(masks)) - 1)
+
+
+# Induced-subclass tables of more entries than this, summed over the
+# subset sizes, are not built: such sizes keep the per-structure loops.
+_SUBCLASS_TABLE_MAX_ENTRIES = 1 << 24
+
+
+def _subclass_tables_fit(sig: Signature, n: int, cap: int) -> bool:
+    """Whether size ``n`` is enumerated from packed masks and its
+    ``_subclass_table`` for every ``k < n`` fit in
+    ``_SUBCLASS_TABLE_MAX_ENTRIES`` entries together.  Builds the size's
+    classes, refusing past ``cap`` first (``_predicate_only_iso_masks``)."""
+    return _iso_path_applies(sig, n) and (
+        len(_predicate_only_iso_masks(sig, n, cap)) * (2**n - 2) <= _SUBCLASS_TABLE_MAX_ENTRIES
+    )
+
+
+@functools.cache
+def _subclass_table(sig: Signature, n: int, k: int):
+    """The class that each ``k``-subset of each size-``n`` class induces.
+
+    Entry ``[i, j]`` is the index in ``_iso_level(sig, k)`` of the
+    substructure that the ``j``-th ``k``-subset of the universe, in
+    ``itertools.combinations`` order, induces in the ``i``-th class of
+    ``_iso_level(sig, n)``.  For ``1 <= k < n`` on a size the iso path
+    applies to; it does not depend on any sentence.  Each subset's tuple
+    bits are gathered out of the class masks into a size-``k`` mask (the
+    order-preserving renaming of ``induced_substructure``), canonicalised,
+    and found in the ascending size-``k`` level.  Read-only, in the
+    smallest unsigned dtype that holds the size-``k`` class count.
+    """
+    import numpy as np
+
+    arities = _arities(sig)
+    masks, level = _iso_level(sig, n), _iso_level(sig, k)
+    _, offsets, bits = _bit_layout(arities, n)
+    _, sub_offsets, sub_bits = _bit_layout(arities, k)
+
+    def classify(induced):
+        canon = _canonicalise(sig, k, induced)
+        found = np.searchsorted(level, canon)
+        if not np.array_equal(level[np.minimum(found, len(level) - 1)], canon):
+            raise RuntimeError(f"a {k}-subset of a size-{n} class induces no size-{k} class")
+        return found
+
+    # with no more size-k masks than size-n classes, classify each mask once
+    every = classify(np.arange(1 << sub_bits)) if 1 << sub_bits <= len(masks) else None
+    columns = _byte_columns(masks, bits)
+    table = np.empty((len(masks), math.comb(n, k)), dtype=np.min_scalar_type(len(level) - 1))
+    for j, subset in enumerate(itertools.combinations(range(n), k)):
+        dest = [None] * bits
+        for arity, offset, sub_offset in zip(arities, offsets, sub_offsets):
+            for sub_rank, t in enumerate(_tuple_space(k, arity)):
+                rank = functools.reduce(lambda r, x: r * n + subset[x], t, 0)
+                dest[offset + rank] = sub_offset + sub_rank
+        induced = _remap_bits(columns, _bit_tables(dest))
+        table[:, j] = classify(induced) if every is None else every.take(induced)
+    table.flags.writeable = False
+    return table
 
 
 def _packed_column(bits) -> int:

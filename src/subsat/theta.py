@@ -57,14 +57,17 @@ from .structures import (
     Interpretation,
     Signature,
     Structure,
+    _PRINTABLE_BITS,
     _column_bits,
     _interpretation_from_indices,
     _labelled_indices,
     _structure_columns,
     _structure_from_indices,
     check_labelled_cap,
+    check_power_cap,
     enumerate_submodels,
     generated_carrier,
+    power_exceeds,
 )
 
 
@@ -111,9 +114,9 @@ def theta_semantic(s: Structure, phi: Formula) -> ThetaReport:
     before inspecting any.
     """
     compiled = _require_fo_sentence(phi)
-    subsets = 2 ** s.size - 1
-    if subsets > DEFAULT_ENUMERATION_CAP:
-        raise CapExceededError(subsets, DEFAULT_ENUMERATION_CAP, "carrier subsets")
+    check_power_cap(
+        s.size - 1, DEFAULT_ENUMERATION_CAP, "carrier subsets", lambda: 2 ** s.size - 1
+    )
     inspected = 0
     for carrier in enumerate_submodels(s):
         inspected += 1
@@ -133,8 +136,12 @@ def theta_bounded_semantic(s: Structure, phi: Formula, bound: int) -> ThetaRepor
         raise ValueError("bound must be >= 1 (0 is allowed only with constants)")
     start = 0 if s.signature.constants else 1
     # the seeds are at most the 2**n subsets, so small universes pass at once
-    if 2 ** s.size > DEFAULT_ENUMERATION_CAP:
-        seeds = sum(math.comb(s.size, k) for k in range(start, min(bound, s.size) + 1))
+    if power_exceeds(s.size, DEFAULT_ENUMERATION_CAP):
+        seeds = 0
+        for k in range(start, min(bound, s.size) + 1):
+            seeds += math.comb(s.size, k)
+            if seeds.bit_length() > _PRINTABLE_BITS:
+                break  # stated as a power of two it reaches
         if seeds > DEFAULT_ENUMERATION_CAP:
             raise CapExceededError(seeds, DEFAULT_ENUMERATION_CAP, "seeds")
     seen = set()

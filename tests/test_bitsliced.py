@@ -9,10 +9,15 @@ class-by-class loop it used before, which it still uses for sides it
 cannot slice.  The witness-bound search, the modal-law tables and the
 well-foundedness demo's cycle oracle, which read the same columns, are
 checked against the generic search, the per-structure loop and the graph
-search.
+search.  The induced-subclass tables are checked against
+``induced_substructure`` and a lookup by canonical key, and the
+extension probe and the fragment-mode search that read them against
+their per-structure loops.
 """
 
 import itertools
+import math
+import random
 from unittest import mock
 
 import numpy as np
@@ -51,11 +56,18 @@ from subsat.prober import (
     ProbeConfig,
     ThetaOf,
     equivalence_oracle,
+    preservation_under_extensions,
     sentence_checker,
     wellfoundedness_demo,
     witness_bound_search,
 )
-from subsat.structures import CapExceededError, Signature, enumerate_structures
+from subsat.structures import (
+    CapExceededError,
+    Signature,
+    canonical_key,
+    enumerate_structures,
+    induced_substructure,
+)
 from subsat.theta import (
     modal_laws_check,
     theta_bounded_semantic,
@@ -464,3 +476,83 @@ def test_cap_refuses_before_any_column_is_built(monkeypatch):
     with pytest.raises(CapExceededError, match="68719476736 labelled structures"):
         equivalence_oracle(ThetaOf(DOMINATING), LOOP, ProbeConfig(BINARY, n_max=6))
     assert built == [1, 2, 3, 4, 5]
+
+
+# --- induced-subclass tables --------------------------------------------------------
+
+UNARY = Signature(predicates=(("P", 1),))
+
+
+def assert_subclass_rows(sig, n, classes):
+    """Rows of ``_subclass_table`` at size n against ``induced_substructure``
+    of each given class and a lookup of the substructure's class by its
+    canonical key."""
+    lookup = {
+        k: {canonical_key(s): i for i, s in enumerate(enumerate_structures(sig, k, up_to_iso=True))}
+        for k in range(1, n)
+    }
+    masks = structures._iso_level(sig, n)
+    for k in range(1, n):
+        table = structures._subclass_table(sig, n, k)
+        assert table.shape == (len(masks), math.comb(n, k))
+        assert table.dtype == np.min_scalar_type(len(lookup[k]) - 1)
+        for i in classes:
+            s = structures._structure_from_mask(sig, n, masks[i])
+            assert [
+                lookup[k][canonical_key(induced_substructure(s, subset))]
+                for subset in itertools.combinations(range(n), k)
+            ] == table[i].tolist(), (n, k, i)
+
+
+@pytest.mark.parametrize("sig, n_max", [(BINARY, 4), (UNARY_BINARY, 3), (UNARY, 7)],
+                         ids=["binary", "unary_binary", "unary"])
+def test_subclass_table_matches_induced_substructures(sig, n_max):
+    for n in range(2, n_max + 1):
+        assert_subclass_rows(sig, n, range(len(structures._iso_level(sig, n))))
+
+
+def test_subclass_table_on_a_sample_of_five_point_classes():
+    count = len(structures._iso_level(BINARY, 5))
+    assert_subclass_rows(BINARY, 5, random.Random(5).sample(range(count), 300))
+
+
+# --- extension and fragment probes on the tables ------------------------------------
+
+
+def by_structure(probe, *args):
+    """``probe`` on the per-structure loops: ``_sliced_formula`` is forced off."""
+    with mock.patch.object(prober, "_sliced_formula", lambda *args: False):
+        return probe(*args)
+
+
+def extension_summary(verdict):
+    return verdict.preserved, verdict.checked, verdict.target, verdict.counterexample
+
+
+# the loops take 1-3 s per binary sentence at n_max = 4
+@settings(max_examples=5, deadline=None)
+@given(st.data())
+def test_extension_probe_matches_the_loop_on_random_sentences(data):
+    sig = data.draw(st.sampled_from([BINARY, UNARY_BINARY]))
+    phi = data.draw(sentences(sig))
+    cfg = ProbeConfig(sig, n_max=4 if sig == BINARY else 3)
+    for apply_theta in (True, False):
+        assert extension_summary(preservation_under_extensions(phi, cfg, apply_theta)) == (
+            extension_summary(by_structure(preservation_under_extensions, phi, cfg, apply_theta))
+        ), apply_theta
+
+
+def fragment_summary(verdict):
+    return verdict.outcome, verdict.bound, verdict.counterexamples, verdict.stats
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_fragment_search_matches_the_loop_on_random_sentences(data):
+    sig = data.draw(st.sampled_from([BINARY, UNARY_BINARY]))
+    phi = data.draw(sentences(sig))
+    n_max = 4 if sig == BINARY else 3
+    cfg = ProbeConfig(sig, n_max=n_max, lambda_max=data.draw(st.integers(1, n_max)),
+                      mode="fragment")
+    assert fragment_summary(witness_bound_search(phi, cfg)) == fragment_summary(
+        by_structure(witness_bound_search, phi, cfg))

@@ -493,14 +493,24 @@ REFUSALS = [
     (["translate", "--to", "existential", "--lambda", HUGE, "--nu", HUGE,
       "--signature", "{z4}", "--formula", "exists x. F(x) != x"],
      3, "enumeration of 16777216 labelled structures exceeds the cap of 5000000"),
+    # a file may declare a universe too large for any power of two to be
+    # taken: the exponent is compared with the cap first
+    (["theta", "--structure", "{huge}", "--formula", "forall x. R(x,x)"],
+     3, "enumeration of at least 2^99999999999 carrier subsets exceeds the cap of 5000000"),
+    (["theta", "--structure", "{huge}", "--lambda", "1", "--formula", "forall x. R(x,x)"],
+     3, "enumeration of 100000000000 seeds exceeds the cap of 5000000"),
+    (["eval", "--structure", "{huge}", "--formula", "existsSet X. forall x. (X(x) & R(x,x))"],
+     3, "enumeration of at least 2^100000000000 set choices exceeds the cap of 5000000"),
 ]
 
 
 def _refusal_id(argv):
-    # the 23-point and oversized cases are named apart, so the other ids
-    # keep their numbers
+    # the 23-point, huge-universe and oversized cases are named apart, so
+    # the other ids keep their numbers
     if "{p23}" in argv:
         return f"{argv[0]}-23-points"
+    if "{huge}" in argv:
+        return f"{argv[0]}-huge-universe"
     return f"{argv[0]}-oversized" if {"120", HUGE} & set(argv) else argv[0]
 
 
@@ -511,10 +521,17 @@ def p23(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def huge(tmp_path):
+    path = tmp_path / "huge.st"
+    path.write_text(f"signature\npredicate R 2\nend\nstructure e\nuniverse {HUGE}\nend\n")
+    return str(path)
+
+
 @pytest.mark.parametrize("argv, code, message", REFUSALS,
                          ids=[_refusal_id(a) for a, _, _ in REFUSALS])
-def test_refusals_leave_stdout_empty(k2, z4, p23, capsys, argv, code, message):
-    paths = {"{k2}": k2, "{z4}": z4, "{p23}": p23}
+def test_refusals_leave_stdout_empty(k2, z4, p23, huge, capsys, argv, code, message):
+    paths = {"{k2}": k2, "{z4}": z4, "{p23}": p23, "{huge}": huge}
     start = time.perf_counter()
     got, text = run([paths.get(arg, arg) for arg in argv])
     assert time.perf_counter() - start < 1

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from subsat import prober, structures
-from subsat.corpus import CORPUS, UNARY_BINARY
+from subsat.corpus import BINARY_ONLY, CORPUS, PREDICATE_ONLY, UNARY_BINARY
 from subsat.logic import TRUE, Not, evaluate_fo, parse_formula
 from subsat.prober import (
     BoundedThetaOf,
@@ -159,6 +159,39 @@ def test_fragment_mode_reports_pin():
         for entry in CORPUS
     )
     assert hashlib.sha256(text.encode()).hexdigest() == FRAGMENT_REPORTS_DIGEST
+
+
+# SHA-256 of the binary fragment-mode reports at n_max = 4, lambda_max = 3,
+# as the per-structure loops gave them.
+BINARY_FRAGMENT_REPORTS_DIGEST = "ea7e595009c41a1d31dda9c85350bab0a51386feae558c2c4888b621f83c14c4"
+
+
+def test_binary_fragment_mode_reports_pin():
+    text = "".join(
+        render_probe_report(witness_bound_search(
+            entry.formula,
+            ProbeConfig(entry.signature, n_max=4, lambda_max=3, mode="fragment"),
+        ))
+        for entry in BINARY_ONLY
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == BINARY_FRAGMENT_REPORTS_DIGEST
+
+
+# SHA-256 of the extension-probe reports, of the submodel check and of the
+# raw sentence, for every predicate-only corpus sentence at n_max = 4, as
+# the per-structure loops gave them.
+EXTENSION_REPORTS_DIGEST = "dfe4f5068e1611bf263e07be166432fb84d2501a89a01b6f2931113ca2d54bbf"
+
+
+def test_extension_reports_pin():
+    text = "".join(
+        render_probe_report(preservation_under_extensions(
+            entry.formula, ProbeConfig(entry.signature, n_max=4), apply_theta=apply_theta,
+        ))
+        for entry in PREDICATE_ONLY
+        for apply_theta in (True, False)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == EXTENSION_REPORTS_DIGEST
 
 
 def test_witness_bound_fragment_equals_submodel_for_predicate_only():
@@ -350,6 +383,23 @@ def test_column_search_refuses_before_building_a_size():
     with pytest.raises(CapExceededError, match="320 iso candidates exceeds the cap of 100"):
         witness_bound_search(FORALL_EXISTS, ProbeConfig(BINARY, n_max=5, lambda_max=4, cap=100))
     assert structures._iso_level.cache_info().currsize == 2
+
+
+@pytest.mark.parametrize("mode", ["extensions", "fragment"])
+def test_table_probes_refuse_before_building_a_size(mode):
+    # as the column search: the three-point classes are refused before they
+    # or any table over them are built
+    structures._iso_level.cache_clear()
+    structures._subclass_table.cache_clear()
+    with pytest.raises(CapExceededError, match="320 iso candidates exceeds the cap of 100"):
+        if mode == "extensions":
+            preservation_under_extensions(FORALL_EXISTS, ProbeConfig(BINARY, n_max=5, cap=100))
+        else:
+            witness_bound_search(FORALL_EXISTS, ProbeConfig(
+                BINARY, n_max=5, lambda_max=3, mode="fragment", cap=100))
+    assert structures._iso_level.cache_info().currsize == 2
+    # the extension probe decided size 2 on its one table, (2, 1)
+    assert structures._subclass_table.cache_info().currsize == (mode == "extensions")
 
 
 def test_witness_bound_counterexamples_lack_small_witnesses():

@@ -17,6 +17,7 @@ from subsat.structures import (
     StructureFormatError,
     canonical_key,
     check_isomorphism,
+    check_power_cap,
     enumerate_structures,
     enumerate_submodels,
     find_isomorphism,
@@ -26,6 +27,7 @@ from subsat.structures import (
     induced_fragment,
     labelled_structure_count,
     parse_structures,
+    power_exceeds,
     render_structures,
     validate_structure,
 )
@@ -816,3 +818,26 @@ def test_parse_structures_error_message_and_line(old, new, message, line):
     with pytest.raises(StructureFormatError) as exc:
         parse_structures(SAMPLE.replace(old, new))
     assert (exc.value.message, exc.value.line) == (message, line)
+
+
+def test_power_exceeds_reads_the_cap_bit_length():
+    assert all(
+        power_exceeds(bits, cap) == (2**bits > cap) for bits in range(40) for cap in range(0, 5000, 7)
+    )
+    assert power_exceeds(10**11, 5_000_000) and not power_exceeds(22, 5_000_000)
+
+
+def test_power_cap_takes_no_power_past_a_printable_bound():
+    def never():
+        raise AssertionError("the count was taken")
+
+    with pytest.raises(CapExceededError, match=r"^enumeration of at least 2\^100000000000 things"
+                                               r" exceeds the cap of 10$"):
+        check_power_cap(10**11, 10, "things", never)
+    # a printable bound, or one under the cap, compares the exact count
+    with pytest.raises(CapExceededError, match=r"^enumeration of 1025 things exceeds the cap"):
+        check_power_cap(10, 1024, "things", lambda: 1025)
+    with pytest.raises(CapExceededError, match=r"at least 2\^4097 things exceeds the cap of 10$"):
+        check_power_cap(4097, 10, "things", never)
+    check_power_cap(4097, 2**4098, "things", lambda: 2**4097)
+    check_power_cap(10, 1024, "things", lambda: 1024)
