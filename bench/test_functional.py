@@ -5,10 +5,12 @@ Run with ``python -m pytest bench --benchmark-only``.
 - ``constant_reached_cold``: the corpus sentence ``exists x. F(x) = c``
   over one unary function and a constant, translated at lambda = 2,
   nu = 4, each round with empty memos, so it includes building the
-  marked classes of every size;
+  marked classes of every size and their diagrams;
 - ``constant_reached_warm``: the same translation with the marked classes
-  already built, which is what every later translation over the same
-  (signature, lambda, size) pays;
+  and their diagrams already built and reused, which is what a later
+  translation over the same (signature, lambda, size, variable names)
+  pays when no class it needs lacks its diagram: evaluating the sentence
+  on each class and picking conjunctions;
 - ``constant_reached_compile``: compiling a fresh translation of the same
   sentence (built off the clock), its wide diagram disjunction included;
 - ``constant_reached_sweep``: evaluating that translation, compiled, on the
@@ -31,6 +33,7 @@ CONSTANT_REACHED = next(e for e in corpus.CORPUS if e.name == "constant_reached"
 
 
 def _clear_memos():
+    # one memo holds the marked classes and, per variable names, their diagrams
     theta._generated_classes.cache_clear()
     structures._GENERIC_ISO.clear()
 

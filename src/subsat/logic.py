@@ -583,6 +583,14 @@ class _Parser:
                 )
             return Atom(name, tuple(args))
         if (
+            self.sig is not None
+            and self.tokens[self.pos + 1].kind == "lpar"
+            and self.sig.function_arity(name) is None
+            and self.after_application().kind not in ("eq", "neq")
+        ):
+            # an undeclared name applied as a formula, not as a term
+            self.error(f"unknown predicate {name}")
+        if (
             self.sig is None
             and self.tokens[self.pos + 1].kind == "lpar"
             and name not in self.inferred.functions
@@ -607,6 +615,17 @@ class _Parser:
             self.next()
             return Not(Eq(left, self.parse_term()))
         self.error("expected '=' or '!=' after a term")
+
+    def after_application(self) -> _Token:
+        """The token after the parenthesised arguments of the name at the
+        cursor (end of input if they are not closed)."""
+        depth, i = 0, self.pos + 1
+        while self.tokens[i].kind != "eof":
+            depth += (self.tokens[i].kind == "lpar") - (self.tokens[i].kind == "rpar")
+            i += 1
+            if depth == 0:
+                break
+        return self.tokens[i]
 
     def parse_term_args(self) -> list[Term]:
         self.expect("lpar")
@@ -749,11 +768,13 @@ def render_formula(f: Formula) -> str:
 # structure.
 #
 # A wide disjunction of literals and conjunctions of literals in which atoms
-# recur (the diagram disjunctions of the functional translation) keeps each
-# atom's truth for the rest of one call, so an atom is evaluated at most
-# once per assignment.  Its walk is the plain one, so truth values, the
-# short-circuit and the first EvaluationError raised are those of the
-# plain closure.  It is built for single structures only.
+# recur (the diagram disjunctions of the functional translation) reads its
+# terms through a table of its distinct terms and keeps each term's value
+# and each atom's truth for the rest of one call, so a term such as F(x0)
+# and an atom are each evaluated at most once per assignment.  Its walk is
+# the plain one, a function's table looked up before its arguments, so
+# truth values, the short-circuit and the first EvaluationError raised are
+# those of the plain closure.  It is built for single structures only.
 
 
 _PREDICATES, _FUNCTIONS, _CONSTANTS, _DOMAIN, _ALL, _FIRST_SLOT = range(6)
@@ -922,6 +943,76 @@ def _missing(message: str):
     raise EvaluationError(message) from None
 
 
+def _term_reader(position: int, closure, name: Optional[str], args: tuple, readers: list):
+    """Reader of a literal disjunction's term table: ``reader(fr, values)``
+    stores the term's value at ``values[position]`` and returns it, reading
+    each argument from ``values`` or, on its first read, through its own
+    reader.  A function's table is looked up first, so errors are those of
+    the plain term closure, which reads a variable or constant (``name``
+    None)."""
+    if name is None:
+
+        def leaf(fr, values):
+            value = values[position] = closure(fr)
+            return value
+
+        return leaf
+    parts = tuple((j, readers[j]) for j in args)
+
+    def application(fr, values):
+        try:
+            table = fr[_FUNCTIONS][name]
+        except KeyError:
+            _missing(f"function {name} uninterpreted")
+        arguments = []
+        for j, read in parts:
+            value = values[j]
+            arguments.append(read(fr, values) if value is None else value)
+        arguments = tuple(arguments)
+        try:
+            value = values[position] = table[arguments]
+        except KeyError:
+            _missing(f"function {name} not total at {arguments}")
+        return value
+
+    return application
+
+
+def _atom_reader(key: tuple, readers: list):
+    """Truth of a literal disjunction's atom, ``(None, left, right)`` for an
+    equation and ``(predicate, *arguments)`` otherwise, over term positions,
+    read as ``_term_reader`` reads arguments; a predicate is looked up
+    before its arguments are read."""
+    name, *args = key
+    parts = tuple((j, readers[j]) for j in args)
+    if name is None:
+        (a, read_a), (b, read_b) = parts
+
+        def equation(fr, values):
+            left = values[a]
+            if left is None:
+                left = read_a(fr, values)
+            right = values[b]
+            if right is None:
+                right = read_b(fr, values)
+            return left == right
+
+        return equation
+
+    def atom(fr, values):
+        try:
+            rel = fr[_PREDICATES][name]
+        except KeyError:
+            _missing(f"predicate {name} uninterpreted")
+        arguments = []
+        for j, read in parts:
+            value = values[j]
+            arguments.append(read(fr, values) if value is None else value)
+        return tuple(arguments) in rel
+
+    return atom
+
+
 class _Builder:
     """Closure construction for one formula: slot allocation and the cases.
 
@@ -934,11 +1025,12 @@ class _Builder:
     serves a single structure and a family alike (see the notes above
     ``CompiledFormula``); ``sliced`` only chooses the atom closures, set
     membership or column lookup, and keeps ``literal_disjunction``, which
-    memoises atom truths per call, to single structures.  The walk visits
-    every node once, set quantifiers' bodies too, and records the facts
-    ``CompiledFormula`` keeps: the free variables and set variables,
-    whether a set atom or quantifier occurs and whether one occurs outside
-    the prefix, the atoms' symbols and whether every term is a variable.
+    memoises term values and atom truths per call, to single structures.
+    The walk visits every node once, set quantifiers' bodies too, and
+    records the facts ``CompiledFormula`` keeps: the free variables and set
+    variables, whether a set atom or quantifier occurs and whether one
+    occurs outside the prefix, the atoms' symbols and whether every term is
+    a variable.
     """
 
     def __init__(self, sliced: bool = False):
@@ -1119,36 +1211,68 @@ class _Builder:
 
     def literal_disjunction(self, f: Or, scope: dict, set_scope: dict):
         """A disjunction of literals and conjunctions of literals in which an
-        atom recurs, with each atom's truth kept for the rest of the call
-        (None for any other disjunction).  The walk is the plain one, left
-        to right and short-circuiting; only the repeats read the memo, so
-        every atom is evaluated where the plain closure first reaches it."""
+        atom recurs, read through a table of its distinct terms, subterms
+        before the terms that contain them (None for any other disjunction).
+        One call keeps each term's value and each atom's truth once it is
+        first read.  The walk is the plain one, left to right and
+        short-circuiting, and so is each term's: a function's table is
+        looked up before its arguments are read.  Only repeats read the
+        memo, so every atom and term is evaluated where the plain closure
+        first reaches it.  Terms are told apart by their shared closures,
+        and a node object seen before is not looked up again, so equal
+        nodes that are one object (the interned diagrams) cost one lookup."""
         groups = [p.parts if isinstance(p, And) else (p,) for p in f.parts]
         if not all(_is_literal(g) for group in groups for g in group):
             return None
-        index: dict = {}  # atom closure -> its position
+        terms: dict = {}  # term closure -> position in the table
+        table = []  # per position: (closure, function name or None, argument positions)
+        by_node: dict = {}  # id of a term or literal seen -> its position or code
+        atoms: dict = {}  # (predicate or None for =, *argument positions) -> position
+
+        def term(t):
+            position = by_node.get(id(t))
+            if position is None:
+                closure = self.term(t, scope)
+                position = terms.get(closure)
+                if position is None:
+                    args = tuple(map(term, t.args)) if isinstance(t, Func) else ()
+                    position = terms[closure] = len(table)
+                    table.append((closure, t.name if args else None, args))
+                by_node[id(t)] = position
+            return position
+
         disjuncts = []
         for group in groups:
             literals = []
             for g in group:
-                atom = self.share(self._formula, g.body if isinstance(g, Not) else g,
-                                  scope, set_scope)
-                position = index.setdefault(atom, len(index))
-                # memo entry 2i holds the atom's truth, 2i + 1 its negation
-                literals.append(2 * position + isinstance(g, Not))
+                code = by_node.get(id(g))
+                if code is None:
+                    atom = g.body if isinstance(g, Not) else g
+                    if isinstance(atom, Eq):
+                        key = (None, term(atom.left), term(atom.right))
+                    else:
+                        self.atoms.add((atom.name, len(atom.args)))
+                        key = (atom.name, *map(term, atom.args))
+                    # memo entry 2i holds atom i's truth, 2i + 1 its negation
+                    code = 2 * atoms.setdefault(key, len(atoms)) + (atom is not g)
+                    by_node[id(g)] = code
+                literals.append(code)
             disjuncts.append(tuple(literals))
-        if len(index) == sum(map(len, disjuncts)):
+        if len(atoms) == sum(map(len, disjuncts)):
             return None
-        atoms = tuple(index)
-        width = 2 * len(atoms)
+        readers = []
+        for position, (closure, name, args) in enumerate(table):
+            readers.append(_term_reader(position, closure, name, args, readers))
+        truth_of = tuple(_atom_reader(key, readers) for key in atoms)
+        width, count = 2 * len(atoms), len(table)
 
         def literal_disjunction(fr):
-            truths = [None] * width
+            truths, values = [None] * width, [None] * count
             for literals in disjuncts:
                 for i in literals:
                     truth = truths[i]
                     if truth is None:
-                        value = atoms[i >> 1](fr)
+                        value = truth_of[i >> 1](fr, values)
                         truths[i & -2], truths[i | 1] = value, not value
                         truth = truths[i]
                     if not truth:

@@ -13,8 +13,9 @@ diagram disjunction for functional signatures (sound always, complete
 up to a generated-submodel size cap).  The models behind the diagrams
 do not depend on the sentence: they are the classes of structures with
 marked generators, told apart by numbering elements in order of first
-reach from the marks, and are built once per (signature, bound, size);
-each translation only filters them by the sentence.
+reach from the marks, and are built once per (signature, bound, size),
+with their diagrams once per variable names too; each translation only
+filters them by the sentence.
 """
 
 from __future__ import annotations
@@ -233,20 +234,20 @@ class FunctionalTranslation:
 
 
 def _representative_terms(
-    s: Structure, generators: Sequence[int], markers: Sequence[Term]
+    s: Structure, generators: Sequence[int], markers: Sequence[Term], nodes: dict
 ) -> dict:
     """Breadth-first representative terms, shortest first.
 
     Depth-0 terms are the generator markers (in order) and the original
     constants (in signature order); deeper terms apply function symbols in
     signature order to already-represented elements, argument tuples in
-    ascending element order.
+    ascending element order.  Terms are interned in ``nodes``.
     """
     reps: dict[int, Term] = {}
     for marker, e in zip(markers, generators):
         reps.setdefault(e, marker)
     for cname in s.signature.constants:
-        reps.setdefault(s.constants[cname], Const(cname))
+        reps.setdefault(s.constants[cname], _interned(nodes, (Const, cname), Const, cname))
     while len(reps) < s.size:
         added = {}
         elems = sorted(reps)
@@ -255,7 +256,9 @@ def _representative_terms(
             for args in itertools.product(elems, repeat=arity):
                 value = table[args]
                 if value not in reps and value not in added:
-                    added[value] = Func(fname, tuple(reps[a] for a in args))
+                    terms = [reps[a] for a in args]
+                    key = (Func, fname, *map(id, terms))
+                    added[value] = _interned(nodes, key, Func, fname, terms)
         if not added:
             raise ValueError("structure is not generated by the given elements")
         reps.update(added)
@@ -281,38 +284,58 @@ def atomic_diagram(
     predicate facts and their negations, and pairwise disequalities.
     Syntactically trivial equations (t = t) are dropped.
     """
-    return _marked_diagram(s, generators, [Const(name) for name in gen_names])
+    return _marked_diagram(s, generators, [Const(name) for name in gen_names], {})
+
+
+def _interned(nodes: dict, key: tuple, cls, *fields):
+    """The node kept under ``key`` in ``nodes``, else ``cls(*fields)``, now
+    kept.  A key is a node's class, its names and the identities of its
+    subterms, which are interned too or are the caller's markers, so no
+    node is hashed by value."""
+    node = nodes.get(key)
+    if node is None:
+        node = nodes[key] = cls(*fields)
+    return node
 
 
 def _marked_diagram(
-    s: Structure, generators: Sequence[int], markers: Sequence[Term]
+    s: Structure, generators: Sequence[int], markers: Sequence[Term], nodes: dict
 ) -> DiagramSentence:
-    """``atomic_diagram`` with each generator named by the given term."""
-    reps = _representative_terms(s, generators, markers)
+    """``atomic_diagram`` with each generator named by the given term, its
+    other terms and its literals interned in ``nodes``: equal nodes of the
+    diagrams built over one table are one object."""
+    reps = _representative_terms(s, generators, markers, nodes)
+    terms = [reps[i] for i in range(s.size)]
+    ids = [id(t) for t in terms]
     literals = []
+
+    def equation(left, e):
+        return _interned(nodes, (Eq, id(left), ids[e]), Eq, left, terms[e])
+
     for marker, e in zip(markers, generators):
-        if reps[e] != marker:
-            literals.append(Eq(marker, reps[e]))
+        if terms[e] != marker:
+            literals.append(equation(marker, e))
     for cname in s.signature.constants:
-        if reps[s.constants[cname]] != Const(cname):
-            literals.append(Eq(Const(cname), reps[s.constants[cname]]))
+        e = s.constants[cname]
+        if terms[e] != Const(cname):
+            literals.append(equation(_interned(nodes, (Const, cname), Const, cname), e))
     for fname, arity in s.signature.functions:
         table = s.functions[fname]
         for args in itertools.product(range(s.size), repeat=arity):
-            lhs = Func(fname, tuple(reps[a] for a in args))
-            rhs = reps[table[args]]
-            if lhs != rhs:
-                literals.append(Eq(lhs, rhs))
+            lhs = _interned(nodes, (Func, fname, *[ids[a] for a in args]),
+                            Func, fname, [terms[a] for a in args])
+            if lhs != terms[table[args]]:
+                literals.append(equation(lhs, table[args]))
     for pname, arity in s.signature.predicates:
         rel = s.predicates[pname]
         for args in itertools.product(range(s.size), repeat=arity):
-            atom = Atom(pname, tuple(reps[a] for a in args))
-            literals.append(atom if args in rel else Not(atom))
+            atom = _interned(nodes, (Atom, pname, *[ids[a] for a in args]),
+                             Atom, pname, [terms[a] for a in args])
+            literals.append(atom if args in rel else _interned(nodes, (Not, id(atom)), Not, atom))
     for i, j in itertools.combinations(range(s.size), 2):
-        literals.append(Not(Eq(reps[i], reps[j])))
-    return DiagramSentence(
-        len(generators), tuple(reps[i] for i in range(s.size)), tuple(literals)
-    )
+        eq = equation(terms[i], j)
+        literals.append(_interned(nodes, (Not, id(eq)), Not, eq))
+    return DiagramSentence(len(generators), tuple(terms), tuple(literals))
 
 
 def _reached(sig: Signature, size: int, indices: tuple[int, ...]) -> set[int]:
@@ -387,7 +410,9 @@ def _tuples_covering(size: int, bound: int, sources: frozenset) -> tuple:
 
 
 @functools.cache
-def _generated_classes(sig: Signature, bound: int, size: int) -> tuple:
+def _generated_classes(
+    sig: Signature, bound: int, size: int, names: Optional[tuple[str, ...]] = None
+) -> tuple:
     """Every model of ``size`` elements generated by ``bound`` marked
     elements, up to marked isomorphism: (structure indices, generator
     tuples) pairs, in order of first labelled occurrence.
@@ -399,7 +424,12 @@ def _generated_classes(sig: Signature, bound: int, size: int) -> tuple:
     function takes as a value must be a generator: structures with more
     than ``bound`` such sources are skipped, and so are tuples that miss
     one.
+
+    With ``names``, one variable name per generator, the same classes as
+    ``_MarkedClasses`` with those variables as markers instead.
     """
+    if names is not None:
+        return _MarkedClasses(sig, size, names, _generated_classes(sig, bound, size))
     classes = []
     seen = set()
     universe = frozenset(range(size))
@@ -422,6 +452,33 @@ def _generated_classes(sig: Signature, bound: int, size: int) -> tuple:
         if kept:
             classes.append((indices, tuple(kept)))
     return tuple(classes)
+
+
+class _MarkedClasses:
+    """One size's marked classes with their diagrams over the given variable
+    names as markers.  The structures are built at once; a class's diagram
+    conjunctions, one per generator tuple, on first request, and then kept,
+    so a translation builds only the diagrams of the classes its sentence
+    holds in that no translation before it needed.  Terms and literals are
+    interned across the diagrams, so one shared by several is one object.
+    """
+
+    def __init__(self, sig: Signature, size: int, names: tuple[str, ...], classes: tuple):
+        self.structures = tuple(_structure_from_indices(sig, size, indices)
+                                for indices, _ in classes)
+        self._tuples = tuple(tuples for _, tuples in classes)
+        self._conjunctions: list = [None] * len(classes)
+        self._markers = [Var(v) for v in names]  # kept: ``_nodes`` keys hold their ids
+        self._nodes: dict = {}
+
+    def conjunctions(self, i: int) -> tuple:
+        if self._conjunctions[i] is None:
+            s = self.structures[i]
+            self._conjunctions[i] = tuple(
+                make_and(_marked_diagram(s, generators, self._markers, self._nodes).literals)
+                for generators in self._tuples[i]
+            )
+        return self._conjunctions[i]
 
 
 def enumerate_generated_models(
@@ -467,21 +524,27 @@ def theta_bounded_to_existential_functional(
     Enumerates, up to isomorphism, the models generated by ``bound``
     marked elements with at most ``size_cap`` elements that satisfy
     ``phi``; each contributes the conjunction of its atomic diagram, with
-    the prefixed variables as the generator markers.
+    the prefixed variables as the generator markers.  The models are built
+    once per (signature, bound, size, variable names) and each diagram at
+    most once (``_MarkedClasses``), so a translation evaluates ``phi`` on
+    each model and picks the conjunctions of those it holds in.  Every
+    size's labelled structures are checked against ``cap`` before any is
+    built.
     """
     _require_fo_sentence(phi)
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if size_cap < bound:
         raise ValueError("size cap must be at least the generator bound")
-    models = enumerate_generated_models(
-        sig, bound, size_cap, satisfying=lambda t: evaluate_fo(t, phi), cap=cap
-    )
-    variables = fresh_variables(phi, bound)
-    markers = [Var(v) for v in variables]
-    disjuncts = [
-        make_and(_marked_diagram(s, generators, markers).literals) for s, generators in models
-    ]
+    for size in range(1, size_cap + 1):
+        check_labelled_cap(sig, size, cap)
+    variables = tuple(fresh_variables(phi, bound))
+    disjuncts = []
+    for size in range(1, size_cap + 1):
+        marked = _generated_classes(sig, bound, size, variables)
+        for i, s in enumerate(marked.structures):
+            if evaluate_fo(s, phi):
+                disjuncts.extend(marked.conjunctions(i))
     sentence = make_or(disjuncts)
     for v in reversed(variables):
         sentence = Exists(v, sentence)

@@ -259,6 +259,21 @@ def test_formula_syntax_error_exit_code(k2):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "formula,message",
+    [("forall x. Q(x)", "formula 1:11: unknown predicate Q"),
+     ("exists x. G(x) = x", "formula 1:11: unknown function G")],
+)
+def test_undeclared_application_is_named_by_its_role(tmp_path, capsys, formula, message):
+    path = tmp_path / "p_f.st"
+    path.write_text("signature\npredicate P 1\nfunction F 1\nend\n"
+                    "structure one\nuniverse 1\nF 0 -> 0\nend\n")
+    code, text = run(["translate", "--to", "existential", "--lambda", "1", "--nu", "3",
+                      "--signature", str(path), "--formula", formula])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_reports_are_deterministic():
     argv = ["probe", "--check", "witness-bound",
             "--formula", "forall x. exists y. R(x,y)",

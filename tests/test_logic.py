@@ -93,6 +93,27 @@ def test_parse_unknown_symbol():
         parse_formula("exists x. Q(x,x)", BINARY)
 
 
+P_F = Signature(predicates=(("P", 1),), functions=(("F", 1),))
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("forall x. Q(x)", "1:11: unknown predicate Q"),
+        ("Q(F(x), G(y)) | P(x)", "1:1: unknown predicate Q"),
+        ("exists x. G(x) = x", "1:11: unknown function G"),
+        ("exists x. G(x) != x", "1:11: unknown function G"),
+        ("exists x. P(G(x))", "1:13: unknown function G"),
+    ],
+)
+def test_parse_undeclared_application_names_its_role(text, message):
+    # an undeclared name applied as a formula is a predicate; one followed
+    # by = or != is a function
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse_formula(text, P_F)
+    assert str(exc.value) == message
+
+
 def test_parse_syntax_error_position():
     with pytest.raises(FormulaSyntaxError) as exc:
         parse_formula("exists x. R(x,,x)", BINARY)
@@ -442,11 +463,14 @@ def test_compile_facts_match_the_walks(prefix, matrix):
 X, Y, C = Var("x"), Var("y"), Const("c")
 FX, FFX = Func("F", (X,)), Func("F", (Func("F", (X,)),))
 MEMO_TERMS = [X, Y, C, FX, Func("F", (Y,)), FFX]
+# equations and predicate atoms over the same terms, so that both kinds
+# read shared entries of the term table
+memo_atoms = st.one_of(
+    st.builds(Eq, st.sampled_from(MEMO_TERMS), st.sampled_from(MEMO_TERMS)),
+    st.builds(lambda t: Atom("P", (t,)), st.sampled_from(MEMO_TERMS)),
+)
 memo_literals = st.builds(
-    lambda left, right, negated: Not(Eq(left, right)) if negated else Eq(left, right),
-    st.sampled_from(MEMO_TERMS),
-    st.sampled_from(MEMO_TERMS),
-    st.booleans(),
+    lambda atom, negated: Not(atom) if negated else atom, memo_atoms, st.booleans()
 )
 
 
@@ -472,10 +496,17 @@ def _plain(f):
         return logic._compile(f)
 
 
+P_F_C = Signature(predicates=(("P", 1),), functions=(("F", 1),), constants=("c",))
 PARTIAL_F = Structure(UNAR_CONST, 2, functions={"F": {(0,): 1}}, constants={"c": 0})
 NO_CONSTANT = Structure(UNAR_CONST, 2, functions={"F": {(0,): 1, (1,): 1}})
+NO_FUNCTION = Structure(Signature(predicates=(("P", 1),)), 2, predicates={"P": {(0,)}})
+# P uninterpreted on the UNAR_CONST structures, interpreted on the others
 MEMO_STRUCTURES = [
-    *(s for n in (1, 2, 3) for s in enumerate_structures(UNAR_CONST, n)), PARTIAL_F, NO_CONSTANT
+    *(s for n in (1, 2, 3) for s in enumerate_structures(UNAR_CONST, n)),
+    *(s for n in (1, 2, 3) for s in enumerate_structures(P_F_C, n, up_to_iso=True)),
+    PARTIAL_F,
+    NO_CONSTANT,
+    NO_FUNCTION,
 ]
 
 
@@ -508,6 +539,13 @@ def test_literal_memo_raises_where_the_walk_reaches():
     unreached = Or((And((Eq(X, C), Eq(C, C))), And((Eq(X, C), Eq(FFX, X)))))
     assert compile_formula(unreached).holds(PARTIAL_F, range(2), {"x": 0})
     assert not compile_formula(unreached).holds(PARTIAL_F, range(2), {"x": 1})
+    # F(F(x)) comes first and reads the inner F(x) through the term table:
+    # at x = 1 the inner application raises there, before y is read
+    inner = Or((And((Eq(FFX, X), Eq(X, Y))), And((Eq(FX, C), Eq(X, Y))), Eq(FX, C)))
+    assert compile_formula(inner)._run.__name__ == "literal_disjunction"
+    for compiled in (compile_formula(inner), _plain(inner)):
+        with pytest.raises(EvaluationError, match=r"^function F not total at \(1,\)$"):
+            compiled.holds(PARTIAL_F, range(2), {"x": 1})
     # uninterpreted symbols raise at their first reach, memo or not
     late = Or((And((Eq(FX, X), Eq(X, X))), And((Eq(X, X), Eq(X, C)))))
     missing = Or((Eq(FX, X), Atom("Q", (X,)), Eq(FX, X)))

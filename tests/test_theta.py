@@ -1,5 +1,6 @@
 import itertools
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +18,12 @@ from subsat.logic import (
     Forall,
     Implies,
     Not,
+    Or,
+    Var,
     evaluate_eso,
     evaluate_fo,
     free_variables,
+    fresh_variables,
     is_existential_sentence,
     make_and,
     make_or,
@@ -345,6 +349,49 @@ def test_functional_translation_refuses_before_building_any_size():
         theta_bounded_to_existential_functional(MOVED, UNAR, 1, 8)
     assert (exc.value.count, exc.value.cap) == (16_777_216, 5_000_000)
     assert theta._generated_classes.cache_info().currsize == 0
+
+
+def _uncached_translation(phi, sig, bound, size_cap):
+    """The translation with a fresh diagram per generated model."""
+    variables = fresh_variables(phi, bound)
+    markers = [Var(v) for v in variables]
+    models = enumerate_generated_models(sig, bound, size_cap, lambda s: evaluate_fo(s, phi))
+    disjuncts = [make_and(theta._marked_diagram(s, g, markers, {}).literals) for s, g in models]
+    sentence = make_or(disjuncts)
+    for v in reversed(variables):
+        sentence = Exists(v, sentence)
+    return sentence, len(disjuncts)
+
+
+def _disjuncts(sentence):
+    while isinstance(sentence, Exists):
+        sentence = sentence.body
+    if isinstance(sentence, Or):
+        return sentence.parts
+    return () if sentence == FALSE else (sentence,)
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+def test_cached_diagrams_change_no_translation(bound):
+    for sig in (UNAR, UNAR_CONST):
+        every = theta_bounded_to_existential_functional(TRUE, sig, bound, 4)
+        reused = {id(c) for c in _disjuncts(every.sentence)}
+        for entry in CORPUS:
+            if entry.signature != sig:
+                continue
+            result = theta_bounded_to_existential_functional(entry.formula, sig, bound, 4)
+            sentence, disjuncts = _uncached_translation(entry.formula, sig, bound, 4)
+            assert result.sentence == sentence
+            assert result.disjuncts == disjuncts > 0
+            # same variable names, so the same conjunction objects
+            assert all(id(c) in reused for c in _disjuncts(result.sentence))
+    # translating again builds no structure and no diagram
+    built = AssertionError("built again")
+    with mock.patch.object(theta, "_marked_diagram", side_effect=built), \
+            mock.patch.object(theta, "_structure_from_indices", side_effect=built):
+        for entry in CORPUS:
+            if entry.signature in (UNAR, UNAR_CONST):
+                theta_bounded_to_existential_functional(entry.formula, entry.signature, bound, 4)
 
 
 def reference_generated_models(sig, bound, size_cap, satisfying=None):
