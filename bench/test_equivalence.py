@@ -14,11 +14,18 @@ both sides on each size's columns:
 
 ``extra_info`` records the classes a round decides and the classes
 decided per second at the median round time.
+
+``test_equivalence_cold`` is ``existential_lam2`` at ``n`` = 4 with the
+translation rebuilt in each round, so that building it and compiling it
+are inside the timing; ``extra_info`` also records the closure-tree walks
+of a round (one: the translation, in bit-sliced mode).
 """
+
+from unittest import mock
 
 import pytest
 
-from subsat import corpus, prober, theta
+from subsat import corpus, logic, prober, theta
 
 PHI = next(e.formula for e in corpus.CORPUS if e.name == "dominating_point")
 
@@ -45,5 +52,31 @@ def test_equivalence(benchmark, pair, n):
     result = benchmark.pedantic(sweep, rounds=5, iterations=1, warmup_rounds=1)
     assert result == verdict
     benchmark.extra_info["classes"] = verdict.checked
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["classes_per_s"] = verdict.checked / benchmark.stats.stats.median
+
+
+def test_equivalence_cold(benchmark):
+    left = prober.BoundedThetaOf(PHI, 2)
+    cfg = prober.ProbeConfig(corpus.BINARY, n_max=4)
+
+    def sweep():
+        right = theta.theta_bounded_to_existential_predicate(PHI, 2, sig=corpus.BINARY)
+        return prober.equivalence_oracle(left, right, cfg)
+
+    verdict = sweep()
+    assert verdict.equal
+    walks, build = [], logic._build
+
+    def counting(builder, f):
+        walks.append(builder.sliced)
+        return build(builder, f)
+
+    with mock.patch.object(logic, "_build", counting):
+        assert sweep() == verdict
+    result = benchmark.pedantic(sweep, rounds=5, iterations=1, warmup_rounds=1)
+    assert result == verdict
+    benchmark.extra_info["classes"] = verdict.checked
+    benchmark.extra_info["walks_per_round"] = len(walks)
     if benchmark.stats is not None:  # None under --benchmark-disable
         benchmark.extra_info["classes_per_s"] = verdict.checked / benchmark.stats.stats.median

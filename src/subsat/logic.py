@@ -11,9 +11,10 @@ Evaluation is compiled: ``compile_formula`` checks a formula once
 turns it into a tree of closures over the raw tables of a structure,
 with variables in slots and quantifiers ranging over an explicit domain.
 The compiled form is kept, by object identity, as long as the formula
-lives.  Passing a submodel carrier as the domain evaluates the formula in
-the induced submodel without building it (relativization), which is how
-the submodel checks in ``theta`` and ``prober`` work.  A sentence whose
+lives, and the formula is walked once per mode it is evaluated in.
+Passing a submodel carrier as the domain evaluates the formula in the
+induced submodel without building it (relativization), which is how the
+submodel checks in ``theta`` and ``prober`` work.  A sentence whose
 terms are variables also compiles bit-sliced: it is then decided in a
 whole family of structures on one universe at once, from one integer
 column per predicate tuple.  ``map_formula`` is the one bottom-up rebuild
@@ -749,11 +750,14 @@ def render_formula(f: Formula) -> str:
 
 # --- evaluation -------------------------------------------------------------
 #
-# A formula is compiled once into a tree of closures.  Every closure takes
-# one frame list: the raw tables of the structure (predicates, functions,
-# constants), the domain its quantifiers range over, the all-ones value,
-# then one slot per variable.  Each quantifier and each free variable owns
-# a slot, so shadowing needs no save and restore.
+# A formula is compiled into a tree of closures, by one walk per mode it
+# is evaluated in.  Every closure takes one frame list: the raw tables of
+# the structure (predicates, functions, constants), the domain its
+# quantifiers range over, the all-ones value, then one slot per variable.
+# Each quantifier and each free variable owns a slot, so shadowing needs
+# no save and restore, and both modes' walks allocate the same slots.  An
+# atom on one or two bound variables, or an equation between two, reads
+# their slots directly.
 #
 # One closure per connective serves two modes.  A truth value is a column:
 # bit i is the truth in the i-th structure of a family on one universe,
@@ -786,6 +790,15 @@ _UNSET = object()
 class CompiledFormula:
     """A formula checked once and compiled for repeated evaluation.
 
+    ``first_order``, ``is_sentence``, ``has_set_quantifier``, ``eso_error``
+    and ``atoms`` (the set of (predicate, arity) pairs its atoms read, or
+    None when a term is a constant or a function application) are recorded
+    by the first walk of the formula, in whichever mode it was first asked
+    for; both modes record the same facts.  The closures of a mode are
+    built by that walk or, for the other mode, on their first use, from a
+    weak reference to the formula: the compiled form does not keep it
+    alive.
+
     ``holds(tables, domain)`` evaluates it with quantifiers ranging over
     ``domain``, reading ``tables.predicates``, ``.functions`` and
     ``.constants`` as they are (``tables`` is a :class:`Structure` or an
@@ -793,12 +806,11 @@ class CompiledFormula:
     ascending order, this is the truth of the formula in the induced
     submodel (relativization), without building it.
 
-    ``atoms`` is the set of (predicate, arity) pairs its atoms read, or
-    None when a term is a constant or a function application.  A sentence
-    whose terms are all variables also has a bit-sliced mode, built by
-    ``compile_formula(f, sliced=True)``: ``holds_sliced`` and
-    ``holds_eso_sliced`` take ``columns`` (``structures.Columns``) in place
-    of the tables and return the column of the structures where it holds.
+    A sentence whose terms are all variables also has a bit-sliced mode
+    (``compile_formula(f, sliced=True)`` checks that it has one):
+    ``holds_sliced`` and ``holds_eso_sliced`` take ``columns``
+    (``structures.Columns``) in place of the tables and return the column
+    of the structures where it holds.
     """
 
     __slots__ = (
@@ -807,6 +819,7 @@ class CompiledFormula:
         "has_set_quantifier",
         "eso_error",
         "atoms",
+        "_formula",
         "_run",
         "_eso_body",
         "_eso_slots",
@@ -820,23 +833,38 @@ class CompiledFormula:
         if assignment:
             for name, slot in self._free:
                 frame[slot] = assignment.get(name, _UNSET)
-        return bool(self._run(frame))
+        return bool((self._run or self._closures(False)[0])(frame))
 
     def holds_eso(self, tables, domain: Sequence[int]) -> bool:
         """Truth of the monadic existential second-order sentence: its set
         prefix ranges over every subset of ``domain`` (check ``eso_error``
         first)."""
         frame = [tables.predicates, tables.functions, tables.constants, domain, True, *self._frame]
-        return bool(_exists_sets(frame, self._eso_body, self._eso_slots))
+        body = self._eso_body or self._closures(False)[1]
+        return bool(_exists_sets(frame, body, self._eso_slots))
 
     def holds_sliced(self, columns, domain: Sequence[int]) -> int:
         """``holds`` in every structure of ``columns`` at once, as a column."""
-        return self._sliced[0]([columns.predicates, None, None, domain, columns.full, *self._frame])
+        frame = [columns.predicates, None, None, domain, columns.full, *self._frame]
+        return (self._sliced or self._closures(True))[0](frame)
 
     def holds_eso_sliced(self, columns, domain: Sequence[int]) -> int:
         """``holds_eso`` in every structure of ``columns`` at once, as a column."""
         frame = [columns.predicates, None, None, domain, columns.full, *self._frame]
-        return _exists_sets(frame, self._sliced[1], self._eso_slots)
+        return _exists_sets(frame, (self._sliced or self._closures(True))[1], self._eso_slots)
+
+    def _closures(self, sliced: bool) -> tuple:
+        """The closures (run, ESO body) of one mode, built on their first use
+        by a second walk, which allocates the first walk's slots."""
+        f = self._formula()
+        if f is None:
+            raise ReferenceError("the formula was freed before this mode was first used")
+        run, eso_body, _ = _build(_Builder(sliced), f)
+        if sliced:
+            self._sliced = (run, eso_body)
+        else:
+            self._run, self._eso_body = run, eso_body
+        return run, eso_body
 
 
 def _exists_sets(frame: list, body, slots: tuple):
@@ -865,36 +893,56 @@ def _exists_sets(frame: list, body, slots: tuple):
     return found
 
 
-_COMPILED: dict[int, tuple] = {}
+_COMPILED: dict[int, CompiledFormula] = {}
 
 
 def compile_formula(f: Formula, sliced: bool = False) -> CompiledFormula:
-    """The compiled form of ``f``, built on first use and kept while ``f`` lives.
+    """The compiled form of ``f``, to be evaluated on single structures, or
+    with ``sliced`` on families on one universe: ``formula_facts(f,
+    sliced)``, refused with ValueError when ``sliced`` and ``f`` is not a
+    sentence whose terms are variables."""
+    compiled = formula_facts(f, sliced)
+    if sliced and (compiled.atoms is None or not compiled.is_sentence):
+        raise ValueError("bit-sliced evaluation needs a sentence whose terms are variables")
+    return compiled
+
+
+def formula_facts(f: Formula, sliced: bool = False) -> CompiledFormula:
+    """The compiled form of ``f``, built on first use and kept while ``f``
+    lives, read for its facts or evaluated.
 
     Kept by object identity: hashing the AST by value would cost about as
     much as an evaluation, so reuse the formula object to reuse the work.
-    With ``sliced`` the bit-sliced closures are built too, on first
-    request; ``f`` must be a sentence whose terms are variables.
+    A formula not compiled yet is walked once, in bit-sliced mode with
+    ``sliced`` and in plain mode otherwise: pass the mode the caller goes
+    on to evaluate it in, and no walk is wasted.  Unlike
+    ``compile_formula`` it does not refuse a formula that has no
+    bit-sliced mode.
     """
-    key = id(f)
-    hit = _COMPILED.get(key)
-    if hit is not None and hit[0]() is f:
-        compiled = hit[1]
-    else:
-        compiled = _compile(f)
-        _COMPILED[key] = (weakref.ref(f, lambda _, key=key: _COMPILED.pop(key, None)), compiled)
-    if sliced and compiled._sliced is None:
-        if compiled.atoms is None or not compiled.is_sentence:
-            raise ValueError("bit-sliced evaluation needs a sentence whose terms are variables")
-        run, eso_body, _ = _build(_Builder(sliced=True), f)
-        compiled._sliced = (run, eso_body)
+    hit = _COMPILED.get(id(f))
+    if hit is not None and hit._formula() is f:
+        return hit
+    compiled = _COMPILED[id(f)] = _walked(f, _Builder(sliced=True)) if sliced else _compile(f)
     return compiled
 
 
 def _compile(f: Formula) -> CompiledFormula:
+    """The first walk of a formula first asked for in plain mode."""
+    return _walked(f, _Builder())
+
+
+def _walked(f: Formula, builder: "_Builder") -> CompiledFormula:
+    """``f`` with its facts and the closures of the builder's mode, from one
+    walk; the other mode's closures are built on first use."""
     compiled = CompiledFormula()
-    builder = _Builder()
-    compiled._run, compiled._eso_body, compiled._eso_slots = _build(builder, f)
+    key = id(f)
+    compiled._formula = weakref.ref(f, lambda _: _COMPILED.pop(key, None))
+    run, eso_body, compiled._eso_slots = _build(builder, f)
+    compiled._run = compiled._eso_body = compiled._sliced = None
+    if builder.sliced:
+        compiled._sliced = (run, eso_body)
+    else:
+        compiled._run, compiled._eso_body = run, eso_body
     prefix = bool(compiled._eso_slots)
     compiled.first_order = not prefix and not builder.second_order
     compiled.is_sentence = not builder.free and not builder.free_sets
@@ -906,7 +954,6 @@ def _compile(f: Formula) -> CompiledFormula:
     else:
         compiled.eso_error = None
     compiled.atoms = frozenset(builder.atoms) if builder.variable_terms else None
-    compiled._sliced = None
     compiled._free = tuple(builder.free.items()) + tuple(builder.free_sets.items())
     frame = [None] * (builder.slots - _FIRST_SLOT)
     for _, slot in compiled._free:
@@ -937,6 +984,12 @@ def _second_order(fr):
 
 def _is_literal(f: Formula) -> bool:
     return isinstance(f, (Atom, Eq)) or (isinstance(f, Not) and isinstance(f.body, (Atom, Eq)))
+
+
+def _bound_slots(terms: tuple, scope: dict) -> Optional[list]:
+    """The slots of ``terms`` when each is a bound variable, else None."""
+    slots = [scope.get(t.name) if isinstance(t, Var) else None for t in terms]
+    return None if None in slots else slots
 
 
 def _missing(message: str):
@@ -1026,11 +1079,11 @@ class _Builder:
     ``CompiledFormula``); ``sliced`` only chooses the atom closures, set
     membership or column lookup, and keeps ``literal_disjunction``, which
     memoises term values and atom truths per call, to single structures.
-    The walk visits every node once, set quantifiers' bodies too, and
-    records the facts ``CompiledFormula`` keeps: the free variables and set
-    variables, whether a set atom or quantifier occurs and whether one
-    occurs outside the prefix, the atoms' symbols and whether every term is
-    a variable.
+    A builder makes one walk, in one mode; it visits every node once, set
+    quantifiers' bodies too, and records the facts ``CompiledFormula``
+    keeps, the same in either mode: the free variables and set variables,
+    whether a set atom or quantifier occurs and whether one occurs outside
+    the prefix, the atoms' symbols and whether every term is a variable.
     """
 
     def __init__(self, sliced: bool = False):
@@ -1129,6 +1182,10 @@ class _Builder:
         if isinstance(f, Atom):
             return self.atom(f, scope)
         if isinstance(f, Eq):
+            slots = _bound_slots((f.left, f.right), scope)
+            if slots is not None:
+                a, b = slots
+                return lambda fr: fr[_ALL] if fr[a] == fr[b] else False
             left, right = self.term(f.left, scope), self.term(f.right, scope)
             return lambda fr: fr[_ALL] if left(fr) == right(fr) else False
         if isinstance(f, SetAtom):
@@ -1286,8 +1343,13 @@ class _Builder:
     def atom(self, f: Atom, scope: dict):
         name = f.name
         self.atoms.add((name, len(f.args)))
+        slots = _bound_slots(f.args, scope)
+        if slots is not None and len(slots) in (1, 2):
+            # bound variables only: reading them cannot fail, so the
+            # predicate may be looked up after the tuple is built
+            return self.slot_atom(name, *slots)
+        parts = tuple(self.term(a, scope) for a in f.args)
         if self.sliced:
-            parts = tuple(self.term(a, scope) for a in f.args)
 
             def column(fr):
                 try:
@@ -1296,30 +1358,6 @@ class _Builder:
                     _missing(f"predicate {name} uninterpreted")
 
             return column
-        slots = [scope.get(a.name) if isinstance(a, Var) else None for a in f.args]
-        if None not in slots and len(slots) in (1, 2):
-            # bound variables only: reading them cannot fail, so the
-            # predicate may be looked up after the tuple is built
-            if len(slots) == 2:
-                a, b = slots
-
-                def binary(fr):
-                    try:
-                        return (fr[a], fr[b]) in fr[_PREDICATES][name]
-                    except KeyError:
-                        _missing(f"predicate {name} uninterpreted")
-
-                return binary
-            (a,) = slots
-
-            def unary(fr):
-                try:
-                    return (fr[a],) in fr[_PREDICATES][name]
-                except KeyError:
-                    _missing(f"predicate {name} uninterpreted")
-
-            return unary
-        parts = tuple(self.term(a, scope) for a in f.args)
 
         def atom(fr):
             try:
@@ -1329,6 +1367,45 @@ class _Builder:
             return tuple([p(fr) for p in parts]) in rel
 
         return atom
+
+    def slot_atom(self, name: str, a: int, b: Optional[int] = None):
+        """The atom of predicate ``name`` on the variables in slots ``a``
+        (and ``b``): membership of the tuple, or its column."""
+        if b is None:
+            if self.sliced:
+
+                def unary_column(fr):
+                    try:
+                        return fr[_PREDICATES][name][fr[a],]
+                    except KeyError:
+                        _missing(f"predicate {name} uninterpreted")
+
+                return unary_column
+
+            def unary(fr):
+                try:
+                    return (fr[a],) in fr[_PREDICATES][name]
+                except KeyError:
+                    _missing(f"predicate {name} uninterpreted")
+
+            return unary
+        if self.sliced:
+
+            def binary_column(fr):
+                try:
+                    return fr[_PREDICATES][name][fr[a], fr[b]]
+                except KeyError:
+                    _missing(f"predicate {name} uninterpreted")
+
+            return binary_column
+
+        def binary(fr):
+            try:
+                return (fr[a], fr[b]) in fr[_PREDICATES][name]
+            except KeyError:
+                _missing(f"predicate {name} uninterpreted")
+
+        return binary
 
     def set_atom(self, f: SetAtom, scope: dict, set_scope: dict):
         arg = self.term(f.arg, scope)

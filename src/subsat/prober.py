@@ -138,10 +138,13 @@ SentenceLike = Union[Formula, ThetaOf, BoundedThetaOf, Callable[[Structure], boo
 
 
 def sentence_checker(item: SentenceLike) -> Callable[[Structure], bool]:
-    """Classify (and compile) ``item`` once; the result decides it on a structure.
+    """The check that decides ``item`` on one structure.
 
     Formulas with a set quantifier are evaluated as monadic existential
-    second-order sentences, all others as first-order ones.
+    second-order sentences, all others as first-order ones.  A formula is
+    classified, and compiled for single structures, on the first check:
+    a caller that decides it on class columns instead never walks it in
+    plain mode.
     """
     if isinstance(item, ThetaOf):
         phi = item.formula
@@ -151,9 +154,15 @@ def sentence_checker(item: SentenceLike) -> Callable[[Structure], bool]:
         return lambda s: theta_bounded_semantic(s, phi, bound).truth
     if callable(item) and not _is_formula(item):
         return lambda s: bool(item(s))
-    if compile_formula(item).has_set_quantifier:
-        return lambda s: evaluate_eso(s, item)
-    return lambda s: evaluate_fo(s, item)
+    evaluate = None
+
+    def check(s):
+        nonlocal evaluate
+        if evaluate is None:
+            evaluate = evaluate_eso if compile_formula(item).has_set_quantifier else evaluate_fo
+        return evaluate(s, item)
+
+    return check
 
 
 def _is_formula(item) -> bool:

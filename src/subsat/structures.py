@@ -1095,6 +1095,11 @@ def _structure_from_mask(sig: Signature, n: int, mask: int) -> Structure:
     )
 
 
+# Per signature, the candidate count of sizes 1, 2, ... in turn, each
+# recorded once the size below it is built.
+_ISO_CANDIDATES: dict = {}
+
+
 def _predicate_only_iso_masks(sig: Signature, n: int, cap: int = DEFAULT_ENUMERATION_CAP):
     """Representative packed bitmasks, one per isomorphism class, as the
     memoised int32 array of ``_iso_level``.
@@ -1103,16 +1108,17 @@ def _predicate_only_iso_masks(sig: Signature, n: int, cap: int = DEFAULT_ENUMERA
     ascending mask order (identical to the generic path), memoised per
     size.  They are built size by size, and each size's candidate count,
     before the invariant filter, is checked against ``cap`` before that
-    size is computed.
+    size is computed.  The counts are memoised, so a call for sizes seen
+    before compares one count per size.
     """
-    arities = _arities(sig)
-    reps = (0,)
+    counts = _ISO_CANDIDATES.setdefault(sig, [])
     for k in range(1, n + 1):
-        count = len(reps) << len(_fresh_bits(arities, k))
-        if count > cap:
-            raise CapExceededError(count, cap, "iso candidates")
-        reps = _iso_level(sig, k)
-    return reps
+        if len(counts) < k:
+            below = len(_iso_level(sig, k - 1)) if k > 1 else 1
+            counts.append(below << len(_fresh_bits(_arities(sig), k)))
+        if counts[k - 1] > cap:
+            raise CapExceededError(counts[k - 1], cap, "iso candidates")
+    return _iso_level(sig, n)
 
 
 def enumerate_structures(

@@ -43,6 +43,7 @@ from .logic import (
     Var,
     compile_formula,
     evaluate_fo,
+    formula_facts,
     fresh_set_variable,
     fresh_variables,
     make_and,
@@ -81,8 +82,11 @@ class ThetaReport:
     inspected: int
 
 
-def _require_fo_sentence(phi: Formula) -> CompiledFormula:
-    compiled = compile_formula(phi)
+def _require_fo_sentence(phi: Formula, sliced: bool = False) -> CompiledFormula:
+    """The compiled form of ``phi`` (``formula_facts``, walked first in
+    bit-sliced mode with ``sliced``), refused unless it is a first-order
+    sentence."""
+    compiled = formula_facts(phi, sliced)
     if not compiled.first_order:
         raise ValueError("expected a first-order sentence")
     if not compiled.is_sentence:
@@ -94,14 +98,17 @@ def _sliced_formula(phi: Formula, sig: Signature, first_order: bool) -> bool:
     """Whether ``phi`` is decided bit-sliced over ``sig``: a sentence, first
     order if asked, over ``sig``'s predicates at their arities with
     variables for terms, on a signature with predicates only.  Nothing in
-    it can raise, so deciding it for all classes at once changes no error."""
-    compiled = compile_formula(phi)
+    it can raise, so deciding it for all classes at once changes no error.
+    Over such a signature ``phi`` is first walked in bit-sliced mode, the
+    mode it is then decided in; over any other it is not walked."""
+    if not sig.is_predicate_only:
+        return False
+    facts = formula_facts(phi, sliced=True)
     return (
-        sig.is_predicate_only
-        and compiled.eso_error is None
-        and (compiled.first_order or not first_order)
-        and compiled.atoms is not None
-        and compiled.atoms <= set(sig.predicates)
+        facts.eso_error is None
+        and (facts.first_order or not first_order)
+        and facts.atoms is not None
+        and facts.atoms <= set(sig.predicates)
     )
 
 
@@ -168,7 +175,7 @@ def theta_to_eso(phi: Formula, sig: Signature) -> Formula:
     Shape: existsSet X. (nonempty & closed-under-each-function &
     contains-each-constant & relativization of phi to X).
     """
-    _require_fo_sentence(phi)
+    _require_fo_sentence(phi, sig.is_predicate_only)
     set_var = fresh_set_variable(phi)
     nonempty_var = fresh_variables(phi, 1)[0]
     conjuncts = [Exists(nonempty_var, SetAtom(set_var, Var(nonempty_var)))]
@@ -201,7 +208,8 @@ def theta_bounded_to_existential_predicate(
     predicted first and the translation refuses with
     :class:`CapExceededError` past ``cap`` nodes.
     """
-    _require_fo_sentence(phi)
+    # phi has predicates only, so a probe decides it on class columns
+    _require_fo_sentence(phi, sliced=True)
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if sig is not None and (sig.functions or sig.constants):
@@ -653,11 +661,13 @@ def modal_laws_check(
     sets its note, and the strictness witnesses of the one-directional laws
     (v-and), (vi) and (vii): the first structure where the converse fails.
     """
-    _require_fo_sentence(phi)
-    _require_fo_sentence(psi)
+    structures = list(structures)
+    # checked in the mode their carrier tables are read in
+    sliced = all(s.signature.is_predicate_only for s in structures)
+    _require_fo_sentence(phi, sliced)
+    _require_fo_sentence(psi, sliced)
     results = {name: LawResult(name, True) for name in _LAWS}
     premise = True
-    structures = list(structures)
     for s, (carriers, below, (t_phi, t_psi)) in zip(
             structures, _carrier_tables((phi, psi), structures)):
         full = (1 << len(carriers)) - 1

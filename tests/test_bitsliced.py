@@ -15,6 +15,7 @@ extension probe and the fragment-mode search that read them against
 their per-structure loops.
 """
 
+import copy
 import itertools
 import math
 import random
@@ -25,10 +26,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subsat import corpus, prober, structures, theta
+from subsat import corpus, logic, prober, structures, theta
 from subsat.logic import (
     FALSE,
     TRUE,
+    And,
     Atom,
     Const,
     Eq,
@@ -40,6 +42,7 @@ from subsat.logic import (
     Iff,
     Implies,
     Not,
+    Or,
     SetAtom,
     Var,
     compile_formula,
@@ -64,6 +67,7 @@ from subsat.prober import (
 from subsat.structures import (
     CapExceededError,
     Signature,
+    Structure,
     canonical_key,
     enumerate_structures,
     induced_substructure,
@@ -145,10 +149,10 @@ def assert_columns_match(phi, sig, n, classes=None):
 VARIABLES = ("x", "y", "z")
 
 
-def sentences(sig):
+def sentences(sig, extra_terms=()):
     """Sentences over ``sig``: random formulas, their free variables bound
-    by drawn quantifiers."""
-    terms = st.sampled_from([Var(v) for v in VARIABLES])
+    by drawn quantifiers.  Terms are variables and ``extra_terms``."""
+    terms = st.sampled_from([Var(v) for v in VARIABLES] + list(extra_terms))
     leaves = [st.just(TRUE), st.just(FALSE), st.builds(Eq, terms, terms)]
     for name, arity in sig.predicates:
         leaves.append(
@@ -237,6 +241,149 @@ def test_sliced_mode_matches_holds_on_labelled_families(data):
         assert [bool(column >> i & 1) for i in range(len(family))] == [
             evaluate_eso(s, eso) for s in family
         ]
+
+
+# --- one walk per mode ----------------------------------------------------------------
+
+
+def counting_walks(monkeypatch):
+    """The (formula, sliced) pair of every closure-tree walk from now on."""
+    walks = []
+    build = logic._build
+
+    def counting(builder, f):
+        walks.append((f, builder.sliced))
+        return build(builder, f)
+
+    monkeypatch.setattr(logic, "_build", counting)
+    return walks
+
+
+def modes_walked(walks, f):
+    return [sliced for g, sliced in walks if g is f]
+
+
+def test_each_formula_is_walked_once_per_mode_it_is_evaluated_in(monkeypatch):
+    walks = counting_walks(monkeypatch)
+    # a fresh object: nothing compiled yet
+    phi = parse_formula("exists x. forall y. R(x,y)", BINARY)
+    eso = theta_to_eso(phi, BINARY)
+    existential = theta_bounded_to_existential_predicate(phi, 3, sig=BINARY)
+    for translation in (eso, existential):
+        assert equivalence_oracle(ThetaOf(phi), translation, ProbeConfig(BINARY, n_max=3)).equal
+    assert len(walks) == 3
+    assert [modes_walked(walks, f) for f in (phi, eso, existential)] == [[True]] * 3
+    # one structure: one more walk, in plain mode, and no other
+    for _ in range(2):
+        assert evaluate_fo(Structure(BINARY, 2, predicates={"R": {(0, 0), (0, 1)}}), existential)
+    assert len(walks) == 4 and modes_walked(walks, existential) == [True, False]
+
+    walks.clear()
+    psi = parse_formula("exists x. F(x) != x", corpus.UNAR)
+    translation = theta.theta_bounded_to_existential_functional(psi, corpus.UNAR, 1, 2).sentence
+    for n in (1, 2, 3):
+        for s in enumerate_structures(corpus.UNAR, n, up_to_iso=True):
+            evaluate_fo(s, translation)
+    assert len(walks) == 2
+    assert modes_walked(walks, psi) == modes_walked(walks, translation) == [False]
+    # the per-class loop of a functional signature walks nothing more
+    equivalence_oracle(BoundedThetaOf(psi, 1), translation, ProbeConfig(corpus.UNAR, n_max=3))
+    assert len(walks) == 2
+
+    # the modal-law check reads predicate-only carrier tables off columns
+    walks.clear()
+    phi, psi = (parse_formula(text, BINARY) for text in ("exists x. R(x,x)", "forall x. R(x,x)"))
+    modal_laws_check(phi, psi, list(enumerate_structures(BINARY, 2, up_to_iso=True)))
+    assert len(walks) == 2 and modes_walked(walks, phi) == modes_walked(walks, psi) == [True]
+
+
+P_F_C = Signature(predicates=(("P", 1),), functions=(("F", 1),), constants=("c",))
+FUNCTION_TERMS = (Const("c"), Func("F", (Var("x"),)), Func("F", (Const("c"),)))
+
+
+def facts(compiled):
+    return (compiled.first_order, compiled.is_sentence, compiled.has_set_quantifier,
+            compiled.eso_error, compiled.atoms)
+
+
+def tarski(s, f, env):
+    """Truth of ``f`` in ``s`` by recursion over the AST, set variables
+    ranging over every subset: the reference for the compiled modes."""
+
+    def value(t):
+        if isinstance(t, Var):
+            return env[t.name]
+        if isinstance(t, Const):
+            return s.constants[t.name]
+        return s.functions[t.name][tuple(map(value, t.args))]
+
+    if isinstance(f, (And, Or)):
+        return (all if isinstance(f, And) else any)(tarski(s, p, env) for p in f.parts)
+    if isinstance(f, (Forall, Exists)):
+        over = all if isinstance(f, Forall) else any
+        return over(tarski(s, f.body, {**env, f.var: e}) for e in range(s.size))
+    if isinstance(f, ExistsSet):
+        return any(tarski(s, f.body, {**env, f.set_var: set(c)})
+                   for k in range(s.size + 1) for c in itertools.combinations(range(s.size), k))
+    return {
+        type(TRUE): lambda: True,
+        type(FALSE): lambda: False,
+        Atom: lambda: tuple(map(value, f.args)) in s.predicates[f.name],
+        Eq: lambda: value(f.left) == value(f.right),
+        SetAtom: lambda: value(f.arg) in env[f.set_var],
+        Not: lambda: not tarski(s, f.body, env),
+        Implies: lambda: not tarski(s, f.left, env) or tarski(s, f.right, env),
+        Iff: lambda: tarski(s, f.left, env) == tarski(s, f.right, env),
+    }[type(f)]()
+
+
+def truths(compiled, sig, sliced):
+    """Per size up to 3: the truths in every class, one by one or read off
+    their column."""
+    out = []
+    for n in (1, 2, 3):
+        classes = list(enumerate_structures(sig, n, up_to_iso=True))
+        if sliced:
+            columns = structures._structure_columns(sig, n, classes)
+            run = compiled.holds_eso_sliced if compiled.has_set_quantifier else compiled.holds_sliced
+            column = run(columns, range(n))
+            out.append([bool(column >> i & 1) for i in range(len(classes))])
+        else:
+            run = compiled.holds_eso if compiled.has_set_quantifier else compiled.holds
+            out.append([run(s, range(n)) for s in classes])
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_facts_and_truths_do_not_depend_on_the_first_mode(data):
+    sig = data.draw(st.sampled_from([BINARY, UNARY_BINARY, P_F_C]))
+    phi = data.draw(sentences(sig, FUNCTION_TERMS if sig is P_F_C else ()))
+    sliceable = all(isinstance(t, Var) for t in logic._terms_of(phi))
+    formulas = [phi]
+    if sliceable and sig.is_predicate_only:
+        formulas.append(theta_to_eso(phi, sig))
+    for f in formulas:
+        plain_first, sliced_first = copy.deepcopy(f), copy.deepcopy(f)
+        a = compile_formula(plain_first)
+        if sliceable:
+            b = compile_formula(sliced_first, sliced=True)
+        else:
+            with pytest.raises(ValueError, match="bit-sliced evaluation needs a sentence"):
+                compile_formula(sliced_first, sliced=True)
+            b = compile_formula(sliced_first)
+        assert a._sliced is None and b._run is None  # each walked in one mode so far
+        fresh = {mode: logic._walked(copy.deepcopy(f), logic._Builder(mode))
+                 for mode in (False, True)}
+        assert facts(a) == facts(b) == facts(fresh[False]) == facts(fresh[True])
+        expected = [[tarski(s, f, {}) for s in enumerate_structures(sig, n, up_to_iso=True)]
+                    for n in (1, 2, 3)]
+        for mode in (False, True) if sliceable else (False,):
+            assert truths(a, sig, mode) == truths(b, sig, mode) == expected
+            assert truths(fresh[mode], sig, mode) == expected
+        if not sliceable:
+            with pytest.raises(ValueError, match="bit-sliced evaluation needs a sentence"):
+                compile_formula(plain_first, sliced=True)
 
 
 # --- the corpus -------------------------------------------------------------------
