@@ -1,0 +1,45 @@
+"""Cost of iso-class enumeration on the generic path, per (signature, n).
+
+Run with ``python -m pytest bench --benchmark-only``.  Each round starts
+with an empty memo of representatives, so it times the least-in-orbit
+test of every labelled structure plus building one ``Structure`` per
+class:
+
+- ``unar_n5`` / ``unar_n6``: one unary function, 3125 and 46656 labelled
+  structures, 47 and 130 classes (OEIS A001372);
+- ``unar_const_n4`` / ``unar_const_n5``: one unary function and a
+  constant, 1024 and 15625 labelled structures;
+- ``mixed_n3``: a unary predicate, a unary function and a constant on
+  3 points, 648 labelled structures.
+
+``extra_info["classes"]`` records the class count of a round.
+"""
+
+import pytest
+
+from subsat import corpus, structures
+
+MIXED = structures.Signature(
+    predicates=(("P", 1),), functions=(("F", 1),), constants=("c",)
+)
+
+CASES = {
+    "unar_n5": (corpus.UNAR, 5),
+    "unar_n6": (corpus.UNAR, 6),
+    "unar_const_n4": (corpus.UNAR_CONST, 4),
+    "unar_const_n5": (corpus.UNAR_CONST, 5),
+    "mixed_n3": (MIXED, 3),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_generic_iso_enumeration(benchmark, case):
+    sig, n = CASES[case]
+
+    def count():
+        return sum(1 for _ in structures.enumerate_structures(sig, n, up_to_iso=True))
+
+    classes = benchmark.pedantic(
+        count, setup=structures._GENERIC_ISO.clear, rounds=3, iterations=1, warmup_rounds=0
+    )
+    benchmark.extra_info["classes"] = classes

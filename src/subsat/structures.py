@@ -635,117 +635,69 @@ def _relabel_table(n: int, arity: int, perm: tuple[int, ...]) -> tuple[int, ...]
     return tuple(table)
 
 
-def _ranked(values: list) -> list[int]:
-    """Replace each value by its rank among the distinct values."""
-    rank = {v: r for r, v in enumerate(sorted(set(values)))}
-    return [rank[v] for v in values]
+@functools.lru_cache(maxsize=256)
+def _orbit_steps(sig: Signature, n: int) -> tuple:
+    """The digits of an index tuple, most significant first, as (symbol,
+    whether it is a value, argument tuple, its rank): predicate bits from
+    the highest rank down, then function values and constants (nullary
+    functions) from rank 0 up."""
+    arities = [a for _, a in sig.predicates + sig.functions] + [0] * len(sig.constants)
+    steps = []
+    for sym, arity in enumerate(arities):
+        is_value = sym >= len(sig.predicates)
+        ranks = range(n**arity) if is_value else reversed(range(n**arity))
+        steps += [(sym, is_value, _tuple_space(n, arity)[r], r) for r in ranks]
+    return tuple(steps)
 
 
-def _refined_cells(s: Structure) -> tuple[tuple[int, ...], ...]:
-    """Isomorphism-invariant ordered partition of the universe of ``s``.
+def _least_in_orbit(sig: Signature, n: int, indices: tuple[int, ...]) -> bool:
+    """Whether no relabelling of the universe gives ``indices`` a smaller
+    index tuple: the canonicity test of orderly generation (Read 1978;
+    McKay 1998).  The search picks the old element behind a new label only
+    when a digit needs it, gives an unlabelled value the least free label
+    (any other makes that digit larger), and leaves a branch at its first
+    digit unlike the structure's own: a smaller one answers, a larger prunes."""
+    tables = [[mask >> r & 1 for r in range(n**arity)]
+              for (_, arity), mask in zip(sig.predicates, indices)]
+    for (_, arity), code in zip(sig.functions, indices[len(tables):]):
+        tables.append([code // n**r % n for r in reversed(range(n**arity))])
+    tables += [[c] for c in indices[len(tables):]]
+    steps = _orbit_steps(sig, n)
+    old_of = [-1] * n  # new label -> old element
+    new_of = [-1] * n  # old element -> new label
 
-    Colour refinement: elements start coloured by the constants naming
-    them and are recoloured by the multiset of (symbol, position, argument
-    colours, value colour) over the predicate tuples and function entries
-    they occur in, until the number of colours stops growing.  Colours are
-    ranks of sorted invariants, so isomorphic structures get cells in the
-    same order.
-    """
-    sig = s.signature
-    facts = [
-        (sym, t, -1)
-        for sym, (name, _) in enumerate(sig.predicates)
-        for t in s.predicates[name]
-    ]
-    facts += [
-        (sym, t, v)
-        for sym, (name, _) in enumerate(sig.functions, start=len(sig.predicates))
-        for t, v in s.functions[name].items()
-    ]
-    colour = _ranked(
-        [tuple(k for k, c in enumerate(sig.constants) if s.constants[c] == x)
-         for x in range(s.size)]
-    )
-    count = len(set(colour))
-    while count < s.size:
-        incidences = [[] for _ in range(s.size)]
-        for sym, t, v in facts:
-            fact = (sym, tuple(map(colour.__getitem__, t)), -1 if v < 0 else colour[v])
-            for pos, x in enumerate(t):
-                incidences[x].append((pos, fact))
-            if v >= 0:
-                incidences[v].append((-1, fact))
-        refined = _ranked(
-            [(colour[x], tuple(sorted(incidences[x]))) for x in range(s.size)]
-        )
-        refined_count = len(set(refined))
-        if refined_count == count:
-            break
-        colour, count = refined, refined_count
-    cells = [[] for _ in range(count)]
-    for x, c in enumerate(colour):
-        cells[c].append(x)
-    return tuple(map(tuple, cells))
+    def beaten(start: int) -> bool:
+        labelled = []
+        for step in range(start, len(steps)):
+            sym, is_value, args, rank = steps[step]
+            unlabelled = [label for label in args if old_of[label] < 0]
+            if unlabelled:
+                label = unlabelled[0]
+                for old in range(n):
+                    if new_of[old] < 0:
+                        old_of[label], new_of[old] = old, label
+                        if beaten(step):
+                            return True
+                        old_of[label] = new_of[old] = -1
+                break
+            moved = 0
+            for label in args:
+                moved = moved * n + old_of[label]
+            digit = tables[sym][moved]
+            if is_value and new_of[digit] < 0:
+                label = old_of.index(-1)
+                old_of[label], new_of[digit] = digit, label
+                labelled.append(label)
+            digit = new_of[digit] if is_value else digit
+            if digit != tables[sym][rank]:
+                if digit < tables[sym][rank]:
+                    return True
+                break
+        for label in labelled:
+            new_of[old_of[label]] = old_of[label] = -1
+        return False
 
-
-@functools.lru_cache(maxsize=1024)
-def _cell_relabellings(n: int, arities: tuple[int, ...], cells) -> tuple:
-    """(perm, relabel tables per arity) for every permutation of the universe
-    sending each cell onto its block of positions, blocks in cell order."""
-    blocks = []
-    start = 0
-    for cell in cells:
-        blocks.append(itertools.permutations(range(start, start + len(cell))))
-        start += len(cell)
-    out = []
-    for images in itertools.product(*blocks):
-        perm = [0] * n
-        for cell, image in zip(cells, images):
-            for x, p in zip(cell, image):
-                perm[x] = p
-        perm = tuple(perm)
-        out.append((perm, tuple(_relabel_table(n, a, perm) for a in arities)))
-    return tuple(out)
-
-
-# Below this universe size refinement costs more than the n! <= 6
-# relabellings it could save.
-_REFINE_FROM_SIZE = 4
-
-
-def canonical_key(s: Union[Structure, Interpretation]):
-    """Minimal encoding of ``s`` over relabellings of its universe.
-
-    Two structures are isomorphic iff their canonical keys coincide.  The
-    minimum runs over the relabellings that respect an invariant ordered
-    partition of the universe (colour refinement, from size
-    ``_REFINE_FROM_SIZE`` on; a single cell below it), so it is the same
-    for isomorphic structures.
-    """
-    n = s.size
-    sig = s.signature
-    cells = _refined_cells(s) if n >= _REFINE_FROM_SIZE else (tuple(range(n)),)
-    arities = tuple(a for _, a in sig.predicates) + tuple(a for _, a in sig.functions)
-    flat_predicates = [
-        [1 if t in s.predicates[name] else 0 for t in _tuple_space(n, arity)]
-        for name, arity in sig.predicates
-    ]
-    flat_functions = [
-        [s.functions[name][t] for t in _tuple_space(n, arity)]
-        for name, arity in sig.functions
-    ]
-    constants = [s.constants[name] for name in sig.constants]
-    best = None
-    for perm, tables in _cell_relabellings(n, arities, cells):
-        enc = [tuple([bits[r] for r in table]) for bits, table in zip(flat_predicates, tables)]
-        enc += [
-            tuple([perm[values[r]] for r in table])
-            for values, table in zip(flat_functions, tables[len(flat_predicates):])
-        ]
-        enc += [perm[c] for c in constants]
-        if best is None or enc < best:
-            best = enc
-    return (n, tuple(best))
+    return not beaten(0)
 
 
 @functools.lru_cache(maxsize=256)
@@ -1138,7 +1090,7 @@ def enumerate_structures(
     one-point extension, and there ``cap`` bounds the candidates
     canonicalised at each size; everywhere else it bounds the labelled
     structures, and other signatures are enumerated up to isomorphism by
-    canonicalising each labelled structure.  On both
+    testing each labelled structure by ``_least_in_orbit``.  On both
     paths the representatives are memoised per signature and size, and
     each call builds fresh structures from them.
     """
@@ -1162,19 +1114,16 @@ _GENERIC_ISO: dict = {}
 
 def _generic_iso_indices(sig: Signature, n: int) -> Iterator[tuple[int, ...]]:
     """Index tuple of the first labelled member of every isomorphism class,
-    in labelled order.  Each labelled structure is canonicalised; the
-    representatives are memoised only once the stream has run to its end,
-    so a consumer that stops early pays for no more than it took."""
+    in labelled order: those least in their orbit (``_least_in_orbit``).
+    The representatives are memoised only once the stream has run to its
+    end, so a consumer that stops early pays for no more than it took."""
     memo = _GENERIC_ISO.get((sig, n))
     if memo is not None:
         yield from memo
         return
     found = []
-    seen = set()
     for indices in _labelled_indices(sig, n):
-        key = canonical_key(_interpretation_from_indices(sig, n, indices))
-        if key not in seen:
-            seen.add(key)
+        if _least_in_orbit(sig, n, indices):
             found.append(indices)
             yield indices
     _GENERIC_ISO[(sig, n)] = tuple(found)

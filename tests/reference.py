@@ -1,0 +1,126 @@
+"""Reference canonical form for the tests: the colour-refined minimal
+encoding over relabellings.  Two structures are isomorphic iff their
+``canonical_key`` values coincide, which the tests check against
+``find_isomorphism``; the enumeration's least-in-orbit representatives
+are checked against the first labelled member of each key."""
+
+import functools
+import itertools
+from typing import Union
+
+from subsat.structures import Interpretation, Structure, _relabel_table, _tuple_space
+
+
+def _ranked(values: list) -> list[int]:
+    """Replace each value by its rank among the distinct values."""
+    rank = {v: r for r, v in enumerate(sorted(set(values)))}
+    return [rank[v] for v in values]
+
+
+def _refined_cells(s: Structure) -> tuple[tuple[int, ...], ...]:
+    """Isomorphism-invariant ordered partition of the universe of ``s``.
+
+    Colour refinement: elements start coloured by the constants naming
+    them and are recoloured by the multiset of (symbol, position, argument
+    colours, value colour) over the predicate tuples and function entries
+    they occur in, until the number of colours stops growing.  Colours are
+    ranks of sorted invariants, so isomorphic structures get cells in the
+    same order.
+    """
+    sig = s.signature
+    facts = [
+        (sym, t, -1)
+        for sym, (name, _) in enumerate(sig.predicates)
+        for t in s.predicates[name]
+    ]
+    facts += [
+        (sym, t, v)
+        for sym, (name, _) in enumerate(sig.functions, start=len(sig.predicates))
+        for t, v in s.functions[name].items()
+    ]
+    colour = _ranked(
+        [tuple(k for k, c in enumerate(sig.constants) if s.constants[c] == x)
+         for x in range(s.size)]
+    )
+    count = len(set(colour))
+    while count < s.size:
+        incidences = [[] for _ in range(s.size)]
+        for sym, t, v in facts:
+            fact = (sym, tuple(map(colour.__getitem__, t)), -1 if v < 0 else colour[v])
+            for pos, x in enumerate(t):
+                incidences[x].append((pos, fact))
+            if v >= 0:
+                incidences[v].append((-1, fact))
+        refined = _ranked(
+            [(colour[x], tuple(sorted(incidences[x]))) for x in range(s.size)]
+        )
+        refined_count = len(set(refined))
+        if refined_count == count:
+            break
+        colour, count = refined, refined_count
+    cells = [[] for _ in range(count)]
+    for x, c in enumerate(colour):
+        cells[c].append(x)
+    return tuple(map(tuple, cells))
+
+
+@functools.lru_cache(maxsize=1024)
+def _cell_relabellings(n: int, arities: tuple[int, ...], cells) -> tuple:
+    """(perm, relabel tables per arity) for every permutation of the universe
+    sending each cell onto its block of positions, blocks in cell order."""
+    blocks = []
+    start = 0
+    for cell in cells:
+        blocks.append(itertools.permutations(range(start, start + len(cell))))
+        start += len(cell)
+    out = []
+    for images in itertools.product(*blocks):
+        perm = [0] * n
+        for cell, image in zip(cells, images):
+            for x, p in zip(cell, image):
+                perm[x] = p
+        perm = tuple(perm)
+        out.append((perm, tuple(_relabel_table(n, a, perm) for a in arities)))
+    return tuple(out)
+
+
+# Below this universe size refinement costs more than the n! <= 6
+# relabellings it could save.
+_REFINE_FROM_SIZE = 4
+
+
+def canonical_key(s: Union[Structure, Interpretation]):
+    """Minimal encoding of ``s`` over relabellings of its universe.
+
+    Two structures are isomorphic iff their canonical keys coincide.  The
+    minimum runs over the relabellings that respect an invariant ordered
+    partition of the universe (colour refinement, from size
+    ``_REFINE_FROM_SIZE`` on; a single cell below it), so it is the same
+    for isomorphic structures.
+    """
+    n = s.size
+    sig = s.signature
+    cells = _refined_cells(s) if n >= _REFINE_FROM_SIZE else (tuple(range(n)),)
+    arities = tuple(a for _, a in sig.predicates) + tuple(a for _, a in sig.functions)
+    flat_predicates = [
+        [1 if t in s.predicates[name] else 0 for t in _tuple_space(n, arity)]
+        for name, arity in sig.predicates
+    ]
+    flat_functions = [
+        [s.functions[name][t] for t in _tuple_space(n, arity)]
+        for name, arity in sig.functions
+    ]
+    constants = [s.constants[name] for name in sig.constants]
+    best = None
+    for perm, tables in _cell_relabellings(n, arities, cells):
+        enc = [tuple([bits[r] for r in table]) for bits, table in zip(flat_predicates, tables)]
+        enc += [
+            tuple([perm[values[r]] for r in table])
+            for values, table in zip(flat_functions, tables[len(flat_predicates):])
+        ]
+        enc += [perm[c] for c in constants]
+        if best is None or enc < best:
+            best = enc
+    return (n, tuple(best))
+
+

@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import canonical_key
 
 from subsat import corpus, logic, prober, structures, theta
 from subsat.logic import (
@@ -68,7 +69,6 @@ from subsat.structures import (
     CapExceededError,
     Signature,
     Structure,
-    canonical_key,
     enumerate_structures,
     induced_substructure,
 )

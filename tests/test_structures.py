@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import canonical_key
 
-from subsat import structures
+from subsat import corpus, structures
 from subsat.structures import (
     ESCAPES,
     CapExceededError,
@@ -15,7 +16,6 @@ from subsat.structures import (
     Signature,
     Structure,
     StructureFormatError,
-    canonical_key,
     check_isomorphism,
     check_power_cap,
     enumerate_structures,
@@ -484,23 +484,23 @@ def test_generic_iso_memo_fills_only_when_a_stream_ends(monkeypatch):
     assert keys[0] == first.key()
     assert len(structures._GENERIC_ISO[(UNAR, 4)]) == len(keys) == 19
 
-    def unexpected(s):
-        raise AssertionError("the memoised size was canonicalised again")
+    def unexpected(sig, n, indices):
+        raise AssertionError("the memoised size was tested again")
 
-    monkeypatch.setattr(structures, "canonical_key", unexpected)
+    monkeypatch.setattr(structures, "_least_in_orbit", unexpected)
     assert [s.key() for s in enumerate_structures(UNAR, 4, up_to_iso=True)] == keys
 
 
 def test_generic_iso_cap_refuses_before_the_work(monkeypatch):
     # 5**5 labelled unars on five points
     sizes = []
-    key = structures.canonical_key
+    least = structures._least_in_orbit
 
-    def recording(s):
-        sizes.append(s.size)
-        return key(s)
+    def recording(sig, n, indices):
+        sizes.append(n)
+        return least(sig, n, indices)
 
-    monkeypatch.setattr(structures, "canonical_key", recording)
+    monkeypatch.setattr(structures, "_least_in_orbit", recording)
     structures._GENERIC_ISO.clear()
     for memoised in (False, True):
         with pytest.raises(CapExceededError, match="3125 labelled structures") as exc:
@@ -523,7 +523,7 @@ def test_enumerate_structures_mixed_signature():
     assert len(classes) == count_iso_classes_oracle(sig, 2)
 
 
-# --- canonical_key beyond binary relations -----------------------------------
+# --- iso classes beyond binary relations ------------------------------------
 
 KERNEL_SIGNATURES = {
     "unar": UNAR,
@@ -622,6 +622,11 @@ ENUMERATION_ORDER_PINS = {
     ("unar_const", 3): "d28d55938ad5b86577b355e3709221ab274716e0bacefff93042b794e9832a48",
     ("unar_const", 4): "18dd0481a6b69db10877dae2178d2475c381f463a57993729ba1d85212798f51",
     ("mixed", 2): "7a961e95f724285c61f64c252a2b71c7390bd57ab11bb912e4ee6cea37833a8e",
+    ("unar", 6): "122fbdc381b72046eaccf6f52a33b67db68232e7788787518bf208db496c9fd4",
+    ("unar_const", 5): "8f7159026f4e4371e7a6bca5da30d22dbfec7e72a826181f38eb04aeed9e97b4",
+    ("binary_function", 2): "b18dc42fa40c1f65d1f7c782fdce9fc590b6c91d92d26d9039f55dd8a64af01a",
+    ("binary_function", 3): "d308a06a5496d21b26e055fbda70bbaba62ce9a9d352a97199c73b72cd31d7d6",
+    ("mixed", 3): "5babb86d73064ace964e51c1fa142df477f72927e6f6f1b512fa0f5dd92c651d",
 }
 
 
@@ -630,6 +635,62 @@ def test_generic_iso_enumeration_order_pins(label, n):
     keys = [s.key() for s in enumerate_structures(KERNEL_SIGNATURES[label], n, up_to_iso=True)]
     digest = hashlib.sha256(repr(keys).encode()).hexdigest()
     assert digest == ENUMERATION_ORDER_PINS[(label, n)]
+
+
+# Largest size at which each signature's representatives are compared with
+# the first labelled member per canonical key, over every labelled structure.
+EXHAUSTIVE_SIZES = {
+    "unar": 4,
+    "unar_const": 4,
+    "binary_function": 3,
+    "unary_binary": 3,
+    "mixed": 4,
+    "consts3": 4,
+}
+ORBIT_SIGNATURES = {**KERNEL_SIGNATURES, "consts3": corpus.CONSTS3}
+
+
+@pytest.mark.parametrize("label", list(EXHAUSTIVE_SIZES))
+def test_least_in_orbit_keeps_the_first_member_per_canonical_key(label):
+    sig = ORBIT_SIGNATURES[label]
+    for n in range(1, EXHAUSTIVE_SIZES[label] + 1):
+        structures._GENERIC_ISO.pop((sig, n), None)
+        reps = [
+            structures._structure_from_indices(sig, n, indices)
+            for indices in structures._generic_iso_indices(sig, n)
+        ]
+        assert reps == _generic_iso_representatives(sig, n), n
+
+
+def index_tuple(s):
+    """The labelled enumeration's index tuple of ``s``: a mask per predicate
+    (tuple rank r on bit r), a base-n code per function (rank 0 most
+    significant), a value per constant."""
+    n = s.size
+    sig = s.signature
+    indices = [
+        sum(1 << rank for rank, t in enumerate(itertools.product(range(n), repeat=arity))
+            if t in s.predicates[name])
+        for name, arity in sig.predicates
+    ]
+    for name, arity in sig.functions:
+        code = 0
+        for t in itertools.product(range(n), repeat=arity):
+            code = code * n + s.functions[name][t]
+        indices.append(code)
+    return tuple(indices + [s.constants[name] for name in sig.constants])
+
+
+@pytest.mark.parametrize("label", list(ORBIT_SIGNATURES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_exactly_the_least_member_of_an_orbit_is_least_in_orbit(label, data):
+    sig = ORBIT_SIGNATURES[label]
+    s = data.draw(random_structures(sig, data.draw(st.integers(1, 4))))
+    assert structures._structure_from_indices(sig, s.size, index_tuple(s)) == s
+    orbit = {index_tuple(relabel(s, perm)) for perm in itertools.permutations(range(s.size))}
+    passing = [i for i in sorted(orbit) if structures._least_in_orbit(sig, s.size, i)]
+    assert passing == [min(orbit)]
 
 
 # --- find_isomorphism -------------------------------------------------------
