@@ -16,8 +16,12 @@ Run with ``python -m pytest bench --benchmark-only``.
 - ``constant_reached_sweep``: evaluating that translation, compiled, on the
   72 iso classes of the signature up to 4 points, as criterion 4 does;
 - ``unar_n5_cold``: the 47 iso classes of one unary function on 5 points
-  on the generic path (every labelled structure canonicalised), each
-  round with an empty memo.
+  on the generic path (every labelled structure tested for being least
+  in its orbit), each round with an empty memo;
+- ``all_fixed_l2_nu6_cold``: the corpus sentence ``forall x. F(x) = x``
+  over one unary function, translated at lambda = 2, nu = 6, each round
+  with empty memos, so it includes the iso classes of every size up to 6
+  and the marked classes read off them.
 
 ``extra_info`` records the disjunct and class counts of a round, and the
 number of classes where the translation holds.
@@ -30,10 +34,12 @@ import pytest
 from subsat import corpus, logic, structures, theta
 
 CONSTANT_REACHED = next(e for e in corpus.CORPUS if e.name == "constant_reached")
+ALL_FIXED = next(e for e in corpus.CORPUS if e.name == "all_fixed")
 
 
 def _clear_memos():
-    # one memo holds the marked classes and, per variable names, their diagrams
+    # the marked classes, with their diagrams per variable names, and the
+    # iso representatives they are read off
     theta._generated_classes.cache_clear()
     structures._GENERIC_ISO.clear()
 
@@ -69,6 +75,12 @@ def _sweep():
     return sum(logic.evaluate_fo(s, sentence) for s in classes)
 
 
+def _all_fixed():
+    return theta.theta_bounded_to_existential_functional(
+        ALL_FIXED.formula, corpus.UNAR, 2, 6
+    ).disjuncts
+
+
 def _unar_n5():
     return sum(1 for _ in structures.enumerate_structures(corpus.UNAR, 5, up_to_iso=True))
 
@@ -79,6 +91,7 @@ CASES = {
     "constant_reached_compile": (_compile, _fresh_translation, "disjuncts"),
     "constant_reached_sweep": (_sweep, None, "holds"),
     "unar_n5_cold": (_unar_n5, _clear_memos, "classes"),
+    "all_fixed_l2_nu6_cold": (_all_fixed, _clear_memos, "disjuncts"),
 }
 
 

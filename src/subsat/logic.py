@@ -17,8 +17,7 @@ induced submodel without building it (relativization), which is how the
 submodel checks in ``theta`` and ``prober`` work.  A sentence whose
 terms are variables also compiles bit-sliced: it is then decided in a
 whole family of structures on one universe at once, from one integer
-column per predicate tuple.  ``map_formula`` is the one bottom-up rebuild
-behind the relativizations and substitutions.
+column per predicate tuple.
 
 Grammar (ASCII):
 
@@ -1451,32 +1450,13 @@ def evaluate_eso(s: Structure, f: Formula) -> bool:
 # --- rebuilding and relativization --------------------------------------------
 
 
-def map_formula(
-    f: Formula,
-    node: Optional[Callable[[Formula], Formula]] = None,
-    term: Optional[Callable[[Term], Term]] = None,
-) -> Formula:
-    """Rebuild ``f`` bottom-up.
-
-    Every term, once its arguments are rebuilt, is replaced by ``term(t)``;
-    every formula node, once its parts are rebuilt, by ``node(g)``.  A hook
-    left out keeps its nodes (without ``term``, atoms are kept as they are).
-    """
-
-    def rebuild_term(t: Term) -> Term:
-        if isinstance(t, Func):
-            t = Func(t.name, tuple(rebuild_term(a) for a in t.args))
-        return term(t)
+def map_formula(f: Formula, node: Callable[[Formula], Formula]) -> Formula:
+    """Rebuild ``f`` bottom-up: every formula node, once its parts are
+    rebuilt, is replaced by ``node(g)``.  Atoms are kept as they are."""
 
     def rec(g: Formula) -> Formula:
-        if isinstance(g, (Top, Bottom)) or (term is None and isinstance(g, (Atom, Eq, SetAtom))):
+        if isinstance(g, (Top, Bottom, Atom, Eq, SetAtom)):
             out = g
-        elif isinstance(g, Atom):
-            out = Atom(g.name, tuple(rebuild_term(a) for a in g.args))
-        elif isinstance(g, Eq):
-            out = Eq(rebuild_term(g.left), rebuild_term(g.right))
-        elif isinstance(g, SetAtom):
-            out = SetAtom(g.set_var, rebuild_term(g.arg))
         elif isinstance(g, Not):
             out = Not(rec(g.body))
         elif isinstance(g, (And, Or)):
@@ -1489,7 +1469,7 @@ def map_formula(
             out = ExistsSet(g.set_var, rec(g.body))
         else:
             raise TypeError(f"not a formula: {g!r}")
-        return out if node is None else node(out)
+        return node(out)
 
     return rec(f)
 
@@ -1515,28 +1495,6 @@ def relativize_to_set_variable(f: Formula, set_var: str) -> Formula:
     return map_formula(f, node=bound)
 
 
-def _quantifier_free(g: Formula) -> Formula:
-    if isinstance(g, (Forall, Exists, ExistsSet)):
-        raise ValueError("substitution expects a quantifier-free formula")
-    return g
-
-
-def substitute_variable(f: Formula, name: str, term: Term) -> Formula:
-    """Replace free occurrences of a variable in a quantifier-free formula."""
-    return map_formula(
-        f,
-        node=_quantifier_free,
-        term=lambda t: term if isinstance(t, Var) and t.name == name else t,
-    )
-
-
-def substitute_constant(f: Formula, name: str, term: Term) -> Formula:
-    """Replace every occurrence of a constant symbol by a term."""
-    return map_formula(
-        f, term=lambda t: term if isinstance(t, Const) and t.name == name else t
-    )
-
-
 def relativized_node_count(f: Formula, width: int) -> int:
     """Node count of ``relativize_to_variables(f, variables)`` for ``width``
     variables, computed without building it: each quantifier becomes a
@@ -1556,8 +1514,10 @@ def relativized_node_count(f: Formula, width: int) -> int:
 def relativize_to_variables(f: Formula, variables: list[str]) -> Formula:
     """Quantifier elimination by relativizing to a finite list of variables.
 
-    Innermost-out: exists y. b becomes the disjunction of b[y:=v] over the
-    given variables, forall the conjunction.  Requires a predicate-only
+    exists y. b becomes the disjunction of b[y:=v] over the given
+    variables, forall the conjunction.  The substitutions are carried down
+    in one pass, an inner quantifier shadowing an outer one on the same
+    variable, so each output node is built once.  Requires a predicate-only
     formula (terms are bare variables) and fresh variables; witnesses may
     repeat, so no distinctness constraints are introduced.
     """
@@ -1579,11 +1539,22 @@ def relativize_to_variables(f: Formula, variables: list[str]) -> Formula:
     if len(set(variables)) != len(variables):
         raise ValueError("relativization variables must be distinct")
 
-    def eliminate(g: Formula) -> Formula:
-        if isinstance(g, Exists):
-            return make_or(substitute_variable(g.body, g.var, Var(v)) for v in variables)
-        if isinstance(g, Forall):
-            return make_and(substitute_variable(g.body, g.var, Var(v)) for v in variables)
+    values = [Var(v) for v in variables]
+
+    def rec(g: Formula, env: dict) -> Formula:
+        if isinstance(g, Atom):
+            return Atom(g.name, tuple(env.get(a.name, a) for a in g.args))
+        if isinstance(g, Eq):
+            return Eq(env.get(g.left.name, g.left), env.get(g.right.name, g.right))
+        if isinstance(g, Not):
+            return Not(rec(g.body, env))
+        if isinstance(g, (And, Or)):
+            return type(g)(tuple(rec(p, env) for p in g.parts))
+        if isinstance(g, (Implies, Iff)):
+            return type(g)(rec(g.left, env), rec(g.right, env))
+        if isinstance(g, (Exists, Forall)):
+            join = make_or if isinstance(g, Exists) else make_and
+            return join(rec(g.body, {**env, g.var: value}) for value in values)
         return g
 
-    return map_formula(f, node=eliminate)
+    return rec(f, {})

@@ -13,9 +13,10 @@ diagram disjunction for functional signatures (sound always, complete
 up to a generated-submodel size cap).  The models behind the diagrams
 do not depend on the sentence: they are the classes of structures with
 marked generators, told apart by numbering elements in order of first
-reach from the marks, and are built once per (signature, bound, size),
-with their diagrams once per variable names too; each translation only
-filters them by the sentence.
+reach from the marks and read off the iso representatives that the
+structure enumeration keeps.  They are built once per (signature, bound,
+size), with their diagrams once per variable names too; each translation
+only filters them by the sentence.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .logic import (
     Atom,
@@ -61,8 +62,8 @@ from .structures import (
     Structure,
     _PRINTABLE_BITS,
     _column_bits,
+    _generic_iso_indices,
     _interpretation_from_indices,
-    _labelled_indices,
     _structure_columns,
     _structure_from_indices,
     check_labelled_cap,
@@ -346,18 +347,6 @@ def _marked_diagram(
     return DiagramSentence(len(generators), tuple(terms), tuple(literals))
 
 
-def _reached(sig: Signature, size: int, indices: tuple[int, ...]) -> set[int]:
-    """Elements that a constant names or a function takes as a value, read
-    off the labelled structure's index tuple."""
-    first = len(sig.predicates)
-    reached = set(indices[first + len(sig.functions):])
-    for code, (_, arity) in zip(indices[first:], sig.functions):
-        for _ in range(size**arity):
-            code, v = divmod(code, size)
-            reached.add(v)
-    return reached
-
-
 @functools.lru_cache(maxsize=256)
 def _tuples_through(i: int, arity: int) -> tuple[tuple[int, ...], ...]:
     """Argument tuples over {0..i} that contain i, in lexicographic order."""
@@ -408,15 +397,6 @@ def _reach_key(s: Interpretation, generators: Sequence[int]):
     return s.size, tuple(number[x] for x in marks), tuple(values), relations
 
 
-@functools.lru_cache(maxsize=1024)
-def _tuples_covering(size: int, bound: int, sources: frozenset) -> tuple:
-    """The ``bound``-tuples over {0..size-1} that contain every source, in
-    product order."""
-    return tuple(
-        t for t in itertools.product(range(size), repeat=bound) if sources.issubset(t)
-    )
-
-
 @functools.cache
 def _generated_classes(
     sig: Signature, bound: int, size: int, names: Optional[tuple[str, ...]] = None
@@ -427,11 +407,9 @@ def _generated_classes(
 
     A marked class first occurs at the first labelled member of its
     structure's isomorphism class, which carries every marked class of
-    that structure; so a structure whose first generating tuple is a class
-    seen before adds nothing.  An element that no constant names and no
-    function takes as a value must be a generator: structures with more
-    than ``bound`` such sources are skipped, and so are tuples that miss
-    one.
+    that structure: so the classes are read off the iso representatives
+    (``_generic_iso_indices``), each at its first generator tuple in
+    product order.
 
     With ``names``, one variable name per generator, the same classes as
     ``_MarkedClasses`` with those variables as markers instead.
@@ -439,26 +417,14 @@ def _generated_classes(
     if names is not None:
         return _MarkedClasses(sig, size, names, _generated_classes(sig, bound, size))
     classes = []
-    seen = set()
-    universe = frozenset(range(size))
-    for indices in _labelled_indices(sig, size):
-        sources = universe.difference(_reached(sig, size, indices))
-        if len(sources) > bound:
-            continue
+    for indices in _generic_iso_indices(sig, size):
         s = _interpretation_from_indices(sig, size, indices)
-        kept = []
-        for generators in _tuples_covering(size, bound, sources):
-            key = _reach_key(s, generators)
-            if key is None:
-                continue
-            if key in seen:
-                if not kept:
-                    break
-                continue
-            seen.add(key)
-            kept.append(generators)
+        kept = {}
+        for generators in itertools.product(range(size), repeat=bound):
+            kept.setdefault(_reach_key(s, generators), generators)
+        kept.pop(None, None)
         if kept:
-            classes.append((indices, tuple(kept)))
+            classes.append((indices, tuple(kept.values())))
     return tuple(classes)
 
 
@@ -487,37 +453,6 @@ class _MarkedClasses:
                 for generators in self._tuples[i]
             )
         return self._conjunctions[i]
-
-
-def enumerate_generated_models(
-    sig: Signature,
-    bound: int,
-    size_cap: int,
-    satisfying: Optional[Callable[[Structure], bool]] = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> Iterable[tuple[Structure, tuple[int, ...]]]:
-    """All (structure, generators) generated by ``bound`` marked elements, up to
-    marked isomorphism, sizes up to ``size_cap``, optionally filtered.
-
-    Every size's labelled structures are checked against ``cap`` by the
-    call itself, before any is built.  The marked classes do not depend
-    on the filter and are built once per (signature, bound, size); each
-    call builds fresh structures from them and keeps those that pass
-    ``satisfying``, which must be isomorphism-invariant, as truth of a
-    sentence is.
-    """
-    for size in range(1, size_cap + 1):
-        check_labelled_cap(sig, size, cap)
-
-    def models():
-        for size in range(1, size_cap + 1):
-            for indices, tuples in _generated_classes(sig, bound, size):
-                s = _structure_from_indices(sig, size, indices)
-                if satisfying is None or satisfying(s):
-                    for generators in tuples:
-                        yield s, generators
-
-    return models()
 
 
 def theta_bounded_to_existential_functional(

@@ -43,8 +43,6 @@ from subsat.logic import (
     relativize_to_variables,
     render_formula,
     subformulas,
-    substitute_constant,
-    substitute_variable,
 )
 from subsat.corpus import CORPUS, UNAR_CONST
 from subsat.structures import (
@@ -691,28 +689,11 @@ def test_relativized_truth_equals_substructure_truth():
                         assert evaluate_fo(s, rel, {"X": carrier}) == evaluate_fo(sub, f)
 
 
-def test_substitutions_rebuild_terms_and_keep_their_errors():
-    sig = Signature(predicates=(("R", 2),), functions=(("F", 1),), constants=("c",))
-    f = parse_formula("(R(x,F(y)) & F(c) = x)", sig)
-    assert substitute_variable(f, "x", Const("c")) == parse_formula(
-        "(R(c,F(y)) & F(c) = c)", sig
-    )
-    assert substitute_constant(f, "c", Func("F", (Var("z"),))) == parse_formula(
-        "(R(x,F(y)) & F(F(z)) = x)", sig
-    )
-    quantified = parse_formula("exists y. R(x,y)", sig)
-    with pytest.raises(ValueError, match="substitution expects a quantifier-free formula"):
-        substitute_variable(quantified, "x", Var("z"))
-    assert substitute_constant(quantified, "c", Var("z")) == quantified
-
-
 def test_map_formula_hooks_run_bottom_up():
     f = parse_formula("forall x. (R(x,x) -> (exists y. R(x,y)))", BINARY)
     seen = []
     assert map_formula(f, node=lambda g: seen.append(type(g).__name__) or g) == f
     assert seen == ["Atom", "Atom", "Exists", "Implies", "Forall"]
-    renamed = map_formula(f, term=lambda t: Var("u") if t == Var("x") else t)
-    assert render_formula(renamed) == "forall x. (R(u,u) -> (exists y. R(u,y)))"
 
 
 def test_relativize_to_variables_paper_example():
@@ -726,6 +707,12 @@ def test_relativize_to_variables_two_by_two():
     def r(a, b):
         return Atom("R", (Var(a), Var(b)))
     assert g == And((Or((r("x0", "x0"), r("x0", "x1"))), Or((r("x1", "x0"), r("x1", "x1")))))
+    # the inner x shadows the outer one
+    shadowed = parse_formula("exists x. (R(x,x) & (exists x. R(x,x)))", BINARY)
+    inner = Or((r("x0", "x0"), r("x1", "x1")))
+    assert relativize_to_variables(shadowed, ["x0", "x1"]) == Or(
+        (And((r("x0", "x0"), inner)), And((r("x1", "x1"), inner)))
+    )
 
 
 def test_relativize_to_variables_quantifier_free_fixed():
@@ -753,6 +740,7 @@ def test_relativize_to_variables_semantics():
         "forall x. exists y. R(x,y)",
         "exists x. R(x,x)",
         "forall x. forall y. (R(x,y) -> R(y,x))",
+        "exists x. (R(x,x) & (exists x. R(x,x)))",
     ]
     for text in sentences:
         f = parse_formula(text, BINARY)

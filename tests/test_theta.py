@@ -11,7 +11,7 @@ from test_structures import KERNEL_SIGNATURES, random_structures, relabel
 
 from subsat import logic, theta
 from subsat import structures as structures_module
-from subsat.corpus import CORPUS, UNAR_CONST
+from subsat.corpus import CONSTS3, CORPUS, UNAR_CONST
 from subsat.logic import (
     FALSE,
     TRUE,
@@ -47,7 +47,6 @@ from subsat.theta import (
     ModalLawReport,
     ThetaReport,
     atomic_diagram,
-    enumerate_generated_models,
     modal_laws_check,
     theta_bounded_semantic,
     theta_bounded_to_existential_functional,
@@ -345,17 +344,53 @@ def test_functional_translation_soundness_and_conditional_completeness():
 def test_functional_translation_refuses_before_building_any_size():
     # sizes 1..7 of one unary function fit the cap; 8**8 does not
     theta._generated_classes.cache_clear()
+    structures_module._GENERIC_ISO.clear()
     with pytest.raises(CapExceededError) as exc:
         theta_bounded_to_existential_functional(MOVED, UNAR, 1, 8)
     assert (exc.value.count, exc.value.cap) == (16_777_216, 5_000_000)
     assert theta._generated_classes.cache_info().currsize == 0
+    assert structures_module._GENERIC_ISO == {}
+
+
+def test_marked_classes_reuse_the_iso_representatives(monkeypatch):
+    n = 4
+    structures_module._GENERIC_ISO.clear()
+    classes = list(enumerate_structures(UNAR, n, up_to_iso=True))
+
+    def unexpected(sig, size, indices):
+        raise AssertionError("a representative was tested again")
+
+    built = []
+    interpretation = theta._interpretation_from_indices
+
+    def recording(sig, size, indices):
+        built.append(indices)
+        return interpretation(sig, size, indices)
+
+    monkeypatch.setattr(structures_module, "_least_in_orbit", unexpected)
+    monkeypatch.setattr(theta, "_interpretation_from_indices", recording)
+    theta._generated_classes.cache_clear()
+    marked = theta._generated_classes(UNAR, 2, n)
+    # one structure read per iso class, and no labelled scan
+    assert built == list(structures_module._GENERIC_ISO[(UNAR, n)])
+    assert len(built) == len(classes) == 19
+    assert 0 < len(marked) <= len(classes)
+
+
+def generated_models(sig, bound, size_cap):
+    """The pairs of ``theta._generated_classes`` up to ``size_cap``, each
+    structure built fresh."""
+    for size in range(1, size_cap + 1):
+        for indices, tuples in theta._generated_classes(sig, bound, size):
+            s = structures_module._structure_from_indices(sig, size, indices)
+            yield from ((s, generators) for generators in tuples)
 
 
 def _uncached_translation(phi, sig, bound, size_cap):
     """The translation with a fresh diagram per generated model."""
     variables = fresh_variables(phi, bound)
     markers = [Var(v) for v in variables]
-    models = enumerate_generated_models(sig, bound, size_cap, lambda s: evaluate_fo(s, phi))
+    models = [(s, g) for s, g in generated_models(sig, bound, size_cap) if evaluate_fo(s, phi)]
     disjuncts = [make_and(theta._marked_diagram(s, g, markers, {}).literals) for s, g in models]
     sentence = make_or(disjuncts)
     for v in reversed(variables):
@@ -434,6 +469,8 @@ GENERATED_MODEL_CASES = {
     "G-l1": (G, 1, 3, "forall x. G(x,x) = x"),
     "F-c-d-l2": (F_CD, 2, 3, "c != d"),
     "R-F-l1": (R_F, 1, 3, "forall x. R(x,F(x))"),
+    "unar-l3": (UNAR, 3, 3, "exists x. F(x) = x"),
+    "consts3-l2": (CONSTS3, 2, 4, "c0 != c1"),
 }
 
 
@@ -443,7 +480,8 @@ def test_generated_models_match_the_reference(case):
     phi = parse_formula(text, sig)
     counts = []
     for satisfying in (None, lambda s: evaluate_fo(s, phi)):
-        got = [(s.key(), g) for s, g in enumerate_generated_models(sig, bound, size_cap, satisfying)]
+        got = [(s.key(), g) for s, g in generated_models(sig, bound, size_cap)
+               if satisfying is None or satisfying(s)]
         want = [
             (s.key(), g)
             for s, g in reference_generated_models(sig, bound, size_cap, satisfying)
@@ -494,7 +532,7 @@ def test_mutating_a_generated_model_leaves_later_translations_alone():
         return render_formula(theta_bounded_to_existential_functional(MOVED, UNAR, 2, 3).sentence)
 
     before = rendered()
-    for s, _ in enumerate_generated_models(UNAR, 2, 3):
+    for s, _ in generated_models(UNAR, 2, 3):
         table = s.functions["F"]
         for args in table:
             table[args] = 0
