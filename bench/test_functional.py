@@ -14,7 +14,14 @@ Run with ``python -m pytest bench --benchmark-only``.
 - ``constant_reached_compile``: compiling a fresh translation of the same
   sentence (built off the clock), its wide diagram disjunction included;
 - ``constant_reached_sweep``: evaluating that translation, compiled, on the
-  72 iso classes of the signature up to 4 points, as criterion 4 does;
+  72 iso classes of the signature up to 4 points, as criterion 4 does; one
+  compiled sentence serves every round, so after the first it follows a
+  fully built decision tree;
+- ``constant_reached_sweep_fresh``: the same sweep, each round on a fresh
+  translation compiled off the clock, so it includes growing the tree;
+- ``carriers_unar_n5``: ``generated_carrier`` on every seed of at most 2
+  points of the 77 iso classes of one unary function up to 5 points, 5
+  times over the same structure objects, which keep their closures;
 - ``unar_n5_cold``: the 47 iso classes of one unary function on 5 points
   on the generic path (every labelled structure tested for being least
   in its orbit), each round with an empty memo;
@@ -28,6 +35,7 @@ number of classes where the translation holds.
 """
 
 import functools
+import itertools
 
 import pytest
 
@@ -70,9 +78,27 @@ def _swept():
     return _translation().sentence, classes
 
 
-def _sweep():
-    sentence, classes = _swept()
-    return sum(logic.evaluate_fo(s, sentence) for s in classes)
+def _sweep(sentence=None):
+    swept, classes = _swept()
+    return sum(logic.evaluate_fo(s, swept if sentence is None else sentence) for s in classes)
+
+
+def _fresh_sweep():
+    sentence = _translation().sentence
+    logic.compile_formula(sentence)
+    return (sentence,), {}
+
+
+@functools.cache
+def _seeded_unar():
+    return [(s, seed) for n in range(1, 6)
+            for s in structures.enumerate_structures(corpus.UNAR, n, up_to_iso=True)
+            for k in (1, 2) for seed in itertools.combinations(range(n), k)]
+
+
+def _carriers():
+    seeded = _seeded_unar()
+    return sum(len(structures.generated_carrier(s, seed)) for _ in range(5) for s, seed in seeded)
 
 
 def _all_fixed():
@@ -90,6 +116,8 @@ CASES = {
     "constant_reached_warm": (_translate, None, "disjuncts"),
     "constant_reached_compile": (_compile, _fresh_translation, "disjuncts"),
     "constant_reached_sweep": (_sweep, None, "holds"),
+    "constant_reached_sweep_fresh": (_sweep, _fresh_sweep, "holds"),
+    "carriers_unar_n5": (_carriers, None, "carrier_elements"),
     "unar_n5_cold": (_unar_n5, _clear_memos, "classes"),
     "all_fixed_l2_nu6_cold": (_all_fixed, _clear_memos, "disjuncts"),
 }

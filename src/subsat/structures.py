@@ -458,13 +458,54 @@ def induced_substructure(s: Structure, carrier: Iterable[int]) -> Structure:
 
 
 def generated_carrier(s: Structure, seed: Iterable[int]) -> frozenset:
-    """Least superset of seed (plus all constants) closed under all functions."""
-    current = set(map(int, seed))
-    current.update(s.constants.values())
-    if not current:
-        raise ValueError("empty seed with a constant-free signature generates nothing")
-    if min(current) < 0 or max(current) >= s.size:
+    """Least superset of seed (plus all constants) closed under all functions.
+
+    When every function is unary, a set generates the union of what its
+    points generate.  On a :class:`Structure` of such a signature the
+    carrier is therefore the union of the constants' closure and each seed
+    point's closure, each computed on its first need and then kept on the
+    structure object (whose tables must not change afterwards).  Other
+    signatures, and tables that are not a ``Structure``, run the closure
+    loop on every call."""
+    points = set(map(int, seed))
+    # each point's closure and, at None, the constants', None until needed
+    closures = getattr(s, "_closures", None)
+    if closures is None:
+        if not isinstance(s, Structure) or any(a != 1 for _, a in s.signature.functions):
+            return _closure(s, _seed_elements(s, points.union(s.constants.values())))
+        closures = dict.fromkeys([*range(s.size), None])
+        object.__setattr__(s, "_closures", closures)
+    if not points <= closures.keys():
         raise ValueError("seed element out of range")
+    carrier = closures[None]  # the constants' closure
+    if carrier is None:
+        constants = set(s.constants.values())
+        if constants:
+            _seed_elements(s, constants)  # refused if they leave the universe
+        carrier = closures[None] = _closure(s, constants)
+    if not (points or carrier):
+        _seed_elements(s, points)  # refused as an empty seed
+    for p in points:
+        closure = closures[p]
+        if closure is None:
+            closure = closures[p] = _closure(s, {p})
+        carrier = carrier | closure if carrier else closure
+    return carrier
+
+
+def _seed_elements(s: Structure, elements: set) -> set:
+    """``elements``, refused when, as a seed with the constants, they
+    generate nothing or leave the universe."""
+    if not elements:
+        raise ValueError("empty seed with a constant-free signature generates nothing")
+    if min(elements) < 0 or max(elements) >= s.size:
+        raise ValueError("seed element out of range")
+    return elements
+
+
+def _closure(s: Structure, current: set) -> frozenset:
+    """Least superset of ``current``, a set of elements of ``s``, closed
+    under all functions."""
     # each round applies the functions only to the tuples through an element
     # the previous round added: the others were applied before
     old, frontier = (), current
@@ -472,12 +513,6 @@ def generated_carrier(s: Structure, seed: Iterable[int]) -> frozenset:
         added = set()
         for name, arity in s.signature.functions:
             table = s.functions[name]
-            if arity == 1:  # no per-round product setup: a third of a unary call
-                for x in frontier:
-                    v = table[(x,)]
-                    if v not in current:
-                        added.add(v)
-                continue
             for i in range(arity):  # i: the first argument from the frontier
                 for t in itertools.product(*[old] * i, frontier, *[current] * (arity - i - 1)):
                     v = table[t]

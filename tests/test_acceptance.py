@@ -57,7 +57,7 @@ from subsat.theta import (
 def report(criterion, passed, elapsed, detail=""):
     status = "PASS" if passed else "FAIL"
     suffix = f" ({detail})" if detail else ""
-    print(f"ACCEPTANCE {criterion}: {status} in {elapsed:.1f}s{suffix}")
+    print(f"ACCEPTANCE {criterion}: {status} in {elapsed * 1000:.1f}ms{suffix}")
     assert passed
 
 
@@ -67,7 +67,7 @@ def structures_up_to(sig, n_max):
 
 
 def test_criterion_1_paper_example_regressions():
-    start = time.time()
+    start = time.perf_counter()
     mismatches = 0
     checked = 0
     for worked in WORKED_EQUIVALENCES:
@@ -76,7 +76,7 @@ def test_criterion_1_paper_example_regressions():
         checked += verdict.checked
         if not verdict.equal:
             mismatches += 1
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     assert checked >= 2 * 3160 + 30  # 114+ iso classes is a floor, not the count
     report(
         "1 paper example regressions",
@@ -87,7 +87,7 @@ def test_criterion_1_paper_example_regressions():
 
 
 def test_criterion_2_eso_translation_soundness():
-    start = time.time()
+    start = time.perf_counter()
     assert len(CORPUS) >= 12
     has_alternation = any("forall" in e.text and "exists" in e.text for e in CORPUS)
     has_functions = any(e.signature.functions for e in CORPUS)
@@ -102,7 +102,7 @@ def test_criterion_2_eso_translation_soundness():
             checked += 1
             if evaluate_eso(s, translated) != theta_semantic(s, phi).truth:
                 mismatches += 1
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     report(
         "2 eso translation soundness",
         mismatches == 0 and elapsed < 60.0,
@@ -112,7 +112,7 @@ def test_criterion_2_eso_translation_soundness():
 
 
 def test_criterion_3_predicate_existential_translation():
-    start = time.time()
+    start = time.perf_counter()
     mismatches = 0
     non_existential = 0
     checked = 0
@@ -128,7 +128,7 @@ def test_criterion_3_predicate_existential_translation():
                 checked += 1
                 if evaluate_fo(s, translated) != theta_bounded_semantic(s, phi, lam).truth:
                     mismatches += 1
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     report(
         "3 predicate existential translation",
         mismatches == 0 and non_existential == 0 and elapsed < 60.0,
@@ -138,7 +138,7 @@ def test_criterion_3_predicate_existential_translation():
 
 
 def test_criterion_4_functional_translation():
-    start = time.time()
+    start = time.perf_counter()
     nu = 4
     soundness_violations = 0
     completeness_violations = 0
@@ -163,7 +163,7 @@ def test_criterion_4_functional_translation():
                 )
                 if within_cap and translated != semantic:
                     completeness_violations += 1
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     report(
         "4 functional translation soundness+conditional completeness",
         soundness_violations == 0 and completeness_violations == 0 and elapsed < 60.0,
@@ -173,7 +173,7 @@ def test_criterion_4_functional_translation():
 
 
 def test_criterion_5_modal_law_suite():
-    start = time.time()
+    start = time.perf_counter()
     groups = {}
     for entry in CORPUS:
         groups.setdefault(entry.signature_name, []).append(entry)
@@ -190,7 +190,7 @@ def test_criterion_5_modal_law_suite():
             for law in strictness:
                 if result.result(law).strictness_witness is not None:
                     strictness[law] += 1
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     report(
         "5 possibility-operator law suite",
         not failures and all(v > 0 for v in strictness.values()) and elapsed < 120.0,
@@ -200,7 +200,7 @@ def test_criterion_5_modal_law_suite():
 
 
 def test_criterion_6_coherent_embedding_lemma():
-    start = time.time()
+    start = time.perf_counter()
     rng = random.Random(20250810)
     cones = {n: upper_cone_filter(powerset_ideal(range(n))) for n in (1, 2, 3)}
     families = {n: frozenset(powerset_ideal(range(n)).sets) for n in (1, 2, 3)}
@@ -260,7 +260,7 @@ def test_criterion_6_coherent_embedding_lemma():
         and not evaluate_fo(parent, has_loop)
         and evaluate_fo(embedding.product.structure, has_loop)
     )
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     report(
         "6 coherent embedding lemma",
         passes == 200 and collapse_failures == 0 and non_elementary and elapsed < 120.0,
@@ -277,7 +277,7 @@ def _subfamilies(family):
 
 
 def test_criterion_7_non_expressibility_demos():
-    start = time.time()
+    start = time.perf_counter()
     well = wellfoundedness_demo(ProbeConfig(BINARY, n_max=4, lambda_max=1, nu=1))
     demo_ok = well.passed and well.structures_checked == 3160
 
@@ -303,7 +303,7 @@ def test_criterion_7_non_expressibility_demos():
             for _, s in verdict.counterexamples
         )
     )
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     report(
         "7 non-expressibility demos",
         demo_ok and blind_ok and cycles_ok,
@@ -313,7 +313,7 @@ def test_criterion_7_non_expressibility_demos():
 
 
 def test_criterion_8_enumeration_oracle_pins():
-    start = time.time()
+    start = time.perf_counter()
     expected = {1: 2, 2: 10, 3: 104}
     pins_ok = True
     for n, count in expected.items():
@@ -334,7 +334,7 @@ def test_criterion_8_enumeration_oracle_pins():
         s = Structure(BINARY, n, predicates={"R": set()})
         if sum(1 for _ in enumerate_submodels(s)) != 2**n - 1:
             submodel_ok = False
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     report(
         "8 enumeration oracle pins",
         pins_ok and submodel_ok,
@@ -353,7 +353,7 @@ def _bijection_oracle(a, b):
 
 
 def test_criterion_9_report_determinism():
-    start = time.time()
+    start = time.perf_counter()
     commands = [
         ["probe", "--check", "witness-bound",
          "--formula", "forall x. exists y. R(x,y)",
@@ -375,5 +375,5 @@ def test_criterion_9_report_determinism():
             buffers.append(buf.getvalue())
         if buffers[0] != buffers[1] or codes[0] != codes[1]:
             deterministic = False
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     report("9 report determinism", deterministic, elapsed, f"{len(commands)} commands x2")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -215,12 +216,90 @@ def test_generated_carrier_matches_the_fixpoint():
         for n in range(1, n_max + 1):
             for s in enumerate_structures(sig, n):
                 _same_carriers(s)
+                # bare tables keep no closures: they run the loop
+                _same_carriers(structures.Interpretation(
+                    s.signature, s.size, s.predicates, s.functions, s.constants
+                ))
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_generated_carrier_matches_the_fixpoint_with_a_binary_function(data):
     _same_carriers(data.draw(random_structures(BINARY_FUNCTION_CONST, data.draw(st.integers(3, 5)))))
+
+
+# all-unary signatures keep each point's closure and the constants' on the structure
+UNARY_SIGNATURES = (
+    UNAR,
+    corpus.UNAR_CONST,
+    Signature(predicates=(("P", 1),), functions=(("F", 1), ("G", 1)), constants=("c", "d")),
+)
+SEED_FORMS = (
+    tuple,
+    list,
+    set,
+    lambda seed: (x for x in seed),
+    lambda seed: tuple(map(np.int64, seed)),
+)
+
+
+def _carrier_outcome(f, s, seed):
+    try:
+        return f(s, seed)
+    except ValueError as e:
+        return str(e)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_kept_closures_match_the_fixpoint(data):
+    sig = data.draw(st.sampled_from(UNARY_SIGNATURES))
+    s = data.draw(random_structures(sig, data.draw(st.integers(1, 6))))
+    # seeds repeat points, so later calls read closures earlier calls kept
+    seeds = st.lists(st.integers(-1, s.size), max_size=3)
+    for seed, form in data.draw(st.lists(st.tuples(seeds, st.sampled_from(SEED_FORMS)),
+                                         min_size=5, max_size=25)):
+        expected = _carrier_outcome(_fixpoint_carrier, s, seed)
+        assert _carrier_outcome(generated_carrier, s, form(seed)) == expected, (s, seed)
+
+
+@pytest.mark.parametrize("sig", UNARY_SIGNATURES)
+def test_kept_closures_refuse_seeds_alike_cold_and_warm(sig):
+    # where there are constants, they leave the universe: every seed is refused
+    bad_constant = Structure(
+        sig, 2, functions={name: {(0,): 1, (1,): 0} for name, _ in sig.functions},
+        constants={name: 2 for name in sig.constants},
+    )
+    structures_ = [*enumerate_structures(sig, 2), bad_constant]
+    for seed in [(), (2,), (-1,), (0, 2), (-1, 1), (5, 0)]:
+        for s in structures_:
+            expected = _carrier_outcome(_fixpoint_carrier, s, seed)
+            cold = Structure(s.signature, s.size, s.predicates, s.functions, s.constants)
+            assert _carrier_outcome(generated_carrier, cold, seed) == expected
+            for point in range(s.size):  # warm every kept closure
+                _carrier_outcome(generated_carrier, cold, (point,))
+            assert _carrier_outcome(generated_carrier, cold, seed) == expected
+            assert _carrier_outcome(generated_carrier, cold, (0, 1)) == (
+                _carrier_outcome(_fixpoint_carrier, s, (0, 1))
+            )
+
+
+def test_an_unqueried_structure_keeps_only_its_fields():
+    fields = {f.name for f in dataclasses.fields(Structure)}
+    built = unar(3, {0: 1, 1: 2, 2: 2})
+    enumerated = list(enumerate_structures(corpus.UNAR_CONST, 2))
+    binary = next(iter(enumerate_structures(BINARY_FUNCTION_CONST, 2)))
+    for s in (built, *enumerated, binary):
+        assert set(vars(s)) == fields
+    generated_carrier(built, (0,))
+    generated_carrier(enumerated[0], ())
+    generated_carrier(binary, (1,))
+    # a query keeps closures on the structure it asked and on no other, and
+    # leaves equality and hashing as they were
+    assert set(vars(enumerated[1])) == fields
+    assert set(vars(binary)) == fields
+    copy = unar(3, {0: 1, 1: 2, 2: 2})
+    assert built == copy and hash(built) == hash(copy)
 
 
 # --- enumerate_submodels ----------------------------------------------------
