@@ -777,11 +777,7 @@ def render_formula(f: Formula) -> str:
 # and an atom are each evaluated at most once per assignment.  Its walk is
 # the plain one, a function's table looked up before its arguments, so
 # truth values, the short-circuit and the first EvaluationError raised are
-# those of the plain closure.  Calls follow a decision tree over the atoms'
-# truths, grown lazily from that walk along the branches calls take and
-# capped in size, so that a call reads only the atoms it must and not the
-# literals whose truths it already knows.  It is built for single
-# structures only.
+# those of the plain closure.  It is built for single structures only.
 
 
 _PREDICATES, _FUNCTIONS, _CONSTANTS, _DOMAIN, _ALL, _FIRST_SLOT = range(6)
@@ -1069,12 +1065,6 @@ def _atom_reader(key: tuple, readers: list):
     return atom
 
 
-def _tree_budget(occurrences: int) -> int:
-    """The most nodes the decision tree of a literal disjunction with
-    ``occurrences`` literal occurrences stores: a fixed bound on its memory."""
-    return 4 * occurrences
-
-
 class _Builder:
     """Closure construction for one formula: slot allocation and the cases.
 
@@ -1286,19 +1276,7 @@ class _Builder:
         memo, so every atom and term is evaluated where the plain closure
         first reaches it.  Terms are told apart by their shared closures,
         and a node object seen before is not looked up again, so equal
-        nodes that are one object (the interned diagrams) cost one lookup.
-
-        Calls follow a decision tree, built lazily from the plain walk and
-        kept across calls.  A node ``[code, k, j, if_false, if_true]`` holds
-        the atom the walk reads next, given the truths on the path to the
-        node, by the code of its unnegated literal, and where the walk reads
-        it, at literal ``j`` of disjunct ``k``; a child is a node, the
-        walk's truth, or None until a call first takes that branch, and
-        that call resumes the walk at ``(k, j)`` over its own truths to make
-        it.  So a call reads exactly the atoms the plain walk reads, in its
-        order, and skips re-reading the literals it already knows.  The tree
-        stores at most ``_tree_budget`` nodes; once that is spent, calls
-        still resume the walk but store nothing."""
+        nodes that are one object (the interned diagrams) cost one lookup."""
         groups = [p.parts if isinstance(p, And) else (p,) for p in f.parts]
         if not all(_is_literal(g) for group in groups for g in group):
             return None
@@ -1331,61 +1309,33 @@ class _Builder:
                     else:
                         self.atoms.add((atom.name, len(atom.args)))
                         key = (atom.name, *map(term, atom.args))
-                    # a literal's code: 2i for atom i, 2i + 1 for its negation
+                    # memo entry 2i holds atom i's truth, 2i + 1 its negation
                     code = 2 * atoms.setdefault(key, len(atoms)) + (atom is not g)
                     by_node[id(g)] = code
                 literals.append(code)
             disjuncts.append(tuple(literals))
-        occurrences = sum(map(len, disjuncts))
-        if len(atoms) == occurrences:
+        if len(atoms) == sum(map(len, disjuncts)):
             return None
         readers = []
         for position, (closure, name, args) in enumerate(table):
             readers.append(_term_reader(position, closure, name, args, readers))
         truth_of = tuple(_atom_reader(key, readers) for key in atoms)
         width, count = 2 * len(atoms), len(table)
-        # a node without atom that resumes the walk at its start: its
-        # if_false is the root
-        tree = [None, 0, 0, None, None]
-        budget = _tree_budget(occurrences)
 
-        def resume(truths, k, j):
-            """Where the plain walk, resumed at literal ``j`` of disjunct ``k``
-            over the truths read so far (per literal code, None if unread),
-            goes next: a new node at the first unread atom it reaches, or
-            else the truth it ends with."""
-            for k in range(k, len(disjuncts)):
-                literals = disjuncts[k]
-                for code in literals[j:] if j else literals:
-                    truth = truths[code]
+        def literal_disjunction(fr):
+            truths, values = [None] * width, [None] * count
+            for literals in disjuncts:
+                for i in literals:
+                    truth = truths[i]
                     if truth is None:
-                        # an earlier literal of this atom would have read it
-                        return [code & -2, k, literals.index(code), None, None]
-                    if not truth:  # so is the disjunct
+                        value = truth_of[i >> 1](fr, values)
+                        truths[i & -2], truths[i | 1] = value, not value
+                        truth = truths[i]
+                    if not truth:
                         break
                 else:
                     return True
-                j = 0
             return False
-
-        def literal_disjunction(fr):
-            nonlocal budget
-            truths, values = [None] * width, [None] * count
-            node, truth = tree, False
-            while True:
-                child = node[4] if truth else node[3]
-                if child is None:
-                    child = resume(truths, node[1], node[2])
-                    if budget > 0:
-                        node[4 if truth else 3] = child
-                        if child.__class__ is list:
-                            budget -= 1
-                if child.__class__ is not list:
-                    return child
-                node = child
-                code = node[0]
-                truth = truths[code] = truth_of[code >> 1](fr, values)
-                truths[code + 1] = not truth
 
         return literal_disjunction
 

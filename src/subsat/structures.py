@@ -161,7 +161,11 @@ class Structure:
     """A finite model: universe {0..size-1} with total interpretations.
 
     Construction is permissive; use ``validate_structure`` to obtain the
-    list of invariant violations.
+    list of invariant violations.  A structure's tables must not change once
+    it has been queried: ``generated_carrier`` keeps closures on the object
+    and would go on returning them.  To change a table, build a new
+    structure, for instance with ``dataclasses.replace``, which keeps
+    nothing of the old one's closures.
     """
 
     signature: Signature

@@ -1,5 +1,4 @@
 import gc
-import inspect
 import itertools
 import tracemalloc
 from unittest import mock
@@ -523,53 +522,6 @@ def test_literal_memo_matches_the_plain_disjunction(f):
         envs += [{"x": a} for a in range(s.size)]
         for env in envs:
             assert _outcome(memo, s, env) == _outcome(plain, s, env)
-
-
-TOTAL_STRUCTURES = [s for n in (1, 2, 3) for s in enumerate_structures(P_F_C, n, up_to_iso=True)]
-PARTIAL_STRUCTURES = [
-    *(s for n in (1, 2) for s in enumerate_structures(UNAR_CONST, n)),
-    PARTIAL_F,
-    NO_CONSTANT,
-    NO_FUNCTION,
-]
-# every symbol interpreted and every variable covered first, so that the
-# frames that raise follow branches the total ones built
-TREE_FRAMES = [
-    *((s, {"x": a, "y": b}) for s in TOTAL_STRUCTURES
-      for a, b in itertools.product(range(s.size), repeat=2)),
-    *((s, {"x": a}) for s in TOTAL_STRUCTURES for a in range(s.size)),
-    *((s, {"x": a, "y": b}) for s in PARTIAL_STRUCTURES
-      for a, b in itertools.product(range(s.size), repeat=2)),
-    *((s, {"y": b}) for s in PARTIAL_STRUCTURES for b in range(s.size)),
-]
-
-
-def _stored_nodes(run):
-    """The number of nodes in the decision tree of a literal disjunction's
-    closure ``run``."""
-    stack, nodes = [inspect.getclosurevars(run).nonlocals["tree"][3]], 0
-    while stack:
-        node = stack.pop()
-        if isinstance(node, list):
-            nodes += 1
-            stack += node[3:]
-    return nodes
-
-
-@pytest.mark.parametrize("budget", [None, 0, 1, 2])
-@settings(max_examples=30, deadline=None)
-@given(f=dnf_formulas())
-def test_decision_tree_keeps_the_plain_walk_frame_after_frame(budget, f):
-    plain = _plain(f)
-    occurrences = sum(len(p.parts) if isinstance(p, And) else 1 for p in f.parts)
-    limit = 4 * occurrences if budget is None else budget
-    with mock.patch.object(logic, "_tree_budget", lambda occurrences: limit):
-        memo = logic._compile(f)
-    for s, env in TREE_FRAMES:
-        assert _outcome(memo, s, env) == _outcome(plain, s, env), (s, env)
-    if memo._run.__name__ == "literal_disjunction":
-        nodes = _stored_nodes(memo._run)
-        assert (0 < nodes <= limit) if limit else nodes == 0
 
 
 def test_literal_memo_raises_where_the_walk_reaches():

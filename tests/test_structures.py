@@ -302,6 +302,17 @@ def test_an_unqueried_structure_keeps_only_its_fields():
     assert built == copy and hash(built) == hash(copy)
 
 
+def test_a_replaced_structure_keeps_no_closures_of_the_old_one():
+    # a structure's tables stay fixed once queried; a changed model is a new
+    # structure, and it computes its carriers afresh
+    s = unar(3, {0: 1, 1: 2, 2: 2})
+    assert generated_carrier(s, (0,)) == {0, 1, 2}
+    changed = dataclasses.replace(s, functions={"F": {(0,): 0, (1,): 2, (2,): 2}})
+    assert set(vars(changed)) == {f.name for f in dataclasses.fields(Structure)}
+    assert generated_carrier(changed, (0,)) == {0}
+    assert generated_carrier(s, (0,)) == {0, 1, 2}
+
+
 # --- enumerate_submodels ----------------------------------------------------
 
 
