@@ -25,8 +25,7 @@ Run with ``python -m pytest bench --benchmark-only``.
   enumerated afresh off the clock: the first pass computes the closures
   and the other four read those it kept;
 - ``unar_n5_cold``: the 47 iso classes of one unary function on 5 points
-  on the generic path (every labelled structure tested for being least
-  in its orbit), each round with an empty memo;
+  on the generic path (the orderly walk), each round with an empty memo;
 - ``all_fixed_l2_nu6_cold``: the corpus sentence ``forall x. F(x) = x``
   over one unary function, translated at lambda = 2, nu = 6, each round
   with empty memos, so it includes the iso classes of every size up to 6

@@ -1,14 +1,15 @@
 """Cost of iso-class enumeration on the generic path, per (signature, n).
 
 Run with ``python -m pytest bench --benchmark-only``.  Each round starts
-with an empty memo of representatives, so it times the least-in-orbit
-test of every labelled structure plus building one ``Structure`` per
-class:
+with an empty memo of representatives, so it times the orderly walk,
+which visits only prefixes of index tuples that no relabelling beats,
+plus building one ``Structure`` per class:
 
-- ``unar_n5`` / ``unar_n6``: one unary function, 3125 and 46656 labelled
-  structures, 47 and 130 classes (OEIS A001372);
-- ``unar_const_n4`` / ``unar_const_n5``: one unary function and a
-  constant, 1024 and 15625 labelled structures;
+- ``unar_n5`` / ``unar_n6`` / ``unar_n7``: one unary function, 3125,
+  46656 and 823,543 labelled structures, 47, 130 and 343 classes
+  (OEIS A001372);
+- ``unar_const_n4`` / ``unar_const_n5`` / ``unar_const_n6``: one unary
+  function and a constant, 1024, 15625 and 279,936 labelled structures;
 - ``mixed_n3``: a unary predicate, a unary function and a constant on
   3 points, 648 labelled structures.
 
@@ -26,8 +27,10 @@ MIXED = structures.Signature(
 CASES = {
     "unar_n5": (corpus.UNAR, 5),
     "unar_n6": (corpus.UNAR, 6),
+    "unar_n7": (corpus.UNAR, 7),
     "unar_const_n4": (corpus.UNAR_CONST, 4),
     "unar_const_n5": (corpus.UNAR_CONST, 5),
+    "unar_const_n6": (corpus.UNAR_CONST, 6),
     "mixed_n3": (MIXED, 3),
 }
 

@@ -413,7 +413,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--formula-file", help="file containing the formula")
 
     def add_common(p):
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
+        p.add_argument("--seed", type=int, default=0,
+                       help="recorded in the manifest; no command reads it")
 
     p_eval = sub.add_parser("eval", help="evaluate a sentence in structures")
     p_eval.add_argument("--structure", required=True, help="structure file")
@@ -463,7 +464,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--signature", help="file whose signature block to use")
     p_probe.add_argument("--n-max", type=int, default=4)
     p_probe.add_argument("--lambda-max", type=int, default=None)
-    p_probe.add_argument("--nu", type=int, default=None)
+    p_probe.add_argument("--nu", type=int, default=None,
+                         help="must be >= --lambda-max; no probe reads it")
     p_probe.add_argument("--mode", choices=["submodel", "fragment"], default="submodel")
     p_probe.add_argument("--cap", type=int, default=5_000_000)
     p_probe.add_argument("--workers", type=int, default=1,

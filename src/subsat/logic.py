@@ -799,11 +799,10 @@ class CompiledFormula:
     alive.
 
     ``holds(tables, domain)`` evaluates it with quantifiers ranging over
-    ``domain``, reading ``tables.predicates``, ``.functions`` and
-    ``.constants`` as they are (``tables`` is a :class:`Structure` or an
-    ``Interpretation``).  On a submodel carrier of a structure, listed in
-    ascending order, this is the truth of the formula in the induced
-    submodel (relativization), without building it.
+    ``domain``, reading the tables of the :class:`Structure` ``tables`` as
+    they are.  On a submodel carrier of a structure, listed in ascending
+    order, this is the truth of the formula in the induced submodel
+    (relativization), without building it.
 
     A sentence whose terms are all variables also has a bit-sliced mode
     (``compile_formula(f, sliced=True)`` checks that it has one):

@@ -27,11 +27,11 @@ represented by its least mask, its first labelled member, and the
 representatives ascend, so the first class hit holds the first labelled
 structure hit.  Callables and every other side keep the class-by-class loop, and other
 witness-bound searches the generic path, which evaluates every labelled
-structure and its small carriers in place on the raw tables and is the
+structure, and its small carriers in place on its tables, and is the
 column search's reference in the test suite; the extension probe and the
 fragment search keep their per-structure loops, their references, for
-every other signature, size or sentence.  Only a returned
-counterexample is built as a ``Structure``.
+every other signature, size or sentence.  The column searches build only
+a returned counterexample as a ``Structure``.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from .structures import (
     _iso_columns,
     _iso_level,
     _iso_path_applies,
-    _labelled_interpretations,
+    _labelled_structures,
     _predicate_only_iso_masks,
     _structure_from_mask,
     _subclass_table,
@@ -87,11 +87,12 @@ _SCAN_QUANTUM = 1 << 20
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Search ceilings: structure size, witness size, generated-model cap.
+    """Search ceilings: structure size and witness size.
 
     ``lambda_max`` defaults to min(3, n_max) and ``nu`` to
     max(lambda_max, 4); the invariants n_max >= 1, 1 <= lambda_max <= n_max
-    and nu >= lambda_max are enforced, in that order.
+    and nu >= lambda_max are enforced, in that order.  No probe reads
+    ``nu``: it is only checked.
     """
 
     signature: Signature
@@ -427,15 +428,12 @@ def _generic_first_counterexample(
     compiled = compile_formula(phi)
     domain = range(n)
     scanned = 0
-    for tables in _labelled_interpretations(sig, n):
+    for s in _labelled_structures(sig, n):
         scanned += 1
-        if not compiled.holds(tables, domain):
+        if not compiled.holds(s, domain):
             continue
-        if not any(
-            compiled.holds(tables, sorted(c))
-            for c in enumerate_submodels(tables, max_card=lam)
-        ):
-            return Structure._trusted(tables), scanned
+        if not any(compiled.holds(s, sorted(c)) for c in enumerate_submodels(s, max_card=lam)):
+            return s, scanned
     return None, scanned
 
 

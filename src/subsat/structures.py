@@ -187,18 +187,6 @@ class Structure:
             {str(n): int(v) for n, v in dict(self.constants or {}).items()},
         )
 
-    @classmethod
-    def _trusted(cls, tables: "Interpretation") -> "Structure":
-        """Wrap tables the enumerator has just built, without normalising.
-
-        Only for fresh tables that are already normal: a dict per kind
-        holding every symbol, int tuples in frozensets, total int-valued
-        function dicts.
-        """
-        s = object.__new__(cls)
-        s.__dict__.update(zip(tables._fields, tables))
-        return s
-
     def key(self):
         sig = self.signature
         return (
@@ -314,18 +302,6 @@ class Fragment:
         return f"Fragment(carrier={sorted(self.carrier)}, key={self.key()!r})"
 
 
-class Interpretation(NamedTuple):
-    """The raw tables of a structure on {0..size-1}, neither copied nor
-    checked: what evaluation and carrier enumeration read, wherever a
-    :class:`Structure` need not be built."""
-
-    signature: Signature
-    size: int
-    predicates: Mapping[str, frozenset]
-    functions: Mapping[str, Mapping[tuple, int]]
-    constants: Mapping[str, int]
-
-
 @dataclass(frozen=True)
 class GeneratedSubmodel:
     """Carrier of a generated submodel plus its renamed copy on {0..m-1}."""
@@ -414,9 +390,7 @@ def induced_fragment(s: Structure, carrier: Iterable[int]) -> Fragment:
     return Fragment(s.signature, s.size, carrier, preds, funcs, consts)
 
 
-def is_submodel_carrier(
-    s: Union[Structure, Interpretation], carrier: Iterable[int]
-) -> bool:
+def is_submodel_carrier(s: Structure, carrier: Iterable[int]) -> bool:
     """True iff carrier is nonempty, contains all constants, and is closed under functions."""
     carrier = frozenset(carrier)
     if not carrier:
@@ -465,17 +439,16 @@ def generated_carrier(s: Structure, seed: Iterable[int]) -> frozenset:
     """Least superset of seed (plus all constants) closed under all functions.
 
     When every function is unary, a set generates the union of what its
-    points generate.  On a :class:`Structure` of such a signature the
-    carrier is therefore the union of the constants' closure and each seed
-    point's closure, each computed on its first need and then kept on the
-    structure object (whose tables must not change afterwards).  Other
-    signatures, and tables that are not a ``Structure``, run the closure
+    points generate.  On such a signature the carrier is therefore the
+    union of the constants' closure and each seed point's closure, each
+    computed on its first need and then kept on the structure object (whose
+    tables must not change afterwards).  Other signatures run the closure
     loop on every call."""
     points = set(map(int, seed))
     # each point's closure and, at None, the constants', None until needed
     closures = getattr(s, "_closures", None)
     if closures is None:
-        if not isinstance(s, Structure) or any(a != 1 for _, a in s.signature.functions):
+        if any(a != 1 for _, a in s.signature.functions):
             return _closure(s, _seed_elements(s, points.union(s.constants.values())))
         closures = dict.fromkeys([*range(s.size), None])
         object.__setattr__(s, "_closures", closures)
@@ -533,9 +506,7 @@ def generated_submodel(s: Structure, seed: Iterable[int]) -> GeneratedSubmodel:
     return GeneratedSubmodel(tuple(sorted(carrier)), induced_substructure(s, carrier))
 
 
-def enumerate_submodels(
-    s: Union[Structure, Interpretation], max_card: Optional[int] = None
-) -> Iterator[frozenset]:
+def enumerate_submodels(s: Structure, max_card: Optional[int] = None) -> Iterator[frozenset]:
     """Yield every submodel carrier of ``s``, smallest first.
 
     Carriers are the nonempty subsets containing all constants and closed
@@ -597,9 +568,9 @@ def check_labelled_cap(sig: Signature, n: int, cap: int) -> None:
     check_power_cap(bits, cap, "labelled structures", lambda: labelled_structure_count(sig, n))
 
 
-def _interpretation_from_indices(
-    sig: Signature, n: int, indices: tuple[int, ...]
-) -> Interpretation:
+def _structure_from_indices(sig: Signature, n: int, indices: tuple[int, ...]) -> Structure:
+    """The structure with index tuple ``indices``, built without normalising
+    the fresh tables, which already hold every symbol in normal form."""
     preds = {}
     funcs = {}
     consts = {}
@@ -621,11 +592,9 @@ def _interpretation_from_indices(
     for name in sig.constants:
         consts[name] = indices[pos]
         pos += 1
-    return Interpretation(sig, n, preds, funcs, consts)
-
-
-def _structure_from_indices(sig: Signature, n: int, indices: tuple[int, ...]) -> Structure:
-    return Structure._trusted(_interpretation_from_indices(sig, n, indices))
+    s = object.__new__(Structure)
+    s.__dict__.update(signature=sig, size=n, predicates=preds, functions=funcs, constants=consts)
+    return s
 
 
 def _labelled_indices(sig: Signature, n: int) -> Iterator[tuple[int, ...]]:
@@ -642,14 +611,9 @@ def _labelled_indices(sig: Signature, n: int) -> Iterator[tuple[int, ...]]:
     return itertools.product(*spaces)
 
 
-def _labelled_interpretations(sig: Signature, n: int) -> Iterator[Interpretation]:
-    for indices in _labelled_indices(sig, n):
-        yield _interpretation_from_indices(sig, n, indices)
-
-
 def _labelled_structures(sig: Signature, n: int) -> Iterator[Structure]:
-    for tables in _labelled_interpretations(sig, n):
-        yield Structure._trusted(tables)
+    for indices in _labelled_indices(sig, n):
+        yield _structure_from_indices(sig, n, indices)
 
 
 @functools.lru_cache(maxsize=256)
@@ -689,19 +653,24 @@ def _orbit_steps(sig: Signature, n: int) -> tuple:
     return tuple(steps)
 
 
-def _least_in_orbit(sig: Signature, n: int, indices: tuple[int, ...]) -> bool:
-    """Whether no relabelling of the universe gives ``indices`` a smaller
-    index tuple: the canonicity test of orderly generation (Read 1978;
-    McKay 1998).  The search picks the old element behind a new label only
-    when a digit needs it, gives an unlabelled value the least free label
-    (any other makes that digit larger), and leaves a branch at its first
-    digit unlike the structure's own: a smaller one answers, a larger prunes."""
-    tables = [[mask >> r & 1 for r in range(n**arity)]
-              for (_, arity), mask in zip(sig.predicates, indices)]
-    for (_, arity), code in zip(sig.functions, indices[len(tables):]):
-        tables.append([code // n**r % n for r in reversed(range(n**arity))])
-    tables += [[c] for c in indices[len(tables):]]
+def _orderly_walk(
+    sig: Signature, n: int, choices: Sequence[Iterable[int]]
+) -> Iterator[tuple[int, ...]]:
+    """The index tuples least in their orbit under relabelling, in labelled
+    order: orderly generation (Read 1978; McKay 1998).  The walk chooses
+    the digits in ``_orbit_steps`` order, each from its step's ``choices``
+    in the order given, and drops a prefix that a relabelling beats with
+    every index tuple under it.  The search for that relabelling picks the
+    old element behind a new label only when a digit needs it, gives an
+    unlabelled value the least free label (any other makes that digit
+    larger), and leaves a branch at its first digit unlike the prefix's
+    own (a smaller one answers, a larger prunes) or, unbeaten, at the first
+    digit it needs that is not chosen yet: a relabelling it finds beats
+    every completion of the prefix."""
     steps = _orbit_steps(sig, n)
+    # a digit table per symbol, by rank, None where no digit is chosen yet
+    tables = [[None] * n**arity for _, arity in sig.predicates + sig.functions]
+    tables += [[None] for _ in sig.constants]
     old_of = [-1] * n  # new label -> old element
     new_of = [-1] * n  # old element -> new label
 
@@ -709,6 +678,9 @@ def _least_in_orbit(sig: Signature, n: int, indices: tuple[int, ...]) -> bool:
         labelled = []
         for step in range(start, len(steps)):
             sym, is_value, args, rank = steps[step]
+            own = tables[sym][rank]
+            if own is None:
+                break
             unlabelled = [label for label in args if old_of[label] < 0]
             if unlabelled:
                 label = unlabelled[0]
@@ -723,20 +695,48 @@ def _least_in_orbit(sig: Signature, n: int, indices: tuple[int, ...]) -> bool:
             for label in args:
                 moved = moved * n + old_of[label]
             digit = tables[sym][moved]
+            if digit is None:
+                break
             if is_value and new_of[digit] < 0:
                 label = old_of.index(-1)
                 old_of[label], new_of[digit] = digit, label
                 labelled.append(label)
             digit = new_of[digit] if is_value else digit
-            if digit != tables[sym][rank]:
-                if digit < tables[sym][rank]:
+            if digit != own:
+                if digit < own:
                     return True
                 break
         for label in labelled:
             new_of[old_of[label]] = old_of[label] = -1
         return False
 
-    return not beaten(0)
+    def walk(step: int) -> Iterator[tuple[int, ...]]:
+        if step == len(steps):
+            masks = len(sig.predicates)
+            yield tuple([sum(bit << rank for rank, bit in enumerate(t)) for t in tables[:masks]]
+                        + [functools.reduce(lambda code, v: code * n + v, t) for t in tables[masks:]])
+            return
+        sym, _, _, rank = steps[step]
+        for digit in choices[step]:
+            tables[sym][rank] = digit
+            if beaten(0):
+                old_of[:] = new_of[:] = [-1] * n  # a search that wins keeps its labels
+            else:
+                yield from walk(step + 1)
+        tables[sym][rank] = None
+
+    return walk(0)
+
+
+def _least_in_orbit(sig: Signature, n: int, indices: tuple[int, ...]) -> bool:
+    """Whether no relabelling of the universe gives ``indices`` a smaller
+    index tuple: the orderly walk restricted to the digits of ``indices``."""
+    digits = [
+        (indices[sym] // n ** (n ** len(args) - 1 - rank) % n,)
+        if is_value else (indices[sym] >> rank & 1,)
+        for sym, is_value, args, rank in _orbit_steps(sig, n)
+    ]
+    return any(_orderly_walk(sig, n, digits))
 
 
 @functools.lru_cache(maxsize=256)
@@ -1129,9 +1129,9 @@ def enumerate_structures(
     one-point extension, and there ``cap`` bounds the candidates
     canonicalised at each size; everywhere else it bounds the labelled
     structures, and other signatures are enumerated up to isomorphism by
-    testing each labelled structure by ``_least_in_orbit``.  On both
-    paths the representatives are memoised per signature and size, and
-    each call builds fresh structures from them.
+    the orderly walk (``_orderly_walk``), which builds no labelled
+    structure.  On both paths the representatives are memoised per
+    signature and size, and each call builds fresh structures from them.
     """
     if n < 1:
         raise ValueError("structure size must be >= 1")
@@ -1153,18 +1153,19 @@ _GENERIC_ISO: dict = {}
 
 def _generic_iso_indices(sig: Signature, n: int) -> Iterator[tuple[int, ...]]:
     """Index tuple of the first labelled member of every isomorphism class,
-    in labelled order: those least in their orbit (``_least_in_orbit``).
-    The representatives are memoised only once the stream has run to its
-    end, so a consumer that stops early pays for no more than it took."""
+    in labelled order: those least in their orbit, as the orderly walk
+    finds them (``_orderly_walk``).  The representatives are memoised only
+    once the stream has run to its end, so a consumer that stops early pays
+    for no more than it took."""
     memo = _GENERIC_ISO.get((sig, n))
     if memo is not None:
         yield from memo
         return
     found = []
-    for indices in _labelled_indices(sig, n):
-        if _least_in_orbit(sig, n, indices):
-            found.append(indices)
-            yield indices
+    choices = [range(n) if is_value else range(2) for _, is_value, _, _ in _orbit_steps(sig, n)]
+    for indices in _orderly_walk(sig, n, choices):
+        found.append(indices)
+        yield indices
     _GENERIC_ISO[(sig, n)] = tuple(found)
 
 

@@ -57,13 +57,11 @@ from .logic import (
 from .structures import (
     DEFAULT_ENUMERATION_CAP,
     CapExceededError,
-    Interpretation,
     Signature,
     Structure,
     _PRINTABLE_BITS,
     _column_bits,
     _generic_iso_indices,
-    _interpretation_from_indices,
     _structure_columns,
     _structure_from_indices,
     check_labelled_cap,
@@ -353,7 +351,7 @@ def _tuples_through(i: int, arity: int) -> tuple[tuple[int, ...], ...]:
     return tuple(t for t in itertools.product(range(i + 1), repeat=arity) if i in t)
 
 
-def _reach_key(s: Interpretation, generators: Sequence[int]):
+def _reach_key(s: Structure, generators: Sequence[int]):
     """Complete invariant of ``s`` with marked generators, or None when the
     marks (constants and generators) do not reach all of ``s``.
 
@@ -408,8 +406,8 @@ def _generated_classes(
     A marked class first occurs at the first labelled member of its
     structure's isomorphism class, which carries every marked class of
     that structure: so the classes are read off the iso representatives
-    (``_generic_iso_indices``), each at its first generator tuple in
-    product order.
+    of the orderly walk (``_generic_iso_indices``), each at its first
+    generator tuple in product order, and no other structure is built.
 
     With ``names``, one variable name per generator, the same classes as
     ``_MarkedClasses`` with those variables as markers instead.
@@ -418,7 +416,7 @@ def _generated_classes(
         return _MarkedClasses(sig, size, names, _generated_classes(sig, bound, size))
     classes = []
     for indices in _generic_iso_indices(sig, size):
-        s = _interpretation_from_indices(sig, size, indices)
+        s = _structure_from_indices(sig, size, indices)
         kept = {}
         for generators in itertools.product(range(size), repeat=bound):
             kept.setdefault(_reach_key(s, generators), generators)

@@ -6,9 +6,8 @@ are checked against the first labelled member of each key."""
 
 import functools
 import itertools
-from typing import Union
 
-from subsat.structures import Interpretation, Structure, _relabel_table, _tuple_space
+from subsat.structures import Structure, _relabel_table, _tuple_space
 
 
 def _ranked(values: list) -> list[int]:
@@ -89,7 +88,7 @@ def _cell_relabellings(n: int, arities: tuple[int, ...], cells) -> tuple:
 _REFINE_FROM_SIZE = 4
 
 
-def canonical_key(s: Union[Structure, Interpretation]):
+def canonical_key(s: Structure):
     """Minimal encoding of ``s`` over relabellings of its universe.
 
     Two structures are isomorphic iff their canonical keys coincide.  The

@@ -216,10 +216,6 @@ def test_generated_carrier_matches_the_fixpoint():
         for n in range(1, n_max + 1):
             for s in enumerate_structures(sig, n):
                 _same_carriers(s)
-                # bare tables keep no closures: they run the loop
-                _same_carriers(structures.Interpretation(
-                    s.signature, s.size, s.predicates, s.functions, s.constants
-                ))
 
 
 @settings(max_examples=60, deadline=None)
@@ -574,23 +570,32 @@ def test_generic_iso_memo_fills_only_when_a_stream_ends(monkeypatch):
     assert keys[0] == first.key()
     assert len(structures._GENERIC_ISO[(UNAR, 4)]) == len(keys) == 19
 
-    def unexpected(sig, n, indices):
-        raise AssertionError("the memoised size was tested again")
+    def unexpected(sig, n):
+        raise AssertionError("the memoised size was walked again")
 
-    monkeypatch.setattr(structures, "_least_in_orbit", unexpected)
+    monkeypatch.setattr(structures, "_orbit_steps", unexpected)
     assert [s.key() for s in enumerate_structures(UNAR, 4, up_to_iso=True)] == keys
+
+
+def test_generic_iso_walk_builds_no_labelled_structure(monkeypatch):
+    def unexpected(sig, n):
+        raise AssertionError("labelled structures were scanned")
+
+    monkeypatch.setattr(structures, "_labelled_indices", unexpected)
+    structures._GENERIC_ISO.clear()
+    assert sum(1 for _ in enumerate_structures(UNAR, 6, up_to_iso=True)) == 130
 
 
 def test_generic_iso_cap_refuses_before_the_work(monkeypatch):
     # 5**5 labelled unars on five points
     sizes = []
-    least = structures._least_in_orbit
+    steps = structures._orbit_steps
 
-    def recording(sig, n, indices):
+    def recording(sig, n):
         sizes.append(n)
-        return least(sig, n, indices)
+        return steps(sig, n)
 
-    monkeypatch.setattr(structures, "_least_in_orbit", recording)
+    monkeypatch.setattr(structures, "_orbit_steps", recording)
     structures._GENERIC_ISO.clear()
     for memoised in (False, True):
         with pytest.raises(CapExceededError, match="3125 labelled structures") as exc:
@@ -700,7 +705,8 @@ def test_canonical_keys_agree_iff_isomorphic(label, data):
 
 
 # SHA-256 of the Structure.key() list of the iso-class representatives, in
-# enumeration order, as the exhaustive n!-permutation canonical form gave it.
+# enumeration order, as the exhaustive n!-permutation canonical form gave it;
+# the last three as the scan of every labelled structure gave them.
 ENUMERATION_ORDER_PINS = {
     ("unar", 1): "cb8ac0c88f108fe66715288091d8f01ff0fa18ee198caa2592cf81775adc3831",
     ("unar", 2): "e1b8af00d15221ac6566bbaeaf1eea5835bf8404ed7d39d323b77649148a8f00",
@@ -717,6 +723,9 @@ ENUMERATION_ORDER_PINS = {
     ("binary_function", 2): "b18dc42fa40c1f65d1f7c782fdce9fc590b6c91d92d26d9039f55dd8a64af01a",
     ("binary_function", 3): "d308a06a5496d21b26e055fbda70bbaba62ce9a9d352a97199c73b72cd31d7d6",
     ("mixed", 3): "5babb86d73064ace964e51c1fa142df477f72927e6f6f1b512fa0f5dd92c651d",
+    ("unar", 7): "9afb40f306d817115a047ee14d0db7640ef4a00e9e0c52006a13178c9a7b307a",
+    ("unar_const", 6): "03dc1be50211aba8dc6e0335143277bfd1dee96fa7a851519fea2b609e8cbee2",
+    ("mixed", 4): "fe9179e9f5a9d585416407c75af66df6cba9a7db8d6ce2193f92bee13dfcf259",
 }
 
 

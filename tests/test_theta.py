@@ -357,18 +357,18 @@ def test_marked_classes_reuse_the_iso_representatives(monkeypatch):
     structures_module._GENERIC_ISO.clear()
     classes = list(enumerate_structures(UNAR, n, up_to_iso=True))
 
-    def unexpected(sig, size, indices):
-        raise AssertionError("a representative was tested again")
+    def unexpected(sig, size):
+        raise AssertionError("the representatives were walked again")
 
     built = []
-    interpretation = theta._interpretation_from_indices
+    structure = theta._structure_from_indices
 
     def recording(sig, size, indices):
         built.append(indices)
-        return interpretation(sig, size, indices)
+        return structure(sig, size, indices)
 
-    monkeypatch.setattr(structures_module, "_least_in_orbit", unexpected)
-    monkeypatch.setattr(theta, "_interpretation_from_indices", recording)
+    monkeypatch.setattr(structures_module, "_orbit_steps", unexpected)
+    monkeypatch.setattr(theta, "_structure_from_indices", recording)
     theta._generated_classes.cache_clear()
     marked = theta._generated_classes(UNAR, 2, n)
     # one structure read per iso class, and no labelled scan
