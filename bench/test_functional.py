@@ -18,7 +18,11 @@ Run with ``python -m pytest bench --benchmark-only``.
   compiled sentence serving every round;
 - ``constant_reached_sweep_fresh``: the same sweep, each round on a fresh
   translation compiled off the clock, as a run that builds its own
-  translation pays it;
+  translation pays it; its diagram disjunction has the shape of the one
+  before, so it follows the decision tree that one grew;
+- ``constant_reached_sweep_cold_tree``: the same, each round with the table
+  of shared decision trees emptied off the clock first, so it includes
+  growing the tree, as the first sweep of a shape does;
 - ``carriers_unar_n5``: ``generated_carrier`` on every seed of at most 2
   points of the 77 iso classes of one unary function up to 5 points, 5
   times over the same structure objects, each round on structures
@@ -90,6 +94,11 @@ def _fresh_sweep():
     return (sentence,), {}
 
 
+def _cold_tree_sweep():
+    logic._TREES.clear()
+    return _fresh_sweep()
+
+
 def _fresh_seeded_unar():
     seeded = [(s, seed) for n in range(1, 6)
               for s in structures.enumerate_structures(corpus.UNAR, n, up_to_iso=True)
@@ -117,6 +126,7 @@ CASES = {
     "constant_reached_compile": (_compile, _fresh_translation, "disjuncts"),
     "constant_reached_sweep": (_sweep, None, "holds"),
     "constant_reached_sweep_fresh": (_sweep, _fresh_sweep, "holds"),
+    "constant_reached_sweep_cold_tree": (_sweep, _cold_tree_sweep, "holds"),
     "carriers_unar_n5": (_carriers, _fresh_seeded_unar, "carrier_elements"),
     "unar_n5_cold": (_unar_n5, _clear_memos, "classes"),
     "all_fixed_l2_nu6_cold": (_all_fixed, _clear_memos, "disjuncts"),

@@ -777,7 +777,15 @@ def render_formula(f: Formula) -> str:
 # and an atom are each evaluated at most once per assignment.  Its walk is
 # the plain one, a function's table looked up before its arguments, so
 # truth values, the short-circuit and the first EvaluationError raised are
-# those of the plain closure.  It is built for single structures only.
+# those of the plain closure.  Calls follow a decision tree over the atoms'
+# truths, grown lazily from that walk along the branches calls take and
+# capped in size, so that a call reads only the atoms it must and not the
+# literals whose truths it already knows.  The tree depends only on the
+# disjunction's shape, its literals numbered by atom, so every compilation
+# of that shape shares one tree (``_TREES``), each reading the atoms through
+# its own readers; the shared tree is dropped once a part of the
+# disjunction that first grew it is freed.  It is built for single
+# structures only.
 
 
 _PREDICATES, _FUNCTIONS, _CONSTANTS, _DOMAIN, _ALL, _FIRST_SLOT = range(6)
@@ -1008,6 +1016,25 @@ def _term_reader(position: int, closure, name: Optional[str], args: tuple, reade
             return value
 
         return leaf
+    if len(args) == 1:
+        (j,) = args
+        read = readers[j]
+
+        def unary(fr, values):
+            try:
+                table = fr[_FUNCTIONS][name]
+            except KeyError:
+                _missing(f"function {name} uninterpreted")
+            argument = values[j]
+            if argument is None:
+                argument = read(fr, values)
+            try:
+                value = values[position] = table[argument,]
+            except KeyError:
+                _missing(f"function {name} not total at {(argument,)}")
+            return value
+
+        return unary
     parts = tuple((j, readers[j]) for j in args)
 
     def application(fr, values):
@@ -1062,6 +1089,58 @@ def _atom_reader(key: tuple, readers: list):
         return tuple(arguments) in rel
 
     return atom
+
+
+def _tree_budget(occurrences: int) -> int:
+    """The most nodes the decision tree of a literal disjunction with
+    ``occurrences`` literal occurrences stores: a fixed bound on its memory."""
+    return 4 * occurrences
+
+
+# literal-code shape of a literal disjunction -> [root of its decision tree,
+# nodes it may still store, weak references to the parts it is tied to]
+_TREES: dict[tuple, list] = {}
+
+
+def _shared_tree(shape: tuple, parts: tuple, budget: int) -> list:
+    """The entry of ``shape`` in ``_TREES``, made with ``budget`` nodes to
+    store when it has none.  A new entry is tied to ``parts``, the parts of
+    the disjunction that compiles it first, and dropped from the table when
+    the first of them is freed; a compilation that holds it keeps using
+    it."""
+    entry = _TREES.get(shape)
+    if entry is None:
+        # a node without atom that resumes the walk at its start: its
+        # if_false is the first node
+        root = [None, 0, 0, None, None]
+
+        def release(_):
+            if _TREES.get(shape, (None,))[0] is root:
+                del _TREES[shape]
+
+        refs = [weakref.ref(p, release) for p in parts]
+        entry = _TREES[shape] = [root, budget, refs]
+    return entry
+
+
+def _resume(shape: tuple, truths: list, k: int, j: int):
+    """Where the plain walk of a literal disjunction of ``shape``, resumed at
+    literal ``j`` of disjunct ``k`` over the truths read so far (per literal
+    code, None if unread), goes next: a new node at the first unread atom it
+    reaches, or else the truth it ends with."""
+    for k in range(k, len(shape)):
+        literals = shape[k]
+        for code in literals[j:] if j else literals:
+            truth = truths[code]
+            if truth is None:
+                # an earlier literal of this atom would have read it
+                return [code & -2, k, literals.index(code), None, None]
+            if not truth:  # so is the disjunct
+                break
+        else:
+            return True
+        j = 0
+    return False
 
 
 class _Builder:
@@ -1275,7 +1354,28 @@ class _Builder:
         memo, so every atom and term is evaluated where the plain closure
         first reaches it.  Terms are told apart by their shared closures,
         and a node object seen before is not looked up again, so equal
-        nodes that are one object (the interned diagrams) cost one lookup."""
+        nodes that are one object (the interned diagrams) cost one lookup.
+
+        Calls follow a decision tree, built lazily from the plain walk and
+        kept across calls.  A node ``[code, k, j, if_false, if_true]`` holds
+        the atom the walk reads next, given the truths on the path to the
+        node, by the code of its unnegated literal, and where the walk reads
+        it, at literal ``j`` of disjunct ``k``; a child is a node, the
+        walk's truth, or None until a call first takes that branch, and
+        that call resumes the walk at ``(k, j)`` over its own truths to make
+        it.  So a call reads exactly the atoms the plain walk reads, in its
+        order, and skips re-reading the literals it already knows.  The tree
+        stores at most ``_tree_budget`` nodes; once that is spent, calls
+        still resume the walk but store nothing.
+
+        The tree depends only on the disjunction's shape, the tuple of its
+        disjuncts' literal codes, and each compilation reads the atoms
+        through its own readers, so every compilation of an equal shape
+        shares one tree (``_shared_tree``) and still reads what its own
+        plain walk reads, raising its first error.  A translation's ``Or``
+        is new each time, but its parts are the interned diagram
+        conjunctions, so the shared tree lives while they do and is
+        dropped once the first of the parts it is tied to is freed."""
         groups = [p.parts if isinstance(p, And) else (p,) for p in f.parts]
         if not all(_is_literal(g) for group in groups for g in group):
             return None
@@ -1308,33 +1408,40 @@ class _Builder:
                     else:
                         self.atoms.add((atom.name, len(atom.args)))
                         key = (atom.name, *map(term, atom.args))
-                    # memo entry 2i holds atom i's truth, 2i + 1 its negation
+                    # a literal's code: 2i for atom i, 2i + 1 for its negation
                     code = 2 * atoms.setdefault(key, len(atoms)) + (atom is not g)
                     by_node[id(g)] = code
                 literals.append(code)
             disjuncts.append(tuple(literals))
-        if len(atoms) == sum(map(len, disjuncts)):
+        occurrences = sum(map(len, disjuncts))
+        if len(atoms) == occurrences:
             return None
         readers = []
         for position, (closure, name, args) in enumerate(table):
             readers.append(_term_reader(position, closure, name, args, readers))
         truth_of = tuple(_atom_reader(key, readers) for key in atoms)
         width, count = 2 * len(atoms), len(table)
+        shape = tuple(disjuncts)
+        entry = _shared_tree(shape, f.parts, _tree_budget(occurrences))
+        root = entry[0]
 
         def literal_disjunction(fr):
             truths, values = [None] * width, [None] * count
-            for literals in disjuncts:
-                for i in literals:
-                    truth = truths[i]
-                    if truth is None:
-                        value = truth_of[i >> 1](fr, values)
-                        truths[i & -2], truths[i | 1] = value, not value
-                        truth = truths[i]
-                    if not truth:
-                        break
-                else:
-                    return True
-            return False
+            node, truth = root, False
+            while True:
+                child = node[4] if truth else node[3]
+                if child is None:
+                    child = _resume(shape, truths, node[1], node[2])
+                    if entry[1] > 0:
+                        node[4 if truth else 3] = child
+                        if child.__class__ is list:
+                            entry[1] -= 1
+                if child.__class__ is not list:
+                    return child
+                node = child
+                code = node[0]
+                truth = truths[code] = truth_of[code >> 1](fr, values)
+                truths[code + 1] = not truth
 
         return literal_disjunction
 
