@@ -11,18 +11,17 @@ Run with ``python -m pytest bench --benchmark-only``.
   translation over the same (signature, lambda, size, variable names)
   pays when no class it needs lacks its diagram: evaluating the sentence
   on each class and picking conjunctions;
-- ``constant_reached_compile``: compiling a fresh translation of the same
-  sentence (built off the clock), its wide diagram disjunction included;
+- ``constant_reached_compile``: compiling the same translation's sentence,
+  its wide diagram disjunction included, each round on a copy rebuilt off
+  the clock over the same diagram conjunctions (new ``Or`` and ``Exists``
+  nodes), since translating again returns the sentence already compiled;
 - ``constant_reached_sweep``: evaluating that translation, compiled, on the
   72 iso classes of the signature up to 4 points, as criterion 4 does, one
-  compiled sentence serving every round;
-- ``constant_reached_sweep_fresh``: the same sweep, each round on a fresh
-  translation compiled off the clock, as a run that builds its own
-  translation pays it; its diagram disjunction has the shape of the one
-  before, so it follows the decision tree that one grew;
-- ``constant_reached_sweep_cold_tree``: the same, each round with the table
-  of shared decision trees emptied off the clock first, so it includes
-  growing the tree, as the first sweep of a shape does;
+  compiled sentence serving every round, as every translation of the
+  sentence returns it;
+- ``constant_reached_sweep_cold_tree``: the same sweep, each round on such
+  a copy compiled off the clock, so it includes growing the decision tree
+  of its diagram disjunction, as the first sweep of a translation does;
 - ``carriers_unar_n5``: ``generated_carrier`` on every seed of at most 2
   points of the 77 iso classes of one unary function up to 5 points, 5
   times over the same structure objects, each round on structures
@@ -67,13 +66,22 @@ def _translate():
     return _translation().disjuncts
 
 
+def _rebuilt(sentence):
+    """A copy of a translation's sentence with new ``Exists`` and ``Or``
+    nodes over the same diagram conjunctions, so compiled afresh."""
+    if isinstance(sentence, logic.Exists):
+        return logic.Exists(sentence.var, _rebuilt(sentence.body))
+    return logic.Or(sentence.parts)
+
+
 def _fresh_translation():
-    return (_translation(),), {}
+    translation = _translation()
+    return (_rebuilt(translation.sentence), translation.disjuncts), {}
 
 
-def _compile(translation):
-    logic.compile_formula(translation.sentence)
-    return translation.disjuncts
+def _compile(sentence, disjuncts):
+    logic.compile_formula(sentence)
+    return disjuncts
 
 
 @functools.cache
@@ -88,15 +96,10 @@ def _sweep(sentence=None):
     return sum(logic.evaluate_fo(s, swept if sentence is None else sentence) for s in classes)
 
 
-def _fresh_sweep():
-    sentence = _translation().sentence
+def _cold_tree_sweep():
+    sentence = _rebuilt(_translation().sentence)
     logic.compile_formula(sentence)
     return (sentence,), {}
-
-
-def _cold_tree_sweep():
-    logic._TREES.clear()
-    return _fresh_sweep()
 
 
 def _fresh_seeded_unar():
@@ -125,7 +128,6 @@ CASES = {
     "constant_reached_warm": (_translate, None, "disjuncts"),
     "constant_reached_compile": (_compile, _fresh_translation, "disjuncts"),
     "constant_reached_sweep": (_sweep, None, "holds"),
-    "constant_reached_sweep_fresh": (_sweep, _fresh_sweep, "holds"),
     "constant_reached_sweep_cold_tree": (_sweep, _cold_tree_sweep, "holds"),
     "carriers_unar_n5": (_carriers, _fresh_seeded_unar, "carrier_elements"),
     "unar_n5_cold": (_unar_n5, _clear_memos, "classes"),

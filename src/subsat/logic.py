@@ -780,12 +780,11 @@ def render_formula(f: Formula) -> str:
 # those of the plain closure.  Calls follow a decision tree over the atoms'
 # truths, grown lazily from that walk along the branches calls take and
 # capped in size, so that a call reads only the atoms it must and not the
-# literals whose truths it already knows.  The tree depends only on the
-# disjunction's shape, its literals numbered by atom, so every compilation
-# of that shape shares one tree (``_TREES``), each reading the atoms through
-# its own readers; the shared tree is dropped once a part of the
-# disjunction that first grew it is freed.  It is built for single
-# structures only.
+# literals whose truths it already knows.  The tree is kept by the closure,
+# so it lives as long as its compiled form (``_COMPILED``): a translation
+# returns one sentence object per choice of diagrams, and so evaluating it
+# again follows the tree grown before.  It is built for single structures
+# only.
 
 
 _PREDICATES, _FUNCTIONS, _CONSTANTS, _DOMAIN, _ALL, _FIRST_SLOT = range(6)
@@ -1097,37 +1096,12 @@ def _tree_budget(occurrences: int) -> int:
     return 4 * occurrences
 
 
-# literal-code shape of a literal disjunction -> [root of its decision tree,
-# nodes it may still store, weak references to the parts it is tied to]
-_TREES: dict[tuple, list] = {}
-
-
-def _shared_tree(shape: tuple, parts: tuple, budget: int) -> list:
-    """The entry of ``shape`` in ``_TREES``, made with ``budget`` nodes to
-    store when it has none.  A new entry is tied to ``parts``, the parts of
-    the disjunction that compiles it first, and dropped from the table when
-    the first of them is freed; a compilation that holds it keeps using
-    it."""
-    entry = _TREES.get(shape)
-    if entry is None:
-        # a node without atom that resumes the walk at its start: its
-        # if_false is the first node
-        root = [None, 0, 0, None, None]
-
-        def release(_):
-            if _TREES.get(shape, (None,))[0] is root:
-                del _TREES[shape]
-
-        refs = [weakref.ref(p, release) for p in parts]
-        entry = _TREES[shape] = [root, budget, refs]
-    return entry
-
-
 def _resume(shape: tuple, truths: list, k: int, j: int):
-    """Where the plain walk of a literal disjunction of ``shape``, resumed at
-    literal ``j`` of disjunct ``k`` over the truths read so far (per literal
-    code, None if unread), goes next: a new node at the first unread atom it
-    reaches, or else the truth it ends with."""
+    """Where the plain walk of a literal disjunction whose disjuncts have the
+    literal codes ``shape``, resumed at literal ``j`` of disjunct ``k`` over
+    the truths read so far (per literal code, None if unread), goes next: a
+    new node at the first unread atom it reaches, or else the truth it ends
+    with."""
     for k in range(k, len(shape)):
         literals = shape[k]
         for code in literals[j:] if j else literals:
@@ -1366,18 +1340,14 @@ class _Builder:
         it.  So a call reads exactly the atoms the plain walk reads, in its
         order, and skips re-reading the literals it already knows.  The tree
         stores at most ``_tree_budget`` nodes; once that is spent, calls
-        still resume the walk but store nothing.
-
-        The tree depends only on the disjunction's shape, the tuple of its
-        disjuncts' literal codes, and each compilation reads the atoms
-        through its own readers, so every compilation of an equal shape
-        shares one tree (``_shared_tree``) and still reads what its own
-        plain walk reads, raising its first error.  A translation's ``Or``
-        is new each time, but its parts are the interned diagram
-        conjunctions, so the shared tree lives while they do and is
-        dropped once the first of the parts it is tied to is freed."""
+        still resume the walk but store nothing.  The tree lives with this
+        closure, so as long as the formula object: a translation returns one
+        sentence object per choice of diagrams, whose tree then serves every
+        translation that makes that choice."""
         groups = [p.parts if isinstance(p, And) else (p,) for p in f.parts]
-        if not all(_is_literal(g) for group in groups for g in group):
+        # each node object once: the interned diagrams repeat theirs
+        distinct = {id(g): g for group in groups for g in group}
+        if not all(map(_is_literal, distinct.values())):
             return None
         terms: dict = {}  # term closure -> position in the table
         table = []  # per position: (closure, function name or None, argument positions)
@@ -1422,20 +1392,23 @@ class _Builder:
         truth_of = tuple(_atom_reader(key, readers) for key in atoms)
         width, count = 2 * len(atoms), len(table)
         shape = tuple(disjuncts)
-        entry = _shared_tree(shape, f.parts, _tree_budget(occurrences))
-        root = entry[0]
+        # a node without atom that resumes the walk at its start: its
+        # if_false is the first node
+        root = [None, 0, 0, None, None]
+        budget = _tree_budget(occurrences)
 
         def literal_disjunction(fr):
+            nonlocal budget
             truths, values = [None] * width, [None] * count
             node, truth = root, False
             while True:
                 child = node[4] if truth else node[3]
                 if child is None:
                     child = _resume(shape, truths, node[1], node[2])
-                    if entry[1] > 0:
+                    if budget > 0:
                         node[4 if truth else 3] = child
                         if child.__class__ is list:
-                            entry[1] -= 1
+                            budget -= 1
                 if child.__class__ is not list:
                     return child
                 node = child

@@ -16,7 +16,8 @@ marked generators, told apart by numbering elements in order of first
 reach from the marks and read off the iso representatives that the
 structure enumeration keeps.  They are built once per (signature, bound,
 size), with their diagrams once per variable names too; each translation
-only filters them by the sentence.
+only filters them by the sentence, and returns one sentence object per
+choice of diagrams, so a sentence compiled once stays compiled.
 """
 
 from __future__ import annotations
@@ -453,6 +454,12 @@ class _MarkedClasses:
         return self._conjunctions[i]
 
 
+# (variable names, *ids of the diagram conjunctions) -> the translation's
+# sentence over them.  An entry's sentence keeps its conjunctions alive, so
+# no id in a key is reused while the entry exists.
+_SENTENCES: dict[tuple, Formula] = {}
+
+
 def theta_bounded_to_existential_functional(
     phi: Formula,
     sig: Signature,
@@ -470,7 +477,9 @@ def theta_bounded_to_existential_functional(
     most once (``_MarkedClasses``), so a translation evaluates ``phi`` on
     each model and picks the conjunctions of those it holds in.  Every
     size's labelled structures are checked against ``cap`` before any is
-    built.
+    built.  The sentence is one object per choice of conjunctions, so
+    translations that pick the same ones share its compiled form
+    (``formula_facts``), decision tree and all.
     """
     _require_fo_sentence(phi)
     if bound < 1:
@@ -486,9 +495,13 @@ def theta_bounded_to_existential_functional(
         for i, s in enumerate(marked.structures):
             if evaluate_fo(s, phi):
                 disjuncts.extend(marked.conjunctions(i))
-    sentence = make_or(disjuncts)
-    for v in reversed(variables):
-        sentence = Exists(v, sentence)
+    key = (variables, *map(id, disjuncts))
+    sentence = _SENTENCES.get(key)
+    if sentence is None:
+        sentence = make_or(disjuncts)
+        for v in reversed(variables):
+            sentence = Exists(v, sentence)
+        _SENTENCES[key] = sentence
     return FunctionalTranslation(sentence, bound, size_cap, len(disjuncts))
 
 

@@ -544,41 +544,22 @@ TREE_FRAMES = [
 ]
 
 
-def _entry(run):
-    """The shared decision-tree entry of a literal disjunction's closure
-    ``run``: [root, nodes it may still store, weak references]."""
-    return inspect.getclosurevars(run).nonlocals["entry"]
+def _root(run):
+    """The root of the decision tree kept by a literal disjunction's closure
+    ``run``."""
+    return inspect.getclosurevars(run).nonlocals["root"]
 
 
 def _stored_nodes(run):
-    """The number of nodes in the shared decision tree that the closure
-    ``run`` of a literal disjunction follows."""
-    stack, nodes = [_entry(run)[0][3]], 0
+    """The number of nodes in the decision tree that the closure ``run`` of
+    a literal disjunction follows."""
+    stack, nodes = [_root(run)[3]], 0
     while stack:
         node = stack.pop()
         if isinstance(node, list):
             nodes += 1
             stack += node[3:]
     return nodes
-
-
-@pytest.mark.parametrize("budget", [None, 0, 1, 2])
-@settings(max_examples=30, deadline=None)
-@given(f=dnf_formulas())
-def test_decision_tree_keeps_the_plain_walk_frame_after_frame(budget, f):
-    plain = _plain(f)
-    occurrences = sum(len(p.parts) if isinstance(p, And) else 1 for p in f.parts)
-    limit = 4 * occurrences if budget is None else budget
-    # an empty table, so that no tree of this shape grown under another
-    # budget is reused, and none grown under this one is left behind
-    with mock.patch.object(logic, "_tree_budget", lambda occurrences: limit), \
-            mock.patch.dict(logic._TREES, clear=True):
-        memo = logic._compile(f)
-        for s, env in TREE_FRAMES:
-            assert _outcome(memo, s, env) == _outcome(plain, s, env), (s, env)
-    if memo._run.__name__ == "literal_disjunction":
-        nodes = _stored_nodes(memo._run)
-        assert (0 < nodes <= limit) if limit else nodes == 0
 
 
 PQ_F_C = Signature(predicates=(("P", 1), ("Q", 1)), functions=(("F", 1),), constants=("c",))
@@ -611,39 +592,23 @@ def _shifted(f):
                     for p in f.parts))
 
 
+@pytest.mark.parametrize("budget", [None, 0, 1, 2])
 @settings(max_examples=30, deadline=None)
 @given(f=dnf_formulas())
-def test_one_shape_shares_its_tree_between_other_atoms(f):
-    g = _shifted(f)
-    with mock.patch.dict(logic._TREES, clear=True):
-        memo_f, memo_g = logic._compile(f), logic._compile(g)
-        plain_f, plain_g = _plain(f), _plain(g)
-        if memo_f._run.__name__ == "literal_disjunction":
-            assert _entry(memo_g._run) is _entry(memo_f._run)
-        for s, env in SHARED_FRAMES:
-            assert _outcome(memo_f, s, env) == _outcome(plain_f, s, env), (s, env)
-            assert _outcome(memo_g, s, env) == _outcome(plain_g, s, env), (s, env)
-
-
-def test_shared_tree_is_dropped_with_the_parts_that_grew_it():
-    def fresh():
-        return Or((And((Eq(FX, X), Eq(X, C))), And((Not(Eq(FX, X)), Eq(X, C))), Atom("P", (X,))))
-
-    with mock.patch.dict(logic._TREES, clear=True):
-        f, g = fresh(), fresh()
-        run = compile_formula(f)._run
-        shape = inspect.getclosurevars(run).nonlocals["shape"]
-        assert logic._TREES[shape] is _entry(run) is _entry(compile_formula(g)._run)
-        del f, run
-        gc.collect()
-        # tied to the parts of f, which compiled it first; g still follows it
-        assert shape not in logic._TREES
-        assert compile_formula(g).holds(PARTIAL_F, range(2), {"x": 0})
-        h = fresh()
-        assert _entry(compile_formula(h)._run) is logic._TREES[shape]
-        del h
-        gc.collect()
-        assert shape not in logic._TREES
+def test_decision_tree_keeps_the_plain_walk_frame_after_frame(budget, f):
+    occurrences = sum(len(p.parts) if isinstance(p, And) else 1 for p in f.parts)
+    limit = 4 * occurrences if budget is None else budget
+    # f over P, then the same DNF over F(v) and Q, where Q may be
+    # uninterpreted and F partial or missing
+    for g, frames in ((f, TREE_FRAMES), (_shifted(f), SHARED_FRAMES)):
+        plain = _plain(g)
+        with mock.patch.object(logic, "_tree_budget", lambda occurrences: limit):
+            memo = logic._compile(g)
+        for s, env in frames:
+            assert _outcome(memo, s, env) == _outcome(plain, s, env), (s, env)
+        if memo._run.__name__ == "literal_disjunction":
+            nodes = _stored_nodes(memo._run)
+            assert (0 < nodes <= limit) if limit else nodes == 0
 
 
 def test_literal_memo_raises_where_the_walk_reaches():

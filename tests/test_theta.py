@@ -406,12 +406,25 @@ def _disjuncts(sentence):
     return () if sentence == FALSE else (sentence,)
 
 
+def _conjunction_ids(sig, bound, variables, size_cap):
+    """The ids of every diagram conjunction the marked classes now keep for
+    these variable names, each built if not yet."""
+    ids = set()
+    for size in range(1, size_cap + 1):
+        marked = theta._generated_classes(sig, bound, size, variables)
+        for i in range(len(marked.structures)):
+            ids.update(map(id, marked.conjunctions(i)))
+    return ids
+
+
 @pytest.mark.parametrize("bound", [1, 2])
 def test_cached_diagrams_change_no_translation(bound):
+    entries = [e for e in CORPUS if e.signature in (UNAR, UNAR_CONST)]
+    results = {}
     for sig in (UNAR, UNAR_CONST):
         every = theta_bounded_to_existential_functional(TRUE, sig, bound, 4)
         reused = {id(c) for c in _disjuncts(every.sentence)}
-        for entry in CORPUS:
+        for entry in entries:
             if entry.signature != sig:
                 continue
             result = theta_bounded_to_existential_functional(entry.formula, sig, bound, 4)
@@ -420,13 +433,32 @@ def test_cached_diagrams_change_no_translation(bound):
             assert result.disjuncts == disjuncts > 0
             # same variable names, so the same conjunction objects
             assert all(id(c) in reused for c in _disjuncts(result.sentence))
-    # translating again builds no structure and no diagram
+            results[entry.name] = result
+    # translating again builds no structure and no diagram, and returns the
+    # sentence already compiled; so does a sentence with the same variable
+    # names and the same classes
+    compiled = {name: logic.formula_facts(r.sentence) for name, r in results.items()}
     built = AssertionError("built again")
     with mock.patch.object(theta, "_marked_diagram", side_effect=built), \
             mock.patch.object(theta, "_structure_from_indices", side_effect=built):
-        for entry in CORPUS:
-            if entry.signature in (UNAR, UNAR_CONST):
-                theta_bounded_to_existential_functional(entry.formula, entry.signature, bound, 4)
+        for entry in entries:
+            sentence = results[entry.name].sentence
+            for phi in (entry.formula, Not(Not(entry.formula))):
+                again = theta_bounded_to_existential_functional(phi, entry.signature, bound, 4)
+                assert again.sentence is sentence
+                assert logic.formula_facts(again.sentence) is compiled[entry.name]
+    for entry in entries:
+        other = theta_bounded_to_existential_functional(entry.formula, entry.signature, 3 - bound, 4)
+        assert other.sentence is not results[entry.name].sentence
+    # new conjunctions after the memo is cleared, and a sentence over them
+    # (the old ones live on in ``results``, so no id is reused)
+    theta._generated_classes.cache_clear()
+    for entry in entries:
+        fresh = theta_bounded_to_existential_functional(entry.formula, entry.signature, bound, 4)
+        variables = tuple(fresh_variables(entry.formula, bound))
+        new = _conjunction_ids(entry.signature, bound, variables, 4)
+        assert fresh.sentence == results[entry.name].sentence
+        assert all(id(c) in new for c in _disjuncts(fresh.sentence))
 
 
 def reference_generated_models(sig, bound, size_cap, satisfying=None):
