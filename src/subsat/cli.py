@@ -45,6 +45,7 @@ from .prober import (
     witness_bound_search,
 )
 from .structures import (
+    _PRINTABLE_BITS,
     CapExceededError,
     Signature,
     StructureFormatError,
@@ -255,7 +256,10 @@ def _cmd_product(args, out) -> int:
         report = None
     out(manifest.line())
     out(f"index family: {len(rp.index_family)} sets")
-    out(f"choice functions: {len(rp.choice_functions)}")
+    # a count too large to print is stated as the power of two it reaches
+    total = rp.choice_functions.total
+    bits = total.bit_length() - 1
+    out(f"choice functions: {total if bits < _PRINTABLE_BITS else f'at least 2^{bits}'}")
     out(f"classes: {rp.structure.size}")
     for line in render_structures(sig, {"product": rp.structure}).splitlines():
         out(line)

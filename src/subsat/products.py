@@ -7,6 +7,17 @@ choice functions agree modulo F exactly when they agree on K, so the
 reduced product is the direct product of the components indexed by K,
 and a choice function's class is its projection onto those coordinates.
 
+``reduced_product`` reads only the components at K: the quotient's
+elements and tables come from them, and so does its cap, which counts
+the elements, relation tuples and function table entries it would build
+and refuses past the cap before building any.  The direct product itself
+is never listed: ``choice_functions`` is a lazy view that counts it and
+yields its elements on demand.  The cone filter of a powerset ideal has
+one member in its kernel, the top, so its quotient is the top component
+however many choice functions there are (309,586,821,120 on 5 points).
+Index families are normalised once, where they enter the module, and
+filters built from them keep the normalised sets.
+
 Coherence and the canonical embedding are checked by
 ``structures._map_mismatches``: the coherence check maps the parent
 through each injection onto its component, whose values outside the
@@ -26,6 +37,7 @@ from .structures import (
     Structure,
     StructureFormatError,
     _map_mismatches,
+    _trusted_structure,
     check_power_cap,
     induced_substructure,
 )
@@ -55,6 +67,14 @@ def _powerset(items) -> Iterable[frozenset]:
 
 
 def _index_sets(sets) -> frozenset:
+    """``sets`` as a frozenset of frozensets of ints: ``sets`` itself when
+    it already is one, so a family normalised once passes through."""
+    if (
+        type(sets) is frozenset
+        and set(map(type, sets)) <= {frozenset}
+        and set(map(type, itertools.chain.from_iterable(sets))) <= {int}
+    ):
+        return sets
     return frozenset(frozenset(int(x) for x in s) for s in sets)
 
 
@@ -83,6 +103,14 @@ class IndexFilter:
 
     def __contains__(self, member) -> bool:
         return self.kernel <= frozenset(member)
+
+
+def _kernel_filter(family: frozenset, kernel: frozenset) -> IndexFilter:
+    """The ``IndexFilter`` over a family and kernel that ``_index_sets``
+    has already normalised, built without normalising them again."""
+    filt = object.__new__(IndexFilter)
+    filt.__dict__.update(family=family, kernel=kernel)
+    return filt
 
 
 def powerset_ideal(universe: Iterable[int]) -> IndexIdeal:
@@ -141,15 +169,16 @@ def upper_cone_filter(ideal_or_family) -> IndexFilter:
         raise ValueError(
             f"index family is not directed: its union {_set_label(top)} is not a member"
         )
-    return IndexFilter(family, {top})
+    return _kernel_filter(family, frozenset({top}))
 
 
 def principal_filter(family: Iterable[frozenset], at: frozenset) -> IndexFilter:
     """The principal ultrafilter {S : at in S} over the family."""
     family = _index_sets(family)
-    if frozenset(at) not in family:
+    at = frozenset(at)
+    if at not in family:
         raise ValueError("principal element must belong to the index family")
-    return IndexFilter(family, {at})
+    return _kernel_filter(family, _index_sets([at]))
 
 
 def extend_filter(filt: IndexFilter, extra) -> Optional[IndexFilter]:
@@ -158,7 +187,7 @@ def extend_filter(filt: IndexFilter, extra) -> Optional[IndexFilter]:
     if not extra <= filt.family:
         raise ValueError("extension set must be a subset of the index family")
     kernel = filt.kernel & extra
-    return IndexFilter(filt.family, kernel) if kernel else None
+    return _kernel_filter(filt.family, kernel) if kernel else None
 
 
 # --- reduced products --------------------------------------------------------
@@ -172,25 +201,52 @@ def _rank(coords, sizes) -> int:
     return rank
 
 
+@dataclass(frozen=True)
+class ChoiceFunctions:
+    """Every element of a direct product of universes of the given
+    ``sizes``, as coordinate tuples in ``itertools.product`` order.
+
+    The elements are made on iteration and none is stored.  ``total`` is
+    their number, ``math.prod(sizes)``; ``len()`` gives it too, while it
+    fits in ``sys.maxsize``.
+    """
+
+    sizes: tuple
+
+    @property
+    def total(self) -> int:
+        return math.prod(self.sizes)
+
+    def __len__(self) -> int:
+        return self.total
+
+    def __iter__(self):
+        return itertools.product(*map(range, self.sizes))
+
+
 @dataclass
 class ReducedProduct:
     """Quotient of a direct product of structures by filter agreement.
 
-    ``index_family`` fixes the coordinate order; ``choice_functions`` are
-    all elements of the direct product.  ``structure`` is the quotient,
-    whose element r is the class of the choice functions whose projection
-    onto the filter's kernel has mixed-radix rank r.
+    ``index_family`` fixes the coordinate order and ``at_kernel`` lists the
+    positions in it of the filter's kernel.  ``choice_functions`` is a lazy
+    view of the direct product's elements.  ``structure`` is the quotient,
+    built from the components at the kernel alone: its element r is the
+    class of the choice functions whose projection onto the kernel has
+    mixed-radix rank r.
     """
 
     index_family: tuple
     components: tuple
     filter: IndexFilter
     structure: Structure
-    choice_functions: tuple
+    choice_functions: ChoiceFunctions
+    at_kernel: tuple
 
     def class_of_function(self, cf: tuple) -> int:
-        at_kernel = [k for k, i in enumerate(self.index_family) if i in self.filter.kernel]
-        return _rank([cf[k] for k in at_kernel], [self.components[k].size for k in at_kernel])
+        return _rank(
+            [cf[k] for k in self.at_kernel], [self.components[k].size for k in self.at_kernel]
+        )
 
 
 def reduced_product(
@@ -204,7 +260,9 @@ def reduced_product(
     share a signature.  Choice functions agree modulo the filter iff they
     agree on its kernel, so the quotient is the direct product of the
     components at the kernel: a predicate holds on classes iff it holds
-    at every kernel coordinate.
+    at every kernel coordinate.  The cap bounds what is built, the
+    quotient's elements, relation tuples and function table entries, and
+    refuses with :class:`CapExceededError` before any of them is.
     """
     components = {frozenset(k): v for k, v in components.items()}
     if frozenset(components) != filt.family:
@@ -214,19 +272,26 @@ def reduced_product(
     if not comps:
         raise ValueError("empty index family")
     sig = comps[0].signature
-    if any(c.signature != sig for c in comps):
+    if any(c.signature is not sig and c.signature != sig for c in comps):
         raise ValueError("components must share one signature")
-    total = math.prod(c.size for c in comps)
-    if total > cap:
-        raise CapExceededError(total, cap, "choice functions")
-    if total == 0:
+    if not all(c.size for c in comps):
         raise ValueError("components must be nonempty")
     problems = validate_filter(filt)
     if problems:
         raise ValueError(problems[0])
 
-    at_kernel = [c for i, c in zip(order, comps) if i in filt.kernel]
-    sizes = [c.size for c in at_kernel]
+    at_kernel = tuple(k for k, i in enumerate(order) if i in filt.kernel)
+    kernel = [comps[k] for k in at_kernel]
+    sizes = [c.size for c in kernel]
+    size = math.prod(sizes)
+    built = (
+        size
+        + sum(math.prod(len(c.predicates[name]) for c in kernel) for name, _ in sig.predicates)
+        + sum(size**arity for _, arity in sig.functions)
+    )
+    if built > cap:
+        raise CapExceededError(built, cap, "quotient elements and table entries")
+
     # class id -> its coordinates at the kernel
     elements = list(itertools.product(*(range(s) for s in sizes)))
 
@@ -235,7 +300,7 @@ def reduced_product(
     preds = {
         name: frozenset(
             tuple(_rank(coords, sizes) for coords in zip(*per_coordinate))
-            for per_coordinate in itertools.product(*(c.predicates[name] for c in at_kernel))
+            for per_coordinate in itertools.product(*(c.predicates[name] for c in kernel))
         )
         for name, _arity in sig.predicates
     }
@@ -243,19 +308,17 @@ def reduced_product(
     funcs = {}
     for name, arity in sig.functions:
         table = {}
-        for args in itertools.product(range(len(elements)), repeat=arity):
+        for args in itertools.product(range(size), repeat=arity):
             columns = zip(*(elements[a] for a in args))
-            image = [c.functions[name][col] for c, col in zip(at_kernel, columns)]
+            image = [c.functions[name][col] for c, col in zip(kernel, columns)]
             table[args] = _rank(image, sizes)
         funcs[name] = table
 
-    consts = {
-        name: _rank([c.constants[name] for c in at_kernel], sizes) for name in sig.constants
-    }
+    consts = {name: _rank([c.constants[name] for c in kernel], sizes) for name in sig.constants}
 
-    structure = Structure(sig, len(elements), preds, funcs, consts)
-    choice_functions = tuple(itertools.product(*(range(c.size) for c in comps)))
-    return ReducedProduct(tuple(order), tuple(comps), filt, structure, choice_functions)
+    structure = _trusted_structure(sig, size, preds, funcs, consts)
+    choice_functions = ChoiceFunctions(tuple(c.size for c in comps))
+    return ReducedProduct(tuple(order), tuple(comps), filt, structure, choice_functions, at_kernel)
 
 
 # --- coherent systems --------------------------------------------------------
@@ -335,23 +398,23 @@ def coherence_check(system: CoherentSystem) -> list[str]:
     violations = []
     parent = system.parent
     for i in _family_order(system.index_family):
-        label = _set_label(i)
         comp = system.components[i]
         inj = system.injections[i]
         if set(inj) != set(i):
-            violations.append(f"i={label}: injection not defined exactly on i")
+            violations.append(f"i={_set_label(i)}: injection not defined exactly on i")
             continue
         values = list(inj.values())
         if len(set(values)) != len(values):
-            violations.append(f"i={label}: injection is not injective")
+            violations.append(f"i={_set_label(i)}: injection is not injective")
             continue
         if not all(0 <= v < comp.size for v in values):
-            violations.append(f"i={label}: injection leaves the component universe")
+            violations.append(f"i={_set_label(i)}: injection leaves the component universe")
             continue
         if not all(0 <= x < parent.size for x in i):
             raise ValueError(f"carrier {sorted(i)} not within universe of size {parent.size}")
         for kind, name, t in _map_mismatches(parent, comp, inj):
-            violations.append(f"i={label}: " + _COHERENCE_MESSAGES[kind, t is None].format(name, t))
+            message = _COHERENCE_MESSAGES[kind, t is None].format(name, t)
+            violations.append(f"i={_set_label(i)}: {message}")
     return violations
 
 
@@ -406,10 +469,10 @@ def canonical_embedding(
     problems = coherence_check(system)
     if problems:
         raise ValueError("system is not coherent: " + "; ".join(problems[:3]))
-    for i in _family_order(family):
-        if system.components[i].size < 1:
-            raise ValueError(f"component at {_set_label(i)} is empty")
-    if not filt.kernel <= upper_cone_filter(family).kernel:
+    empty = [i for i in family if system.components[i].size < 1]
+    if empty:
+        raise ValueError(f"component at {_set_label(_family_order(empty)[0])} is empty")
+    if not filt.kernel <= upper_cone_filter(filt.family).kernel:
         raise ValueError("filter does not extend the upper-cone filter")
 
     fallback = {frozenset(k): int(v) for k, v in (b or {}).items()}
@@ -485,7 +548,7 @@ def filter_from_members(family: Iterable[frozenset], members) -> IndexFilter:
             "not closed under pairwise intersection"
             + ("" if kernel else ": the members meet in the empty set (not proper)")
         )
-    return IndexFilter(family, kernel)
+    return _kernel_filter(family, kernel)
 
 
 def parse_ideal_file(text: str) -> tuple[IndexIdeal, Optional[frozenset], list]:

@@ -416,23 +416,22 @@ def induced_substructure(s: Structure, carrier: Iterable[int]) -> Structure:
         raise ValueError(f"carrier {sorted(carrier)} is not a submodel carrier")
     elems = sorted(carrier)
     index = {e: i for i, e in enumerate(elems)}
+    rename = index.__getitem__
     preds = {
         name: frozenset(
-            tuple(index[x] for x in t)
-            for t in s.predicates[name]
-            if all(x in carrier for x in t)
+            tuple(map(rename, t)) for t in s.predicates[name] if carrier.issuperset(t)
         )
         for name, _ in s.signature.predicates
     }
     funcs = {
         name: {
-            tuple(index[x] for x in t): index[s.functions[name][t]]
+            tuple(map(rename, t)): index[s.functions[name][t]]
             for t in itertools.product(elems, repeat=arity)
         }
         for name, arity in s.signature.functions
     }
     consts = {name: index[s.constants[name]] for name in s.signature.constants}
-    return Structure(s.signature, len(elems), preds, funcs, consts)
+    return _trusted_structure(s.signature, len(elems), preds, funcs, consts)
 
 
 def generated_carrier(s: Structure, seed: Iterable[int]) -> frozenset:
@@ -568,9 +567,17 @@ def check_labelled_cap(sig: Signature, n: int, cap: int) -> None:
     check_power_cap(bits, cap, "labelled structures", lambda: labelled_structure_count(sig, n))
 
 
+def _trusted_structure(sig: Signature, n: int, preds: dict, funcs: dict, consts: dict) -> Structure:
+    """A ``Structure`` over fresh tables that already hold every symbol of
+    ``sig`` in normal form (frozensets of int tuples, dicts from int tuples
+    to ints, int constants), built without normalising them again."""
+    s = object.__new__(Structure)
+    s.__dict__.update(signature=sig, size=n, predicates=preds, functions=funcs, constants=consts)
+    return s
+
+
 def _structure_from_indices(sig: Signature, n: int, indices: tuple[int, ...]) -> Structure:
-    """The structure with index tuple ``indices``, built without normalising
-    the fresh tables, which already hold every symbol in normal form."""
+    """The structure with index tuple ``indices``, over fresh tables."""
     preds = {}
     funcs = {}
     consts = {}
@@ -592,9 +599,7 @@ def _structure_from_indices(sig: Signature, n: int, indices: tuple[int, ...]) ->
     for name in sig.constants:
         consts[name] = indices[pos]
         pos += 1
-    s = object.__new__(Structure)
-    s.__dict__.update(signature=sig, size=n, predicates=preds, functions=funcs, constants=consts)
-    return s
+    return _trusted_structure(sig, n, preds, funcs, consts)
 
 
 def _labelled_indices(sig: Signature, n: int) -> Iterator[tuple[int, ...]]:
@@ -1170,7 +1175,10 @@ def _generic_iso_indices(sig: Signature, n: int) -> Iterator[tuple[int, ...]]:
 
 
 def _map_mismatches(
-    a: Union[Structure, Fragment], b: Union[Structure, Fragment], mapping: Mapping[int, int]
+    a: Union[Structure, Fragment],
+    b: Union[Structure, Fragment],
+    mapping: Mapping[int, int],
+    new: Optional[int] = None,
 ) -> Iterator[tuple[str, str, Optional[tuple]]]:
     """Where ``mapping`` fails to carry ``a``'s tables onto ``b``'s.
 
@@ -1181,22 +1189,28 @@ def _map_mismatches(
     ``"predicate"`` when the tuple holds on one side only, ``"escape"``
     when a value is inside on one side only, ``"value"`` when both are
     inside but ``mapping`` does not send one to the other.
+
+    With ``new``, a key of ``mapping``, predicate tuples are checked only
+    where they hold ``new``: any other tuple and its image read the same
+    facts with or without ``new``'s pair.  Function and constant entries
+    are all checked, as any of their values may be ``new`` or its image.
+    So when ``mapping`` without that pair has no mismatch, these are all
+    of ``mapping``'s mismatches.
     """
     sig = a.signature
     domain = sorted(mapping)
     image = set(mapping.values())
-
-    def moved(t):
-        return tuple(mapping[x] for x in t)
+    moved = mapping.__getitem__
 
     for name, arity in sig.predicates:
         rel_a, rel_b = a.predicates[name], b.predicates[name]
         for t in itertools.product(domain, repeat=arity):
-            if (t in rel_a) != (moved(t) in rel_b):
+            if (new is None or new in t) and (t in rel_a) != (tuple(map(moved, t)) in rel_b):
                 yield "predicate", name, t
     values = itertools.chain(
         (
-            (name, t, a.functions[name].get(t, ESCAPES), b.functions[name].get(moved(t), ESCAPES))
+            (name, t, a.functions[name].get(t, ESCAPES),
+             b.functions[name].get(tuple(map(moved, t)), ESCAPES))
             for name, arity in sig.functions
             for t in itertools.product(domain, repeat=arity)
         ),
@@ -1253,8 +1267,10 @@ def find_isomorphism(
     """Search for an isomorphism from ``a`` onto ``b``; None if there is none.
 
     Backtracking over carrier bijections with element-profile pruning,
-    extending a partial map only while it shows no mismatch; the returned
-    map satisfies :func:`check_isomorphism`.
+    extending a partial map only while it shows no mismatch.  The empty
+    map has none, so each new pair is checked only on what it can change
+    (``_map_mismatches`` with ``new``), and a complete map satisfies
+    :func:`check_isomorphism`.
     """
     if a.signature != b.signature:
         raise ValueError("signature mismatch")
@@ -1272,14 +1288,14 @@ def find_isomorphism(
 
     def backtrack(i):
         if i == len(domain):
-            return check_isomorphism(a, b, mapping)
+            return True
         x = domain[i]
         for y in targets:
             if y in used or prof_a[x] != prof_b[y]:
                 continue
             mapping[x] = y
             used.add(y)
-            if not any(_map_mismatches(a, b, mapping)) and backtrack(i + 1):
+            if not any(_map_mismatches(a, b, mapping, x)) and backtrack(i + 1):
                 return True
             del mapping[x]
             used.discard(y)

@@ -1,13 +1,28 @@
-"""Reference canonical form for the tests: the colour-refined minimal
-encoding over relabellings.  Two structures are isomorphic iff their
-``canonical_key`` values coincide, which the tests check against
-``find_isomorphism``; the enumeration's least-in-orbit representatives
-are checked against the first labelled member of each key."""
+"""References for the tests.
+
+``canonical_key`` is the colour-refined minimal encoding over
+relabellings.  Two structures are isomorphic iff their keys coincide,
+which the tests check against ``find_isomorphism``; the enumeration's
+least-in-orbit representatives are checked against the first labelled
+member of each key.
+
+``find_isomorphism`` is the isomorphism search that re-checks the whole
+partial map at every step; the search in ``subsat.structures`` checks
+only what each new pair can change and must return the same mapping.
+"""
 
 import functools
 import itertools
 
-from subsat.structures import Structure, _relabel_table, _tuple_space
+from subsat.structures import (
+    Structure,
+    _carrier,
+    _element_profile,
+    _map_mismatches,
+    _relabel_table,
+    _tuple_space,
+    check_isomorphism,
+)
 
 
 def _ranked(values: list) -> list[int]:
@@ -123,3 +138,40 @@ def canonical_key(s: Structure):
     return (n, tuple(best))
 
 
+
+
+def find_isomorphism(a, b):
+    """Backtracking over carrier bijections with element-profile pruning,
+    re-checking the whole partial map after each new pair."""
+    if a.signature != b.signature:
+        raise ValueError("signature mismatch")
+    car_a, car_b = _carrier(a), _carrier(b)
+    if len(car_a) != len(car_b):
+        return None
+    prof_a = {x: _element_profile(a, x) for x in car_a}
+    prof_b = {y: _element_profile(b, y) for y in car_b}
+    if sorted(prof_a.values()) != sorted(prof_b.values()):
+        return None
+    domain = sorted(car_a)
+    targets = sorted(car_b)
+    mapping: dict = {}
+    used: set = set()
+
+    def backtrack(i):
+        if i == len(domain):
+            return check_isomorphism(a, b, mapping)
+        x = domain[i]
+        for y in targets:
+            if y in used or prof_a[x] != prof_b[y]:
+                continue
+            mapping[x] = y
+            used.add(y)
+            if not any(_map_mismatches(a, b, mapping)) and backtrack(i + 1):
+                return True
+            del mapping[x]
+            used.discard(y)
+        return False
+
+    if backtrack(0):
+        return dict(mapping)
+    return None

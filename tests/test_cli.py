@@ -1,5 +1,6 @@
 import io
 import itertools
+import sys
 import time
 
 import pytest
@@ -429,8 +430,9 @@ def path_structure_text(n):
 
 def test_product_cone_filter_on_four_and_five_points(tmp_path):
     # 4 points: 1 * 1^4 * 2^6 * 3^4 * 4 = 20736 choice functions;
-    # 5 points: about 3.1e11, beyond the cap
-    for n, expected in ((4, 0), (5, 3)):
+    # 5 points: about 3.1e11, yet the cone filter's kernel is the top
+    # alone, so the quotient is the 5-point path and is built
+    for n, count in ((4, 20736), (5, 309586821120)):
         structures = tmp_path / f"path{n}.st"
         structures.write_text(path_structure_text(n))
         ideal = tmp_path / f"powerset{n}.id"
@@ -439,12 +441,37 @@ def test_product_cone_filter_on_four_and_five_points(tmp_path):
             ["product", "--structures", str(structures), "--ideal", str(ideal),
              "--cone-filter", "--verify-embedding"]
         )
-        assert code == expected
-        if n == 5:
-            assert text == ""
-        if n == 4:
-            assert "choice functions: 20736" in text
-            assert text.rstrip().endswith("-> PASS")
+        assert code == 0
+        assert f"choice functions: {count}\n" in text
+        assert f"classes: {n}\n" in text
+        assert text.rstrip().endswith("-> PASS")
+
+
+def test_product_cone_filter_counts_past_sys_maxsize(tmp_path, capsys, monkeypatch):
+    # 6 points: 1 * 1^6 * 2^15 * 3^20 * 4^15 * 5^6 * 6 choice functions,
+    # past sys.maxsize, where len() of the choice functions would raise
+    count = 11501279977342425366528000000
+    assert count > sys.maxsize
+    structures = tmp_path / "path6.st"
+    structures.write_text(path_structure_text(6))
+    ideal = tmp_path / "powerset6.id"
+    ideal.write_text(powerset_ideal_text(6))
+    code, text = run(
+        ["product", "--structures", str(structures), "--ideal", str(ideal),
+         "--cone-filter", "--verify-embedding"]
+    )
+    assert code == 0
+    assert f"choice functions: {count}\n" in text
+    assert text.rstrip().endswith("-> PASS")
+    assert "Traceback" not in capsys.readouterr().err
+    # a count too large to print is stated as the power of two it reaches
+    monkeypatch.setattr(cli, "_PRINTABLE_BITS", 64)
+    code, text = run(
+        ["product", "--structures", str(structures), "--ideal", str(ideal),
+         "--cone-filter", "--verify-embedding"]
+    )
+    assert code == 0
+    assert f"choice functions: at least 2^{count.bit_length() - 1}\n" in text
 
 
 @pytest.mark.parametrize("formula", ["!" * 3000 + "R(x,x)", "(" * 1200 + "true" + ")" * 1200])

@@ -297,14 +297,68 @@ def test_reduced_product_matches_textbook_with_functions_and_constants():
 
 
 def test_reduced_product_cap_counts_every_choice_function():
-    # 5-point powerset: 1 * 1^5 * 2^10 * 3^10 * 4^5 * 5 choice functions,
-    # reported in full before any is enumerated
-    ideal = powerset_ideal(range(5))
-    system = induced_system(digraph(5, []), ideal.sets)
+    # the filter {family} on the 5-point powerset: its kernel is the whole
+    # family, so the quotient's elements are all 1 * 1^5 * 2^10 * 3^10 *
+    # 4^5 * 5 choice functions, refused in full before any is built
+    family = powerset_ideal(range(5)).sets
+    system = induced_system(digraph(5, []), family)
     with pytest.raises(CapExceededError) as exc:
-        reduced_product(system.components, upper_cone_filter(ideal))
+        reduced_product(system.components, IndexFilter(family, family))
     assert exc.value.count == 309586821120
-    assert "choice functions" in str(exc.value)
+    assert "quotient elements and table entries" in str(exc.value)
+    # the cone filter's kernel is the top alone: one 5-point component
+    rp = reduced_product(system.components, upper_cone_filter(family))
+    assert rp.choice_functions.total == 309586821120
+    assert rp.structure.size == 5
+
+
+def test_reduced_product_cap_counts_function_table_entries():
+    # 7 * 143 = 1001 classes fit the cap, their binary table does not
+    sig = Signature(functions=(("G", 2),))
+    family = frozenset({fs(0), fs(1)})
+
+    def constant(m):
+        table = dict.fromkeys(itertools.product(range(m), repeat=2), 0)
+        return Structure(sig, m, functions={"G": table})
+
+    components = {fs(0): constant(7), fs(1): constant(143)}
+    with pytest.raises(CapExceededError) as exc:
+        reduced_product(components, IndexFilter(family, family))
+    assert exc.value.count == 1001 + 1001**2
+    assert reduced_product(components, principal_filter(family, fs(1))).structure.size == 143
+
+
+def test_reduced_product_refuses_before_building_any_table(monkeypatch):
+    # 101 * 100 * 100 classes: ranking a function value or a constant, or
+    # building the structure, would be recorded
+    built = []
+    monkeypatch.setattr(products, "_trusted_structure", lambda *args: built.append(args))
+    monkeypatch.setattr(products, "_rank", lambda *args: built.append(args))
+
+    def component(m):
+        return Structure(FULL, m, {"R": {(0, 0)}}, {"F": {(x,): x for x in range(m)}}, {"c": 0})
+
+    components = {fs(0): component(101), fs(1): component(100), fs(0, 1): component(100)}
+    family = frozenset(components)
+    with pytest.raises(CapExceededError) as exc:
+        reduced_product(components, IndexFilter(family, family))
+    assert exc.value.count == 1_010_000 + 1 + 1_010_000
+    assert built == []
+
+
+def test_choice_functions_are_a_lazy_view_in_product_order():
+    components = {fs(0): digraph(2, []), fs(1): digraph(3, []), fs(0, 1): digraph(1, [])}
+    family = frozenset(components)
+    rp = reduced_product(components, upper_cone_filter(family))
+    view = rp.choice_functions
+    # index order: {0}, {1}, {0,1}
+    assert list(view) == list(itertools.product(range(2), range(3), range(1)))
+    assert len(view) == view.total == 6
+    big = products.ChoiceFunctions((6,) * 40)
+    assert big.total == 6**40
+    with pytest.raises(OverflowError):
+        len(big)
+    assert next(iter(big)) == (0,) * 40
 
 
 # --- coherent systems -----------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import reference
 from reference import canonical_key
 
 from subsat import corpus, structures
@@ -846,6 +847,28 @@ def test_find_isomorphism_on_fragments_checks_escapes():
     g = induced_fragment(s, {2})
     mapping = find_isomorphism(f_escapes, g)
     assert mapping == {0: 2}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_find_isomorphism_returns_the_full_recheck_mapping(data):
+    # checking only what each new pair changes prunes exactly where the
+    # whole-map re-check does, so both searches return the same mapping
+    sig = data.draw(st.sampled_from((BINARY, UNAR, KERNEL_SIGNATURES["mixed"])))
+    n = data.draw(st.integers(1, 4))
+    a = data.draw(random_structures(sig, n))
+    b = near_copy(data, a)
+    perm = data.draw(st.permutations(range(n)))
+    carrier = data.draw(st.sets(st.integers(0, n - 1)))
+    other = data.draw(st.sets(st.integers(0, n - 1), min_size=len(carrier), max_size=len(carrier)))
+    fragment = induced_fragment(a, carrier)
+    pairs = [
+        (a, b),
+        (fragment, induced_fragment(b, other)),
+        (fragment, induced_fragment(relabel(a, perm), {perm[x] for x in carrier})),
+    ]
+    for x, y in pairs:
+        assert find_isomorphism(x, y) == reference.find_isomorphism(x, y)
 
 
 # --- fragment_occurs --------------------------------------------------------
