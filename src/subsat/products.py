@@ -105,14 +105,6 @@ class IndexFilter:
         return self.kernel <= frozenset(member)
 
 
-def _kernel_filter(family: frozenset, kernel: frozenset) -> IndexFilter:
-    """The ``IndexFilter`` over a family and kernel that ``_index_sets``
-    has already normalised, built without normalising them again."""
-    filt = object.__new__(IndexFilter)
-    filt.__dict__.update(family=family, kernel=kernel)
-    return filt
-
-
 def powerset_ideal(universe: Iterable[int]) -> IndexIdeal:
     universe = frozenset(universe)
     return IndexIdeal(universe, frozenset(_powerset(universe)))
@@ -169,16 +161,15 @@ def upper_cone_filter(ideal_or_family) -> IndexFilter:
         raise ValueError(
             f"index family is not directed: its union {_set_label(top)} is not a member"
         )
-    return _kernel_filter(family, frozenset({top}))
+    return IndexFilter(family, {top})
 
 
 def principal_filter(family: Iterable[frozenset], at: frozenset) -> IndexFilter:
     """The principal ultrafilter {S : at in S} over the family."""
     family = _index_sets(family)
-    at = frozenset(at)
-    if at not in family:
+    if frozenset(at) not in family:
         raise ValueError("principal element must belong to the index family")
-    return _kernel_filter(family, _index_sets([at]))
+    return IndexFilter(family, {at})
 
 
 def extend_filter(filt: IndexFilter, extra) -> Optional[IndexFilter]:
@@ -187,7 +178,7 @@ def extend_filter(filt: IndexFilter, extra) -> Optional[IndexFilter]:
     if not extra <= filt.family:
         raise ValueError("extension set must be a subset of the index family")
     kernel = filt.kernel & extra
-    return _kernel_filter(filt.family, kernel) if kernel else None
+    return IndexFilter(filt.family, kernel) if kernel else None
 
 
 # --- reduced products --------------------------------------------------------
@@ -272,7 +263,7 @@ def reduced_product(
     if not comps:
         raise ValueError("empty index family")
     sig = comps[0].signature
-    if any(c.signature is not sig and c.signature != sig for c in comps):
+    if any(c.signature != sig for c in comps):
         raise ValueError("components must share one signature")
     if not all(c.size for c in comps):
         raise ValueError("components must be nonempty")
@@ -398,23 +389,23 @@ def coherence_check(system: CoherentSystem) -> list[str]:
     violations = []
     parent = system.parent
     for i in _family_order(system.index_family):
+        label = _set_label(i)
         comp = system.components[i]
         inj = system.injections[i]
         if set(inj) != set(i):
-            violations.append(f"i={_set_label(i)}: injection not defined exactly on i")
+            violations.append(f"i={label}: injection not defined exactly on i")
             continue
         values = list(inj.values())
         if len(set(values)) != len(values):
-            violations.append(f"i={_set_label(i)}: injection is not injective")
+            violations.append(f"i={label}: injection is not injective")
             continue
         if not all(0 <= v < comp.size for v in values):
-            violations.append(f"i={_set_label(i)}: injection leaves the component universe")
+            violations.append(f"i={label}: injection leaves the component universe")
             continue
         if not all(0 <= x < parent.size for x in i):
             raise ValueError(f"carrier {sorted(i)} not within universe of size {parent.size}")
         for kind, name, t in _map_mismatches(parent, comp, inj):
-            message = _COHERENCE_MESSAGES[kind, t is None].format(name, t)
-            violations.append(f"i={_set_label(i)}: {message}")
+            violations.append(f"i={label}: " + _COHERENCE_MESSAGES[kind, t is None].format(name, t))
     return violations
 
 
@@ -548,7 +539,7 @@ def filter_from_members(family: Iterable[frozenset], members) -> IndexFilter:
             "not closed under pairwise intersection"
             + ("" if kernel else ": the members meet in the empty set (not proper)")
         )
-    return _kernel_filter(family, kernel)
+    return IndexFilter(family, kernel)
 
 
 def parse_ideal_file(text: str) -> tuple[IndexIdeal, Optional[frozenset], list]:
