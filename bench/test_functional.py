@@ -22,11 +22,16 @@ Run with ``python -m pytest bench --benchmark-only``.
 - ``constant_reached_sweep_cold_tree``: the same sweep, each round on such
   a copy compiled off the clock, so it includes growing the decision tree
   of its diagram disjunction, as the first sweep of a translation does;
+- ``constant_reached_render``: rendering that translation's sentence,
+  whose diagram conjunctions share their literals and terms as objects,
+  each rendered once per call;
 - ``carriers_unar_n5``: ``generated_carrier`` on every seed of at most 2
   points of the 77 iso classes of one unary function up to 5 points, 5
   times over the same structure objects, each round on structures
-  enumerated afresh off the clock: the first pass computes the closures
-  and the other four read those it kept;
+  enumerated afresh off the clock: the first pass fills each structure's
+  carrier table, one-point seeds by the closure loop and two-point seeds
+  as the union of their points' entries, and the other four read the
+  table;
 - ``unar_n5_cold``: the 47 iso classes of one unary function on 5 points
   on the generic path (the orderly walk), each round with an empty memo;
 - ``all_fixed_l2_nu6_cold``: the corpus sentence ``forall x. F(x) = x``
@@ -96,6 +101,10 @@ def _sweep(sentence=None):
     return sum(logic.evaluate_fo(s, swept if sentence is None else sentence) for s in classes)
 
 
+def _render():
+    return len(logic.render_formula(_swept()[0]))
+
+
 def _cold_tree_sweep():
     sentence = _rebuilt(_translation().sentence)
     logic.compile_formula(sentence)
@@ -129,6 +138,7 @@ CASES = {
     "constant_reached_compile": (_compile, _fresh_translation, "disjuncts"),
     "constant_reached_sweep": (_sweep, None, "holds"),
     "constant_reached_sweep_cold_tree": (_sweep, _cold_tree_sweep, "holds"),
+    "constant_reached_render": (_render, None, "characters"),
     "carriers_unar_n5": (_carriers, _fresh_seeded_unar, "carrier_elements"),
     "unar_n5_cold": (_unar_n5, _clear_memos, "classes"),
     "all_fixed_l2_nu6_cold": (_all_fixed, _clear_memos, "disjuncts"),

@@ -278,28 +278,6 @@ def free_set_variables(f: Formula) -> set[str]:
     return set()
 
 
-def all_variable_names(f: Formula) -> set[str]:
-    """Every first-order variable occurring in ``f``, free or bound."""
-    names = set()
-    for g in subformulas(f):
-        if isinstance(g, (Forall, Exists)):
-            names.add(g.var)
-        elif isinstance(g, (Atom, Eq, SetAtom)):
-            for t in _terms_of(g):
-                names |= term_variables(t)
-    return names
-
-
-def set_variable_names(f: Formula) -> set[str]:
-    names = set()
-    for g in subformulas(f):
-        if isinstance(g, SetAtom):
-            names.add(g.set_var)
-        elif isinstance(g, ExistsSet):
-            names.add(g.set_var)
-    return names
-
-
 def constant_names(f: Formula) -> set[str]:
     names = set()
     for g in subformulas(f):
@@ -331,8 +309,9 @@ def is_existential_sentence(f: Formula) -> bool:
 
 
 def fresh_variables(f: Formula, count: int, prefix: str = "x") -> list[str]:
-    """Deterministic machine-generated variable names not occurring in ``f``."""
-    taken = all_variable_names(f)
+    """Deterministic machine-generated variable names not occurring in ``f``,
+    free or bound (read from ``formula_facts``)."""
+    taken = formula_facts(f).variables
     out = []
     i = 0
     while len(out) < count:
@@ -344,7 +323,7 @@ def fresh_variables(f: Formula, count: int, prefix: str = "x") -> list[str]:
 
 
 def fresh_set_variable(f: Formula, prefix: str = "X") -> str:
-    taken = set_variable_names(f)
+    taken = formula_facts(f).set_variables
     if prefix not in taken:
         return prefix
     i = 0
@@ -699,52 +678,89 @@ def parse_with_inference(text: str) -> tuple[Formula, Signature]:
 
 
 def render_term(t: Term) -> str:
-    if isinstance(t, (Var, Const)):
-        return t.name
-    return f"{t.name}(" + ",".join(render_term(a) for a in t.args) + ")"
-
-
-def _render_operand(f: Formula) -> str:
-    text = render_formula(f)
-    if isinstance(f, (Forall, Exists, ExistsSet)):
-        return f"({text})"
-    return text
+    return _renderers()[0](t)
 
 
 def render_formula(f: Formula) -> str:
-    """Canonical text of ``f``; parse(render(f)) is structurally equal to f."""
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Bottom):
-        return "false"
-    if isinstance(f, Atom):
-        return f"{f.name}(" + ",".join(render_term(a) for a in f.args) + ")"
-    if isinstance(f, SetAtom):
-        return f"{f.set_var}({render_term(f.arg)})"
-    if isinstance(f, Eq):
-        return f"{render_term(f.left)} = {render_term(f.right)}"
-    if isinstance(f, Not):
-        if isinstance(f.body, Eq):
-            return f"{render_term(f.body.left)} != {render_term(f.body.right)}"
-        body = render_formula(f.body)
-        if isinstance(f.body, (Atom, SetAtom, Top, Bottom, Not)):
-            return f"!{body}"
-        return f"!({body})"
-    if isinstance(f, And):
-        return "(" + " & ".join(_render_operand(p) for p in f.parts) + ")"
-    if isinstance(f, Or):
-        return "(" + " | ".join(_render_operand(p) for p in f.parts) + ")"
-    if isinstance(f, Implies):
-        return f"({_render_operand(f.left)} -> {_render_operand(f.right)})"
-    if isinstance(f, Iff):
-        return f"({_render_operand(f.left)} <-> {_render_operand(f.right)})"
-    if isinstance(f, Forall):
-        return f"forall {f.var}. {render_formula(f.body)}"
-    if isinstance(f, Exists):
-        return f"exists {f.var}. {render_formula(f.body)}"
-    if isinstance(f, ExistsSet):
-        return f"existsSet {f.set_var}. {render_formula(f.body)}"
-    raise TypeError(f"not a formula: {f!r}")
+    """Canonical text of ``f``; parse(render(f)) is structurally equal to f.
+
+    A call renders each node object once, however many parents share it
+    (the translations intern their terms, literals and conjunctions): its
+    text is kept by id for the rest of the call, and each parent decides
+    whether to parenthesise it."""
+    return _renderers()[1](f)
+
+
+def _renderers():
+    """(term, formula) renderers over dicts from node ids to texts, for one
+    call: every node is reachable from the call's argument, so no id in
+    them is reused while they live.  ``operands`` holds a node's text as a
+    connective's operand, parenthesised if it is a quantifier."""
+    texts: dict = {}
+    operands: dict = {}
+
+    def term(t: Term) -> str:
+        if isinstance(t, (Var, Const)):
+            return t.name
+        text = texts.get(id(t))
+        if text is None:
+            text = texts[id(t)] = f"{t.name}(" + ",".join(map(term, t.args)) + ")"
+        return text
+
+    def operand(f: Formula) -> str:
+        text = operands.get(id(f))
+        if text is None:
+            text = formula(f)
+            if isinstance(f, (Forall, Exists, ExistsSet)):
+                text = f"({text})"
+            operands[id(f)] = text
+        return text
+
+    def joined(parts: tuple, sep: str) -> str:
+        get = operands.get
+        return "(" + sep.join([get(id(p)) or operand(p) for p in parts]) + ")"
+
+    def formula(f: Formula) -> str:
+        text = texts.get(id(f))
+        if text is not None:
+            return text
+        if isinstance(f, Top):
+            text = "true"
+        elif isinstance(f, Bottom):
+            text = "false"
+        elif isinstance(f, Atom):
+            text = f"{f.name}(" + ",".join(map(term, f.args)) + ")"
+        elif isinstance(f, SetAtom):
+            text = f"{f.set_var}({term(f.arg)})"
+        elif isinstance(f, Eq):
+            text = f"{term(f.left)} = {term(f.right)}"
+        elif isinstance(f, Not):
+            if isinstance(f.body, Eq):
+                text = f"{term(f.body.left)} != {term(f.body.right)}"
+            elif isinstance(f.body, (Atom, SetAtom, Top, Bottom, Not)):
+                text = f"!{formula(f.body)}"
+            else:
+                text = f"!({formula(f.body)})"
+        elif isinstance(f, And):
+            text = joined(f.parts, " & ")
+        elif isinstance(f, Or):
+            text = joined(f.parts, " | ")
+        elif isinstance(f, Implies):
+            text = f"({operand(f.left)} -> {operand(f.right)})"
+        elif isinstance(f, Iff):
+            text = f"({operand(f.left)} <-> {operand(f.right)})"
+        elif isinstance(f, Forall):
+            text = f"forall {f.var}. {formula(f.body)}"
+        elif isinstance(f, Exists):
+            text = f"exists {f.var}. {formula(f.body)}"
+        elif isinstance(f, ExistsSet):
+            text = f"existsSet {f.set_var}. {formula(f.body)}"
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        texts[id(f)] = text
+        return text
+
+    return term, formula
 
 
 # --- evaluation -------------------------------------------------------------
@@ -796,14 +812,15 @@ _UNSET = object()
 class CompiledFormula:
     """A formula checked once and compiled for repeated evaluation.
 
-    ``first_order``, ``is_sentence``, ``has_set_quantifier``, ``eso_error``
-    and ``atoms`` (the set of (predicate, arity) pairs its atoms read, or
-    None when a term is a constant or a function application) are recorded
-    by the first walk of the formula, in whichever mode it was first asked
-    for; both modes record the same facts.  The closures of a mode are
-    built by that walk or, for the other mode, on their first use, from a
-    weak reference to the formula: the compiled form does not keep it
-    alive.
+    ``first_order``, ``is_sentence``, ``has_set_quantifier``, ``eso_error``,
+    ``atoms`` (the set of (predicate, arity) pairs its atoms read, or None
+    when a term is a constant or a function application), and
+    ``variables`` and ``set_variables`` (the names of every first-order and
+    set variable in it, free or bound) are recorded by the first walk of
+    the formula, in whichever mode it was first asked for; both modes
+    record the same facts.  The closures of a mode are built by that walk
+    or, for the other mode, on their first use, from a weak reference to
+    the formula: the compiled form does not keep it alive.
 
     ``holds(tables, domain)`` evaluates it with quantifiers ranging over
     ``domain``, reading the tables of the :class:`Structure` ``tables`` as
@@ -824,6 +841,8 @@ class CompiledFormula:
         "has_set_quantifier",
         "eso_error",
         "atoms",
+        "variables",
+        "set_variables",
         "_formula",
         "_run",
         "_eso_body",
@@ -959,6 +978,8 @@ def _walked(f: Formula, builder: "_Builder") -> CompiledFormula:
     else:
         compiled.eso_error = None
     compiled.atoms = frozenset(builder.atoms) if builder.variable_terms else None
+    compiled.variables = frozenset(builder.quantified.union(builder.free))
+    compiled.set_variables = frozenset(builder.quantified_sets.union(builder.free_sets))
     compiled._free = tuple(builder.free.items()) + tuple(builder.free_sets.items())
     frame = [None] * (builder.slots - _FIRST_SLOT)
     for _, slot in compiled._free:
@@ -976,6 +997,7 @@ def _build(builder: "_Builder", f: Formula):
     matrix = f
     while isinstance(matrix, ExistsSet):
         set_scope[matrix.set_var] = builder.new_slot()
+        builder.quantified_sets.add(matrix.set_var)
         matrix = matrix.body
     body = builder.formula(matrix, {}, set_scope)
     if not set_scope:
@@ -1133,8 +1155,9 @@ class _Builder:
     A builder makes one walk, in one mode; it visits every node once, set
     quantifiers' bodies too, and records the facts ``CompiledFormula``
     keeps, the same in either mode: the free variables and set variables,
-    whether a set atom or quantifier occurs and whether one occurs outside
-    the prefix, the atoms' symbols and whether every term is a variable.
+    the names its quantifiers bind, whether a set atom or quantifier
+    occurs and whether one occurs outside the prefix, the atoms' symbols
+    and whether every term is a variable.
     """
 
     def __init__(self, sliced: bool = False):
@@ -1142,6 +1165,8 @@ class _Builder:
         self.slots = _FIRST_SLOT
         self.free: dict[str, int] = {}
         self.free_sets: dict[str, int] = {}
+        self.quantified: set[str] = set()  # variables quantifiers bind
+        self.quantified_sets: set[str] = set()
         self.shared: dict = {}
         self.atoms: set[tuple[str, int]] = set()
         self.variable_terms = True
@@ -1285,6 +1310,7 @@ class _Builder:
             right = self.formula(f.right, scope, set_scope)
             return lambda fr: fr[_ALL] ^ left(fr) ^ right(fr)
         if isinstance(f, (Forall, Exists)):
+            self.quantified.add(f.var)
             slot = self.new_slot()
             body = self.formula(f.body, {**scope, f.var: slot}, set_scope)
             if isinstance(f, Exists):
@@ -1313,6 +1339,7 @@ class _Builder:
         if isinstance(f, ExistsSet):
             # walked for the facts only: it fails when reached
             self.second_order = self.nested_set_quantifier = True
+            self.quantified_sets.add(f.set_var)
             self.formula(f.body, scope, {**set_scope, f.set_var: self.new_slot()})
             return _second_order
         raise TypeError(f"not a formula: {f!r}")
@@ -1559,9 +1586,10 @@ def relativize_to_set_variable(f: Formula, set_var: str) -> Formula:
     exists y. b  becomes  exists y. (X(y) & b');
     forall y. b  becomes  forall y. (X(y) -> b').
     """
-    if not is_first_order(f):
+    facts = formula_facts(f)
+    if not facts.first_order:
         raise ValueError("relativization applies to first-order formulas")
-    if set_var in set_variable_names(f):
+    if set_var in facts.set_variables:
         raise ValueError(f"set variable {set_var} already occurs in the formula")
 
     def bound(g: Formula) -> Formula:
@@ -1603,17 +1631,13 @@ def relativize_to_variables(f: Formula, variables: list[str]) -> Formula:
     variables = list(variables)
     if not variables:
         raise ValueError("need at least one relativization variable")
-    if not is_first_order(f):
+    facts = formula_facts(f)
+    if not facts.first_order:
         raise ValueError("relativization applies to first-order formulas")
-    for t in _terms_of(f):
-        for u in _walk_term(t):
-            if isinstance(u, (Const, Func)):
-                raise ValueError(
-                    "functional signature: use the diagram-based translation instead"
-                )
-    taken = all_variable_names(f)
+    if facts.atoms is None:  # a term is a constant or a function application
+        raise ValueError("functional signature: use the diagram-based translation instead")
     for v in variables:
-        if v in taken:
+        if v in facts.variables:
             raise ValueError(f"relativization variable {v} occurs in the formula")
     if len(set(variables)) != len(variables):
         raise ValueError("relativization variables must be distinct")

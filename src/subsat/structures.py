@@ -162,10 +162,10 @@ class Structure:
 
     Construction is permissive; use ``validate_structure`` to obtain the
     list of invariant violations.  A structure's tables must not change once
-    it has been queried: ``generated_carrier`` keeps closures on the object
-    and would go on returning them.  To change a table, build a new
-    structure, for instance with ``dataclasses.replace``, which keeps
-    nothing of the old one's closures.
+    it has been queried: ``generated_carrier`` keeps each seed's carrier in
+    one table on the object and would go on returning them.  To change a
+    table, build a new structure, for instance with ``dataclasses.replace``,
+    which keeps nothing of the old one's carriers.
     """
 
     signature: Signature
@@ -437,36 +437,48 @@ def induced_substructure(s: Structure, carrier: Iterable[int]) -> Structure:
 def generated_carrier(s: Structure, seed: Iterable[int]) -> frozenset:
     """Least superset of seed (plus all constants) closed under all functions.
 
-    When every function is unary, a set generates the union of what its
-    points generate.  On such a signature the carrier is therefore the
-    union of the constants' closure and each seed point's closure, each
-    computed on its first need and then kept on the structure object (whose
-    tables must not change afterwards).  Other signatures run the closure
-    loop on every call."""
-    points = set(map(int, seed))
-    # each point's closure and, at None, the constants', None until needed
-    closures = getattr(s, "_closures", None)
-    if closures is None:
-        if any(a != 1 for _, a in s.signature.functions):
-            return _closure(s, _seed_elements(s, points.union(s.constants.values())))
-        closures = dict.fromkeys([*range(s.size), None])
-        object.__setattr__(s, "_closures", closures)
-    if not points <= closures.keys():
-        raise ValueError("seed element out of range")
-    carrier = closures[None]  # the constants' closure
-    if carrier is None:
-        constants = set(s.constants.values())
-        if constants:
-            _seed_elements(s, constants)  # refused if they leave the universe
-        carrier = closures[None] = _closure(s, constants)
-    if not (points or carrier):
-        _seed_elements(s, points)  # refused as an empty seed
-    for p in points:
-        closure = closures[p]
-        if closure is None:
-            closure = closures[p] = _closure(s, {p})
-        carrier = carrier | closure if carrier else closure
-    return carrier
+    Read from the structure's carrier table (``_carrier_entry``), which
+    keeps every seed's carrier on the structure object, so the structure's
+    tables must not change once it has been queried."""
+    table = s.__dict__.get("_carriers")
+    if table is not None and seed.__class__ is tuple:
+        entry = table.get(seed)  # hit only by a seed equal to its normal form
+        if entry is not None:
+            return entry[0]
+    return _carrier_entry(s, tuple(sorted(set(map(int, seed)))))[0]
+
+
+def _carrier_table(s: Structure) -> dict:
+    """The table of ``s`` from seeds, ascending tuples of distinct elements,
+    to their carriers with the carriers' elements ascending, created empty
+    on first use."""
+    table = s.__dict__.get("_carriers")
+    if table is None:
+        table = {}
+        object.__setattr__(s, "_carriers", table)
+    return table
+
+
+def _carrier_entry(s: Structure, seed: tuple) -> tuple[frozenset, tuple]:
+    """(carrier, its elements ascending) of ``seed``, an ascending tuple of
+    distinct elements, with the constants: kept in ``_carrier_table`` on
+    first request.  When every function is unary, a set generates the
+    union of what its points generate, so a seed of several points is the
+    union of its points' entries; any other seed runs the closure loop.  A
+    refused seed raises ValueError and stores nothing."""
+    table = _carrier_table(s)
+    entry = table.get(seed)
+    if entry is not None:
+        return entry
+    if len(seed) > 1 and all(a == 1 for _, a in s.signature.functions):
+        if seed[0] < 0 or seed[-1] >= s.size:  # refused before any point's entry is kept
+            raise ValueError("seed element out of range")
+        carrier = frozenset.union(*[(table.get((p,)) or _carrier_entry(s, (p,)))[0]
+                                    for p in seed])
+    else:
+        carrier = _closure(s, _seed_elements(s, {*seed, *s.constants.values()}))
+    entry = table[seed] = (carrier, tuple(sorted(carrier)))
+    return entry
 
 
 def _seed_elements(s: Structure, elements: set) -> set:
@@ -1245,20 +1257,38 @@ def check_isomorphism(
     return not any(_map_mismatches(a, b, mapping))
 
 
-def _element_profile(x: Union[Structure, Fragment], e: int) -> tuple:
-    parts = []
-    for name, arity in x.signature.predicates:
-        rel = x.predicates[name]
-        for pos in range(arity):
-            parts.append(sum(1 for t in rel if t[pos] == e))
-    for name, arity in x.signature.functions:
-        table = x.functions[name]
-        parts.append(sum(1 for v in table.values() if v == e))
-        parts.append(sum(1 for t, v in table.items() if e in t and v is ESCAPES))
-        parts.append(1 if table.get((e,) * arity, None) == e else 0)
-    for name in x.signature.constants:
-        parts.append(1 if x.constants.get(name, ESCAPES) == e else 0)
-    return tuple(parts)
+def _element_profiles(x: Union[Structure, Fragment]) -> dict:
+    """Each element's profile, an isomorphism invariant, from one walk of
+    each table: per predicate position, the tuples holding the element
+    there; per function, the entries of value the element, the escaping
+    entries through it, and whether it is a fixed point; per constant,
+    whether it names the element."""
+    sig = x.signature
+    width = sum(a for _, a in sig.predicates) + 3 * len(sig.functions) + len(sig.constants)
+    parts = {e: [0] * width for e in _carrier(x)}
+    i = 0
+    for name, arity in sig.predicates:
+        for t in x.predicates[name]:
+            for pos, e in enumerate(t):
+                if e in parts:
+                    parts[e][i + pos] += 1
+        i += arity
+    for name, _ in sig.functions:
+        for t, v in x.functions[name].items():
+            if v is ESCAPES:
+                for e in set(t).intersection(parts):
+                    parts[e][i + 1] += 1
+            elif v in parts:
+                parts[v][i] += 1
+                if t.count(v) == len(t):
+                    parts[v][i + 2] = 1
+        i += 3
+    for name in sig.constants:
+        v = x.constants.get(name, ESCAPES)
+        if v in parts:
+            parts[v][i] = 1
+        i += 1
+    return {e: tuple(p) for e, p in parts.items()}
 
 
 def find_isomorphism(
@@ -1277,8 +1307,7 @@ def find_isomorphism(
     car_a, car_b = _carrier(a), _carrier(b)
     if len(car_a) != len(car_b):
         return None
-    prof_a = {x: _element_profile(a, x) for x in car_a}
-    prof_b = {y: _element_profile(b, y) for y in car_b}
+    prof_a, prof_b = _element_profiles(a), _element_profiles(b)
     if sorted(prof_a.values()) != sorted(prof_b.values()):
         return None
     domain = sorted(car_a)

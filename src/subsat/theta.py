@@ -61,6 +61,8 @@ from .structures import (
     Signature,
     Structure,
     _PRINTABLE_BITS,
+    _carrier_entry,
+    _carrier_table,
     _column_bits,
     _generic_iso_indices,
     _structure_columns,
@@ -68,7 +70,6 @@ from .structures import (
     check_labelled_cap,
     check_power_cap,
     enumerate_submodels,
-    generated_carrier,
     power_exceeds,
 )
 
@@ -154,17 +155,21 @@ def theta_bounded_semantic(s: Structure, phi: Formula, bound: int) -> ThetaRepor
             raise CapExceededError(seeds, DEFAULT_ENUMERATION_CAP, "seeds")
     seen = set()
     inspected = 0
-    # without functions a seed generates itself plus the constants
-    closure = s.signature.functions
+    # without functions a seed generates itself plus the constants; with
+    # them, the structure's carrier table holds each seed's carrier, sorted
+    table = _carrier_table(s) if s.signature.functions else None
     constants = frozenset(s.constants.values())
     for k in range(start, min(bound, s.size) + 1):
         for seed in itertools.combinations(range(s.size), k):
-            carrier = generated_carrier(s, seed) if closure else constants.union(seed)
+            if table is None:
+                carrier, domain = constants.union(seed), None
+            else:
+                carrier, domain = table.get(seed) or _carrier_entry(s, seed)
             if carrier in seen:
                 continue
             seen.add(carrier)
             inspected += 1
-            if compiled.holds(s, sorted(carrier)):
+            if compiled.holds(s, domain or sorted(carrier)):
                 return ThetaReport(True, carrier, inspected)
     return ThetaReport(False, None, inspected)
 
@@ -434,6 +439,12 @@ class _MarkedClasses:
     so a translation builds only the diagrams of the classes its sentence
     holds in that no translation before it needed.  Terms and literals are
     interned across the diagrams, so one shared by several is one object.
+
+    ``sentences``, read only on size 1's, maps the ids of the diagram
+    conjunctions a translation over these names picks to the sentence over
+    them.  A sentence keeps its conjunctions alive, so no id in a key is
+    reused while the entry exists, and clearing ``_generated_classes``
+    releases every sentence with the conjunctions it was built over.
     """
 
     def __init__(self, sig: Signature, size: int, names: tuple[str, ...], classes: tuple):
@@ -443,6 +454,7 @@ class _MarkedClasses:
         self._conjunctions: list = [None] * len(classes)
         self._markers = [Var(v) for v in names]  # kept: ``_nodes`` keys hold their ids
         self._nodes: dict = {}
+        self.sentences: dict[tuple, Formula] = {}
 
     def conjunctions(self, i: int) -> tuple:
         if self._conjunctions[i] is None:
@@ -452,12 +464,6 @@ class _MarkedClasses:
                 for generators in self._tuples[i]
             )
         return self._conjunctions[i]
-
-
-# (variable names, *ids of the diagram conjunctions) -> the translation's
-# sentence over them.  An entry's sentence keeps its conjunctions alive, so
-# no id in a key is reused while the entry exists.
-_SENTENCES: dict[tuple, Formula] = {}
 
 
 def theta_bounded_to_existential_functional(
@@ -495,13 +501,14 @@ def theta_bounded_to_existential_functional(
         for i, s in enumerate(marked.structures):
             if evaluate_fo(s, phi):
                 disjuncts.extend(marked.conjunctions(i))
-    key = (variables, *map(id, disjuncts))
-    sentence = _SENTENCES.get(key)
+    sentences = _generated_classes(sig, bound, 1, variables).sentences
+    key = tuple(map(id, disjuncts))
+    sentence = sentences.get(key)
     if sentence is None:
         sentence = make_or(disjuncts)
         for v in reversed(variables):
             sentence = Exists(v, sentence)
-        _SENTENCES[key] = sentence
+        sentences[key] = sentence
     return FunctionalTranslation(sentence, bound, size_cap, len(disjuncts))
 
 

@@ -9,15 +9,39 @@ member of each key.
 ``find_isomorphism`` is the isomorphism search that re-checks the whole
 partial map at every step; the search in ``subsat.structures`` checks
 only what each new pair can change and must return the same mapping.
+Its pruning invariant is ``element_profile``, one walk of every table per
+element; ``structures._element_profiles`` reads every element's from one
+walk of each table and must give the same profiles.
+
+``render_formula`` renders the formula as a tree, every occurrence of a
+shared node again; ``subsat.logic.render_formula`` renders each node
+object once per call and must give the same text.
 """
 
 import functools
 import itertools
 
+from subsat.logic import (
+    And,
+    Atom,
+    Bottom,
+    Const,
+    Eq,
+    Exists,
+    ExistsSet,
+    Forall,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    SetAtom,
+    Top,
+    Var,
+)
 from subsat.structures import (
+    ESCAPES,
     Structure,
     _carrier,
-    _element_profile,
     _map_mismatches,
     _relabel_table,
     _tuple_space,
@@ -148,8 +172,8 @@ def find_isomorphism(a, b):
     car_a, car_b = _carrier(a), _carrier(b)
     if len(car_a) != len(car_b):
         return None
-    prof_a = {x: _element_profile(a, x) for x in car_a}
-    prof_b = {y: _element_profile(b, y) for y in car_b}
+    prof_a = {x: element_profile(a, x) for x in car_a}
+    prof_b = {y: element_profile(b, y) for y in car_b}
     if sorted(prof_a.values()) != sorted(prof_b.values()):
         return None
     domain = sorted(car_a)
@@ -175,3 +199,71 @@ def find_isomorphism(a, b):
     if backtrack(0):
         return dict(mapping)
     return None
+
+
+def element_profile(x, e: int) -> tuple:
+    """Per predicate position, the tuples holding ``e`` there; per function,
+    the entries of value ``e``, the entries through ``e`` that escape, and
+    whether ``e`` is a fixed point; per constant, whether it names ``e``."""
+    parts = []
+    for name, arity in x.signature.predicates:
+        rel = x.predicates[name]
+        for pos in range(arity):
+            parts.append(sum(1 for t in rel if t[pos] == e))
+    for name, arity in x.signature.functions:
+        table = x.functions[name]
+        parts.append(sum(1 for v in table.values() if v == e))
+        parts.append(sum(1 for t, v in table.items() if e in t and v is ESCAPES))
+        parts.append(1 if table.get((e,) * arity, None) == e else 0)
+    for name in x.signature.constants:
+        parts.append(1 if x.constants.get(name, ESCAPES) == e else 0)
+    return tuple(parts)
+
+
+def render_term(t) -> str:
+    if isinstance(t, (Var, Const)):
+        return t.name
+    return f"{t.name}(" + ",".join(render_term(a) for a in t.args) + ")"
+
+
+def _render_operand(f) -> str:
+    text = render_formula(f)
+    if isinstance(f, (Forall, Exists, ExistsSet)):
+        return f"({text})"
+    return text
+
+
+def render_formula(f) -> str:
+    """The text of ``f`` rendered as a tree."""
+    if isinstance(f, Top):
+        return "true"
+    if isinstance(f, Bottom):
+        return "false"
+    if isinstance(f, Atom):
+        return f"{f.name}(" + ",".join(render_term(a) for a in f.args) + ")"
+    if isinstance(f, SetAtom):
+        return f"{f.set_var}({render_term(f.arg)})"
+    if isinstance(f, Eq):
+        return f"{render_term(f.left)} = {render_term(f.right)}"
+    if isinstance(f, Not):
+        if isinstance(f.body, Eq):
+            return f"{render_term(f.body.left)} != {render_term(f.body.right)}"
+        body = render_formula(f.body)
+        if isinstance(f.body, (Atom, SetAtom, Top, Bottom, Not)):
+            return f"!{body}"
+        return f"!({body})"
+    if isinstance(f, And):
+        return "(" + " & ".join(_render_operand(p) for p in f.parts) + ")"
+    if isinstance(f, Or):
+        return "(" + " | ".join(_render_operand(p) for p in f.parts) + ")"
+    if isinstance(f, Implies):
+        return f"({_render_operand(f.left)} -> {_render_operand(f.right)})"
+    if isinstance(f, Iff):
+        return f"({_render_operand(f.left)} <-> {_render_operand(f.right)})"
+    if isinstance(f, Forall):
+        return f"forall {f.var}. {render_formula(f.body)}"
+    if isinstance(f, Exists):
+        return f"exists {f.var}. {render_formula(f.body)}"
+    if isinstance(f, ExistsSet):
+        return f"existsSet {f.set_var}. {render_formula(f.body)}"
+    raise TypeError(f"not a formula: {f!r}")

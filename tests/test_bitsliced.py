@@ -303,7 +303,7 @@ FUNCTION_TERMS = (Const("c"), Func("F", (Var("x"),)), Func("F", (Const("c"),)))
 
 def facts(compiled):
     return (compiled.first_order, compiled.is_sentence, compiled.has_set_quantifier,
-            compiled.eso_error, compiled.atoms)
+            compiled.eso_error, compiled.atoms, compiled.variables, compiled.set_variables)
 
 
 def tarski(s, f, env):

@@ -7,6 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import reference
 
 from subsat import logic
 from subsat.logic import (
@@ -260,6 +261,50 @@ def test_parse_render_roundtrip_property(f):
     assert parse_formula(render_formula(f), BINARY) == f
 
 
+# one node object under several parents: the renderer renders it once per
+# call, and the text is that of the tree
+
+FORALL_BODY = Exists("x", Atom("R", (Var("x"), Var("y"))))
+
+
+@st.composite
+def shared_formulas(draw):
+    """Formulas built from a pool whose nodes later nodes pick again, so
+    that one object is an operand, a negated body and a quantifier body."""
+    pool = draw(st.lists(st.recursive(fact_atoms, fact_extend, max_leaves=4),
+                         min_size=1, max_size=3))
+    for _ in range(draw(st.integers(1, 6))):
+        pick = st.sampled_from(pool)
+        names = st.sampled_from(["x", "y", "z"])
+        pool.append(draw(st.one_of(
+            st.builds(Not, pick),
+            st.builds(And, st.lists(pick, min_size=1, max_size=3)),
+            st.builds(Or, st.lists(pick, min_size=1, max_size=3)),
+            st.builds(Implies, pick, pick),
+            st.builds(Iff, pick, pick),
+            st.builds(Forall, names, pick),
+            st.builds(Exists, names, pick),
+            st.builds(ExistsSet, st.sampled_from(["X", "Y"]), pick),
+        )))
+    return pool[-1]
+
+
+def test_render_shared_node_is_parenthesised_by_each_parent():
+    eq = Eq(Func("F", (Var("y"),)), Var("y"))
+    f = Forall("y", And((FORALL_BODY, Forall("z", FORALL_BODY), Not(FORALL_BODY),
+                         Not(eq), eq, Implies(FORALL_BODY, Not(Not(eq))))))
+    assert render_formula(f) == reference.render_formula(f) == (
+        "forall y. ((exists x. R(x,y)) & (forall z. exists x. R(x,y)) & !(exists x. R(x,y))"
+        " & F(y) != y & F(y) = y & ((exists x. R(x,y)) -> !F(y) != y))"
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_formulas())
+def test_render_matches_the_tree_renderer(f):
+    assert render_formula(f) == reference.render_formula(f)
+
+
 # --- evaluation -------------------------------------------------------------
 
 
@@ -399,9 +444,24 @@ def test_compile_formula_classifies_once():
         evaluate_eso(digraph(1, []), parse_formula("existsSet X. X(x)", BINARY))
 
 
+def _variable_names(f):
+    """Every first-order and every set variable occurring in ``f``, free or
+    bound, from walks of the AST."""
+    names, set_names = set(), set()
+    for g in subformulas(f):
+        if isinstance(g, (Forall, Exists)):
+            names.add(g.var)
+        elif isinstance(g, (ExistsSet, SetAtom)):
+            set_names.add(g.set_var)
+    for t in logic._terms_of(f):
+        names |= logic.term_variables(t)
+    return names, set_names
+
+
 def _old_facts(f):
     """What ``compile_formula`` recorded from four walks before its facts
-    came from the builder's one."""
+    came from the builder's one, and the variable names that
+    ``fresh_variables`` and the relativizations read."""
     body = f
     while isinstance(body, ExistsSet):
         body = body.body
@@ -412,12 +472,13 @@ def _old_facts(f):
     else:
         eso_error = None
     set_quantifier = any(isinstance(g, ExistsSet) for g in subformulas(f))
-    return is_first_order(f), is_sentence(f), set_quantifier, eso_error
+    return is_first_order(f), is_sentence(f), set_quantifier, eso_error, *_variable_names(f)
 
 
 def _facts(f):
     c = compile_formula(f)
-    return c.first_order, c.is_sentence, c.has_set_quantifier, c.eso_error
+    return (c.first_order, c.is_sentence, c.has_set_quantifier, c.eso_error,
+            c.variables, c.set_variables)
 
 
 def test_compile_facts_match_the_walks_on_the_corpus():

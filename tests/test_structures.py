@@ -225,7 +225,7 @@ def test_generated_carrier_matches_the_fixpoint_with_a_binary_function(data):
     _same_carriers(data.draw(random_structures(BINARY_FUNCTION_CONST, data.draw(st.integers(3, 5)))))
 
 
-# all-unary signatures keep each point's closure and the constants' on the structure
+# all-unary signatures build a seed of several points from its points' entries
 UNARY_SIGNATURES = (
     UNAR,
     corpus.UNAR_CONST,
@@ -260,6 +260,42 @@ def test_kept_closures_match_the_fixpoint(data):
         assert _carrier_outcome(generated_carrier, s, form(seed)) == expected, (s, seed)
 
 
+def _table(s):
+    return dict(vars(s).get("_carriers", {}))
+
+
+# one unary function, with and without a constant, and binary functions,
+# where every new seed runs the closure loop
+TABLE_SIGNATURES = (
+    UNAR,
+    corpus.UNAR_CONST,
+    BINARY_FUNCTION_CONST,
+    Signature(predicates=(("P", 1),), functions=(("G", 2), ("F", 1))),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_the_carrier_table_matches_the_fixpoint(data):
+    sig = data.draw(st.sampled_from(TABLE_SIGNATURES))
+    s = data.draw(random_structures(sig, data.draw(st.integers(1, 5))))
+    seeds = st.lists(st.integers(-1, s.size), max_size=3)
+    for seed, form in data.draw(st.lists(st.tuples(seeds, st.sampled_from(SEED_FORMS)),
+                                         min_size=5, max_size=25)):
+        expected = _carrier_outcome(_fixpoint_carrier, s, seed)
+        before = _table(s)
+        assert _carrier_outcome(generated_carrier, s, form(seed)) == expected, (s, seed)
+        after = _table(s)
+        if isinstance(expected, str):
+            assert after == before  # a refused seed leaves no entry
+        else:
+            assert after[tuple(sorted(set(seed)))][0] == expected
+        # each entry is its seed's carrier with the carrier's elements ascending
+        for key, (carrier, domain) in after.items():
+            assert key == tuple(sorted(set(key)))
+            assert carrier == _fixpoint_carrier(s, key) and domain == tuple(sorted(carrier))
+
+
 @pytest.mark.parametrize("sig", UNARY_SIGNATURES)
 def test_kept_closures_refuse_seeds_alike_cold_and_warm(sig):
     # where there are constants, they leave the universe: every seed is refused
@@ -273,6 +309,8 @@ def test_kept_closures_refuse_seeds_alike_cold_and_warm(sig):
             expected = _carrier_outcome(_fixpoint_carrier, s, seed)
             cold = Structure(s.signature, s.size, s.predicates, s.functions, s.constants)
             assert _carrier_outcome(generated_carrier, cold, seed) == expected
+            if isinstance(expected, str):
+                assert _table(cold) == {}
             for point in range(s.size):  # warm every kept closure
                 _carrier_outcome(generated_carrier, cold, (point,))
             assert _carrier_outcome(generated_carrier, cold, seed) == expected
@@ -291,10 +329,10 @@ def test_an_unqueried_structure_keeps_only_its_fields():
     generated_carrier(built, (0,))
     generated_carrier(enumerated[0], ())
     generated_carrier(binary, (1,))
-    # a query keeps closures on the structure it asked and on no other, and
-    # leaves equality and hashing as they were
+    # a query keeps a carrier table on the structure it asked and on no
+    # other, on every signature, and leaves equality and hashing as they were
     assert set(vars(enumerated[1])) == fields
-    assert set(vars(binary)) == fields
+    assert set(vars(binary)) == fields | {"_carriers"}
     copy = unar(3, {0: 1, 1: 2, 2: 2})
     assert built == copy and hash(built) == hash(copy)
 
@@ -869,6 +907,23 @@ def test_find_isomorphism_returns_the_full_recheck_mapping(data):
     ]
     for x, y in pairs:
         assert find_isomorphism(x, y) == reference.find_isomorphism(x, y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_element_profiles_match_the_walk_per_element(data):
+    # one walk of each table gives every element the profile that one walk
+    # of every table per element gives, on structures and on fragments,
+    # whose escaping entries and constants count too
+    sig = data.draw(st.sampled_from(
+        (BINARY, *KERNEL_SIGNATURES.values(), BINARY_FUNCTION_CONST)))
+    n = data.draw(st.integers(1, 4))
+    s = data.draw(random_structures(sig, n))
+    fragment = induced_fragment(s, data.draw(st.sets(st.integers(0, n - 1))))
+    for x in (s, fragment):
+        assert structures._element_profiles(x) == {
+            e: reference.element_profile(x, e) for e in structures._carrier(x)
+        }
 
 
 # --- fragment_occurs --------------------------------------------------------
