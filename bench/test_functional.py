@@ -29,9 +29,9 @@ Run with ``python -m pytest bench --benchmark-only``.
   points of the 77 iso classes of one unary function up to 5 points, 5
   times over the same structure objects, each round on structures
   enumerated afresh off the clock: the first pass fills each structure's
-  carrier table, one-point seeds by the closure loop and two-point seeds
-  as the union of their points' entries, and the other four read the
-  table;
+  carrier table with its one-point seeds by the closure loop, and every
+  two-point seed, which the table does not keep, is the union of its
+  points' entries;
 - ``unar_n5_cold``: the 47 iso classes of one unary function on 5 points
   on the generic path (the orderly walk), each round with an empty memo;
 - ``all_fixed_l2_nu6_cold``: the corpus sentence ``forall x. F(x) = x``

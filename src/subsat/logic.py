@@ -692,12 +692,10 @@ def render_formula(f: Formula) -> str:
 
 
 def _renderers():
-    """(term, formula) renderers over dicts from node ids to texts, for one
-    call: every node is reachable from the call's argument, so no id in
-    them is reused while they live.  ``operands`` holds a node's text as a
-    connective's operand, parenthesised if it is a quantifier."""
+    """(term, formula) renderers over one dict from node ids to texts, for
+    one call: every node is reachable from the call's argument, so no id in
+    it is reused while it lives."""
     texts: dict = {}
-    operands: dict = {}
 
     def term(t: Term) -> str:
         if isinstance(t, (Var, Const)):
@@ -708,17 +706,9 @@ def _renderers():
         return text
 
     def operand(f: Formula) -> str:
-        text = operands.get(id(f))
-        if text is None:
-            text = formula(f)
-            if isinstance(f, (Forall, Exists, ExistsSet)):
-                text = f"({text})"
-            operands[id(f)] = text
-        return text
-
-    def joined(parts: tuple, sep: str) -> str:
-        get = operands.get
-        return "(" + sep.join([get(id(p)) or operand(p) for p in parts]) + ")"
+        """``f``'s text as a connective's operand: a quantifier is parenthesised."""
+        text = formula(f)
+        return f"({text})" if isinstance(f, (Forall, Exists, ExistsSet)) else text
 
     def formula(f: Formula) -> str:
         text = texts.get(id(f))
@@ -742,9 +732,9 @@ def _renderers():
             else:
                 text = f"!({formula(f.body)})"
         elif isinstance(f, And):
-            text = joined(f.parts, " & ")
+            text = "(" + " & ".join(map(operand, f.parts)) + ")"
         elif isinstance(f, Or):
-            text = joined(f.parts, " | ")
+            text = "(" + " | ".join(map(operand, f.parts)) + ")"
         elif isinstance(f, Implies):
             text = f"({operand(f.left)} -> {operand(f.right)})"
         elif isinstance(f, Iff):
@@ -1587,10 +1577,8 @@ def relativize_to_set_variable(f: Formula, set_var: str) -> Formula:
     forall y. b  becomes  forall y. (X(y) -> b').
     """
     facts = formula_facts(f)
-    if not facts.first_order:
+    if not facts.first_order:  # so no set variable occurs in f
         raise ValueError("relativization applies to first-order formulas")
-    if set_var in facts.set_variables:
-        raise ValueError(f"set variable {set_var} already occurs in the formula")
 
     def bound(g: Formula) -> Formula:
         if isinstance(g, Exists):

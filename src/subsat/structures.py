@@ -162,10 +162,10 @@ class Structure:
 
     Construction is permissive; use ``validate_structure`` to obtain the
     list of invariant violations.  A structure's tables must not change once
-    it has been queried: ``generated_carrier`` keeps each seed's carrier in
-    one table on the object and would go on returning them.  To change a
-    table, build a new structure, for instance with ``dataclasses.replace``,
-    which keeps nothing of the old one's carriers.
+    it has been queried: ``generated_carrier`` keeps the carriers of seeds
+    of at most one point in a table on the object and would go on returning
+    them.  To change a table, build a new structure, for instance with
+    ``dataclasses.replace``, which keeps nothing of the old one's carriers.
     """
 
     signature: Signature
@@ -437,47 +437,60 @@ def induced_substructure(s: Structure, carrier: Iterable[int]) -> Structure:
 def generated_carrier(s: Structure, seed: Iterable[int]) -> frozenset:
     """Least superset of seed (plus all constants) closed under all functions.
 
-    Read from the structure's carrier table (``_carrier_entry``), which
-    keeps every seed's carrier on the structure object, so the structure's
-    tables must not change once it has been queried."""
-    table = s.__dict__.get("_carriers")
-    if table is not None and seed.__class__ is tuple:
-        entry = table.get(seed)  # hit only by a seed equal to its normal form
-        if entry is not None:
-            return entry[0]
-    return _carrier_entry(s, tuple(sorted(set(map(int, seed)))))[0]
+    Read through ``carrier_entry``, which keeps the carriers of seeds of at
+    most one point on the structure object, so the structure's tables must
+    not change once it has been queried."""
+    return carrier_entry(s, seed)[0]
 
 
-def _carrier_table(s: Structure) -> dict:
-    """The table of ``s`` from seeds, ascending tuples of distinct elements,
-    to their carriers with the carriers' elements ascending, created empty
-    on first use."""
+class _CarrierTable(dict):
+    """A structure's kept carriers: each seed of at most one point, as a
+    tuple, to (carrier, its elements ascending).  ``unary`` tells whether
+    every function is unary, so that a set generates the union of what its
+    points generate."""
+
+    __slots__ = ("unary",)
+
+
+def carrier_entry(s: Structure, seed: Iterable[int]) -> tuple[frozenset, Optional[tuple]]:
+    """(carrier, its elements ascending) of ``seed`` with the constants.
+
+    The structure keeps one ``_CarrierTable`` (``_carriers``, made on first
+    request) of the seeds of at most one point: at most ``size + 1``
+    entries, however many seeds are asked.  A seed of several points is
+    not kept, and its elements may come as None, for a caller to sort only
+    carriers it has not met: under unary functions its carrier is the
+    union of its points' entries, on other signatures it runs the closure
+    loop.  A refused seed raises ValueError and stores nothing."""
     table = s.__dict__.get("_carriers")
     if table is None:
-        table = {}
+        table = _CarrierTable()
+        table.unary = all(a == 1 for _, a in s.signature.functions)
         object.__setattr__(s, "_carriers", table)
-    return table
-
-
-def _carrier_entry(s: Structure, seed: tuple) -> tuple[frozenset, tuple]:
-    """(carrier, its elements ascending) of ``seed``, an ascending tuple of
-    distinct elements, with the constants: kept in ``_carrier_table`` on
-    first request.  When every function is unary, a set generates the
-    union of what its points generate, so a seed of several points is the
-    union of its points' entries; any other seed runs the closure loop.  A
-    refused seed raises ValueError and stores nothing."""
-    table = _carrier_table(s)
-    entry = table.get(seed)
-    if entry is not None:
-        return entry
-    if len(seed) > 1 and all(a == 1 for _, a in s.signature.functions):
-        if seed[0] < 0 or seed[-1] >= s.size:  # refused before any point's entry is kept
+    elif seed.__class__ is tuple:
+        entry = table.get(seed)  # hit only by a seed equal to its normal form
+        if entry is not None:
+            return entry
+        if table.unary and len(seed) > 1:
+            carrier = None
+            for p in seed:  # the union of the points' entries, if all are kept
+                point = table.get((p,))
+                if point is None:
+                    break
+                carrier = point[0] if carrier is None else carrier | point[0]
+            else:
+                return carrier, None
+    points = set(map(int, seed))
+    if len(points) > 1 and table.unary:
+        if min(points) < 0 or max(points) >= s.size:  # refused before any point's entry is kept
             raise ValueError("seed element out of range")
-        carrier = frozenset.union(*[(table.get((p,)) or _carrier_entry(s, (p,)))[0]
-                                    for p in seed])
-    else:
-        carrier = _closure(s, _seed_elements(s, {*seed, *s.constants.values()}))
-    entry = table[seed] = (carrier, tuple(sorted(carrier)))
+        for p in points:
+            carrier_entry(s, (p,))  # kept, so the union is taken above
+        return carrier_entry(s, tuple(points))
+    carrier = _closure(s, _seed_elements(s, points.union(s.constants.values())))
+    if len(points) > 1:
+        return carrier, None
+    entry = table[tuple(points)] = (carrier, tuple(sorted(carrier)))
     return entry
 
 

@@ -61,12 +61,11 @@ from .structures import (
     Signature,
     Structure,
     _PRINTABLE_BITS,
-    _carrier_entry,
-    _carrier_table,
     _column_bits,
     _generic_iso_indices,
     _structure_columns,
     _structure_from_indices,
+    carrier_entry,
     check_labelled_cap,
     check_power_cap,
     enumerate_submodels,
@@ -155,16 +154,15 @@ def theta_bounded_semantic(s: Structure, phi: Formula, bound: int) -> ThetaRepor
             raise CapExceededError(seeds, DEFAULT_ENUMERATION_CAP, "seeds")
     seen = set()
     inspected = 0
-    # without functions a seed generates itself plus the constants; with
-    # them, the structure's carrier table holds each seed's carrier, sorted
-    table = _carrier_table(s) if s.signature.functions else None
+    # without functions a seed generates itself plus the constants
+    closure = s.signature.functions
     constants = frozenset(s.constants.values())
     for k in range(start, min(bound, s.size) + 1):
         for seed in itertools.combinations(range(s.size), k):
-            if table is None:
-                carrier, domain = constants.union(seed), None
+            if closure:
+                carrier, domain = carrier_entry(s, seed)
             else:
-                carrier, domain = table.get(seed) or _carrier_entry(s, seed)
+                carrier, domain = constants.union(seed), None
             if carrier in seen:
                 continue
             seen.add(carrier)

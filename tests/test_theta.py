@@ -465,6 +465,27 @@ def test_clearing_the_marked_classes_releases_their_sentences():
     assert traced[2] < 1.1 * traced[1], traced
 
 
+def test_a_sweep_keeps_the_carriers_of_single_points_only():
+    # every seed of a 60-cycle generates the whole universe, and with no
+    # fixed point the sentence fails there: all 36,050 seeds are swept
+    n = 60
+    s = unar(n, {i: (i + 1) % n for i in range(n)})
+    phi = parse_formula("exists x. F(x) = x", UNAR)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = theta_bounded_semantic(s, phi, 3)
+        gc.collect()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not report.truth and report.inspected == 1
+    # one entry per point: an entry per seed, each holding the universe,
+    # kept about 180 MB
+    assert set(vars(s)["_carriers"]) == {(p,) for p in range(n)}
+    assert kept < 1_000_000 and peak < 2_000_000, (kept, peak)
+
+
 @pytest.mark.parametrize("bound", [1, 2])
 def test_cached_diagrams_change_no_translation(bound):
     entries = [e for e in CORPUS if e.signature in (UNAR, UNAR_CONST)]
