@@ -12,26 +12,25 @@ masks is swept bit-sliced: every sentence whose evaluation cannot raise
 (variables for terms, the signature's predicates) is decided for all
 classes at once on the size's predicate columns (``structures.Columns``,
 bit i for the i-th class), and a submodel check is the disjunction of
-its sentence over the carriers, there every nonempty subset.  The equivalence
-oracle then builds only the first class where the sides differ, the
-lowest set bit of their xor; the witness-bound search builds only the
-first class that satisfies its sentence with no small witness; the
-well-foundedness demo takes its submodel checks from one column and its
-cycle oracle from a transitive closure of the columns.  The extension
-probe and the fragment-mode witness search read the columns through the
-induced-subclass tables (``structures._subclass_table``), which give the
-class of every subset of every class: a substructure's truth is its
-class's bit, and with predicates only a fragment occurs where a subset
-induces its class.  Each class is
-represented by its least mask, its first labelled member, and the
-representatives ascend, so the first class hit holds the first labelled
-structure hit.  Callables and every other side keep the class-by-class loop, and other
-witness-bound searches the generic path, which evaluates every labelled
-structure, and its small carriers in place on its tables, and is the
-column search's reference in the test suite; the extension probe and the
-fragment search keep their per-structure loops, their references, for
-every other signature, size or sentence.  The column searches build only
-a returned counterexample as a ``Structure``.
+its sentence over the carriers, there every nonempty subset.  The
+equivalence oracle then builds only the first class where the sides
+differ, the lowest set bit of their xor; the witness-bound search builds
+only the first class that satisfies its sentence with no small witness;
+the well-foundedness demo takes its submodel checks from one column and
+its cycle oracle from a transitive closure of the columns.  The
+extension probe and the fragment-mode witness search read the columns
+through the induced-subclass tables (``structures._subclass_table``),
+which give the class of every subset of every class: a substructure's
+truth is its class's bit, and with predicates only a fragment occurs
+where a subset induces its class.  On every signature each class is
+represented by its first labelled member and the representatives ascend
+in labelled order, so the first class hit holds the first labelled
+structure hit.  Callables and every other side keep the class-by-class
+loop, and every other submodel witness search evaluates the
+representatives one by one with their small carriers; the extension
+probe and the fragment search keep their per-structure loops, their
+references, for every other signature, size or sentence.  The column
+searches build only a returned counterexample as a ``Structure``.
 """
 
 from __future__ import annotations
@@ -66,13 +65,16 @@ from .structures import (
     fragment_occurs,
     induced_fragment,
     induced_substructure,
+    labelled_structure_count,
     render_structures,
     _column_bits,
+    _generic_iso_indices,
     _iso_columns,
     _iso_level,
     _iso_path_applies,
-    _labelled_structures,
+    _labelled_rank,
     _predicate_only_iso_masks,
+    _structure_from_indices,
     _structure_from_mask,
     _subclass_table,
     _subclass_tables_fit,
@@ -398,7 +400,7 @@ def _column_first_counterexample(
     masks in quanta of ``_SCAN_QUANTUM``: up to the end of the hit's, or
     the whole space.  ``truths`` memoises phi's column per size.
     """
-    total = 2 ** sum(n**arity for _, arity in sig.predicates)
+    total = labelled_structure_count(sig, n)
 
     def phi_at(k):
         if k not in truths:
@@ -421,20 +423,29 @@ def _column_first_counterexample(
 def _generic_first_counterexample(
     phi: Formula, sig: Signature, n: int, lam: int, cap: int
 ) -> tuple[Optional[Structure], int]:
-    """The search over any signature, and the reference for the column
-    search: every labelled structure in order, each and its small carriers
-    evaluated in place."""
+    """What ``_column_first_counterexample`` returns, for any signature and
+    formula: the first class, in labelled order of first members, whose
+    first member and its small carriers make it a counterexample.  Members
+    are packed masks, their own ranks, where ``_iso_path_applies``, else
+    orderly-walk index tuples; ``scanned`` is the hit's labelled rank plus
+    1, or the whole space.  No other structure is evaluated: an error
+    raised on some labellings of a class only (an open formula's, behind a
+    short-circuit) is met where a representative before the hit meets it."""
     check_labelled_cap(sig, n, cap)
+    if _iso_path_applies(sig, n):
+        ranked = ((m, _structure_from_mask(sig, n, m))
+                  for m in map(int, _predicate_only_iso_masks(sig, n, cap)))
+    else:
+        ranked = ((_labelled_rank(sig, n, i), _structure_from_indices(sig, n, i))
+                  for i in _generic_iso_indices(sig, n))
     compiled = compile_formula(phi)
     domain = range(n)
-    scanned = 0
-    for s in _labelled_structures(sig, n):
-        scanned += 1
+    for rank, s in ranked:
         if not compiled.holds(s, domain):
             continue
         if not any(compiled.holds(s, sorted(c)) for c in enumerate_submodels(s, max_card=lam)):
-            return s, scanned
-    return None, scanned
+            return s, rank + 1
+    return None, labelled_structure_count(sig, n)
 
 
 def _first_submodel_counterexample(
@@ -471,7 +482,8 @@ def witness_bound_search(phi: Formula, cfg: ProbeConfig) -> ProbeVerdict:
     class columns: in submodel mode size by size where the classes come
     from packed masks, in fragment mode when every size up to n_max has
     induced-subclass tables that fit (``_fragment_search_on_columns``).
-    Everything else takes the per-structure searches.
+    Other submodel searches evaluate the iso representatives one by one,
+    other fragment searches take the per-structure loop.
     """
     if cfg.mode == "submodel":
         return _witness_bound_submodel(phi, cfg)

@@ -551,16 +551,22 @@ def enumerate_submodels(s: Structure, max_card: Optional[int] = None) -> Iterato
 
 
 def _labelled_powers(sig: Signature, n: int) -> list[tuple[int, int]]:
-    """(base, exponent) pairs whose powers multiply to the labelled count."""
+    """Each digit of a labelled index tuple (a mask per predicate, a base-n
+    code per function, a value per constant) as (base, exponent) of its
+    radix; labelled order is mixed-radix order, the first most significant."""
     return (
         [(2, n**arity) for _, arity in sig.predicates]
         + [(n, n**arity) for _, arity in sig.functions]
-        + [(n, len(sig.constants))]
+        + [(n, 1)] * len(sig.constants)
     )
 
 
+def _labelled_radices(sig: Signature, n: int) -> list[int]:
+    return [base**exponent for base, exponent in _labelled_powers(sig, n)]
+
+
 def labelled_structure_count(sig: Signature, n: int) -> int:
-    return math.prod(base**exponent for base, exponent in _labelled_powers(sig, n))
+    return math.prod(_labelled_radices(sig, n))
 
 
 def power_exceeds(bits: int, cap: int) -> bool:
@@ -628,22 +634,16 @@ def _structure_from_indices(sig: Signature, n: int, indices: tuple[int, ...]) ->
 
 
 def _labelled_indices(sig: Signature, n: int) -> Iterator[tuple[int, ...]]:
-    """The index tuple of every labelled structure, in enumeration order:
-    a mask per predicate, a base-``n`` code per function, a value per
-    constant, later symbols varying fastest."""
-    spaces = []
-    for _, arity in sig.predicates:
-        spaces.append(range(2 ** (n**arity)))
-    for _, arity in sig.functions:
-        spaces.append(range(n ** (n**arity)))
-    for _ in sig.constants:
-        spaces.append(range(n))
-    return itertools.product(*spaces)
+    """The index tuple of every labelled structure, in labelled order."""
+    return itertools.product(*map(range, _labelled_radices(sig, n)))
 
 
-def _labelled_structures(sig: Signature, n: int) -> Iterator[Structure]:
-    for indices in _labelled_indices(sig, n):
-        yield _structure_from_indices(sig, n, indices)
+def _labelled_rank(sig: Signature, n: int, indices: tuple[int, ...]) -> int:
+    """The position of index tuple ``indices`` in labelled order."""
+    rank = 0
+    for radix, digit in zip(_labelled_radices(sig, n), indices):
+        rank = rank * radix + digit
+    return rank
 
 
 @functools.lru_cache(maxsize=256)
@@ -756,17 +756,6 @@ def _orderly_walk(
         tables[sym][rank] = None
 
     return walk(0)
-
-
-def _least_in_orbit(sig: Signature, n: int, indices: tuple[int, ...]) -> bool:
-    """Whether no relabelling of the universe gives ``indices`` a smaller
-    index tuple: the orderly walk restricted to the digits of ``indices``."""
-    digits = [
-        (indices[sym] // n ** (n ** len(args) - 1 - rank) % n,)
-        if is_value else (indices[sym] >> rank & 1,)
-        for sym, is_value, args, rank in _orbit_steps(sig, n)
-    ]
-    return any(_orderly_walk(sig, n, digits))
 
 
 @functools.lru_cache(maxsize=256)
@@ -1170,10 +1159,7 @@ def enumerate_structures(
             yield _structure_from_mask(sig, n, mask)
         return
     check_labelled_cap(sig, n, cap)
-    if not up_to_iso:
-        yield from _labelled_structures(sig, n)
-        return
-    for indices in _generic_iso_indices(sig, n):
+    for indices in _generic_iso_indices(sig, n) if up_to_iso else _labelled_indices(sig, n):
         yield _structure_from_indices(sig, n, indices)
 
 

@@ -13,6 +13,15 @@ Its pruning invariant is ``element_profile``, one walk of every table per
 element; ``structures._element_profiles`` reads every element's from one
 walk of each table and must give the same profiles.
 
+``least_in_orbit`` tests one index tuple against every relabelling, by
+the orderly walk restricted to its digits; exactly the least member of
+each orbit passes, which the generic iso enumeration relies on.
+
+``labelled_first_counterexample`` is the witness-bound search that
+builds and evaluates every labelled structure in order; the column
+search and the search over iso representatives in ``subsat.prober``
+must return the same hit and count the same structures scanned.
+
 ``render_formula`` renders the formula as a tree, every occurrence of a
 shared node again; ``subsat.logic.render_formula`` renders each node
 object once per call and must give the same text.
@@ -37,15 +46,20 @@ from subsat.logic import (
     SetAtom,
     Top,
     Var,
+    compile_formula,
 )
 from subsat.structures import (
     ESCAPES,
     Structure,
     _carrier,
     _map_mismatches,
+    _orbit_steps,
+    _orderly_walk,
     _relabel_table,
     _tuple_space,
     check_isomorphism,
+    enumerate_structures,
+    enumerate_submodels,
 )
 
 
@@ -218,6 +232,33 @@ def element_profile(x, e: int) -> tuple:
     for name in x.signature.constants:
         parts.append(1 if x.constants.get(name, ESCAPES) == e else 0)
     return tuple(parts)
+
+
+def least_in_orbit(sig, n: int, indices: tuple) -> bool:
+    """Whether no relabelling of the universe gives ``indices`` a smaller
+    index tuple: the orderly walk restricted to the digits of ``indices``."""
+    digits = [
+        (indices[sym] // n ** (n ** len(args) - 1 - rank) % n,)
+        if is_value else (indices[sym] >> rank & 1,)
+        for sym, is_value, args, rank in _orbit_steps(sig, n)
+    ]
+    return any(_orderly_walk(sig, n, digits))
+
+
+def labelled_first_counterexample(phi, sig, n: int, lam: int, cap: int):
+    """First labelled size-n structure satisfying phi with no phi-submodel
+    of size <= lam, as (hit, scanned): every labelled structure in order,
+    each and its small carriers evaluated in place."""
+    compiled = compile_formula(phi)
+    domain = range(n)
+    scanned = 0
+    for s in enumerate_structures(sig, n, cap=cap):
+        scanned += 1
+        if not compiled.holds(s, domain):
+            continue
+        if not any(compiled.holds(s, sorted(c)) for c in enumerate_submodels(s, max_card=lam)):
+            return s, scanned
+    return None, scanned
 
 
 def render_term(t) -> str:

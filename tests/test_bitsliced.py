@@ -8,8 +8,10 @@ compared with the per-structure results of ``evaluate_fo``,
 class-by-class loop it used before, which it still uses for sides it
 cannot slice.  The witness-bound search, the modal-law tables and the
 well-foundedness demo's cycle oracle, which read the same columns, are
-checked against the generic search, the per-structure loop and the graph
-search.  The induced-subclass tables are checked against
+checked against the scan of every labelled structure, the per-structure
+loop and the graph search; the witness-bound search over iso
+representatives, which takes every other signature, against the
+labelled scan too.  The induced-subclass tables are checked against
 ``induced_substructure`` and a lookup by canonical key, and the
 extension probe and the fragment-mode search that read them against
 their per-structure loops.
@@ -25,7 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import canonical_key
+from reference import canonical_key, labelled_first_counterexample
 
 from subsat import corpus, logic, prober, structures, theta
 from subsat.logic import (
@@ -472,6 +474,31 @@ def test_witness_search_keeps_the_generic_path_for_what_it_cannot_slice():
     assert verdict.stats["structures_scanned"] == 2**4 + 2**9
     with pytest.raises(EvaluationError, match="uncovered free variable x"):
         witness_bound_search(Atom("R", (Var("x"), Var("x"))), ProbeConfig(BINARY, n_max=2))
+
+
+F_X = Func("F", (Var("x"),))
+UNARY_TERMS = (F_X, Func("F", (Var("y"),)), Func("F", (F_X,)))
+# (signature, its extra terms, largest size searched)
+FUNCTION_SEARCHES = [
+    (corpus.UNAR, UNARY_TERMS, 5),
+    (corpus.UNAR_CONST, FUNCTION_TERMS, 5),
+    (P_F_C, FUNCTION_TERMS, 4),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_representative_search_matches_the_labelled_scan(data):
+    sig, terms, n_max = data.draw(st.sampled_from(FUNCTION_SEARCHES))
+    phi = data.draw(sentences(sig, terms))
+    lam = data.draw(st.sampled_from([1, 2]))
+    n = data.draw(st.sampled_from(range(lam + 1, n_max + 1)))
+    hit, scanned = prober._generic_first_counterexample(phi, sig, n, lam, 10**7)
+    expected, expected_scanned = labelled_first_counterexample(phi, sig, n, lam, 10**7)
+    assert hit == expected and scanned == expected_scanned
+    if hit is not None:
+        assert structures.render_structures(sig, {"hit": hit}) == structures.render_structures(
+            sig, {"hit": expected})
 
 
 def test_wellfoundedness_demo_builds_the_mismatching_classes(monkeypatch):

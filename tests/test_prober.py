@@ -1,6 +1,7 @@
 import hashlib
 
 import pytest
+from reference import labelled_first_counterexample
 
 from subsat import prober, structures
 from subsat.corpus import BINARY_ONLY, CORPUS, PREDICATE_ONLY, UNARY_BINARY
@@ -17,7 +18,6 @@ from subsat.prober import (
     sentence_checker,
     wellfoundedness_demo,
     witness_bound_search,
-    _generic_first_counterexample,
 )
 from subsat.structures import (
     CapExceededError,
@@ -177,6 +177,23 @@ def test_binary_fragment_mode_reports_pin():
     assert hashlib.sha256(text.encode()).hexdigest() == BINARY_FRAGMENT_REPORTS_DIGEST
 
 
+# SHA-256 of the submodel-mode reports of every corpus sentence over a
+# signature with functions or constants, as the scan of every labelled
+# structure gave them.
+SUBMODEL_REPORTS_DIGEST = "9aba068ab0e1cb4081cd4cf9fff3acaa1111303d36d849122a6692fc5d2ab395"
+
+
+def test_submodel_mode_reports_pin():
+    text = "".join(
+        render_probe_report(witness_bound_search(
+            entry.formula, ProbeConfig(entry.signature, n_max=5, lambda_max=2),
+        ))
+        for entry in CORPUS
+        if not entry.signature.is_predicate_only
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == SUBMODEL_REPORTS_DIGEST
+
+
 # SHA-256 of the extension-probe reports, of the submodel check and of the
 # raw sentence, for every predicate-only corpus sentence at n_max = 4, as
 # the per-structure loops gave them.
@@ -238,8 +255,8 @@ UNARY_BINARY_SENTENCES = {
     "split": parse_formula("exists x. exists y. (P(x) & !P(y))", UNARY_BINARY),
 }
 
-# At n = 4 the generic path takes 0.5-2 s per sentence when it has to scan
-# all 65536 labelled structures, so n = 4 runs the sentence whose
+# At n = 4 the labelled scan takes 0.5-2 s per sentence when it has to
+# scan all 65536 labelled structures, so n = 4 runs the sentence whose
 # counterexamples (directed cycles) lie past the first masks, plus three
 # whole-space scans: one where the one-point witnesses already cover every
 # structure, one where no structure satisfies phi without them, and one
@@ -285,21 +302,23 @@ def test_column_search_agrees_with_generic_path(monkeypatch):
     for name, n, lam in SEARCH_CASES:
         sig, phi = formulas[name]
         total = labelled_structure_count(sig, n)
-        generic_hit, generic_scanned = _generic_first_counterexample(phi, sig, n, lam, 10**7)
-        if generic_hit is not None:
+        labelled_hit, labelled_scanned = labelled_first_counterexample(phi, sig, n, lam, 10**7)
+        if labelled_hit is not None:
             hits.append(name)
-            if generic_scanned > 1000:
+            if labelled_scanned > 1000:
                 late_hits.append(name)
+        assert prober._generic_first_counterexample(phi, sig, n, lam, 10**7) == (
+            labelled_hit, labelled_scanned), (name, n, lam)
         # small quanta put hits past the first of each
         for quantum in (1 << 20, 1000, 4):
             monkeypatch.setattr(prober, "_SCAN_QUANTUM", quantum)
             hit, scanned = prober._column_first_counterexample(phi, sig, n, lam, 10**7, {})
             case = (name, n, lam, quantum)
-            assert hit == generic_hit, case
-            if generic_hit is None:
-                assert scanned == generic_scanned == total, case
+            assert hit == labelled_hit, case
+            if labelled_hit is None:
+                assert scanned == labelled_scanned == total, case
             else:
-                assert scanned == min(-(-generic_scanned // quantum) * quantum, total), case
+                assert scanned == min(-(-labelled_scanned // quantum) * quantum, total), case
     assert late_hits  # some hits lie past the first quantum of 1000
     assert {"marked_successors", "split"} <= set(hits)
 
@@ -308,8 +327,8 @@ def test_column_search_hit_past_the_first_quantum(monkeypatch):
     # total_out_degree on 3 points: the first counterexample is the directed
     # 3-cycle at mask 98, in the 25th quantum of 4 masks and the 99th of 1
     phi = BINARY_CORPUS["total_out_degree"]
-    generic_hit, generic_scanned = _generic_first_counterexample(phi, BINARY, 3, 2, 10**7)
-    assert (generic_hit, generic_scanned) == (cycle(3), 99)
+    labelled_hit, labelled_scanned = labelled_first_counterexample(phi, BINARY, 3, 2, 10**7)
+    assert (labelled_hit, labelled_scanned) == (cycle(3), 99)
     for quantum, end in ((4, 100), (1, 99)):
         monkeypatch.setattr(prober, "_SCAN_QUANTUM", quantum)
         truths = {}
@@ -320,8 +339,9 @@ def test_column_search_hit_past_the_first_quantum(monkeypatch):
 
 def test_witness_bound_multi_predicate_scan_count(monkeypatch):
     # over two predicates a column search counts to the end of the hit's
-    # quantum, here the whole space at each size (64 + 4096); the generic
-    # path stops at the hit and counts 7 + 99, with the same hits
+    # quantum, here the whole space at each size (64 + 4096); the search
+    # over iso representatives counts to the hit's labelled rank, 7 + 99,
+    # with the same hits
     phi = parse_formula("forall x. exists y. R(x,y)", UNARY_BINARY)
     cfg = ProbeConfig(UNARY_BINARY, n_max=3, lambda_max=2)
     verdict = witness_bound_search(phi, cfg)
@@ -332,6 +352,18 @@ def test_witness_bound_multi_predicate_scan_count(monkeypatch):
     generic = witness_bound_search(phi, cfg)
     assert generic.counterexamples == verdict.counterexamples
     assert generic.stats["structures_scanned"] == 7 + 99
+
+
+def test_generic_witness_search_builds_no_labelled_structure(monkeypatch):
+    def unexpected(sig, n):
+        raise AssertionError("labelled structures were scanned")
+
+    monkeypatch.setattr(structures, "_labelled_indices", unexpected)
+    structures._GENERIC_ISO.clear()
+    verdict = witness_bound_search(parse_formula("exists x. F(x) = x", UNAR),
+                                   ProbeConfig(UNAR, n_max=6))
+    assert (verdict.outcome, verdict.bound) == ("WITNESS_BOUND_FOUND", 1)
+    assert verdict.stats["structures_scanned"] == sum(n**n for n in range(2, 7))
 
 
 def test_witness_bound_symmetric_n5_pin():
