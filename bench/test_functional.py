@@ -4,8 +4,9 @@ Run with ``python -m pytest bench --benchmark-only``.
 
 - ``constant_reached_cold``: the corpus sentence ``exists x. F(x) = c``
   over one unary function and a constant, translated at lambda = 2,
-  nu = 4, each round with empty memos, so it includes building the
-  marked classes of every size and their diagrams;
+  nu = 4, each round with every memo emptied (``structures.clear_memos``),
+  so it includes compiling the sentence and building the marked classes
+  of every size and their diagrams;
 - ``constant_reached_warm``: the same translation with the marked classes
   and their diagrams already built and reused, which is what a later
   translation over the same (signature, lambda, size, variable names)
@@ -33,11 +34,12 @@ Run with ``python -m pytest bench --benchmark-only``.
   two-point seed, which the table does not keep, is the union of its
   points' entries;
 - ``unar_n5_cold``: the 47 iso classes of one unary function on 5 points
-  on the generic path (the orderly walk), each round with an empty memo;
+  on the generic path (the orderly walk), each round with every memo
+  emptied;
 - ``all_fixed_l2_nu6_cold``: the corpus sentence ``forall x. F(x) = x``
   over one unary function, translated at lambda = 2, nu = 6, each round
-  with empty memos, so it includes the iso classes of every size up to 6
-  and the marked classes read off them.
+  with every memo emptied, so it includes the iso classes of every size up
+  to 6 and the marked classes read off them.
 
 ``extra_info`` records the disjunct and class counts of a round, and the
 number of classes where the translation holds.
@@ -52,13 +54,6 @@ from subsat import corpus, logic, structures, theta
 
 CONSTANT_REACHED = next(e for e in corpus.CORPUS if e.name == "constant_reached")
 ALL_FIXED = next(e for e in corpus.CORPUS if e.name == "all_fixed")
-
-
-def _clear_memos():
-    # the marked classes, with their diagrams per variable names, and the
-    # iso representatives they are read off
-    theta._generated_classes.cache_clear()
-    structures._GENERIC_ISO.clear()
 
 
 def _translation():
@@ -133,15 +128,15 @@ def _unar_n5():
 
 
 CASES = {
-    "constant_reached_cold": (_translate, _clear_memos, "disjuncts"),
+    "constant_reached_cold": (_translate, structures.clear_memos, "disjuncts"),
     "constant_reached_warm": (_translate, None, "disjuncts"),
     "constant_reached_compile": (_compile, _fresh_translation, "disjuncts"),
     "constant_reached_sweep": (_sweep, None, "holds"),
     "constant_reached_sweep_cold_tree": (_sweep, _cold_tree_sweep, "holds"),
     "constant_reached_render": (_render, None, "characters"),
     "carriers_unar_n5": (_carriers, _fresh_seeded_unar, "carrier_elements"),
-    "unar_n5_cold": (_unar_n5, _clear_memos, "classes"),
-    "all_fixed_l2_nu6_cold": (_all_fixed, _clear_memos, "disjuncts"),
+    "unar_n5_cold": (_unar_n5, structures.clear_memos, "classes"),
+    "all_fixed_l2_nu6_cold": (_all_fixed, structures.clear_memos, "disjuncts"),
 }
 
 

@@ -1,9 +1,9 @@
 """Cost of iso-class enumeration on the generic path, per (signature, n).
 
 Run with ``python -m pytest bench --benchmark-only``.  Each round starts
-with an empty memo of representatives, so it times the orderly walk,
-which visits only prefixes of index tuples that no relabelling beats,
-plus building one ``Structure`` per class:
+with every memo emptied (``structures.clear_memos``), so it times the
+orderly walk, which visits only prefixes of index tuples that no
+relabelling beats, plus building one ``Structure`` per class:
 
 - ``unar_n5`` / ``unar_n6`` / ``unar_n7``: one unary function, 3125,
   46656 and 823,543 labelled structures, 47, 130 and 343 classes
@@ -43,6 +43,6 @@ def test_generic_iso_enumeration(benchmark, case):
         return sum(1 for _ in structures.enumerate_structures(sig, n, up_to_iso=True))
 
     classes = benchmark.pedantic(
-        count, setup=structures._GENERIC_ISO.clear, rounds=3, iterations=1, warmup_rounds=0
+        count, setup=structures.clear_memos, rounds=3, iterations=1, warmup_rounds=0
     )
     benchmark.extra_info["classes"] = classes

@@ -1,8 +1,9 @@
 """Cost of iso-class enumeration on the numpy path, per (signature, n).
 
 Run with ``python -m pytest bench --benchmark-only``.  Each round starts
-with an empty memo of representatives, so it times the one-point
-extension from size 1 up plus building one ``Structure`` per class:
+with every memo emptied (``structures.clear_memos``), so it times the
+one-point extension from size 1 up, its bit layouts and relabelling
+tables included, plus building one ``Structure`` per class:
 
 - ``binary_n4`` / ``binary_n5``: one binary predicate, 3044 and 291968
   classes (OEIS A000595);
@@ -71,7 +72,7 @@ CASES = {
 def test_iso_enumeration(benchmark, case):
     classes = benchmark.pedantic(
         CASES[case],
-        setup=structures._iso_level.cache_clear,
+        setup=structures.clear_memos,
         rounds=3,
         iterations=1,
         warmup_rounds=0,

@@ -20,9 +20,10 @@ hit built.
   least mask with a proper edge.
 
 Over one unary function on 7 points (823,543 labelled structures, 343
-classes) each round starts with an empty memo of representatives, so it
-times the orderly walk up to the hit with each class's first labelled
-member and its small carriers evaluated:
+classes) each round starts with every memo emptied
+(``structures.clear_memos``), so it times compiling the sentence and the
+orderly walk up to the hit with each class's first labelled member and
+its small carriers evaluated:
 
 - ``fixed_point_unar_n7_lam1``: ``exists x. F(x) = x`` at lambda = 1;
   every model has a fixed point, a 1-point witness, so there is no hit
@@ -88,7 +89,7 @@ def test_generic_witness_search(benchmark, case):
         return prober._generic_first_counterexample(phi, corpus.UNAR, n, lam, cap)
 
     result = benchmark.pedantic(
-        search, setup=structures._GENERIC_ISO.clear, rounds=5, iterations=1, warmup_rounds=0
+        search, setup=structures.clear_memos, rounds=5, iterations=1, warmup_rounds=0
     )
     hit, scanned = result
     assert (hit is None, scanned) == (expected == 823_543, expected)

@@ -10,7 +10,6 @@ codes 2 and 3 leave stdout empty.
 from __future__ import annotations
 
 import argparse
-import functools
 import shlex
 import sys
 from dataclasses import dataclass
@@ -50,6 +49,7 @@ from .structures import (
     Signature,
     StructureFormatError,
     enumerate_structures,
+    memo,
     parse_structures,
     render_structures,
     validate_structure,
@@ -331,35 +331,19 @@ def _run_probe(args):
         return report, 0 if report.passed else 1
 
     text = _formula_text(args)
-    if sig is None:
-        formula, inferred = parse_with_inference(text)
-        second = None
-        if args.formula2:
-            second, inferred2 = parse_with_inference(args.formula2)
-            merged_preds = dict(inferred.predicates)
-            merged_funcs = dict(inferred.functions)
-            merged_consts = set(inferred.constants)
-            for name, arity in inferred2.predicates:
-                if merged_preds.get(name, arity) != arity:
+    if sig is None and args.formula2:
+        left, right = (parse_with_inference(t)[1] for t in (text, args.formula2))
+        merged = [dict(left.predicates), dict(left.functions)]
+        for table, symbols in zip(merged, (right.predicates, right.functions)):
+            for name, arity in symbols:
+                if table.setdefault(name, arity) != arity:
                     raise _InputError(f"{name} used with conflicting arities")
-                merged_preds[name] = arity
-            for name, arity in inferred2.functions:
-                if merged_funcs.get(name, arity) != arity:
-                    raise _InputError(f"{name} used with conflicting arities")
-                merged_funcs[name] = arity
-            merged_consts.update(inferred2.constants)
-            sig = Signature(
-                tuple(sorted(merged_preds.items())),
-                tuple(sorted(merged_funcs.items())),
-                tuple(sorted(merged_consts)),
-            )
-            formula = parse_formula(text, sig)
-            second = parse_formula(args.formula2, sig)
-        else:
-            sig = inferred
-    else:
-        formula = parse_formula(text, sig)
-        second = parse_formula(args.formula2, sig) if args.formula2 else None
+        sig = Signature(
+            *(tuple(sorted(table.items())) for table in merged),
+            tuple(sorted({*left.constants, *right.constants})),
+        )
+    formula, sig = _parse_against(text, sig)
+    second = parse_formula(args.formula2, sig) if args.formula2 else None
 
     cfg = _probe_config(args, sig)
 
@@ -402,7 +386,7 @@ def _cmd_enumerate(args, out) -> int:
 # --- argument parsing -----------------------------------------------------------
 
 
-@functools.cache
+@memo()
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(

@@ -44,7 +44,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Union
 
-from .structures import DEFAULT_ENUMERATION_CAP, Signature, Structure, check_power_cap
+from .structures import _MEMOS, DEFAULT_ENUMERATION_CAP, Signature, Structure, check_power_cap
 
 
 class FormulaSyntaxError(ValueError):
@@ -908,6 +908,7 @@ def _exists_sets(frame: list, body, slots: tuple):
 
 
 _COMPILED: dict[int, CompiledFormula] = {}
+_MEMOS.append(_COMPILED.clear)
 
 
 def compile_formula(f: Formula, sliced: bool = False) -> CompiledFormula:
@@ -950,7 +951,8 @@ def _walked(f: Formula, builder: "_Builder") -> CompiledFormula:
     walk; the other mode's closures are built on first use."""
     compiled = CompiledFormula()
     key = id(f)
-    compiled._formula = weakref.ref(f, lambda _: _COMPILED.pop(key, None))
+    # the dict's own pop: at shutdown a formula may die after the global is gone
+    compiled._formula = weakref.ref(f, lambda _, pop=_COMPILED.pop: pop(key, None))
     run, eso_body, compiled._eso_slots = _build(builder, f)
     compiled._run = compiled._eso_body = compiled._sliced = None
     if builder.sliced:

@@ -768,6 +768,12 @@ def constant_blindness_demo(k: int, psi: Formula) -> ConstantBlindnessReport:
 # --- report rendering -------------------------------------------------------------
 
 
+def _indented(named: dict) -> list[str]:
+    """The lines of ``render_structures`` of ``named``, indented two spaces."""
+    sig = next(iter(named.values())).signature
+    return ["  " + line for line in render_structures(sig, named).splitlines()]
+
+
 def render_probe_report(verdict) -> str:
     """Plain-text sections plus a machine-readable summary line."""
     lines = []
@@ -788,12 +794,9 @@ def render_probe_report(verdict) -> str:
             lines.append(f"  {key}={verdict.stats[key]}")
         if verdict.counterexamples:
             lines.append("counterexamples:")
-            sig = verdict.counterexamples[0][1].signature
-            named = {
-                f"counterexample_lambda_{lam}": s for lam, s in verdict.counterexamples
-            }
-            for raw in render_structures(sig, named).splitlines():
-                lines.append("  " + raw)
+            lines += _indented(
+                {f"counterexample_lambda_{lam}": s for lam, s in verdict.counterexamples}
+            )
         bound = verdict.bound if verdict.bound is not None else "none"
         lines.append(
             f"VERDICT lambda={bound} n_max={verdict.n_max} mode={verdict.mode} "
@@ -808,10 +811,7 @@ def render_probe_report(verdict) -> str:
         lines.append(f"  n_max={verdict.n_max} structures_checked={verdict.checked}")
         if verdict.counterexample is not None:
             lines.append("counterexamples:")
-            sig = verdict.counterexample.signature
-            text = render_structures(sig, {"counterexample": verdict.counterexample})
-            for raw in text.splitlines():
-                lines.append("  " + raw)
+            lines += _indented({"counterexample": verdict.counterexample})
             lines.append(f"  left={verdict.left_truth} right={verdict.right_truth}")
         lines.append(
             f"VERDICT equal={'yes' if verdict.equal else 'no'} n_max={verdict.n_max} "
@@ -832,9 +832,7 @@ def render_probe_report(verdict) -> str:
             carrier, sub, s = verdict.counterexample
             lines.append("counterexamples:")
             lines.append(f"  carrier {{{','.join(str(x) for x in sorted(carrier))}}}")
-            text = render_structures(s.signature, {"substructure": sub, "structure": s})
-            for raw in text.splitlines():
-                lines.append("  " + raw)
+            lines += _indented({"substructure": sub, "structure": s})
         lines.append(
             f"VERDICT preserved={'yes' if verdict.preserved else 'no'} n_max={verdict.n_max}"
         )
@@ -854,10 +852,7 @@ def render_probe_report(verdict) -> str:
         )
         if verdict.mismatches:
             lines.append("counterexamples:")
-            sig = verdict.mismatches[0].signature
-            named = {f"mismatch_{i}": s for i, s in enumerate(verdict.mismatches)}
-            for raw in render_structures(sig, named).splitlines():
-                lines.append("  " + raw)
+            lines += _indented({f"mismatch_{i}": s for i, s in enumerate(verdict.mismatches)})
         lines.append(
             f"VERDICT agree={'yes' if verdict.passed else 'no'} n_max={verdict.n_max} "
             f"checked={verdict.structures_checked}"
@@ -880,12 +875,8 @@ def render_probe_report(verdict) -> str:
             f"  psi_agrees={verdict.agree_on_psi} theta_A={verdict.theta_in_a} "
             f"theta_B={verdict.theta_in_b}"
         )
-        sig = verdict.structure_a.signature
         lines.append("structures:")
-        for raw in render_structures(
-            sig, {"A": verdict.structure_a, "B": verdict.structure_b}
-        ).splitlines():
-            lines.append("  " + raw)
+        lines += _indented({"A": verdict.structure_a, "B": verdict.structure_b})
         lines.append(
             f"VERDICT differs={'yes' if verdict.theta_differs else 'no'} "
             f"agree_on_psi={'yes' if verdict.agree_on_psi else 'no'}"

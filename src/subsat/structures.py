@@ -37,6 +37,29 @@ _UNARY_MASK_MAX_BITS = 31
 _PRINTABLE_BITS = 4096
 
 
+# The clear callables of every module-level memo of the package, so that
+# ``clear_memos`` empties them all at once.
+_MEMOS: list[Callable[[], None]] = []
+
+
+def memo(maxsize: Optional[int] = None):
+    """``functools.lru_cache(maxsize)``, its ``cache_clear`` registered
+    with ``clear_memos``."""
+
+    def register(fn):
+        cached = functools.lru_cache(maxsize)(fn)
+        _MEMOS.append(cached.cache_clear)
+        return cached
+
+    return register
+
+
+def clear_memos() -> None:
+    """Empty every module-level memo of the package."""
+    for clear in _MEMOS:
+        clear()
+
+
 class CapExceededError(RuntimeError):
     """Raised when an enumeration would exceed its configured cap.
 
@@ -646,13 +669,12 @@ def _labelled_rank(sig: Signature, n: int, indices: tuple[int, ...]) -> int:
     return rank
 
 
-@functools.lru_cache(maxsize=256)
+@memo(256)
 def _tuple_space(n: int, arity: int) -> tuple[tuple[int, ...], ...]:
     """All argument tuples over {0..n-1}, in rank order."""
     return tuple(itertools.product(range(n), repeat=arity))
 
 
-@functools.lru_cache(maxsize=4096)
 def _relabel_table(n: int, arity: int, perm: tuple[int, ...]) -> tuple[int, ...]:
     """Relabelling of flat tuple tables along ``perm`` (element i -> perm[i]).
 
@@ -668,7 +690,7 @@ def _relabel_table(n: int, arity: int, perm: tuple[int, ...]) -> tuple[int, ...]
     return tuple(table)
 
 
-@functools.lru_cache(maxsize=256)
+@memo(256)
 def _orbit_steps(sig: Signature, n: int) -> tuple:
     """The digits of an index tuple, most significant first, as (symbol,
     whether it is a value, argument tuple, its rank): predicate bits from
@@ -758,7 +780,7 @@ def _orderly_walk(
     return walk(0)
 
 
-@functools.lru_cache(maxsize=256)
+@memo(256)
 def _bit_layout(arities: tuple[int, ...], n: int):
     """Bit spans for packing all predicate interpretations into one mask.
 
@@ -811,7 +833,7 @@ def _remap_bits(columns, tables):
     return out
 
 
-@functools.lru_cache(maxsize=16)
+@memo(16)
 def _relabelling_tables(arities: tuple[int, ...], n: int) -> tuple:
     """``_bit_tables`` of every relabelling of the universe but the identity.
 
@@ -921,7 +943,7 @@ def _point_invariants(arities: tuple[int, ...], n: int, masks):
 _EXTEND_BLOCK = 1 << 16
 
 
-@functools.cache
+@memo()
 def _iso_level(sig: Signature, n: int):
     """Least mask of every isomorphism class at size ``n``, ascending, as a
     read-only int32 array.
@@ -994,7 +1016,7 @@ def _iso_path_applies(sig: Signature, n: int) -> bool:
     )
 
 
-@functools.cache
+@memo()
 def _iso_columns(sig: Signature, n: int) -> Columns:
     """The ``Columns`` of the memoised classes of ``_iso_level(sig, n)``:
     each tuple's bit of every class mask, packed by numpy into one int."""
@@ -1024,7 +1046,7 @@ def _subclass_tables_fit(sig: Signature, n: int, cap: int) -> bool:
     )
 
 
-@functools.cache
+@memo()
 def _subclass_table(sig: Signature, n: int, k: int):
     """The class that each ``k``-subset of each size-``n`` class induces.
 
@@ -1105,30 +1127,30 @@ def _structure_from_mask(sig: Signature, n: int, mask: int) -> Structure:
     )
 
 
-# Per signature, the candidate count of sizes 1, 2, ... in turn, each
-# recorded once the size below it is built.
-_ISO_CANDIDATES: dict = {}
-
-
 def _predicate_only_iso_masks(sig: Signature, n: int, cap: int = DEFAULT_ENUMERATION_CAP):
     """Representative packed bitmasks, one per isomorphism class, as the
     memoised int32 array of ``_iso_level``.
 
     Representatives are the first labelled structure of each class, in
     ascending mask order (identical to the generic path), memoised per
-    size.  They are built size by size, and each size's candidate count,
-    before the invariant filter, is checked against ``cap`` before that
-    size is computed.  The counts are memoised, so a call for sizes seen
+    size.  They are built size by size, and each size's candidate count
+    (``_iso_candidates``) is checked against ``cap`` before that size is
+    computed.  The counts are memoised too, so a call for sizes seen
     before compares one count per size.
     """
-    counts = _ISO_CANDIDATES.setdefault(sig, [])
     for k in range(1, n + 1):
-        if len(counts) < k:
-            below = len(_iso_level(sig, k - 1)) if k > 1 else 1
-            counts.append(below << len(_fresh_bits(_arities(sig), k)))
-        if counts[k - 1] > cap:
-            raise CapExceededError(counts[k - 1], cap, "iso candidates")
+        count = _iso_candidates(sig, k)
+        if count > cap:
+            raise CapExceededError(count, cap, "iso candidates")
     return _iso_level(sig, n)
+
+
+@memo()
+def _iso_candidates(sig: Signature, n: int) -> int:
+    """The candidates of size ``n`` before the invariant filter: every
+    class of the size below with every subset of the fresh bits."""
+    below = len(_iso_level(sig, n - 1)) if n > 1 else 1
+    return below << len(_fresh_bits(_arities(sig), n))
 
 
 def enumerate_structures(
@@ -1165,6 +1187,7 @@ def enumerate_structures(
 
 # Generic-path representatives per (signature, n), as index tuples.
 _GENERIC_ISO: dict = {}
+_MEMOS.append(_GENERIC_ISO.clear)
 
 
 def _generic_iso_indices(sig: Signature, n: int) -> Iterator[tuple[int, ...]]:

@@ -22,7 +22,6 @@ choice of diagrams, so a sentence compiled once stays compiled.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -69,6 +68,7 @@ from .structures import (
     check_labelled_cap,
     check_power_cap,
     enumerate_submodels,
+    memo,
     power_exceeds,
 )
 
@@ -349,7 +349,7 @@ def _marked_diagram(
     return DiagramSentence(len(generators), tuple(terms), tuple(literals))
 
 
-@functools.lru_cache(maxsize=256)
+@memo(256)
 def _tuples_through(i: int, arity: int) -> tuple[tuple[int, ...], ...]:
     """Argument tuples over {0..i} that contain i, in lexicographic order."""
     return tuple(t for t in itertools.product(range(i + 1), repeat=arity) if i in t)
@@ -399,7 +399,7 @@ def _reach_key(s: Structure, generators: Sequence[int]):
     return s.size, tuple(number[x] for x in marks), tuple(values), relations
 
 
-@functools.cache
+@memo()
 def _generated_classes(
     sig: Signature, bound: int, size: int, names: Optional[tuple[str, ...]] = None
 ) -> tuple:

@@ -1,11 +1,15 @@
+import functools
+import importlib
 import io
 import itertools
+import pkgutil
 import sys
 import time
 
 import pytest
 
-from subsat import cli
+import subsat
+from subsat import cli, logic, structures
 from subsat.cli import main
 
 K2_FILE = """\
@@ -273,6 +277,20 @@ def test_undeclared_application_is_named_by_its_role(tmp_path, capsys, formula, 
                       "--signature", str(path), "--formula", formula])
     assert (code, text) == (2, "")
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# Two formulas without a signature file: the signatures inferred from each
+# must give every shared predicate and function one arity.
+@pytest.mark.parametrize(
+    "formula,formula2,symbol",
+    [("exists x. R(x,x)", "exists x. R(x)", "R"),
+     ("exists x. F(x) = x", "exists x. F(x,x) = x", "F")],
+)
+def test_formula_pair_with_conflicting_arities_is_refused(capsys, formula, formula2, symbol):
+    code, text = run(["probe", "--check", "equivalence", "--formula", formula,
+                      "--formula2", formula2])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == f"error: {symbol} used with conflicting arities\n"
 
 
 def test_reports_are_deterministic():
@@ -662,3 +680,27 @@ def test_parser_built_once_gives_the_answers_of_fresh_parsers(capsys):
     assert once == outcomes(fresh=True)
     assert [code for code, *_ in once] == [2, 0, 0, 0]
     assert "invalid choice: 'nonsense'" in once[0][3]
+
+
+def test_clear_memos_empties_every_memo_and_changes_no_report(z4):
+    modules = [importlib.import_module(f"subsat.{m.name}")
+               for m in pkgutil.iter_modules(subsat.__path__)]
+    memos = {id(v): v for m in modules for v in vars(m).values()
+             if isinstance(v, functools._lru_cache_wrapper)}.values()
+    assert memos and all(m.cache_clear in structures._MEMOS for m in memos)
+    calls = [
+        ["probe", "--check", "witness-bound", "--formula", "forall x. exists y. R(x,y)",
+         "--n-max", "4", "--lambda-max", "3"],
+        ["probe", "--check", "extensions", "--formula", "exists x. R(x,x)", "--n-max", "3"],
+        ["translate", "--to", "existential", "--lambda", "1", "--nu", "4",
+         "--signature", z4, "--formula", "exists x. F(x) != x"],
+    ]
+    warm = [run(argv) for argv in calls]
+    # the CLI's formulas are gone by now, and their compiled forms with them
+    kept = logic.parse_formula("exists x. R(x,x)", structures.Signature((("R", 2),)))
+    logic.formula_facts(kept)
+    assert structures._GENERIC_ISO and id(kept) in logic._COMPILED
+    structures.clear_memos()
+    assert [m.cache_info().currsize for m in memos] == [0] * len(memos)
+    assert structures._GENERIC_ISO == {} and logic._COMPILED == {}
+    assert [run(argv) for argv in calls] == warm

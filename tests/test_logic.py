@@ -1,6 +1,7 @@
 import gc
 import inspect
 import itertools
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -428,6 +429,21 @@ def test_compiled_form_is_kept_by_identity_while_the_formula_lives():
     del g
     gc.collect()
     assert key not in logic._COMPILED and id(f) in logic._COMPILED
+
+
+def test_a_formula_freed_after_the_compiled_global_is_gone_raises_nothing(monkeypatch):
+    # at interpreter shutdown a formula may die after the module's globals
+    # are cleared: its callback must not read the ``_COMPILED`` global
+    seen = []
+    monkeypatch.setattr(sys, "unraisablehook", seen.append)
+    f = parse_formula("exists x. R(x,x)", BINARY)
+    key = id(f)
+    compiled = logic._COMPILED
+    compile_formula(f)
+    monkeypatch.setattr(logic, "_COMPILED", None)
+    del f
+    gc.collect()
+    assert seen == [] and key not in compiled
 
 
 def test_compile_formula_classifies_once():

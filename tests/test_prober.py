@@ -359,7 +359,7 @@ def test_generic_witness_search_builds_no_labelled_structure(monkeypatch):
         raise AssertionError("labelled structures were scanned")
 
     monkeypatch.setattr(structures, "_labelled_indices", unexpected)
-    structures._GENERIC_ISO.clear()
+    structures.clear_memos()
     verdict = witness_bound_search(parse_formula("exists x. F(x) = x", UNAR),
                                    ProbeConfig(UNAR, n_max=6))
     assert (verdict.outcome, verdict.bound) == ("WITNESS_BOUND_FOUND", 1)
@@ -381,8 +381,7 @@ def test_full_truth_column_builds_no_larger_class():
     # has a witness of size k: the search answers before building any class
     # of a larger size
     for phi, full in ((BINARY_CORPUS["symmetric"], 1), (TWO_POINTS, 2)):
-        structures._iso_level.cache_clear()
-        structures._iso_columns.cache_clear()
+        structures.clear_memos()
         verdict = witness_bound_search(phi, ProbeConfig(BINARY, n_max=5, lambda_max=3))
         assert (verdict.outcome, verdict.bound) == ("WITNESS_BOUND_FOUND", full)
         assert structures._iso_level.cache_info().currsize == full
@@ -411,7 +410,7 @@ def test_proper_edge_n5_pin():
 def test_column_search_refuses_before_building_a_size():
     # 10 three-point classes times 2**5 choices of the new point's tuples
     # exceed a cap of 100 before any three-point class is built
-    structures._iso_level.cache_clear()
+    structures.clear_memos()
     with pytest.raises(CapExceededError, match="320 iso candidates exceeds the cap of 100"):
         witness_bound_search(FORALL_EXISTS, ProbeConfig(BINARY, n_max=5, lambda_max=4, cap=100))
     assert structures._iso_level.cache_info().currsize == 2
@@ -421,8 +420,7 @@ def test_column_search_refuses_before_building_a_size():
 def test_table_probes_refuse_before_building_a_size(mode):
     # as the column search: the three-point classes are refused before they
     # or any table over them are built
-    structures._iso_level.cache_clear()
-    structures._subclass_table.cache_clear()
+    structures.clear_memos()
     with pytest.raises(CapExceededError, match="320 iso candidates exceeds the cap of 100"):
         if mode == "extensions":
             preservation_under_extensions(FORALL_EXISTS, ProbeConfig(BINARY, n_max=5, cap=100))

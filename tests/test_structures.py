@@ -590,7 +590,7 @@ def test_iso_cap_counts_candidates_before_the_work(monkeypatch):
         return canonicalise(sig, n, masks)
 
     monkeypatch.setattr(structures, "_canonicalise", recording)
-    structures._iso_level.cache_clear()
+    structures.clear_memos()
     for memoised in (False, True):
         with pytest.raises(CapExceededError, match="1558528 iso candidates") as exc:
             next(enumerate_structures(BINARY, 5, up_to_iso=True, cap=1_000_000))
@@ -604,7 +604,7 @@ def test_iso_cap_counts_candidates_before_the_work(monkeypatch):
 
 
 def test_generic_iso_memo_fills_only_when_a_stream_ends(monkeypatch):
-    structures._GENERIC_ISO.clear()
+    structures.clear_memos()
     stream = enumerate_structures(UNAR, 4, up_to_iso=True)
     first = next(stream)
     stream.close()
@@ -625,7 +625,7 @@ def test_generic_iso_walk_builds_no_labelled_structure(monkeypatch):
         raise AssertionError("labelled structures were scanned")
 
     monkeypatch.setattr(structures, "_labelled_indices", unexpected)
-    structures._GENERIC_ISO.clear()
+    structures.clear_memos()
     assert sum(1 for _ in enumerate_structures(UNAR, 6, up_to_iso=True)) == 130
 
 
@@ -639,7 +639,7 @@ def test_generic_iso_cap_refuses_before_the_work(monkeypatch):
         return steps(sig, n)
 
     monkeypatch.setattr(structures, "_orbit_steps", recording)
-    structures._GENERIC_ISO.clear()
+    structures.clear_memos()
     for memoised in (False, True):
         with pytest.raises(CapExceededError, match="3125 labelled structures") as exc:
             next(enumerate_structures(UNAR, 5, up_to_iso=True, cap=3000))

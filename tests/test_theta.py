@@ -347,8 +347,7 @@ def test_functional_translation_soundness_and_conditional_completeness():
 
 def test_functional_translation_refuses_before_building_any_size():
     # sizes 1..7 of one unary function fit the cap; 8**8 does not
-    theta._generated_classes.cache_clear()
-    structures_module._GENERIC_ISO.clear()
+    structures_module.clear_memos()
     with pytest.raises(CapExceededError) as exc:
         theta_bounded_to_existential_functional(MOVED, UNAR, 1, 8)
     assert (exc.value.count, exc.value.cap) == (16_777_216, 5_000_000)
@@ -358,7 +357,7 @@ def test_functional_translation_refuses_before_building_any_size():
 
 def test_marked_classes_reuse_the_iso_representatives(monkeypatch):
     n = 4
-    structures_module._GENERIC_ISO.clear()
+    structures_module.clear_memos()
     classes = list(enumerate_structures(UNAR, n, up_to_iso=True))
 
     def unexpected(sig, size):
