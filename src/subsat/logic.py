@@ -928,9 +928,13 @@ def formula_facts(f: Formula, sliced: bool = False) -> CompiledFormula:
 
     Kept by object identity: hashing the AST by value would cost about as
     much as an evaluation, so reuse the formula object to reuse the work.
-    A formula not compiled yet is walked once, in bit-sliced mode with
-    ``sliced`` and in plain mode otherwise: pass the mode the caller goes
-    on to evaluate it in, and no walk is wasted.  Unlike
+    The predicate-signature translations in ``theta`` key by their input's
+    value instead: the input is small while the output grows with the
+    bound, and they return one output object per input, so translating
+    equal input again reaches the form compiled here without hashing the
+    output.  A formula not compiled yet is walked once, in bit-sliced mode
+    with ``sliced`` and in plain mode otherwise: pass the mode the caller
+    goes on to evaluate it in, and no walk is wasted.  Unlike
     ``compile_formula`` it does not refuse a formula that has no
     bit-sliced mode.
     """

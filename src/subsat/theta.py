@@ -172,11 +172,14 @@ def theta_bounded_semantic(s: Structure, phi: Formula, bound: int) -> ThetaRepor
     return ThetaReport(False, None, inspected)
 
 
+@memo(256)
 def theta_to_eso(phi: Formula, sig: Signature) -> Formula:
     """Monadic existential second-order sentence equivalent to the submodel check.
 
     Shape: existsSet X. (nonempty & closed-under-each-function &
-    contains-each-constant & relativization of phi to X).
+    contains-each-constant & relativization of phi to X).  Memoised by
+    argument value: equal arguments return the one sentence object, so
+    its compiled form is reused; refusals are raised anew on each call.
     """
     _require_fo_sentence(phi, sig.is_predicate_only)
     set_var = fresh_set_variable(phi)
@@ -197,6 +200,7 @@ def theta_to_eso(phi: Formula, sig: Signature) -> Formula:
     return ExistsSet(set_var, make_and(conjuncts))
 
 
+@memo(256)
 def theta_bounded_to_existential_predicate(
     phi: Formula,
     bound: int,
@@ -209,7 +213,9 @@ def theta_bounded_to_existential_predicate(
     variables over the quantifier-eliminated relativization of ``phi``.
     The output grows ``bound``-fold per quantifier, so its node count is
     predicted first and the translation refuses with
-    :class:`CapExceededError` past ``cap`` nodes.
+    :class:`CapExceededError` past ``cap`` nodes.  Memoised by argument
+    value, ``cap`` included, like :func:`theta_to_eso`: a refusal is
+    never kept, so a smaller cap refuses after a larger one succeeded.
     """
     # phi has predicates only, so a probe decides it on class columns
     _require_fo_sentence(phi, sliced=True)

@@ -266,6 +266,8 @@ def modes_walked(walks, f):
 
 
 def test_each_formula_is_walked_once_per_mode_it_is_evaluated_in(monkeypatch):
+    # the translations are memoised: empty the memos so that they are fresh
+    structures.clear_memos()
     walks = counting_walks(monkeypatch)
     # a fresh object: nothing compiled yet
     phi = parse_formula("exists x. forall y. R(x,y)", BINARY)

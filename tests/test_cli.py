@@ -9,7 +9,7 @@ import time
 import pytest
 
 import subsat
-from subsat import cli, logic, structures
+from subsat import cli, logic, structures, theta
 from subsat.cli import main
 
 K2_FILE = """\
@@ -694,9 +694,16 @@ def test_clear_memos_empties_every_memo_and_changes_no_report(z4):
         ["probe", "--check", "extensions", "--formula", "exists x. R(x,x)", "--n-max", "3"],
         ["translate", "--to", "existential", "--lambda", "1", "--nu", "4",
          "--signature", z4, "--formula", "exists x. F(x) != x"],
+        ["translate", "--to", "eso", "--formula", "exists x. forall y. R(x,y)"],
+        ["translate", "--to", "existential", "--lambda", "2",
+         "--formula", "exists x. forall y. R(x,y)"],
     ]
     warm = [run(argv) for argv in calls]
-    # the CLI's formulas are gone by now, and their compiled forms with them
+    translations = [theta.theta_to_eso, theta.theta_bounded_to_existential_predicate]
+    assert all(t.cache_info().currsize for t in translations)
+    # the predicate-signature translations keep their parsed formulas, and
+    # the compiled forms of those and of their sentences; a formula kept here
+    # keeps its compiled form too
     kept = logic.parse_formula("exists x. R(x,x)", structures.Signature((("R", 2),)))
     logic.formula_facts(kept)
     assert structures._GENERIC_ISO and id(kept) in logic._COMPILED

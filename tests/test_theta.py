@@ -13,7 +13,7 @@ from reference import canonical_key
 from test_logic import formulas
 from test_structures import KERNEL_SIGNATURES, random_structures, relabel
 
-from subsat import logic, theta
+from subsat import corpus, logic, theta
 from subsat import structures as structures_module
 from subsat.corpus import CONSTS3, CORPUS, UNAR_CONST
 from subsat.logic import (
@@ -298,6 +298,70 @@ def test_predicate_translation_matches_bounded_semantics():
             for n in (1, 2, 3):
                 for s in enumerate_structures(BINARY, n, up_to_iso=True):
                     assert evaluate_fo(s, f) == theta_bounded_semantic(s, phi, lam).truth
+
+
+# --- memoised predicate-signature translations -------------------------------
+
+TRANSLATIONS = {
+    "eso": lambda phi, sig, bound: theta_to_eso(phi, sig),
+    "existential": lambda phi, sig, bound: theta_bounded_to_existential_predicate(
+        phi, bound, sig=sig
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(TRANSLATIONS))
+def test_equal_arguments_return_one_compiled_sentence(name):
+    translate = TRANSLATIONS[name]
+    first = translate(EXISTS_FORALL, BINARY, 2)
+    reparsed = parse_formula("exists x. forall y. R(x,y)", BINARY)
+    assert reparsed is not EXISTS_FORALL
+    again = translate(reparsed, Signature(predicates=(("R", 2),)), 2)
+    assert again is first
+    assert logic.formula_facts(again) is logic.formula_facts(first)
+
+
+def test_refusals_are_raised_on_every_call():
+    open_formula = parse_formula("R(x,x)", BINARY)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="bound must be >= 1"):
+            theta_bounded_to_existential_predicate(LOOP, 0, sig=BINARY)
+        for translate in TRANSLATIONS.values():
+            with pytest.raises(ValueError, match="open formula"):
+                translate(open_formula, BINARY, 1)
+        with pytest.raises(ValueError, match="functional signature"):
+            theta_bounded_to_existential_predicate(LOOP, 1, sig=UNAR)
+    # the cap is part of the key: a smaller one refuses after the default built it
+    loop_nodes = 2 + relativized_node_count(LOOP, 2)
+    built = theta_bounded_to_existential_predicate(LOOP, 2)
+    for _ in range(2):
+        with pytest.raises(CapExceededError, match="formula nodes"):
+            theta_bounded_to_existential_predicate(LOOP, 2, cap=loop_nodes - 1)
+    assert theta_bounded_to_existential_predicate(LOOP, 2) is built
+
+
+@pytest.mark.parametrize("name", list(TRANSLATIONS))
+def test_clear_memos_makes_the_next_translation_anew(name):
+    translate = TRANSLATIONS[name]
+    before = translate(FORALL_EXISTS, BINARY, 2)
+    assert translate(FORALL_EXISTS, BINARY, 2) is before
+    structures_module.clear_memos()
+    after = translate(FORALL_EXISTS, BINARY, 2)
+    assert after is not before and after == before
+
+
+@settings(max_examples=150, deadline=None)
+@given(sentences, st.sampled_from([BINARY, corpus.UNARY_BINARY]), st.integers(1, 3))
+def test_memoised_translations_match_fresh_ones(phi, sig, bound):
+    for fn, args in (
+        (theta_to_eso, (phi, sig)),
+        (theta_bounded_to_existential_predicate, (phi, bound, sig)),
+    ):
+        fresh = fn.__wrapped__(*args)
+        memoised = fn(*args)
+        assert memoised == fresh
+        assert render_formula(memoised) == render_formula(fresh)
+        assert fn(*args) is memoised
 
 
 # --- functional-case existential translation ---------------------------------
