@@ -1,9 +1,13 @@
 """Cost of reduced products, canonical embeddings and the collapse check.
 
 Run with ``python -m pytest bench --benchmark-only``.  The parents are
-fixed digraphs, and each system of induced substructures is built before
-timing, so a round times only the product layer:
+fixed digraphs.  ``test_induced_system`` times the building of a system of
+induced substructures; every other case builds its system before timing,
+so a round times only the product layer:
 
+- ``test_induced_system``: ``induced_system`` on the 3-point powerset
+  family (with its one-point default component at the empty index) and
+  on the chain ideal of k = 6;
 - ``test_principal_products``: ``reduced_product`` at each of the 8
   principal filters of the 3-point powerset system; each quotient is the
   one component at the filter's kernel;
@@ -16,8 +20,8 @@ timing, so a round times only the product layer:
   principal product of the 3-point system onto its component, the check
   that a principal reduced product is that component.
 
-``extra_info`` records the choice functions of the product, or the
-number of products or searches in a round.
+``extra_info`` records the choice functions of the product, the number of
+products or searches in a round, or the components of the system.
 """
 
 import pytest
@@ -46,6 +50,24 @@ COLLAPSE3 = [
      SYSTEM3.components[next(iter(filt.kernel))])
     for filt in PRINCIPAL3
 ]
+
+
+SYSTEM_CASES = {
+    "powerset3": (_path(3), POWERSET3),
+    "chain_k6": (_path(6), _chain_family(6)),
+}
+
+
+@pytest.mark.parametrize("case", list(SYSTEM_CASES))
+def test_induced_system(benchmark, case):
+    parent, family = SYSTEM_CASES[case]
+
+    def build():
+        return products.induced_system(parent, family)
+
+    system = benchmark.pedantic(build, rounds=20, iterations=1, warmup_rounds=1)
+    assert products.coherence_check(system) == []
+    benchmark.extra_info["components"] = len(system.components)
 
 
 def test_principal_products(benchmark):

@@ -16,7 +16,8 @@ yields its elements on demand.  The cone filter of a powerset ideal has
 one member in its kernel, the top, so its quotient is the top component
 however many choice functions there are (309,586,821,120 on 5 points).
 Index families are normalised once, where they enter the module, and
-filters built from them keep the normalised sets.
+filters built from them keep the normalised sets; each family is sorted
+once too, by ``_family_order``, which the ``memo`` registry keeps.
 
 Coherence and the canonical embedding are checked by
 ``structures._map_mismatches``: the coherence check maps the parent
@@ -40,6 +41,7 @@ from .structures import (
     _trusted_structure,
     check_power_cap,
     induced_substructure,
+    memo,
 )
 
 DEFAULT_PRODUCT_CAP = 1_000_000
@@ -49,8 +51,21 @@ def _set_label(s: frozenset) -> str:
     return "{" + ",".join(str(x) for x in sorted(s)) + "}"
 
 
-def _family_order(family: Iterable[frozenset]) -> list[frozenset]:
-    return sorted(family, key=lambda s: (len(s), sorted(s)))
+@memo(256)
+def _family_order(family: frozenset) -> tuple[frozenset, ...]:
+    """The members of ``family``, a frozenset, by size and then
+    lexicographically: the order of every loop and coordinate over it.
+    Kept per family, so each normalised family is sorted once."""
+    return tuple(sorted(family, key=lambda s: (len(s), sorted(s))))
+
+
+def _require_directed(family: frozenset, top: frozenset) -> None:
+    """Refuse ``family`` unless its union ``top`` is a member: a finite
+    family is directed exactly when it is."""
+    if top not in family:
+        raise ValueError(
+            f"index family is not directed: its union {_set_label(top)} is not a member"
+        )
 
 
 def _powerset(items) -> Iterable[frozenset]:
@@ -157,10 +172,7 @@ def upper_cone_filter(ideal_or_family) -> IndexFilter:
     else:
         family = _index_sets(ideal_or_family)
     top = frozenset().union(*family)
-    if top not in family:
-        raise ValueError(
-            f"index family is not directed: its union {_set_label(top)} is not a member"
-        )
+    _require_directed(family, top)
     return IndexFilter(family, {top})
 
 
@@ -263,7 +275,8 @@ def reduced_product(
     if not comps:
         raise ValueError("empty index family")
     sig = comps[0].signature
-    if any(c.signature != sig for c in comps):
+    # components of an induced system share one signature object
+    if any(c.signature is not sig and c.signature != sig for c in comps):
         raise ValueError("components must share one signature")
     if not all(c.size for c in comps):
         raise ValueError("components must be nonempty")
@@ -309,7 +322,7 @@ def reduced_product(
 
     structure = _trusted_structure(sig, size, preds, funcs, consts)
     choice_functions = ChoiceFunctions(tuple(c.size for c in comps))
-    return ReducedProduct(tuple(order), tuple(comps), filt, structure, choice_functions, at_kernel)
+    return ReducedProduct(order, tuple(comps), filt, structure, choice_functions, at_kernel)
 
 
 # --- coherent systems --------------------------------------------------------
@@ -355,14 +368,11 @@ def induced_system(parent: Structure, family: Iterable[frozenset],
         if not i:
             if empty_component is None:
                 sig = parent.signature
-                empty_component = Structure(
+                empty_component = _trusted_structure(
                     sig,
                     1,
                     {name: frozenset() for name, _ in sig.predicates},
-                    {
-                        name: {t: 0 for t in itertools.product(range(1), repeat=arity)}
-                        for name, arity in sig.functions
-                    },
+                    {name: {(0,) * arity: 0} for name, arity in sig.functions},
                     {name: 0 for name in sig.constants},
                 )
             components[i] = empty_component
@@ -389,23 +399,23 @@ def coherence_check(system: CoherentSystem) -> list[str]:
     violations = []
     parent = system.parent
     for i in _family_order(system.index_family):
-        label = _set_label(i)
         comp = system.components[i]
         inj = system.injections[i]
-        if set(inj) != set(i):
-            violations.append(f"i={label}: injection not defined exactly on i")
-            continue
-        values = list(inj.values())
-        if len(set(values)) != len(values):
-            violations.append(f"i={label}: injection is not injective")
-            continue
-        if not all(0 <= v < comp.size for v in values):
-            violations.append(f"i={label}: injection leaves the component universe")
-            continue
-        if not all(0 <= x < parent.size for x in i):
-            raise ValueError(f"carrier {sorted(i)} not within universe of size {parent.size}")
-        for kind, name, t in _map_mismatches(parent, comp, inj):
-            violations.append(f"i={label}: " + _COHERENCE_MESSAGES[kind, t is None].format(name, t))
+        values = inj.values()
+        # an index is labelled only in a violation
+        if inj.keys() != i:
+            violations.append(f"i={_set_label(i)}: injection not defined exactly on i")
+        elif len(set(values)) != len(inj):
+            violations.append(f"i={_set_label(i)}: injection is not injective")
+        elif inj and (min(values) < 0 or max(values) >= comp.size):
+            violations.append(f"i={_set_label(i)}: injection leaves the component universe")
+        else:
+            if i and (min(i) < 0 or max(i) >= parent.size):
+                raise ValueError(f"carrier {sorted(i)} not within universe of size {parent.size}")
+            for kind, name, t in _map_mismatches(parent, comp, inj):
+                violations.append(
+                    f"i={_set_label(i)}: " + _COHERENCE_MESSAGES[kind, t is None].format(name, t)
+                )
     return violations
 
 
@@ -460,10 +470,12 @@ def canonical_embedding(
     problems = coherence_check(system)
     if problems:
         raise ValueError("system is not coherent: " + "; ".join(problems[:3]))
-    empty = [i for i in family if system.components[i].size < 1]
+    empty = frozenset(i for i in family if system.components[i].size < 1)
     if empty:
         raise ValueError(f"component at {_set_label(_family_order(empty)[0])} is empty")
-    if not filt.kernel <= upper_cone_filter(filt.family).kernel:
+    # the upper-cone filter's kernel is the family's top, its union
+    _require_directed(family, covered)
+    if not filt.kernel <= {covered}:
         raise ValueError("filter does not extend the upper-cone filter")
 
     fallback = {frozenset(k): int(v) for k, v in (b or {}).items()}
@@ -526,9 +538,10 @@ def filter_from_members(family: Iterable[frozenset], members) -> IndexFilter:
     members = frozenset(_index_sets(m) for m in members)
     if not members:
         raise ValueError("filter is empty")
+    order = _family_order(family)
     for member in sorted(members, key=lambda m: (len(m), sorted(map(sorted, m)))):
-        for extra in _family_order(family - member):
-            if member | {extra} not in members:
+        for extra in order:
+            if extra not in member and member | {extra} not in members:
                 raise ValueError(
                     f"not upward closed: adding {_set_label(extra)} to a member "
                     "leaves the filter"

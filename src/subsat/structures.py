@@ -1241,6 +1241,8 @@ def _map_mismatches(
         for t in itertools.product(domain, repeat=arity):
             if (new is None or new in t) and (t in rel_a) != (tuple(map(moved, t)) in rel_b):
                 yield "predicate", name, t
+    if not sig.functions and not sig.constants:
+        return
     values = itertools.chain(
         (
             (name, t, a.functions[name].get(t, ESCAPES),
@@ -1318,11 +1320,15 @@ def find_isomorphism(
 ) -> Optional[dict]:
     """Search for an isomorphism from ``a`` onto ``b``; None if there is none.
 
-    Backtracking over carrier bijections with element-profile pruning,
-    extending a partial map only while it shows no mismatch.  The empty
-    map has none, so each new pair is checked only on what it can change
-    (``_map_mismatches`` with ``new``), and a complete map satisfies
-    :func:`check_isomorphism`.
+    An isomorphism keeps each element's profile (``_element_profiles``).
+    When every element of ``a`` has a profile of its own, only one map
+    keeps them all, so that map is checked once, whole, and returned in
+    domain order or refused; it is the map the search below would return.
+    Otherwise the search backtracks over carrier bijections with
+    element-profile pruning, extending a partial map only while it shows
+    no mismatch.  The empty map has none, so each new pair is checked only
+    on what it can change (``_map_mismatches`` with ``new``), and a
+    complete map satisfies :func:`check_isomorphism`.
     """
     if a.signature != b.signature:
         raise ValueError("signature mismatch")
@@ -1333,6 +1339,10 @@ def find_isomorphism(
     if sorted(prof_a.values()) != sorted(prof_b.values()):
         return None
     domain = sorted(car_a)
+    if len(set(prof_a.values())) == len(prof_a):
+        at = {p: y for y, p in prof_b.items()}
+        forced = {x: at[prof_a[x]] for x in domain}
+        return None if any(_map_mismatches(a, b, forced)) else forced
     targets = sorted(car_b)
     mapping: dict = {}
     used: set = set()

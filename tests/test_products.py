@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from subsat import products
+from subsat import products, structures
 from subsat.logic import parse_formula, evaluate_fo
 from subsat.products import (
     DEFAULT_PRODUCT_CAP,
@@ -154,6 +154,19 @@ def test_upper_cone_filter_rejects_undirected_family():
         upper_cone_filter([fs(0), fs(1)])
 
 
+def test_family_order_is_one_tuple_per_family_in_the_memo_registry():
+    family = powerset_ideal(range(3)).sets
+    structures.clear_memos()
+    order = products._family_order(family)
+    assert type(order) is tuple
+    assert order == tuple(sorted(family, key=lambda s: (len(s), sorted(s))))
+    # an equal family, another object, is sorted once as well
+    assert products._family_order(frozenset(set(family))) is order
+    assert products._family_order.cache_info().currsize == 1
+    structures.clear_memos()
+    assert products._family_order.cache_info().currsize == 0
+
+
 # --- reduced products ----------------------------------------------------------
 
 
@@ -172,6 +185,18 @@ def test_reduced_product_trivial_filter_counts_pairs():
     filt = IndexFilter(frozenset(family), frozenset(family))  # the filter {family}
     rp = reduced_product(components, filt)
     assert rp.structure.size == 6
+
+
+def test_reduced_product_compares_signatures_by_value():
+    family = [fs(0), fs(1)]
+    filt = principal_filter(family, fs(0))
+    alike = Signature(predicates=(("R", 2),))
+    assert alike == BINARY and alike is not BINARY
+    components = {fs(0): digraph(2, [(0, 1)]), fs(1): Structure(alike, 1)}
+    assert reduced_product(components, filt).structure.size == 2
+    components[fs(1)] = Structure(UNAR, 1, functions={"F": {(0,): 0}})
+    with pytest.raises(ValueError, match="^components must share one signature$"):
+        reduced_product(components, filt)
 
 
 def test_reduced_product_diagonal_embedding():
@@ -438,6 +463,37 @@ def test_coherence_check_names_every_mismatch_in_order():
     ]
 
 
+def test_coherence_check_names_each_bad_injection():
+    parent = digraph(2, [(0, 1)])
+    system = induced_system(parent, [fs(), fs(0), fs(1), fs(0, 1)])
+    # the empty index set has the empty injection, which is coherent
+    assert system.injections[fs()] == {}
+    assert coherence_check(system) == []
+    system.injections[fs()] = {0: 0}          # off its index set
+    system.injections[fs(0)] = {1: 0}         # off its index set
+    system.injections[fs(1)] = {1: -1}        # below the component universe
+    system.injections[fs(0, 1)] = {0: 1, 1: 1}  # not injective
+    assert coherence_check(system) == [
+        "i={}: injection not defined exactly on i",
+        "i={0}: injection not defined exactly on i",
+        "i={1}: injection leaves the component universe",
+        "i={0,1}: injection is not injective",
+    ]
+    system.injections = {i: {e: e for e in i} for i in system.injections}
+    system.injections[fs(1)] = {1: 1}         # past the one-point component
+    assert coherence_check(system) == ["i={1}: injection leaves the component universe"]
+
+
+def test_coherence_check_refuses_a_carrier_off_the_parent():
+    parent = digraph(2, [(0, 1)])
+    for carrier in (fs(0, 2), fs(-1, 0)):
+        injection = dict(zip(sorted(carrier), (0, 1)))
+        system = CoherentSystem(parent, {carrier: parent}, {carrier: injection})
+        message = rf"^carrier \[{min(carrier)}, {max(carrier)}\] not within universe of size 2$"
+        with pytest.raises(ValueError, match=message):
+            coherence_check(system)
+
+
 # --- canonical embedding ---------------------------------------------------------
 
 
@@ -486,8 +542,30 @@ def test_canonical_embedding_requires_cone_extension():
     ideal = powerset_ideal({0, 1})
     system = induced_system(parent, ideal.sets)
     narrow = principal_filter(ideal.sets, fs(0))  # does not contain the top cone
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^filter does not extend the upper-cone filter$"):
         canonical_embedding(system, narrow)
+
+
+def test_canonical_embedding_refuses_an_undirected_family_as_the_cone_filter_does():
+    # {∅, {0}, {1}} covers a 2-point parent, but its union {0,1} is no member
+    family = [fs(), fs(0), fs(1)]
+    system = induced_system(digraph(2, [(0, 1)]), family)
+    assert coherence_check(system) == []
+    with pytest.raises(ValueError) as cone:
+        upper_cone_filter(family)
+    with pytest.raises(ValueError) as embedding:
+        canonical_embedding(system, principal_filter(family, fs(0)))
+    assert str(embedding.value) == str(cone.value) == (
+        "index family is not directed: its union {0,1} is not a member"
+    )
+
+
+def test_canonical_embedding_names_the_first_empty_component():
+    parent = digraph(2, [(0, 1)])
+    family = [fs(), fs(0), fs(1), fs(0, 1)]
+    system = induced_system(parent, family, empty_component=Structure(BINARY, 0))
+    with pytest.raises(ValueError, match=r"^component at \{\} is empty$"):
+        canonical_embedding(system, upper_cone_filter(family))
 
 
 def test_canonical_embedding_varying_fallback():
@@ -632,8 +710,6 @@ def test_filter_from_members_needs_a_whole_proper_filter():
 
 
 def test_parse_ideal_file_errors():
-    import subsat.structures as structures
-
     with pytest.raises(structures.StructureFormatError):
         parse_ideal_file("ideal\n0\n")
     with pytest.raises(structures.StructureFormatError):

@@ -2,10 +2,11 @@ import dataclasses
 import hashlib
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import reference
 from reference import canonical_key
@@ -727,6 +728,34 @@ def near_copy(data, s):
     return relabel(changed, data.draw(st.permutations(range(n))))
 
 
+def rewired(data, s):
+    """A relabelled copy of ``s`` in which two tuples of one predicate trade
+    their elements at one position, or two entries of one function trade
+    their values.  Each element keeps its count at every predicate position
+    and its number of preimages, so the profiles often agree although the
+    structures differ."""
+    n = s.size
+    preds = {name: set(rel) for name, rel in s.predicates.items()}
+    funcs = {name: dict(table) for name, table in s.functions.items()}
+    slots = [
+        (preds, name) for name, rel in preds.items() if len(rel) > 1
+    ] + [(funcs, name) for name, table in funcs.items() if len(table) > 1]
+    if slots:
+        tables, name = data.draw(st.sampled_from(slots))
+        t, u = data.draw(st.lists(st.sampled_from(sorted(tables[name])),
+                                  min_size=2, max_size=2, unique=True))
+        if tables is funcs:
+            funcs[name][t], funcs[name][u] = funcs[name][u], funcs[name][t]
+        else:
+            pos = data.draw(st.integers(0, len(t) - 1))
+            traded = {t[:pos] + u[pos:pos + 1] + t[pos + 1:],
+                      u[:pos] + t[pos:pos + 1] + u[pos + 1:]}
+            if not traded & preds[name]:
+                preds[name] = (preds[name] - {t, u}) | traded
+    changed = Structure(s.signature, n, preds, funcs, dict(s.constants))
+    return relabel(changed, data.draw(st.permutations(range(n))))
+
+
 @pytest.mark.parametrize("label", list(KERNEL_SIGNATURES))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
@@ -911,6 +940,77 @@ def test_find_isomorphism_returns_the_full_recheck_mapping(data):
     ]
     for x, y in pairs:
         assert find_isomorphism(x, y) == reference.find_isomorphism(x, y)
+
+
+def _distinct_profiles(x):
+    profiles = list(structures._element_profiles(x).values())
+    return len(set(profiles)) == len(profiles)
+
+
+def _searched(x, y):
+    """``find_isomorphism(x, y)`` and the ``new`` argument of each
+    ``_map_mismatches`` call it made: None for a check of a whole map."""
+    calls = []
+    whole = structures._map_mismatches
+
+    def recording(a, b, mapping, new=None):
+        calls.append(new)
+        return whole(a, b, mapping, new)
+
+    with mock.patch.object(structures, "_map_mismatches", recording):
+        return find_isomorphism(x, y), calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_find_isomorphism_checks_a_forced_map_once(data):
+    # when every element has a profile of its own, one map keeps them all:
+    # it is checked once, whole, with no backtracking, and it is the map
+    # the reference search returns; a rewired copy keeps the profiles, so
+    # its forced map is often refused only by that check
+    sig = data.draw(st.sampled_from((BINARY, UNAR, KERNEL_SIGNATURES["mixed"])))
+    n = data.draw(st.integers(1, 4))
+    s = data.draw(random_structures(sig, n))
+    perm = data.draw(st.permutations(range(n)))
+    if data.draw(st.booleans()):
+        a = induced_fragment(s, data.draw(st.sets(st.integers(0, n - 1))))
+        copy = induced_fragment(relabel(s, perm), {perm[x] for x in a.carrier})
+        other = data.draw(st.sets(st.integers(0, n - 1), min_size=len(a.carrier),
+                                  max_size=len(a.carrier)))
+        near = induced_fragment(near_copy(data, s), other)
+        traded = induced_fragment(rewired(data, s), other)
+    else:
+        a = s
+        copy = relabel(a, perm)
+        near = near_copy(data, a)
+        traded = rewired(data, a)
+    assume(_distinct_profiles(a))
+    for b in (copy, near, traded):
+        got, calls = _searched(a, b)
+        same = sorted(structures._element_profiles(a).values()) == sorted(
+            structures._element_profiles(b).values())
+        # the forced path ran: one whole-map check, or none when the
+        # profile multisets already differ
+        assert calls == ([None] if same else [])
+        assert got == reference.find_isomorphism(a, b)
+        if b is copy:
+            assert got is not None
+        if got is not None:
+            assert list(got) == sorted(got)
+            assert check_isomorphism(a, b, got)
+
+
+def test_find_isomorphism_refuses_a_forced_map_that_fails():
+    # 3 -> 2 -> 1 -> 0, F(0) = 0, c = 2 against 1 -> 0, F(0) = 0, 2 <-> 3,
+    # c = 2: every profile is its own and the multisets agree, but the one
+    # map that keeps them sends 3 -> 1 and F(3) = 2 to F(1) = 0, not to 2
+    sig = KERNEL_SIGNATURES["unar_const"]
+    a = Structure(sig, 4, {}, {"F": {(0,): 0, (1,): 0, (2,): 1, (3,): 2}}, {"c": 2})
+    b = Structure(sig, 4, {}, {"F": {(0,): 0, (1,): 0, (2,): 3, (3,): 2}}, {"c": 2})
+    assert _distinct_profiles(a)
+    got, calls = _searched(a, b)
+    assert got is None and calls == [None]
+    assert reference.find_isomorphism(a, b) is None
 
 
 @settings(max_examples=100, deadline=None)
